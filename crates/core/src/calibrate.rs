@@ -21,7 +21,7 @@
 //! faithful model of post-silicon test-mode measurement.
 
 use rand::Rng;
-use ropuf_silicon::{BatchProbe, DelayProbe, Environment, RingSweep, Technology};
+use ropuf_silicon::{DelayProbe, Environment, MeasureArena, RingSweep, Technology};
 use ropuf_telemetry as telemetry;
 
 use crate::config::ConfigVector;
@@ -36,17 +36,6 @@ pub struct Calibration {
 }
 
 impl Calibration {
-    /// Assembles a calibration from already-measured parts. Used by the
-    /// fault-tolerant path in [`crate::robust`], which performs the same
-    /// `n + 2` measurements as [`calibrate`] but screens each one.
-    pub(crate) fn from_parts(ddiff_ps: Vec<f64>, all_selected_ps: f64, bypass_ps: f64) -> Self {
-        Self {
-            ddiff_ps,
-            all_selected_ps,
-            bypass_ps,
-        }
-    }
-
     /// The estimated per-stage delay differences `ddiff_i`, picoseconds.
     pub fn ddiffs_ps(&self) -> &[f64] {
         &self.ddiff_ps
@@ -90,10 +79,10 @@ impl Calibration {
 /// single-stage-bypassed ring), yielding unbiased `ddiff_i = D_all − D_i`
 /// estimates and the bypass total.
 ///
-/// Internally the `n + 2` configurations are served by the batched
-/// [`BatchProbe`] kernel: per-stage delay contributions are scaled once
-/// per ring and reused by every configuration, instead of re-deriving
-/// them in `n + 2` independent whole-ring walks. The result is
+/// The ring is laid into a one-ring [`MeasureArena`] block, so the
+/// per-stage delay contributions are scaled once and every
+/// configuration's delay comes from one sweep — the same reader the
+/// enrollment kernel runs over a whole board's block. The result is
 /// bit-identical to [`calibrate_per_config`] — same noise-draw order,
 /// same floating-point folds — just cheaper; each call bumps the
 /// `measure.batched` telemetry counter by `n + 2`.
@@ -131,56 +120,68 @@ pub fn calibrate<R: Rng + ?Sized>(
     env: Environment,
     tech: &Technology,
 ) -> Calibration {
-    let n = ro.len();
-    let stages = ro.stage_delays(env, tech);
-    let batch = BatchProbe::new(probe, &stages).measure_configs(rng);
-    telemetry::counter("measure.batched", (n + 2) as u64);
-    let ddiff_ps: Vec<f64> = batch
-        .leave_one_out_ps
-        .iter()
-        .map(|&d_i| batch.all_selected_ps - d_i)
-        .collect();
-    Calibration {
-        ddiff_ps,
-        all_selected_ps: batch.all_selected_ps,
-        bypass_ps: batch.bypass_ps,
-    }
+    let mut arena = MeasureArena::new();
+    arena.begin_block(1, ro.len());
+    ro.stage_delays_into(env, tech, &mut arena, 0);
+    let sweep = arena.sweep();
+    read_ring(sweep.ring(0, ro.len()), |d| Some(probe.measure_ps(rng, d)))
+        .expect("plain probe readings never fail")
 }
 
-/// [`calibrate`] against an arena-backed ring view: the same `n + 2`
-/// leave-one-out measurements and `ddiff_i = D_all − D_i` recovery, with
-/// the configuration delays served by a [`ropuf_silicon::MeasureArena`]
-/// sweep shared across a whole block of rings instead of a per-ring
-/// [`ropuf_silicon::StageDelays`] cache.
+/// The one §III.B ring reader: takes the `n + 2` readings of `ring` in
+/// sweep order (all-selected, all-bypassed, leave-one-out `0..n`), each
+/// through `read`, and recovers `ddiff_i = D_all − D_i`.
 ///
-/// Bit-identical to [`calibrate`] (and therefore to
-/// [`calibrate_per_config`]): the sweep folds stage contributions in the
-/// same order and [`RingSweep::measure`] draws noise in the same
-/// per-measurement order. Bumps `measure.batched` by `n + 2`, like
-/// [`calibrate`].
-pub(crate) fn calibrate_from_sweep<R: Rng + ?Sized>(
-    rng: &mut R,
-    ring: &RingSweep<'_>,
-    probe: &DelayProbe,
-) -> Calibration {
+/// `read` maps a configuration's true delay to one reading; `None`
+/// means the reading failed, which stops the calibration there (the
+/// remaining configurations are never read) and returns `None`. The
+/// `measure.batched` counter counts the readings taken, the failed one
+/// included: `n + 2` for a complete calibration.
+fn read_ring(ring: RingSweep<'_>, mut read: impl FnMut(f64) -> Option<f64>) -> Option<Calibration> {
     let n = ring.stages();
-    let batch = ring.measure(probe, rng);
-    telemetry::counter("measure.batched", (n + 2) as u64);
-    let ddiff_ps: Vec<f64> = batch
-        .leave_one_out_ps
-        .iter()
-        .map(|&d_i| batch.all_selected_ps - d_i)
-        .collect();
-    Calibration {
-        ddiff_ps,
-        all_selected_ps: batch.all_selected_ps,
-        bypass_ps: batch.bypass_ps,
+    let true_delay_ps = |config: usize| match config {
+        0 => ring.all_selected_ps(),
+        1 => ring.all_bypassed_ps(),
+        k => ring.all_but_ps(k - 2),
+    };
+    let mut taken = 0;
+    let mut readings = Vec::with_capacity(n + 2);
+    readings.extend((0..n + 2).map_while(|config| {
+        taken += 1;
+        read(true_delay_ps(config))
+    }));
+    telemetry::counter("measure.batched", taken);
+    if readings.len() < n + 2 {
+        return None;
     }
+    let (all_selected_ps, bypass_ps) = (readings[0], readings[1]);
+    readings.drain(..2);
+    for d_i in &mut readings {
+        *d_i = all_selected_ps - *d_i;
+    }
+    Some(Calibration {
+        ddiff_ps: readings,
+        all_selected_ps,
+        bypass_ps,
+    })
+}
+
+/// Calibrates a top/bottom ring pair from their sweep views — the top
+/// ring first, then the bottom, every reading through `read` (see
+/// [`read_ring`]). A failed reading returns `None` at once: the rest of
+/// the pair is not read.
+pub(crate) fn calibrate_pair(
+    top: RingSweep<'_>,
+    bottom: RingSweep<'_>,
+    mut read: impl FnMut(f64) -> Option<f64>,
+) -> Option<(Calibration, Calibration)> {
+    let top = read_ring(top, &mut read)?;
+    Some((top, read_ring(bottom, &mut read)?))
 }
 
 /// Reference implementation of [`calibrate`] that performs `n + 2`
 /// independent whole-ring walks — one O(n) delay sum per configuration —
-/// instead of the batched per-stage cache.
+/// instead of one arena sweep.
 ///
 /// The batched path is bit-identical to this one by construction (same
 /// noise-draw order, same left-to-right delay folds); the equivalence is

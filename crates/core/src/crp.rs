@@ -33,24 +33,8 @@ pub struct Challenge {
 }
 
 impl Challenge {
-    /// Creates a challenge from two configurations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths or selected counts differ. Use [`try_new`] to
-    /// validate untrusted (e.g. attacker- or wire-supplied) challenges
-    /// without unwinding.
-    ///
-    /// [`try_new`]: Self::try_new
-    #[deprecated(
-        note = "use `Challenge::try_new` — wire-supplied challenges must be rejected, not unwound"
-    )]
-    pub fn new(top: ConfigVector, bottom: ConfigVector) -> Self {
-        Self::try_new(top, bottom).expect("invalid challenge")
-    }
-
     /// Creates a challenge from two configurations, rejecting malformed
-    /// input instead of panicking.
+    /// (e.g. attacker- or wire-supplied) input instead of panicking.
     ///
     /// # Errors
     ///
@@ -403,16 +387,6 @@ mod tests {
         let rs = vec![true; 20];
         let model = LinearDelayAttack::train(&cs, &rs).expect("ridge keeps this solvable");
         assert!(model.predict(&c));
-    }
-
-    #[test]
-    #[should_panic(expected = "equally many stages")]
-    #[allow(deprecated)] // the panicking constructor keeps its contract until removal
-    fn unbalanced_challenge_panics() {
-        let _ = Challenge::new(
-            ConfigVector::from_selected(4, &[0, 1]),
-            ConfigVector::from_selected(4, &[2]),
-        );
     }
 
     #[test]

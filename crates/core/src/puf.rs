@@ -42,10 +42,12 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ropuf_num::bits::BitVec;
-use ropuf_silicon::{Board, CornerSet, DelayProbe, Environment, MeasureArena, Technology};
+use ropuf_silicon::{
+    Board, CornerSet, DelayProbe, Environment, MeasureArena, RingSweep, Technology,
+};
 use ropuf_telemetry as telemetry;
 
-use crate::calibrate::{calibrate, calibrate_from_sweep, Calibration};
+use crate::calibrate::{calibrate, calibrate_pair, Calibration};
 use crate::config::{ConfigVector, ParityPolicy};
 use crate::error::Error;
 use crate::fleet::{parallel_map_indexed, split_seed};
@@ -66,8 +68,8 @@ const STREAM_ENROLL_CORNER_BASE: u64 = u64::MAX - 16;
 /// RNG stream seed for calibrating pair `pair` at corner index `corner`
 /// of the enrollment corner list (index 0 = the enrollment
 /// environment).
-pub(crate) fn corner_stream(seed: u64, pair: u64, corner: usize) -> u64 {
-    let pair_seed = split_seed(seed, pair);
+pub(crate) fn corner_stream(seed: u64, pair: usize, corner: usize) -> u64 {
+    let pair_seed = split_seed(seed, pair as u64);
     if corner == 0 {
         pair_seed
     } else {
@@ -147,12 +149,15 @@ impl EnrollOptions {
         }
     }
 
-    /// The corners selection evaluates *in addition to* the enrollment
-    /// environment `env`: [`EnrollOptions::corners`] with `env` itself
-    /// removed. Empty means nominal-only enrollment — the exact legacy
-    /// pipeline, byte for byte.
-    pub fn extra_corners(&self, env: Environment) -> Vec<Environment> {
-        self.corners.iter().filter(|&c| c != env).collect()
+    /// The corners enrollment calibrates at: the enrollment
+    /// environment `env` first, then every corner of
+    /// [`EnrollOptions::corners`] other than `env`. A single corner
+    /// means nominal-only enrollment — the paper's pipeline, byte for
+    /// byte.
+    pub fn enrollment_corners(&self, env: Environment) -> Vec<Environment> {
+        std::iter::once(env)
+            .chain(self.corners.iter().filter(|&c| c != env))
+            .collect()
     }
 }
 
@@ -244,18 +249,6 @@ pub struct PairSpec {
 }
 
 impl PairSpec {
-    /// Builds a pair from explicit unit index lists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lists are empty or have different lengths. Use
-    /// [`try_new`](Self::try_new) to validate untrusted layouts without
-    /// unwinding.
-    #[deprecated(note = "use `PairSpec::try_new` — crate boundaries reject bad layouts as errors")]
-    pub fn new(top: Vec<usize>, bottom: Vec<usize>) -> Self {
-        Self::try_new(top, bottom).expect("invalid pair layout")
-    }
-
     /// Builds a pair from explicit unit index lists, rejecting malformed
     /// layouts instead of panicking.
     ///
@@ -407,6 +400,10 @@ impl ConfigurableRoPuf {
     /// Enrolls the PUF on `board` at operating point `env`:
     /// calibrates every pair, runs selection, and applies the
     /// reliability threshold.
+    ///
+    /// Every reading draws from the caller's `rng`, pair-major: for
+    /// each pair, its top then its bottom ring at `env`, then the same
+    /// at each further corner of [`EnrollOptions::enrollment_corners`].
     pub fn enroll<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -415,24 +412,20 @@ impl ConfigurableRoPuf {
         env: Environment,
         opts: &EnrollOptions,
     ) -> Enrollment {
-        let pairs = self
-            .specs
-            .iter()
-            .map(|spec| Self::enroll_pair(rng, spec, board, tech, env, opts))
-            .collect();
-        Enrollment {
-            pairs,
-            enrolled_at: env,
-        }
+        let mut arena = MeasureArena::new();
+        self.enroll_in(board, tech, env, opts, &mut arena, |_, _, top, bottom| {
+            calibrate_pair(top, bottom, |d| Some(opts.probe.measure_ps(rng, d)))
+        })
+        .0
     }
 
-    /// Enrolls with per-pair RNG streams derived from `seed` via
-    /// [`crate::fleet::split_seed`], instead of one shared RNG.
+    /// Enrolls with per-(pair, corner) RNG streams derived from `seed`
+    /// via [`crate::fleet::split_seed`], instead of one shared RNG.
     ///
-    /// Because pair `i` always draws from stream `split_seed(seed, i)`,
-    /// the result is independent of evaluation order — this is the
-    /// serial reference [`enroll_par`](Self::enroll_par) is bit-identical
-    /// to, and what the fleet engine runs per board.
+    /// Because pair `i` at corner `c` always draws from its own stream,
+    /// the result is independent of evaluation order — bit-identical to
+    /// the per-ring reference [`enroll_par`](Self::enroll_par) — and
+    /// this is what the fleet engine runs per board.
     pub fn enroll_seeded(
         &self,
         seed: u64,
@@ -446,23 +439,15 @@ impl ConfigurableRoPuf {
     }
 
     /// [`enroll_seeded`](Self::enroll_seeded) against a caller-owned
-    /// [`MeasureArena`]: the whole board's rings are laid out as one
-    /// structure-of-arrays block (pair `i`'s top ring at arena row
-    /// `2i`, bottom at `2i + 1`), all `n + 2` calibration
-    /// configurations are derived in one vectorizable sweep, and the
-    /// per-pair loop calibrates from arena views with zero per-pair
-    /// allocation.
+    /// [`MeasureArena`]: the enrollment kernel lays every ring of the
+    /// board, at every enrollment corner, into one structure-of-arrays
+    /// block, sweeps it once, and calibrates and selects pair by pair
+    /// from arena views.
     ///
     /// Fleet workers pass one arena per worker and enroll board after
     /// board into it; [`MeasureArena::begin_block`] fully resets the
     /// block, so repeated enrollments of one board through one arena
-    /// are bit-identical (no cross-board state). The result is
-    /// bit-identical to [`enroll_seeded`](Self::enroll_seeded) — the
-    /// sweep folds stage contributions and draws probe noise in exactly
-    /// the per-ring kernel's order.
-    ///
-    /// Floorplans whose pairs disagree on stage count cannot share one
-    /// block; they fall back to the per-ring kernel (same bits).
+    /// are bit-identical (no cross-board state).
     pub fn enroll_seeded_in(
         &self,
         seed: u64,
@@ -472,120 +457,19 @@ impl ConfigurableRoPuf {
         opts: &EnrollOptions,
         arena: &mut MeasureArena,
     ) -> Enrollment {
-        let extra = opts.extra_corners(env);
-        let stages = self.specs.first().map_or(0, PairSpec::stages);
-        if stages == 0 || self.specs.iter().any(|spec| spec.stages() != stages) {
-            let pairs = self
-                .specs
-                .iter()
-                .enumerate()
-                .map(|(i, spec)| {
-                    if extra.is_empty() {
-                        let mut rng = StdRng::seed_from_u64(split_seed(seed, i as u64));
-                        Self::enroll_pair(&mut rng, spec, board, tech, env, opts)
-                    } else {
-                        Self::enroll_pair_multi(seed, i, spec, board, tech, env, &extra, opts)
-                    }
-                })
-                .collect();
-            return Enrollment {
-                pairs,
-                enrolled_at: env,
-            };
-        }
-        if !extra.is_empty() {
-            return self.enroll_multi_corner_in(seed, board, tech, env, &extra, opts, arena);
-        }
-        arena.begin_block(2 * self.specs.len(), stages);
-        for (i, spec) in self.specs.iter().enumerate() {
-            let pair = spec.bind(board);
-            pair.top().stage_delays_into(env, tech, arena, 2 * i);
-            pair.bottom().stage_delays_into(env, tech, arena, 2 * i + 1);
-        }
-        let sweep = arena.sweep();
-        let pairs = self
-            .specs
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                let _pair_span = telemetry::span("enroll.pair");
-                let mut rng = StdRng::seed_from_u64(split_seed(seed, i as u64));
-                let cal_top = calibrate_from_sweep(&mut rng, &sweep.ring(2 * i), &opts.probe);
-                let cal_bottom =
-                    calibrate_from_sweep(&mut rng, &sweep.ring(2 * i + 1), &opts.probe);
-                Self::select_pair(spec, &cal_top, &cal_bottom, opts)
-            })
-            .collect();
-        Enrollment {
-            pairs,
-            enrolled_at: env,
-        }
+        self.enroll_in(board, tech, env, opts, arena, |i, c, top, bottom| {
+            let mut rng = StdRng::seed_from_u64(corner_stream(seed, i, c));
+            calibrate_pair(top, bottom, |d| Some(opts.probe.measure_ps(&mut rng, d)))
+        })
+        .0
     }
 
-    /// The multi-corner arena path of
-    /// [`enroll_seeded_in`](Self::enroll_seeded_in): one
-    /// structure-of-arrays block *per corner* (corner-outermost, so a
-    /// single arena serves every corner sequentially), then per-pair
-    /// min-margin-across-corners selection over the collected
-    /// calibrations. Corner 0 is the enrollment environment on the
-    /// legacy per-pair RNG stream; corner `c ≥ 1` draws from the
-    /// independent [`corner_stream`] family, so the corner loop order
-    /// cannot perturb any draw — which keeps this bit-identical to the
-    /// per-ring kernel in [`enroll_pair_multi`](Self::enroll_pair_multi)
-    /// and hence to [`enroll_par`](Self::enroll_par).
-    #[allow(clippy::too_many_arguments)]
-    fn enroll_multi_corner_in(
-        &self,
-        seed: u64,
-        board: &Board,
-        tech: &Technology,
-        env: Environment,
-        extra: &[Environment],
-        opts: &EnrollOptions,
-        arena: &mut MeasureArena,
-    ) -> Enrollment {
-        let stages = self.specs[0].stages();
-        let n_pairs = self.specs.len();
-        let corners: Vec<Environment> = std::iter::once(env).chain(extra.iter().copied()).collect();
-        let mut cals: Vec<Vec<(Calibration, Calibration)>> = Vec::with_capacity(corners.len());
-        for (c, &corner_env) in corners.iter().enumerate() {
-            arena.begin_block(2 * n_pairs, stages);
-            for (i, spec) in self.specs.iter().enumerate() {
-                let pair = spec.bind(board);
-                pair.top().stage_delays_into(corner_env, tech, arena, 2 * i);
-                pair.bottom()
-                    .stage_delays_into(corner_env, tech, arena, 2 * i + 1);
-            }
-            let sweep = arena.sweep();
-            let mut per_pair = Vec::with_capacity(n_pairs);
-            for i in 0..n_pairs {
-                let mut rng = StdRng::seed_from_u64(corner_stream(seed, i as u64, c));
-                let top = calibrate_from_sweep(&mut rng, &sweep.ring(2 * i), &opts.probe);
-                let bottom = calibrate_from_sweep(&mut rng, &sweep.ring(2 * i + 1), &opts.probe);
-                per_pair.push((top, bottom));
-            }
-            cals.push(per_pair);
-        }
-        let pairs = self
-            .specs
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                let _pair_span = telemetry::span("enroll.pair");
-                let pair_cals: Vec<(&Calibration, &Calibration)> =
-                    cals.iter().map(|c| (&c[i].0, &c[i].1)).collect();
-                Self::select_pair_multi(spec, &pair_cals, opts)
-            })
-            .collect();
-        Enrollment {
-            pairs,
-            enrolled_at: env,
-        }
-    }
-
-    /// Like [`enroll_seeded`](Self::enroll_seeded) but fans the per-pair
-    /// calibration/selection work out over `threads` workers.
-    /// Bit-identical to the serial form for the same `seed`.
+    /// The per-ring reference for [`enroll_seeded`](Self::enroll_seeded):
+    /// enrolls each pair on its own, ring by ring through [`calibrate`],
+    /// fanning pairs out over `threads` workers. It draws from the same
+    /// per-(pair, corner) streams, so it is bit-identical to the kernel
+    /// path for the same `seed` at any thread count — the cross-check
+    /// that pins the kernel's block layout, zero padding and pair walk.
     pub fn enroll_par(
         &self,
         seed: u64,
@@ -595,14 +479,22 @@ impl ConfigurableRoPuf {
         opts: &EnrollOptions,
         threads: usize,
     ) -> Enrollment {
-        let extra = opts.extra_corners(env);
+        let corners = opts.enrollment_corners(env);
         let pairs = parallel_map_indexed(self.specs.len(), threads, |i| {
-            if extra.is_empty() {
-                let mut rng = StdRng::seed_from_u64(split_seed(seed, i as u64));
-                Self::enroll_pair(&mut rng, &self.specs[i], board, tech, env, opts)
-            } else {
-                Self::enroll_pair_multi(seed, i, &self.specs[i], board, tech, env, &extra, opts)
-            }
+            let _pair_span = telemetry::span("enroll.pair");
+            let spec = &self.specs[i];
+            let pair = spec.bind(board);
+            let cals: Vec<(Calibration, Calibration)> = corners
+                .iter()
+                .enumerate()
+                .map(|(c, &corner_env)| {
+                    let mut rng = StdRng::seed_from_u64(corner_stream(seed, i, c));
+                    let top = calibrate(&mut rng, pair.top(), &opts.probe, corner_env, tech);
+                    let bottom = calibrate(&mut rng, pair.bottom(), &opts.probe, corner_env, tech);
+                    (top, bottom)
+                })
+                .collect();
+            select_pair(spec, &cals, opts)
         });
         Enrollment {
             pairs,
@@ -610,233 +502,175 @@ impl ConfigurableRoPuf {
         }
     }
 
-    /// Calibrates, selects, and thresholds one ring pair.
+    /// The enrollment kernel. Lays every ring of `board` at every
+    /// enrollment corner into one `arena` block (pair `i`'s top and
+    /// bottom rings at corner `c` in rows `2(i·C + c)` and
+    /// `2(i·C + c) + 1`; shorter rings zero-padded to the longest),
+    /// sweeps the block once, then walks pairs in index order.
     ///
-    /// With telemetry enabled, calibration and selection are timed
-    /// under an `enroll.pair` span (selection alone under
-    /// `enroll.select`), and the `enroll.pairs.case1` /
-    /// `enroll.pairs.case2`, `enroll.excluded.*`, and
-    /// `enroll.degenerate` counters track what happened to the pair.
-    fn enroll_pair<R: Rng + ?Sized>(
-        rng: &mut R,
-        spec: &PairSpec,
+    /// `read_pair(i, c, top, bottom)` calibrates pair `i` at corner `c`
+    /// from its two ring sweeps; the caller's draw policy lives there.
+    /// `None` marks a failed reading: the pair's remaining corners are
+    /// still read, and then the pair is excluded (§III.C) and counted in
+    /// the returned number of unreadable pairs.
+    ///
+    /// Each pair runs under one `enroll.pair` span covering its
+    /// calibrations at every corner and its selection.
+    pub(crate) fn enroll_in(
+        &self,
         board: &Board,
         tech: &Technology,
         env: Environment,
         opts: &EnrollOptions,
-    ) -> Option<EnrolledPair> {
-        let _pair_span = telemetry::span("enroll.pair");
-        let pair = spec.bind(board);
-        let cal_top = calibrate(rng, pair.top(), &opts.probe, env, tech);
-        let cal_bottom = calibrate(rng, pair.bottom(), &opts.probe, env, tech);
-        let extra = opts.extra_corners(env);
-        if extra.is_empty() {
-            return Self::select_pair(spec, &cal_top, &cal_bottom, opts);
-        }
-        // Shared-RNG multi-corner: extra corners draw sequentially from
-        // the caller's RNG (this path has no parallel counterpart to
-        // stay bit-identical to).
-        let mut cals = vec![(cal_top, cal_bottom)];
-        for corner_env in extra {
-            let top = calibrate(rng, pair.top(), &opts.probe, corner_env, tech);
-            let bottom = calibrate(rng, pair.bottom(), &opts.probe, corner_env, tech);
-            cals.push((top, bottom));
-        }
-        let refs: Vec<(&Calibration, &Calibration)> = cals.iter().map(|(t, b)| (t, b)).collect();
-        Self::select_pair_multi(spec, &refs, opts)
-    }
-
-    /// Per-ring multi-corner kernel: calibrates pair `i` at the
-    /// enrollment environment plus every extra corner, each corner on
-    /// its own [`corner_stream`] RNG stream, then runs
-    /// min-margin-across-corners selection. Bit-identical to the arena
-    /// path in [`enroll_multi_corner_in`](Self::enroll_multi_corner_in)
-    /// for the same seed, which is what lets
-    /// [`enroll_par`](Self::enroll_par) fan pairs out across workers.
-    #[allow(clippy::too_many_arguments)]
-    fn enroll_pair_multi(
-        seed: u64,
-        i: usize,
-        spec: &PairSpec,
-        board: &Board,
-        tech: &Technology,
-        env: Environment,
-        extra: &[Environment],
-        opts: &EnrollOptions,
-    ) -> Option<EnrolledPair> {
-        let _pair_span = telemetry::span("enroll.pair");
-        let pair = spec.bind(board);
-        let mut cals: Vec<(Calibration, Calibration)> = Vec::with_capacity(1 + extra.len());
-        for (c, &corner_env) in std::iter::once(&env).chain(extra).enumerate() {
-            let mut rng = StdRng::seed_from_u64(corner_stream(seed, i as u64, c));
-            let top = calibrate(&mut rng, pair.top(), &opts.probe, corner_env, tech);
-            let bottom = calibrate(&mut rng, pair.bottom(), &opts.probe, corner_env, tech);
-            cals.push((top, bottom));
-        }
-        let refs: Vec<(&Calibration, &Calibration)> = cals.iter().map(|(t, b)| (t, b)).collect();
-        Self::select_pair_multi(spec, &refs, opts)
-    }
-
-    /// The post-calibration half of [`Self::enroll_pair`]: plausibility
-    /// screen, §III.D selection, and margin thresholding. Shared with
-    /// the fault-tolerant path in [`crate::robust`], which produces its
-    /// calibrations through retry/readback instead of raw measurement
-    /// but must select and threshold identically.
-    pub(crate) fn select_pair(
-        spec: &PairSpec,
-        cal_top: &Calibration,
-        cal_bottom: &Calibration,
-        opts: &EnrollOptions,
-    ) -> Option<EnrolledPair> {
-        if let Some((lo, hi)) = opts.plausible_ddiff_ps {
-            let suspicious = cal_top
-                .ddiffs_ps()
-                .iter()
-                .chain(cal_bottom.ddiffs_ps())
-                .any(|&d| !(lo..=hi).contains(&d));
-            if suspicious {
-                telemetry::counter("enroll.excluded.implausible", 1);
-                return None;
-            }
-        }
-        let offset = cal_top.bypass_ps() - cal_bottom.bypass_ps();
-        let select_span = telemetry::span("enroll.select");
-        let (top_config, bottom_config, margin, bit, degenerate) = match opts.mode {
-            SelectionMode::Case1 => {
-                let s = case1_with_offset(
-                    cal_top.ddiffs_ps(),
-                    cal_bottom.ddiffs_ps(),
-                    offset,
-                    opts.parity,
-                );
-                telemetry::counter("enroll.pairs.case1", 1);
-                (
-                    s.config().clone(),
-                    s.config().clone(),
-                    s.margin(),
-                    s.bit(),
-                    s.is_degenerate(),
-                )
-            }
-            SelectionMode::Case2 => {
-                let s = case2_with_offset(
-                    cal_top.ddiffs_ps(),
-                    cal_bottom.ddiffs_ps(),
-                    offset,
-                    opts.parity,
-                );
-                telemetry::counter("enroll.pairs.case2", 1);
-                (
-                    s.top().clone(),
-                    s.bottom().clone(),
-                    s.margin(),
-                    s.bit(),
-                    s.is_degenerate(),
-                )
-            }
-        };
-        drop(select_span);
-        if degenerate {
-            // A zero-margin pair carries no silicon signature: its bit
-            // is a selection-convention artifact, not entropy. Surface
-            // it so fleet statistics can discount the bit.
-            telemetry::counter("enroll.degenerate", 1);
-        }
-        if margin < opts.threshold_ps {
-            telemetry::counter("enroll.excluded.threshold", 1);
-            None
-        } else {
-            Some(EnrolledPair {
-                spec: spec.clone(),
-                top_config,
-                bottom_config,
-                expected_bit: bit,
-                margin_ps: margin,
-            })
-        }
-    }
-
-    /// Multi-corner counterpart of [`Self::select_pair`]: `cals[c]`
-    /// holds the pair's (top, bottom) calibrations at corner `c` of the
-    /// enrollment corner list. The plausibility screen applies at every
-    /// corner, the §III.D solvers are replaced by their
-    /// min-margin-across-corners forms, and — unlike the single-corner
-    /// path, where a degenerate pair is merely flagged — a pair that is
-    /// degenerate at *any* corner is excluded outright (§III.C): its
-    /// bit would flip with the environment. With a single corner this
-    /// defers to [`Self::select_pair`] exactly.
-    pub(crate) fn select_pair_multi(
-        spec: &PairSpec,
-        cals: &[(&Calibration, &Calibration)],
-        opts: &EnrollOptions,
-    ) -> Option<EnrolledPair> {
-        assert!(!cals.is_empty(), "selection needs at least one corner");
-        if cals.len() == 1 {
-            return Self::select_pair(spec, cals[0].0, cals[0].1, opts);
-        }
-        if let Some((lo, hi)) = opts.plausible_ddiff_ps {
-            let suspicious = cals.iter().any(|(t, b)| {
-                t.ddiffs_ps()
-                    .iter()
-                    .chain(b.ddiffs_ps())
-                    .any(|&d| !(lo..=hi).contains(&d))
-            });
-            if suspicious {
-                telemetry::counter("enroll.excluded.implausible", 1);
-                return None;
-            }
-        }
-        let corner_delays: Vec<CornerDelays<'_>> = cals
+        arena: &mut MeasureArena,
+        mut read_pair: impl FnMut(
+            usize,
+            usize,
+            RingSweep<'_>,
+            RingSweep<'_>,
+        ) -> Option<(Calibration, Calibration)>,
+    ) -> (Enrollment, usize) {
+        let corners = opts.enrollment_corners(env);
+        let rows_per_pair = 2 * corners.len();
+        let stages = self
+            .specs
             .iter()
-            .map(|(t, b)| CornerDelays {
-                alpha: t.ddiffs_ps(),
-                beta: b.ddiffs_ps(),
-                offset_ps: t.bypass_ps() - b.bypass_ps(),
+            .map(PairSpec::stages)
+            .max()
+            .expect("a PUF has at least one ring pair");
+        arena.begin_block(rows_per_pair * self.specs.len(), stages);
+        for (i, spec) in self.specs.iter().enumerate() {
+            let pair = spec.bind(board);
+            for (c, &corner_env) in corners.iter().enumerate() {
+                let row = i * rows_per_pair + 2 * c;
+                pair.top().stage_delays_into(corner_env, tech, arena, row);
+                pair.bottom()
+                    .stage_delays_into(corner_env, tech, arena, row + 1);
+            }
+        }
+        let sweep = arena.sweep();
+        let mut unreadable = 0;
+        let mut cals = Vec::with_capacity(corners.len());
+        let pairs = self
+            .specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let _pair_span = telemetry::span("enroll.pair");
+                let n = spec.stages();
+                cals.clear();
+                for c in 0..corners.len() {
+                    let row = i * rows_per_pair + 2 * c;
+                    cals.extend(read_pair(i, c, sweep.ring(row, n), sweep.ring(row + 1, n)));
+                }
+                if cals.len() < corners.len() {
+                    unreadable += 1;
+                    return None;
+                }
+                select_pair(spec, &cals, opts)
             })
             .collect();
-        let select_span = telemetry::span("enroll.select");
-        let (top_config, bottom_config, margin, bit, degenerate) = match opts.mode {
-            SelectionMode::Case1 => {
-                let s = case1_multi_corner(&corner_delays, opts.parity);
-                telemetry::counter("enroll.pairs.case1", 1);
-                (
-                    s.config().clone(),
-                    s.config().clone(),
-                    s.margin(),
-                    s.bit(),
-                    s.is_degenerate(),
-                )
-            }
-            SelectionMode::Case2 => {
-                let s = case2_multi_corner(&corner_delays, opts.parity);
-                telemetry::counter("enroll.pairs.case2", 1);
-                (
-                    s.top().clone(),
-                    s.bottom().clone(),
-                    s.margin(),
-                    s.bit(),
-                    s.is_degenerate(),
-                )
-            }
-        };
-        drop(select_span);
-        if degenerate {
-            telemetry::counter("enroll.degenerate", 1);
+        (
+            Enrollment {
+                pairs,
+                enrolled_at: env,
+            },
+            unreadable,
+        )
+    }
+}
+
+/// Plausibility screen, §III.D selection, and margin thresholding of one
+/// pair. `cals[c]` holds its (top, bottom) calibrations at corner `c` of
+/// [`EnrollOptions::enrollment_corners`].
+///
+/// With one corner this runs the paper's solvers and merely flags a
+/// degenerate (zero-margin) pair. With several it runs their
+/// min-margin-across-corners forms, screens every corner, and excludes
+/// a pair degenerate at *any* corner outright (§III.C): its bit would
+/// flip with the environment.
+///
+/// With telemetry enabled, selection is timed under `enroll.select`,
+/// and the `enroll.pairs.case1` / `enroll.pairs.case2`,
+/// `enroll.excluded.*`, and `enroll.degenerate` counters track what
+/// happened to the pair.
+fn select_pair(
+    spec: &PairSpec,
+    cals: &[(Calibration, Calibration)],
+    opts: &EnrollOptions,
+) -> Option<EnrolledPair> {
+    if let Some((lo, hi)) = opts.plausible_ddiff_ps {
+        let suspicious = cals
+            .iter()
+            .flat_map(|(t, b)| t.ddiffs_ps().iter().chain(b.ddiffs_ps()))
+            .any(|&d| !(lo..=hi).contains(&d));
+        if suspicious {
+            telemetry::counter("enroll.excluded.implausible", 1);
+            return None;
+        }
+    }
+    let corners: Vec<CornerDelays<'_>> = cals
+        .iter()
+        .map(|(t, b)| CornerDelays {
+            alpha: t.ddiffs_ps(),
+            beta: b.ddiffs_ps(),
+            offset_ps: t.bypass_ps() - b.bypass_ps(),
+        })
+        .collect();
+    let multi_corner = corners.len() > 1;
+    let select_span = telemetry::span("enroll.select");
+    let (top_config, bottom_config, margin, bit, degenerate) = match opts.mode {
+        SelectionMode::Case1 => {
+            let s = match corners.as_slice() {
+                [one] => case1_with_offset(one.alpha, one.beta, one.offset_ps, opts.parity),
+                _ => case1_multi_corner(&corners, opts.parity),
+            };
+            telemetry::counter("enroll.pairs.case1", 1);
+            (
+                s.config().clone(),
+                s.config().clone(),
+                s.margin(),
+                s.bit(),
+                s.is_degenerate(),
+            )
+        }
+        SelectionMode::Case2 => {
+            let s = match corners.as_slice() {
+                [one] => case2_with_offset(one.alpha, one.beta, one.offset_ps, opts.parity),
+                _ => case2_multi_corner(&corners, opts.parity),
+            };
+            telemetry::counter("enroll.pairs.case2", 1);
+            (
+                s.top().clone(),
+                s.bottom().clone(),
+                s.margin(),
+                s.bit(),
+                s.is_degenerate(),
+            )
+        }
+    };
+    drop(select_span);
+    if degenerate {
+        // A zero-margin pair carries no silicon signature: its bit is a
+        // selection-convention artifact, not entropy. Surface it so
+        // fleet statistics can discount the bit.
+        telemetry::counter("enroll.degenerate", 1);
+        if multi_corner {
             telemetry::counter("enroll.excluded.corner_degenerate", 1);
             return None;
         }
-        if margin < opts.threshold_ps {
-            telemetry::counter("enroll.excluded.threshold", 1);
-            None
-        } else {
-            Some(EnrolledPair {
-                spec: spec.clone(),
-                top_config,
-                bottom_config,
-                expected_bit: bit,
-                margin_ps: margin,
-            })
-        }
+    }
+    if margin < opts.threshold_ps {
+        telemetry::counter("enroll.excluded.threshold", 1);
+        None
+    } else {
+        Some(EnrolledPair {
+            spec: spec.clone(),
+            top_config,
+            bottom_config,
+            expected_bit: bit,
+            margin_ps: margin,
+        })
     }
 }
 
@@ -1103,6 +937,13 @@ mod tests {
         assert_eq!(puf.specs()[1].bottom(), &[12, 13, 14, 15]);
         // Leftover units are unused.
         assert_eq!(ConfigurableRoPuf::tiled(65, 4).pair_count(), 8);
+        // Explicit layouts are validated, not unwound.
+        assert!(matches!(
+            PairSpec::try_new(vec![], vec![]),
+            Err(Error::Selection(_))
+        ));
+        let err = PairSpec::try_new(vec![0, 1], vec![2]).unwrap_err();
+        assert!(err.to_string().contains("equally sized"), "{err}");
     }
 
     #[test]

@@ -28,9 +28,7 @@
 use std::ops::Range;
 
 use rand::Rng;
-use ropuf_silicon::{
-    Board, DelayUnit, Environment, FrequencyCounter, MeasureArena, StageDelays, Technology,
-};
+use ropuf_silicon::{Board, DelayUnit, Environment, FrequencyCounter, MeasureArena, Technology};
 
 use crate::config::ConfigVector;
 use crate::error::Error;
@@ -45,20 +43,6 @@ pub struct ConfigurableRo<'a> {
 
 impl<'a> ConfigurableRo<'a> {
     /// Builds a ring from explicit unit indices (ring order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stages` is empty, contains duplicates, or references a
-    /// unit outside the board. Use [`Self::try_new`] to get an error
-    /// instead.
-    #[deprecated(
-        note = "use `ConfigurableRo::try_new` — crate boundaries reject bad layouts as errors"
-    )]
-    pub fn new(board: &'a Board, stages: Vec<usize>) -> Self {
-        Self::try_new(board, stages).expect("invalid ring layout")
-    }
-
-    /// Fallible form of [`Self::new`].
     ///
     /// # Errors
     ///
@@ -178,30 +162,14 @@ impl<'a> ConfigurableRo<'a> {
             .sum()
     }
 
-    /// Caches every stage's selected/bypass path-delay contribution at
-    /// `env` — the per-ring input of the batched §III.B calibration
-    /// kernel ([`ropuf_silicon::measure::BatchProbe`]). Each cached value
-    /// is exactly the `path_delay` the corresponding whole-ring walk
-    /// would evaluate, so delays derived from the cache are bit-identical
-    /// to [`Self::ring_delay_ps`].
-    pub fn stage_delays(&self, env: Environment, tech: &Technology) -> StageDelays {
-        let scale = tech.delay_scale(env);
-        StageDelays::new(
-            (0..self.len())
-                .map(|i| self.stage(i).path_delay_scaled(true, scale, env, tech))
-                .collect(),
-            (0..self.len())
-                .map(|i| self.stage(i).path_delay_scaled(false, scale, env, tech))
-                .collect(),
-        )
-    }
-
     /// Fills ring `ring_index` of a [`MeasureArena`] block with this
     /// ring's per-stage selected/bypass contributions at `env` — the
-    /// allocation-free counterpart of [`Self::stage_delays`]. Each slot
-    /// receives exactly the value `stage_delays` would cache
-    /// (same `path_delay_scaled` call, same hoisted scale), so sweeps
-    /// derived from the arena are bit-identical to the per-ring cache.
+    /// input of the §III.B calibration kernel. Each slot receives
+    /// exactly the `path_delay` the corresponding whole-ring walk
+    /// evaluates (same `path_delay_scaled` call, same hoisted scale), so
+    /// sweeps derived from the arena are bit-identical to
+    /// [`Self::ring_delay_ps`]. Stages past this ring's length keep the
+    /// block's zero padding.
     ///
     /// # Panics
     ///
@@ -275,22 +243,11 @@ pub struct RoPair<'a> {
 impl<'a> RoPair<'a> {
     /// Pairs two rings.
     ///
-    /// # Panics
-    ///
-    /// Panics if the rings have different stage counts (the paper's
-    /// architecture deploys identically sized rings). Use
-    /// [`Self::try_new`] to get an error instead.
-    #[deprecated(note = "use `RoPair::try_new` — crate boundaries reject bad layouts as errors")]
-    pub fn new(top: ConfigurableRo<'a>, bottom: ConfigurableRo<'a>) -> Self {
-        Self::try_new(top, bottom).expect("paired rings must have equal stage counts")
-    }
-
-    /// Fallible form of [`Self::new`].
-    ///
     /// # Errors
     ///
     /// Returns [`Error::Selection`] if the rings have different stage
-    /// counts.
+    /// counts (the paper's architecture deploys identically sized
+    /// rings).
     pub fn try_new(top: ConfigurableRo<'a>, bottom: ConfigurableRo<'a>) -> Result<Self, Error> {
         if top.len() != bottom.len() {
             return Err(Error::Selection(format!(
@@ -506,11 +463,16 @@ mod tests {
     }
 
     #[test]
-    fn stage_delays_cache_matches_ring_walk_bit_for_bit() {
+    fn arena_column_matches_ring_walk_bit_for_bit() {
         let (board, tech) = board();
         let ro = ConfigurableRo::try_new(&board, vec![2, 7, 0, 5, 9]).unwrap();
         for env in [Environment::nominal(), Environment::new(0.98, 65.0)] {
-            let delays = ro.stage_delays(env, &tech);
+            // A 7-stage block: the 5-stage ring sits in it zero-padded.
+            let mut arena = MeasureArena::new();
+            arena.begin_block(1, 7);
+            ro.stage_delays_into(env, &tech, &mut arena, 0);
+            let sweep = arena.sweep();
+            let delays = sweep.ring(0, 5);
             let all = ConfigVector::all_selected(5);
             let none = ConfigVector::from_flags(&[false; 5]);
             assert_eq!(
@@ -522,8 +484,7 @@ mod tests {
                 ro.ring_delay_ps(&none, env, &tech).to_bits()
             );
             for skip in 0..5 {
-                let flags: Vec<bool> = (0..5).map(|i| i != skip).collect();
-                let config = ConfigVector::from_flags(&flags);
+                let config = ConfigVector::all_but(5, skip);
                 assert_eq!(
                     delays.all_but_ps(skip).to_bits(),
                     ro.ring_delay_ps(&config, env, &tech).to_bits(),
@@ -551,27 +512,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "appears twice")]
-    #[allow(deprecated)] // the panicking constructor keeps its contract until removal
-    fn duplicate_stage_panics() {
-        let (board, _) = board();
-        let _ = ConfigurableRo::new(&board, vec![0, 0]);
-    }
-
-    #[test]
     #[should_panic(expected = "even, nonzero")]
     fn odd_split_panics() {
         let (board, _) = board();
         let _ = RoPair::split_range(&board, 0..5);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal stage counts")]
-    #[allow(deprecated)] // the panicking constructor keeps its contract until removal
-    fn unequal_pair_panics() {
-        let (board, _) = board();
-        let top = ConfigurableRo::from_range(&board, 0..3);
-        let bottom = ConfigurableRo::from_range(&board, 3..7);
-        let _ = RoPair::new(top, bottom);
     }
 }

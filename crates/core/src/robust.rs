@@ -32,15 +32,12 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ropuf_silicon::faults::FaultModel;
-use ropuf_silicon::{Board, DelayProbe, Environment, MeasureArena, RingSweep, Technology};
+use ropuf_silicon::{Board, DelayProbe, Environment, MeasureArena, Technology};
 use ropuf_telemetry as telemetry;
 
-use crate::calibrate::Calibration;
+use crate::calibrate::calibrate_pair;
 use crate::fleet::split_seed;
-use crate::puf::{
-    corner_stream, BoundEnrollment, ConfigurableRoPuf, EnrollOptions, EnrolledPair, Enrollment,
-    PairSpec,
-};
+use crate::puf::{corner_stream, BoundEnrollment, ConfigurableRoPuf, EnrollOptions, Enrollment};
 
 /// Sub-stream index for per-pair / per-corner fault rolls.
 const STREAM_FAULT: u64 = u64::MAX - 2;
@@ -399,43 +396,6 @@ fn mad_filtered_median(values: &mut [f64], mad_k: f64) -> f64 {
     kept[kept.len() / 2]
 }
 
-/// Fault-screened version of [`crate::calibrate::calibrate`]: the same
-/// `n + 2` measurements in the same order, each through
-/// [`RobustMeasurer::read`]. Any unrecoverable read fails the whole
-/// calibration (`None`), which excludes the surrounding pair.
-///
-/// Like the plain path, the configuration delays come from the batched
-/// sweep (a [`RingSweep`] view of the worker's
-/// [`MeasureArena`]) instead of `n + 2` whole-ring walks; the screening
-/// pipeline still sees exactly one logical measurement per
-/// configuration, so fault injection, retries, and exclusion behave
-/// identically. Each screened read bumps the `measure.batched` counter
-/// (counted per read, not per calibration, because a failed read aborts
-/// the remaining configurations).
-fn robust_calibrate<R: Rng + ?Sized>(
-    measurer: &mut RobustMeasurer<'_>,
-    meas_rng: &mut R,
-    ring: &RingSweep<'_>,
-) -> Option<Calibration> {
-    let n = ring.stages();
-    let read = |measurer: &mut RobustMeasurer<'_>, meas_rng: &mut R, true_delay_ps: f64| {
-        telemetry::counter("measure.batched", 1);
-        measurer.read(meas_rng, true_delay_ps)
-    };
-    let all_selected_ps = read(measurer, meas_rng, ring.all_selected_ps())?;
-    let bypass_ps = read(measurer, meas_rng, ring.all_bypassed_ps())?;
-    let mut ddiff_ps = Vec::with_capacity(n);
-    for i in 0..n {
-        let leave_one_out = read(measurer, meas_rng, ring.all_but_ps(i))?;
-        ddiff_ps.push(all_selected_ps - leave_one_out);
-    }
-    Some(Calibration::from_parts(
-        ddiff_ps,
-        all_selected_ps,
-        bypass_ps,
-    ))
-}
-
 /// Outcome of a fault-tolerant enrollment.
 #[derive(Debug, Clone)]
 pub struct RobustEnrollment {
@@ -468,59 +428,19 @@ pub fn enroll_robust(
     enroll_robust_in(puf, seed, board, tech, env, opts, plan, &mut arena)
 }
 
-/// Calibrates and selects one pair whose configuration delays are
-/// already laid out in an arena sweep. `top` and `bottom` are the
-/// pair's two [`RingSweep`] views; fault, retry, and measurement
-/// streams are derived exactly as in the pre-arena per-pair loop, so
-/// the result is bit-identical to it.
-#[allow(clippy::too_many_arguments)]
-fn enroll_pair_robust(
-    spec: &PairSpec,
-    index: usize,
-    seed: u64,
-    opts: &EnrollOptions,
-    plan: &FaultPlan,
-    top: &RingSweep<'_>,
-    bottom: &RingSweep<'_>,
-    summary: &mut FaultSummary,
-    unreadable_pairs: &mut usize,
-) -> Option<EnrolledPair> {
-    let _pair_span = telemetry::span("enroll.pair");
-    let pair_seed = split_seed(seed, index as u64);
-    let mut meas_rng = StdRng::seed_from_u64(pair_seed);
-    let mut measurer = RobustMeasurer::new(
-        plan,
-        opts.probe,
-        split_seed(pair_seed, STREAM_FAULT),
-        split_seed(pair_seed, STREAM_RETRY),
-    );
-    let calibrations = robust_calibrate(&mut measurer, &mut meas_rng, top).and_then(|cal_top| {
-        let cal_bottom = robust_calibrate(&mut measurer, &mut meas_rng, bottom)?;
-        Some((cal_top, cal_bottom))
-    });
-    let enrolled = match calibrations {
-        Some((cal_top, cal_bottom)) => {
-            ConfigurableRoPuf::select_pair(spec, &cal_top, &cal_bottom, opts)
-        }
-        None => {
-            *unreadable_pairs += 1;
-            measurer.summary.unreadable_pairs += 1;
-            None
-        }
-    };
-    summary.merge(&measurer.summary);
-    enrolled
-}
-
-/// [`enroll_robust`] against a caller-owned [`MeasureArena`], mirroring
-/// [`ConfigurableRoPuf::enroll_seeded_in`]: uniform floorplans lay the
-/// whole board out as one structure-of-arrays block (pair `i`'s top
-/// ring at arena row `2i`, bottom at `2i + 1`) and sweep it once;
-/// floorplans whose pairs disagree on stage count fall back to one
-/// two-ring block per pair. Either way every screened read sees the
-/// same true delay, in the same order, as [`enroll_robust`] — the two
-/// are bit-identical, and [`MeasureArena::begin_block`]'s full reset
-/// guarantees no cross-board state when fleet workers reuse arenas.
+/// [`enroll_robust`] against a caller-owned [`MeasureArena`]: the
+/// enrollment kernel behind [`ConfigurableRoPuf::enroll_seeded_in`],
+/// with every reading fault-screened.
+///
+/// Pair `i` at corner `c` draws its measurement RNG from the same
+/// per-(pair, corner) stream as the plain seeded path, and its fault
+/// and retry streams from sub-splits of that seed, so every
+/// (pair, corner) is independent of evaluation order. A reading that
+/// fails unrecoverably skips the rest of its (pair, corner); a pair
+/// with a failed reading at any corner is excluded via §III.C, since it
+/// cannot promise a margin there. [`MeasureArena::begin_block`]'s full
+/// reset guarantees no cross-board state when fleet workers reuse
+/// arenas.
 #[allow(clippy::too_many_arguments)]
 pub fn enroll_robust_in(
     puf: &ConfigurableRoPuf,
@@ -532,190 +452,24 @@ pub fn enroll_robust_in(
     plan: &FaultPlan,
     arena: &mut MeasureArena,
 ) -> RobustEnrollment {
-    let extra = opts.extra_corners(env);
-    if !extra.is_empty() {
-        return enroll_robust_multi_corner_in(
-            puf, seed, board, tech, env, &extra, opts, plan, arena,
-        );
-    }
     let mut summary = FaultSummary::default();
-    let mut unreadable_pairs = 0;
-    let specs = puf.specs();
-    let stages = specs.first().map_or(0, PairSpec::stages);
-    let uniform = stages > 0 && specs.iter().all(|spec| spec.stages() == stages);
-    let mut pairs = Vec::with_capacity(specs.len());
-    if uniform {
-        arena.begin_block(2 * specs.len(), stages);
-        for (i, spec) in specs.iter().enumerate() {
-            let pair = spec.bind(board);
-            pair.top().stage_delays_into(env, tech, arena, 2 * i);
-            pair.bottom().stage_delays_into(env, tech, arena, 2 * i + 1);
-        }
-        let sweep = arena.sweep();
-        for (i, spec) in specs.iter().enumerate() {
-            pairs.push(enroll_pair_robust(
-                spec,
-                i,
-                seed,
-                opts,
+    let (enrollment, unreadable_pairs) =
+        puf.enroll_in(board, tech, env, opts, arena, |i, c, top, bottom| {
+            let corner_seed = corner_stream(seed, i, c);
+            let mut meas_rng = StdRng::seed_from_u64(corner_seed);
+            let mut measurer = RobustMeasurer::new(
                 plan,
-                &sweep.ring(2 * i),
-                &sweep.ring(2 * i + 1),
-                &mut summary,
-                &mut unreadable_pairs,
-            ));
-        }
-    } else {
-        for (i, spec) in specs.iter().enumerate() {
-            let pair = spec.bind(board);
-            arena.begin_block(2, spec.stages());
-            pair.top().stage_delays_into(env, tech, arena, 0);
-            pair.bottom().stage_delays_into(env, tech, arena, 1);
-            let sweep = arena.sweep();
-            pairs.push(enroll_pair_robust(
-                spec,
-                i,
-                seed,
-                opts,
-                plan,
-                &sweep.ring(0),
-                &sweep.ring(1),
-                &mut summary,
-                &mut unreadable_pairs,
-            ));
-        }
-    }
-    RobustEnrollment {
-        enrollment: Enrollment::from_parts(pairs, env),
-        unreadable_pairs,
-        total_pairs: puf.pair_count(),
-        summary,
-    }
-}
-
-/// Fault-screens every pair's calibration at one corner of the
-/// enrollment corner list. Pair `i` draws its measurement RNG from
-/// [`corner_stream`]`(seed, i, corner)` and its fault/retry streams from
-/// sub-splits of that corner seed — for corner 0 those are exactly the
-/// legacy per-pair streams, and every (pair, corner) cell is independent
-/// of evaluation order. `None` marks a calibration whose read failed
-/// unrecoverably at this corner.
-#[allow(clippy::too_many_arguments)]
-fn robust_calibrate_corner(
-    puf: &ConfigurableRoPuf,
-    seed: u64,
-    board: &Board,
-    tech: &Technology,
-    corner_env: Environment,
-    corner: usize,
-    opts: &EnrollOptions,
-    plan: &FaultPlan,
-    arena: &mut MeasureArena,
-    summary: &mut FaultSummary,
-) -> Vec<Option<(Calibration, Calibration)>> {
-    let specs = puf.specs();
-    let stages = specs.first().map_or(0, PairSpec::stages);
-    let uniform = stages > 0 && specs.iter().all(|spec| spec.stages() == stages);
-    let mut screen = |top: &RingSweep<'_>, bottom: &RingSweep<'_>, i: usize| {
-        let corner_seed = corner_stream(seed, i as u64, corner);
-        let mut meas_rng = StdRng::seed_from_u64(corner_seed);
-        let mut measurer = RobustMeasurer::new(
-            plan,
-            opts.probe,
-            split_seed(corner_seed, STREAM_FAULT),
-            split_seed(corner_seed, STREAM_RETRY),
-        );
-        let cals = robust_calibrate(&mut measurer, &mut meas_rng, top).and_then(|cal_top| {
-            let cal_bottom = robust_calibrate(&mut measurer, &mut meas_rng, bottom)?;
-            Some((cal_top, cal_bottom))
+                opts.probe,
+                split_seed(corner_seed, STREAM_FAULT),
+                split_seed(corner_seed, STREAM_RETRY),
+            );
+            let cals = calibrate_pair(top, bottom, |d| measurer.read(&mut meas_rng, d));
+            summary.merge(&measurer.summary);
+            cals
         });
-        summary.merge(&measurer.summary);
-        cals
-    };
-    let mut cals = Vec::with_capacity(specs.len());
-    if uniform {
-        arena.begin_block(2 * specs.len(), stages);
-        for (i, spec) in specs.iter().enumerate() {
-            let pair = spec.bind(board);
-            pair.top().stage_delays_into(corner_env, tech, arena, 2 * i);
-            pair.bottom()
-                .stage_delays_into(corner_env, tech, arena, 2 * i + 1);
-        }
-        let sweep = arena.sweep();
-        for i in 0..specs.len() {
-            cals.push(screen(&sweep.ring(2 * i), &sweep.ring(2 * i + 1), i));
-        }
-    } else {
-        for (i, spec) in specs.iter().enumerate() {
-            let pair = spec.bind(board);
-            arena.begin_block(2, spec.stages());
-            pair.top().stage_delays_into(corner_env, tech, arena, 0);
-            pair.bottom().stage_delays_into(corner_env, tech, arena, 1);
-            let sweep = arena.sweep();
-            cals.push(screen(&sweep.ring(0), &sweep.ring(1), i));
-        }
-    }
-    cals
-}
-
-/// Multi-corner form of [`enroll_robust_in`]: calibrates every pair at
-/// the enrollment environment plus each extra corner (one arena block
-/// per corner, fault-screened reads throughout), then runs
-/// min-margin-across-corners selection. A pair whose calibration fails
-/// unrecoverably at *any* corner is excluded via §III.C — a pair that
-/// cannot be read at a corner cannot promise a margin there.
-#[allow(clippy::too_many_arguments)]
-fn enroll_robust_multi_corner_in(
-    puf: &ConfigurableRoPuf,
-    seed: u64,
-    board: &Board,
-    tech: &Technology,
-    env: Environment,
-    extra: &[Environment],
-    opts: &EnrollOptions,
-    plan: &FaultPlan,
-    arena: &mut MeasureArena,
-) -> RobustEnrollment {
-    let mut summary = FaultSummary::default();
-    let mut cals: Vec<Vec<Option<(Calibration, Calibration)>>> =
-        Vec::with_capacity(1 + extra.len());
-    for (c, &corner_env) in std::iter::once(&env).chain(extra).enumerate() {
-        cals.push(robust_calibrate_corner(
-            puf,
-            seed,
-            board,
-            tech,
-            corner_env,
-            c,
-            opts,
-            plan,
-            arena,
-            &mut summary,
-        ));
-    }
-    let mut unreadable_pairs = 0;
-    let pairs = puf
-        .specs()
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let _pair_span = telemetry::span("enroll.pair");
-            let refs: Option<Vec<(&Calibration, &Calibration)>> = cals
-                .iter()
-                .map(|corner| corner[i].as_ref().map(|(t, b)| (t, b)))
-                .collect();
-            match refs {
-                Some(refs) => ConfigurableRoPuf::select_pair_multi(spec, &refs, opts),
-                None => {
-                    unreadable_pairs += 1;
-                    summary.unreadable_pairs += 1;
-                    None
-                }
-            }
-        })
-        .collect();
+    summary.unreadable_pairs += unreadable_pairs as u64;
     RobustEnrollment {
-        enrollment: Enrollment::from_parts(pairs, env),
+        enrollment,
         unreadable_pairs,
         total_pairs: puf.pair_count(),
         summary,

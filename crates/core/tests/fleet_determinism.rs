@@ -52,32 +52,6 @@ fn runs_are_repeatable() {
     assert_eq!(engine.run_on(99, 4).records, engine.run_on(99, 4).records);
 }
 
-/// Telemetry must never perturb determinism: the instrumentation reads
-/// clocks, not RNG streams, so the bits are identical with tracing
-/// enabled and disabled, parallel and serial alike.
-#[test]
-fn telemetry_does_not_perturb_determinism() {
-    use std::sync::Arc;
-
-    let engine = engine(10);
-    // Tracing disabled (no sink installed).
-    let serial_off = engine.run_serial(21);
-    let parallel_off = engine.run_on(21, 4);
-    assert_eq!(parallel_off.records, serial_off.records);
-    // Tracing enabled via a scoped memory sink.
-    let sink = Arc::new(ropuf_telemetry::MemorySink::default());
-    let (serial_on, parallel_on) = ropuf_telemetry::scoped(sink.clone(), || {
-        (engine.run_serial(21), engine.run_on(21, 4))
-    });
-    assert_eq!(serial_on.records, serial_off.records);
-    assert_eq!(parallel_on.records, serial_off.records);
-    // The sink really was live: both passes reported their boards.
-    assert_eq!(
-        sink.snapshot().and_then(|s| s.counter("fleet.boards")),
-        Some(20)
-    );
-}
-
 /// The health observatory is an observer: running the fleet under
 /// monitoring (scoped sink, gauge sampling, aged side-pass) yields
 /// byte-identical records to the bare engine.

@@ -267,23 +267,28 @@ proptest! {
     }
 
     #[test]
-    fn soa_sweep_is_bit_identical_to_batch_probe_per_ring(
+    fn soa_sweep_is_bit_identical_to_per_config_ring_walks(
         seed in any::<u64>(),
-        n in 1usize..9, // includes n = 1 and even (non-oscillating) stage counts
-        rings in 1usize..6,
+        // Per-ring stage counts: includes n = 1, even (non-oscillating)
+        // counts, and rings shorter than the block (zero-padded).
+        lens in proptest::collection::vec(1usize..9, 1..6),
         sigma_tenths in 0u32..30, // includes the noiseless probe
         repeats in proptest::sample::select(vec![1usize, 2, 4]),
         corner in 0usize..3,
     ) {
         // The structure-of-arrays sweep folds every configuration of a
         // whole block of rings at once; each ring's view of it must be
-        // bit-identical to the per-ring `BatchProbe` kernel — same
-        // left-to-right stage folds, same noise-draw order — at any
-        // ring position in the block, any noise, and any V/T corner.
-        use ropuf_silicon::{BatchProbe, MeasureArena};
+        // bit-identical to n + 2 per-configuration whole-ring walks —
+        // same left-to-right stage folds, same noise-draw order — at
+        // any ring position in the block, any padding, any noise, and
+        // any V/T corner.
+        use rand::Rng;
+        use ropuf_core::ConfigVector;
+        use ropuf_silicon::MeasureArena;
         let sim = SiliconSim::default_spartan();
         let mut grow = StdRng::seed_from_u64(seed);
-        let board = sim.grow_board_with_id(&mut grow, BoardId(0), n * rings, n);
+        let units: usize = lens.iter().sum();
+        let board = sim.grow_board_with_id(&mut grow, BoardId(0), units, 8);
         let env = match corner {
             0 => Environment::nominal(),
             1 => Environment::new(0.98, 65.0),
@@ -291,34 +296,126 @@ proptest! {
         };
         let probe = DelayProbe::new(sigma_tenths as f64 / 10.0, repeats);
         let tech = sim.technology();
-        let ros: Vec<ConfigurableRo> = (0..rings)
-            .map(|r| ConfigurableRo::from_range(&board, r * n..(r + 1) * n))
+        let mut start = 0;
+        let ros: Vec<ConfigurableRo> = lens
+            .iter()
+            .map(|&n| {
+                start += n;
+                ConfigurableRo::from_range(&board, start - n..start)
+            })
             .collect();
         let mut arena = MeasureArena::new();
-        arena.begin_block(rings, n);
+        arena.begin_block(ros.len(), *lens.iter().max().unwrap());
         for (r, ro) in ros.iter().enumerate() {
             ro.stage_delays_into(env, tech, &mut arena, r);
         }
         let sweep = arena.sweep();
         for (r, ro) in ros.iter().enumerate() {
-            let stages = ro.stage_delays(env, tech);
+            let n = ro.len();
+            let ring = sweep.ring(r, n);
+            let swept = [ring.all_selected_ps(), ring.all_bypassed_ps()]
+                .into_iter()
+                .chain((0..n).map(|k| ring.all_but_ps(k)));
+            let configs = [ConfigVector::all_selected(n), ConfigVector::from_flags(&vec![false; n])]
+                .into_iter()
+                .chain((0..n).map(|k| ConfigVector::all_but(n, k)));
             let mut rng_arena = StdRng::seed_from_u64(seed ^ r as u64);
-            let mut rng_oracle = StdRng::seed_from_u64(seed ^ r as u64);
-            let batched = sweep.ring(r).measure(&probe, &mut rng_arena);
-            let oracle = BatchProbe::new(&probe, &stages).measure_configs(&mut rng_oracle);
-            prop_assert_eq!(
-                batched.all_selected_ps.to_bits(),
-                oracle.all_selected_ps.to_bits(),
-                "ring {} of {}", r, rings
-            );
-            prop_assert_eq!(batched.bypass_ps.to_bits(), oracle.bypass_ps.to_bits());
-            for (b, o) in batched.leave_one_out_ps.iter().zip(&oracle.leave_one_out_ps) {
-                prop_assert_eq!(b.to_bits(), o.to_bits(), "ring {} of {}", r, rings);
+            let mut rng_walk = StdRng::seed_from_u64(seed ^ r as u64);
+            for (true_ps, config) in swept.zip(configs) {
+                let walked_ps = ro.ring_delay_ps(&config, env, tech);
+                prop_assert_eq!(true_ps.to_bits(), walked_ps.to_bits(), "ring {} of {}", r, ros.len());
+                prop_assert_eq!(
+                    probe.measure_ps(&mut rng_arena, true_ps).to_bits(),
+                    probe.measure_ps(&mut rng_walk, walked_ps).to_bits()
+                );
             }
             // Same number of noise draws: the streams stay in lockstep.
-            use rand::Rng;
-            prop_assert_eq!(rng_arena.gen::<u64>(), rng_oracle.gen::<u64>());
+            prop_assert_eq!(rng_arena.gen::<u64>(), rng_walk.gen::<u64>());
         }
+    }
+
+    #[test]
+    fn kernel_matches_per_ring_references_on_mixed_floorplans(
+        seed in any::<u64>(),
+        stages in proptest::collection::vec(1usize..10, 1..6),
+        worst_case in any::<bool>(),
+    ) {
+        // The kernel lays pairs of every stage count into one block,
+        // zero-padded to the longest ring. Through a reused arena it
+        // must equal the ring-by-ring reference at any thread count,
+        // and the shared-RNG path must equal a pair-major loop over
+        // the per-configuration oracle: for each pair, top then bottom
+        // at each enrollment corner in turn.
+        use rand::Rng;
+        use ropuf_core::puf::{ConfigurableRoPuf, EnrollOptions, PairSpec};
+        use ropuf_core::select::{case2_multi_corner, case2_with_offset, CornerDelays};
+        use ropuf_silicon::{CornerSet, MeasureArena};
+        let sim = SiliconSim::default_spartan();
+        let tech = sim.technology();
+        let mut units = 0;
+        let specs = stages
+            .iter()
+            .map(|&n| {
+                units += 2 * n;
+                PairSpec::interleaved_at(units - 2 * n, n)
+            })
+            .collect();
+        let puf = ConfigurableRoPuf::new(specs);
+        let mut grow = StdRng::seed_from_u64(seed);
+        let board = sim.grow_board_with_id(&mut grow, BoardId(0), units, 8);
+        let other = sim.grow_board_with_id(&mut grow, BoardId(1), 40, 8);
+        let env = Environment::nominal();
+        let opts = EnrollOptions {
+            corners: if worst_case { CornerSet::worst_case() } else { CornerSet::empty() },
+            ..EnrollOptions::default()
+        };
+        let mut arena = MeasureArena::new();
+        let _dirty = ConfigurableRoPuf::tiled(40, 4)
+            .enroll_seeded_in(seed ^ 1, &other, tech, env, &opts, &mut arena);
+        let kernel = puf.enroll_seeded_in(seed, &board, tech, env, &opts, &mut arena);
+        for threads in [1, 4] {
+            prop_assert_eq!(&puf.enroll_par(seed, &board, tech, env, &opts, threads), &kernel);
+        }
+
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let shared = puf.enroll(&mut rng, &board, tech, env, &opts);
+        let mut oracle_rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let corners = opts.enrollment_corners(env);
+        for (spec, enrolled) in puf.specs().iter().zip(shared.pairs()) {
+            let pair = spec.bind(&board);
+            let cals: Vec<_> = corners
+                .iter()
+                .map(|&c| {
+                    let top = calibrate_per_config(&mut oracle_rng, pair.top(), &opts.probe, c, tech);
+                    let bottom = calibrate_per_config(&mut oracle_rng, pair.bottom(), &opts.probe, c, tech);
+                    (top, bottom)
+                })
+                .collect();
+            let delays: Vec<CornerDelays> = cals
+                .iter()
+                .map(|(t, b)| CornerDelays {
+                    alpha: t.ddiffs_ps(),
+                    beta: b.ddiffs_ps(),
+                    offset_ps: t.bypass_ps() - b.bypass_ps(),
+                })
+                .collect();
+            let s = match delays.as_slice() {
+                [one] => case2_with_offset(one.alpha, one.beta, one.offset_ps, opts.parity),
+                _ => case2_multi_corner(&delays, opts.parity),
+            };
+            // Across corners, a pair degenerate at any corner is excluded.
+            if delays.len() > 1 && s.is_degenerate() {
+                prop_assert!(enrolled.is_none());
+                continue;
+            }
+            let enrolled = enrolled.as_ref().expect("default options keep the pair");
+            prop_assert_eq!(enrolled.top_config(), s.top());
+            prop_assert_eq!(enrolled.bottom_config(), s.bottom());
+            prop_assert_eq!(enrolled.expected_bit(), s.bit());
+            prop_assert_eq!(enrolled.margin_ps().to_bits(), s.margin().to_bits());
+        }
+        // Both drew exactly the same readings: the streams stay in lockstep.
+        prop_assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>());
     }
 
     #[test]

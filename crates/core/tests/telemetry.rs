@@ -1,9 +1,12 @@
 //! Integration coverage for the telemetry instrumentation: JSON-lines
 //! output must parse line by line, span nesting must balance, and the
-//! counters the parallel runner emits must be exact at every thread
-//! count. Each section runs under [`telemetry::scoped`], which
-//! serializes scopes across the whole test binary so concurrent tests
-//! cannot mix their counters.
+//! counters the parallel runner and the enrollment kernel emit must be
+//! exact.
+//!
+//! Telemetry is process-global: [`telemetry::scoped`] serializes scopes
+//! against each other, but any test emitting *outside* a scope while
+//! another test's scope is open lands in that scope's counts. So every
+//! test in this binary does all its instrumented work inside a scope.
 
 use std::sync::Arc;
 
@@ -207,4 +210,73 @@ fn warnings_reach_the_sink_verbatim() {
         sink.warnings(),
         vec!["RAYON_NUM_THREADS=\"8x\" is not a positive integer".to_string()]
     );
+}
+
+/// Runs one enrollment under a scoped sink and checks the kernel's
+/// exact accounting: `readings` calibration readings in total and one
+/// `enroll.pair` span per pair.
+fn assert_kernel_counts(policy: &str, pairs: usize, readings: u64, enroll: impl FnOnce()) {
+    let sink = Arc::new(MemorySink::default());
+    telemetry::scoped(sink.clone(), enroll);
+    let snapshot = sink.snapshot().expect("flush delivered a snapshot");
+    assert_eq!(
+        snapshot.counter("measure.batched"),
+        Some(readings),
+        "{policy}: readings"
+    );
+    assert_eq!(
+        sink.span_count("enroll.pair"),
+        pairs,
+        "{policy}: pair spans"
+    );
+}
+
+#[test]
+fn enrollment_kernel_counts_are_exact() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use ropuf_core::puf::{ConfigurableRoPuf, PairSpec};
+    use ropuf_core::robust::{enroll_robust_in, FaultPlan};
+    use ropuf_silicon::board::BoardId;
+    use ropuf_silicon::{CornerSet, MeasureArena};
+
+    let sim = SiliconSim::default_spartan();
+    let tech = sim.technology();
+    let board = sim.grow_board_with_id(&mut StdRng::seed_from_u64(5), BoardId(0), 64, 8);
+    let uniform = ConfigurableRoPuf::tiled_interleaved(64, 5);
+    let mixed = ConfigurableRoPuf::new(vec![
+        PairSpec::split_at(0, 1),
+        PairSpec::interleaved_at(2, 7),
+        PairSpec::split_at(16, 4),
+        PairSpec::interleaved_at(24, 2),
+    ]);
+    let env = Environment::nominal();
+    let plan = FaultPlan::scaled(0.0);
+    let mut arena = MeasureArena::new();
+    for puf in [&uniform, &mixed] {
+        for corners in [CornerSet::empty(), CornerSet::worst_case()] {
+            let opts = EnrollOptions {
+                corners,
+                ..EnrollOptions::default()
+            };
+            // Σᵢ 2(nᵢ + 2) readings per corner.
+            let per_corner: u64 = puf
+                .specs()
+                .iter()
+                .map(|spec| 2 * (spec.stages() as u64 + 2))
+                .sum();
+            let readings = per_corner * opts.enrollment_corners(env).len() as u64;
+            let pairs = puf.pair_count();
+            assert_kernel_counts("shared", pairs, readings, || {
+                let mut rng = StdRng::seed_from_u64(1);
+                puf.enroll(&mut rng, &board, tech, env, &opts);
+            });
+            assert_kernel_counts("seeded", pairs, readings, || {
+                puf.enroll_seeded_in(1, &board, tech, env, &opts, &mut arena);
+            });
+            assert_kernel_counts("screened", pairs, readings, || {
+                enroll_robust_in(puf, 1, &board, tech, env, &opts, &plan, &mut arena);
+            });
+        }
+    }
 }

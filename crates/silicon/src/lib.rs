@@ -63,9 +63,6 @@ pub use defects::DefectModel;
 pub use device::DelayUnit;
 pub use env::{CornerSet, Environment, Technology};
 pub use faults::{FaultModel, InjectedFault};
-pub use measure::{
-    BatchMeasurements, BatchProbe, ConfigSweep, DelayProbe, FrequencyCounter, MeasureArena,
-    RingSweep, StageDelays,
-};
+pub use measure::{ConfigSweep, DelayProbe, FrequencyCounter, MeasureArena, RingSweep};
 pub use params::{NoiseParams, SiliconParams, VariationParams};
 pub use sim::SiliconSim;

@@ -77,175 +77,27 @@ impl DelayProbe {
     }
 }
 
-/// Per-stage path-delay contributions of one ring at one operating
-/// point, in structure-of-arrays layout: `selected_ps[i]` is stage `i`'s
-/// delay through the inverter (`d + d1`), `bypass_ps[i]` its delay over
-/// the bypass wire (`d0`).
-///
-/// This is the cache the batched calibration kernel builds once per
-/// ring: the expensive per-stage work (the alpha-power-law environment
-/// scaling behind each contribution) happens exactly once, and every
-/// calibration configuration's ring delay is then derived from the
-/// cached values. Each derivation replays the same left-to-right
-/// stage-sum a whole-ring walk would compute over the same `f64`
-/// values — floating-point addition is not associative, so the fold is
-/// deliberately *not* rearranged into prefix/suffix shortcuts; this is
-/// what keeps batched results bit-identical to per-configuration
-/// measurement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageDelays {
-    selected_ps: Vec<f64>,
-    bypass_ps: Vec<f64>,
-}
-
-impl StageDelays {
-    /// Builds the cache from per-stage selected/bypass contributions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors differ in length or are empty.
-    pub fn new(selected_ps: Vec<f64>, bypass_ps: Vec<f64>) -> Self {
-        assert_eq!(
-            selected_ps.len(),
-            bypass_ps.len(),
-            "selected and bypass contributions must cover the same stages"
-        );
-        assert!(!selected_ps.is_empty(), "a ring needs at least one stage");
-        Self {
-            selected_ps,
-            bypass_ps,
-        }
-    }
-
-    /// Number of stages.
-    pub fn len(&self) -> usize {
-        self.selected_ps.len()
-    }
-
-    /// Always false: the constructor rejects empty rings.
-    pub fn is_empty(&self) -> bool {
-        self.selected_ps.is_empty()
-    }
-
-    /// Per-stage selected-path contributions (`d + d1`), picoseconds.
-    pub fn selected_ps(&self) -> &[f64] {
-        &self.selected_ps
-    }
-
-    /// Per-stage bypass contributions (`d0`), picoseconds.
-    pub fn bypass_ps(&self) -> &[f64] {
-        &self.bypass_ps
-    }
-
-    /// True ring delay under an arbitrary configuration: the
-    /// left-to-right sum of each stage's selected or bypassed
-    /// contribution — the same fold, over the same values, as a
-    /// whole-ring walk.
-    pub fn ring_delay_ps(&self, is_selected: impl Fn(usize) -> bool) -> f64 {
-        (0..self.len())
-            .map(|i| {
-                if is_selected(i) {
-                    self.selected_ps[i]
-                } else {
-                    self.bypass_ps[i]
-                }
-            })
-            .sum()
-    }
-
-    /// True delay of the all-selected ring.
-    pub fn all_selected_ps(&self) -> f64 {
-        self.ring_delay_ps(|_| true)
-    }
-
-    /// True delay of the all-bypassed ring (`B = Σ d0_i`).
-    pub fn all_bypassed_ps(&self) -> f64 {
-        self.ring_delay_ps(|_| false)
-    }
-
-    /// True delay of the leave-one-out ring: every stage selected
-    /// except `skip`.
-    pub fn all_but_ps(&self, skip: usize) -> f64 {
-        self.ring_delay_ps(|i| i != skip)
-    }
-}
-
-/// The `n + 2` noisy probe readings of one ring's calibration sweep
-/// (§III.B), in measurement order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchMeasurements {
-    /// Reading of the all-selected ring (`D_all`).
-    pub all_selected_ps: f64,
-    /// Reading of the all-bypassed ring (`B`).
-    pub bypass_ps: f64,
-    /// Readings of the leave-one-out rings (`D_i`), stage order.
-    pub leave_one_out_ps: Vec<f64>,
-}
-
-/// Batched §III.B calibration kernel: a [`DelayProbe`] bound to one
-/// ring's cached [`StageDelays`].
-///
-/// [`measure_configs`](Self::measure_configs) performs the paper's
-/// full `n + 2` configuration sweep from the cache, so the per-stage
-/// delay contributions — the expensive part of simulating a ring
-/// measurement — are computed once per ring instead of once per
-/// configuration. Each of the `n + 2` readings is still one logical
-/// probe measurement drawing noise from the caller's RNG in sweep
-/// order (all-selected, all-bypassed, leave-one-out `0..n`), exactly
-/// as `n + 2` independent [`DelayProbe::measure_ps`] calls would, so
-/// batched and per-configuration calibration are bit-identical.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchProbe<'a> {
-    probe: &'a DelayProbe,
-    stages: &'a StageDelays,
-}
-
-impl<'a> BatchProbe<'a> {
-    /// Binds a probe to one ring's cached stage delays.
-    pub fn new(probe: &'a DelayProbe, stages: &'a StageDelays) -> Self {
-        Self { probe, stages }
-    }
-
-    /// The stage-delay cache this kernel measures from.
-    pub fn stages(&self) -> &StageDelays {
-        self.stages
-    }
-
-    /// Measures all `n + 2` calibration configurations.
-    pub fn measure_configs<R: Rng + ?Sized>(&self, rng: &mut R) -> BatchMeasurements {
-        let n = self.stages.len();
-        let all_selected_ps = self.probe.measure_ps(rng, self.stages.all_selected_ps());
-        let bypass_ps = self.probe.measure_ps(rng, self.stages.all_bypassed_ps());
-        let leave_one_out_ps = (0..n)
-            .map(|i| self.probe.measure_ps(rng, self.stages.all_but_ps(i)))
-            .collect();
-        BatchMeasurements {
-            all_selected_ps,
-            bypass_ps,
-            leave_one_out_ps,
-        }
-    }
-}
-
 /// Reusable multi-ring measurement arena: the structure-of-arrays
-/// backing store of the batched §III.B calibration kernel.
+/// backing store of the §III.B calibration kernel.
 ///
-/// Where [`StageDelays`] caches one ring's per-stage contributions in
-/// two freshly allocated vectors, the arena lays out a whole *block* of
-/// rings contiguously — all stages × all rings in stage-major order
-/// (`[stage * rings + ring]`) — and derives every calibration
-/// configuration's true delay for every ring in one pass whose inner
-/// loop runs over adjacent memory (autovectorizable). A worker enrolls
-/// board after board into the same arena: [`begin_block`] re-uses the
-/// allocations and **fully resets** the contents, so no state can leak
-/// between boards.
+/// The arena lays out a whole *block* of rings contiguously — all
+/// stages × all rings in stage-major order (`[stage * rings + ring]`) —
+/// and derives every calibration configuration's true delay for every
+/// ring in one pass whose inner loop runs over adjacent memory
+/// (autovectorizable). A worker enrolls board after board into the same
+/// arena: [`begin_block`] re-uses the allocations and **fully resets**
+/// the contents, so no state can leak between boards.
+///
+/// Rings shorter than the block share it: their unset stages stay
+/// `0.0`, and [`ConfigSweep::ring`] hands out a view over only the
+/// ring's own `n + 2` configurations.
 ///
 /// Bit-identity contract: each ring × configuration delay is
-/// accumulated from `0.0` in stage order — exactly the left-to-right
-/// fold [`StageDelays::ring_delay_ps`] computes — and
-/// [`RingSweep::measure`] draws probe noise in the same per-measurement
-/// order as [`BatchProbe::measure_configs`]. The layout is an
-/// implementation detail; the numbers are the same.
+/// accumulated from `0.0` in stage order — the left-to-right fold a
+/// whole-ring walk computes over the same `f64` values. Adding a
+/// padded `+0.0` to a positive partial sum is exact, so zero-padding
+/// never changes a reading. The layout is an implementation detail;
+/// the numbers are the same.
 ///
 /// [`begin_block`]: Self::begin_block
 #[derive(Debug, Clone, Default)]
@@ -269,9 +121,10 @@ impl MeasureArena {
         Self::default()
     }
 
-    /// Starts a new block of `rings` rings with `stages` stages each,
-    /// reusing the arena's allocations. Every slot is reset to zero —
-    /// a block never observes a previous block's values.
+    /// Starts a new block of `rings` rings with up to `stages` stages
+    /// each, reusing the arena's allocations. Every slot is reset to
+    /// zero — a block never observes a previous block's values, and a
+    /// shorter ring's unset stages are zero padding.
     ///
     /// # Panics
     ///
@@ -293,7 +146,7 @@ impl MeasureArena {
         self.rings
     }
 
-    /// Stages per ring in the current block.
+    /// Stages per ring in the current block (the longest ring's count).
     pub fn stages(&self) -> usize {
         self.stages
     }
@@ -325,11 +178,11 @@ impl MeasureArena {
     ///
     /// Each configuration row accumulates stage contributions in stage
     /// order starting from `0.0` — the same fold, over the same values,
-    /// as [`StageDelays::ring_delay_ps`] — while the innermost loop
-    /// walks adjacent rings, so the compiler can vectorize it. The
-    /// leave-one-out rows are fresh folds (never the tempting
-    /// `all − selected[k] + bypass[k]` shortcut, which would change the
-    /// floating-point result).
+    /// as a whole-ring walk — while the innermost loop walks adjacent
+    /// rings, so the compiler can vectorize it. The leave-one-out rows
+    /// are fresh folds (never the tempting `all − selected[k] +
+    /// bypass[k]` shortcut, which would change the floating-point
+    /// result).
     ///
     /// # Panics
     ///
@@ -379,35 +232,41 @@ impl ConfigSweep<'_> {
         self.rings
     }
 
-    /// Stages per ring.
+    /// Stages per ring in the block (the longest ring's count).
     pub fn stages(&self) -> usize {
         self.stages
     }
 
-    /// A single ring's slice of the sweep.
+    /// The sweep of ring `ring`, which has `stages` stages of its own
+    /// (at most the block's; the rest of its column is zero padding).
     ///
     /// # Panics
     ///
-    /// Panics if `ring` is outside the block.
-    pub fn ring(&self, ring: usize) -> RingSweep<'_> {
+    /// Panics if `ring` is outside the block or `stages` is zero or
+    /// exceeds the block's stage count.
+    pub fn ring(&self, ring: usize, stages: usize) -> RingSweep<'_> {
         assert!(
             ring < self.rings,
             "ring {ring} outside block of {}",
             self.rings
         );
+        assert!(
+            (1..=self.stages).contains(&stages),
+            "a {stages}-stage ring does not fit a block of {}",
+            self.stages
+        );
         RingSweep {
             config_ps: self.config_ps,
             ring,
             rings: self.rings,
-            stages: self.stages,
+            stages,
         }
     }
 }
 
-/// One ring's view into a [`ConfigSweep`]: the drop-in equivalent of a
-/// per-ring [`StageDelays`] cache for the `n + 2` calibration
-/// configurations, backed by the shared arena instead of per-ring
-/// allocations.
+/// One ring's view into a [`ConfigSweep`]: the true delays of its own
+/// `n + 2` calibration configurations, backed by the shared arena
+/// instead of per-ring allocations.
 #[derive(Debug, Clone, Copy)]
 pub struct RingSweep<'a> {
     config_ps: &'a [f64],
@@ -445,24 +304,6 @@ impl RingSweep<'_> {
             self.stages
         );
         self.config_ps[(2 + skip) * self.rings + self.ring]
-    }
-
-    /// Measures all `n + 2` calibration configurations of this ring,
-    /// drawing noise in sweep order (all-selected, all-bypassed,
-    /// leave-one-out `0..n`) — the exact per-measurement RNG order of
-    /// [`BatchProbe::measure_configs`], so arena-backed and per-ring
-    /// calibration are bit-identical.
-    pub fn measure<R: Rng + ?Sized>(&self, probe: &DelayProbe, rng: &mut R) -> BatchMeasurements {
-        let all_selected_ps = probe.measure_ps(rng, self.all_selected_ps());
-        let bypass_ps = probe.measure_ps(rng, self.all_bypassed_ps());
-        let leave_one_out_ps = (0..self.stages)
-            .map(|i| probe.measure_ps(rng, self.all_but_ps(i)))
-            .collect();
-        BatchMeasurements {
-            all_selected_ps,
-            bypass_ps,
-            leave_one_out_ps,
-        }
     }
 }
 
@@ -584,56 +425,84 @@ mod tests {
     }
 
     #[test]
-    fn batch_probe_matches_independent_measurements_bit_for_bit() {
-        let delays = StageDelays::new(vec![135.2, 134.1, 136.9], vec![30.3, 29.8, 30.1]);
-        let probe = DelayProbe::new(0.25, 4);
-        let batched = {
-            let mut rng = StdRng::seed_from_u64(11);
-            BatchProbe::new(&probe, &delays).measure_configs(&mut rng)
+    fn arena_sweep_matches_whole_ring_folds_bit_for_bit() {
+        let selected = [135.2, 134.1, 136.9];
+        let bypass = [30.3, 29.8, 30.1];
+        let fold = |skip: Option<usize>, all_bypassed: bool| -> f64 {
+            (0..3)
+                .map(|i| {
+                    if all_bypassed || Some(i) == skip {
+                        bypass[i]
+                    } else {
+                        selected[i]
+                    }
+                })
+                .sum()
         };
-        // Reference: n + 2 independent whole-ring measurements drawing
-        // from the same RNG stream in the same order.
-        let mut rng = StdRng::seed_from_u64(11);
-        let all = probe.measure_ps(&mut rng, 135.2 + 134.1 + 136.9);
-        let bypass = probe.measure_ps(&mut rng, 30.3 + 29.8 + 30.1);
-        let loo: Vec<f64> = (0..3)
-            .map(|skip| {
-                let true_delay: f64 = (0..3)
-                    .map(|i| {
-                        if i == skip {
-                            delays.bypass_ps()[i]
-                        } else {
-                            delays.selected_ps()[i]
-                        }
-                    })
-                    .sum();
-                probe.measure_ps(&mut rng, true_delay)
-            })
-            .collect();
-        assert_eq!(batched.all_selected_ps.to_bits(), all.to_bits());
-        assert_eq!(batched.bypass_ps.to_bits(), bypass.to_bits());
-        for (b, r) in batched.leave_one_out_ps.iter().zip(&loo) {
-            assert_eq!(b.to_bits(), r.to_bits());
+        // Ring 0 fills the block; ring 1 is the same 3-stage ring
+        // zero-padded into a 5-stage block.
+        let mut arena = MeasureArena::new();
+        arena.begin_block(2, 5);
+        for ring in 0..2 {
+            for s in 0..3 {
+                arena.set_stage(ring, s, selected[s], bypass[s]);
+            }
         }
+        for s in 3..5 {
+            arena.set_stage(0, s, 140.0, 31.0);
+        }
+        let sweep = arena.sweep();
+        let padded = sweep.ring(1, 3);
+        assert_eq!(padded.stages(), 3);
+        assert_eq!(
+            padded.all_selected_ps().to_bits(),
+            fold(None, false).to_bits()
+        );
+        assert_eq!(
+            padded.all_bypassed_ps().to_bits(),
+            fold(None, true).to_bits()
+        );
+        for skip in 0..3 {
+            assert_eq!(
+                padded.all_but_ps(skip).to_bits(),
+                fold(Some(skip), false).to_bits(),
+                "skip={skip}"
+            );
+        }
+        let full = sweep.ring(0, 5);
+        assert_eq!(
+            full.all_selected_ps().to_bits(),
+            (fold(None, false) + 140.0 + 140.0).to_bits()
+        );
     }
 
     #[test]
-    fn single_stage_batch_sweep_is_well_formed() {
-        let delays = StageDelays::new(vec![135.0], vec![30.0]);
-        assert_eq!(delays.all_selected_ps(), 135.0);
-        assert_eq!(delays.all_bypassed_ps(), 30.0);
+    fn single_stage_sweep_is_well_formed() {
+        let mut arena = MeasureArena::new();
+        arena.begin_block(1, 1);
+        arena.set_stage(0, 0, 135.0, 30.0);
+        let sweep = arena.sweep();
+        let ring = sweep.ring(0, 1);
+        assert_eq!(ring.all_selected_ps(), 135.0);
+        assert_eq!(ring.all_bypassed_ps(), 30.0);
         // n = 1: the one leave-one-out ring is the all-bypassed ring.
-        assert_eq!(delays.all_but_ps(0), 30.0);
-        let probe = DelayProbe::noiseless();
-        let mut rng = StdRng::seed_from_u64(0);
-        let m = BatchProbe::new(&probe, &delays).measure_configs(&mut rng);
-        assert_eq!(m.leave_one_out_ps, vec![30.0]);
+        assert_eq!(ring.all_but_ps(0), 30.0);
     }
 
     #[test]
-    #[should_panic(expected = "same stages")]
-    fn ragged_stage_delays_panic() {
-        let _ = StageDelays::new(vec![1.0, 2.0], vec![1.0]);
+    #[should_panic(expected = "does not fit")]
+    fn ring_longer_than_its_block_panics() {
+        let mut arena = MeasureArena::new();
+        arena.begin_block(1, 2);
+        let _ = arena.sweep().ring(0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside ring")]
+    fn padded_ring_reads_only_its_own_configurations() {
+        let mut arena = MeasureArena::new();
+        arena.begin_block(1, 4);
+        let _ = arena.sweep().ring(0, 2).all_but_ps(2);
     }
 
     #[test]

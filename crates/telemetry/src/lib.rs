@@ -42,7 +42,8 @@
 //! Long-running binaries install a sink once ([`install`], or
 //! [`init_from_env`] honoring `ROPUF_TRACE`) and call [`flush`] before
 //! exit; tests and benchmarks use [`scoped`], which serializes
-//! concurrent scopes on a global lock so counters stay exact.
+//! concurrent scopes on a global lock so their counters stay exact —
+//! as long as nothing emits outside a scope meanwhile.
 
 pub mod health;
 pub mod metrics;
@@ -175,9 +176,13 @@ pub fn init_target(target: &str) -> std::io::Result<()> {
 ///
 /// Scopes are serialized on a global lock, so two concurrent `scoped`
 /// sections (e.g. tests in one binary) never observe each other's
-/// counters. The metric registry is reset on entry and again on exit;
-/// a sink installed outside the scope loses any counts accumulated
-/// before the scope ran.
+/// counters. That is the only isolation a scope gives: the sink and
+/// registry are process-global, so code running *outside* any scope on
+/// another thread while this one is open emits into this scope's sink
+/// and counts. Tests that assert exact counts must not share a binary
+/// with tests that emit unscoped. The metric registry is reset on entry
+/// and again on exit; a sink installed outside the scope loses any
+/// counts accumulated before the scope ran.
 pub fn scoped<T>(sink: Arc<dyn Sink>, f: impl FnOnce() -> T) -> T {
     let st = state();
     let _guard = st.scope_lock.lock().unwrap_or_else(|e| e.into_inner());

@@ -801,6 +801,27 @@ fn attack(opts: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `FleetEngine::new`'s floorplan rule: a ring pair needs at least one
+/// stage and `2 × stages` units.
+fn check_floorplan(units: usize, stages: usize) -> Result<(), CliError> {
+    if stages == 0 || units < 2 * stages {
+        return Err(CliError::Usage(format!(
+            "{units} units cannot host a {stages}-stage ring pair"
+        )));
+    }
+    Ok(())
+}
+
+/// `FleetEngine::new`'s voting rule: a majority needs an odd vote count.
+fn check_votes(votes: usize) -> Result<(), CliError> {
+    if votes.is_multiple_of(2) {
+        return Err(CliError::Usage(format!(
+            "majority voting needs an odd vote count, got {votes}"
+        )));
+    }
+    Ok(())
+}
+
 /// Regenerates the deterministic demo board for `seed`/`units`.
 fn demo_board(seed: u64, units: usize) -> (ropuf::silicon::Board, ropuf::silicon::Technology) {
     let mut sim = SiliconSim::default_spartan();
@@ -816,6 +837,7 @@ fn enroll(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let stages = get(opts, "stages", 7usize)?;
     let threshold = get(opts, "threshold", 0.0f64)?;
     let mode = parse_mode(opts)?;
+    check_floorplan(units, stages)?;
     let grow_span = telemetry::span("cli.enroll.grow");
     let (board, tech) = demo_board(seed, units);
     drop(grow_span);
@@ -823,16 +845,13 @@ fn enroll(opts: &HashMap<String, String>) -> Result<(), CliError> {
         .selection(mode)
         .threshold_ps(threshold)
         .try_build()?;
-    // Per-pair seeded streams, fanned out over the machine's cores:
-    // bit-identical to the serial `enroll_seeded` reference.
     let enroll_span = telemetry::span("cli.enroll.enroll");
-    let enrollment = ConfigurableRoPuf::tiled_interleaved(units, stages).enroll_par(
+    let enrollment = ConfigurableRoPuf::tiled_interleaved(units, stages).enroll_seeded(
         seed ^ 0xE14A,
         &board,
         &tech,
         Environment::nominal(),
         &enroll_opts,
-        worker_threads(),
     );
     drop(enroll_span);
     write_file(out, &enrollment_to_text(&enrollment))?;
@@ -852,7 +871,21 @@ fn respond(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let voltage = get(opts, "voltage", 1.20f64)?;
     let temperature = get(opts, "temperature", 25.0f64)?;
     let votes = get(opts, "votes", 1usize)?;
+    check_votes(votes)?;
     let enrollment = enrollment_from_text(&read_file(path)?)?;
+    // The board must hold every unit the enrollment configures.
+    let needed = enrollment
+        .pairs()
+        .iter()
+        .flatten()
+        .flat_map(|p| p.spec().top().iter().chain(p.spec().bottom()))
+        .max()
+        .map_or(1, |&unit| unit + 1);
+    if units < needed {
+        return Err(CliError::Usage(format!(
+            "{units} units cannot host the enrollment, which needs {needed}"
+        )));
+    }
     let grow_span = telemetry::span("cli.respond.grow");
     let (board, tech) = demo_board(seed, units);
     drop(grow_span);

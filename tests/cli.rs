@@ -211,6 +211,71 @@ fn respond_with_wrong_board_differs() {
 }
 
 #[test]
+fn enroll_and_respond_reject_unusable_flag_values_with_typed_errors() {
+    // Flag values a user can type fail with exit 1 and the fleet
+    // engine's wording, never a panic (exit 101).
+    let fails_with = |args: &[&str], message: &str| {
+        let out = ropuf(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains("error:"), "{args:?}: {err}");
+        assert!(
+            err.contains(message),
+            "{args:?} should say {message:?}: {err}"
+        );
+    };
+    let unused = tmp("never-written.enrollment");
+    let unused = unused.to_str().unwrap();
+    fails_with(
+        &["enroll", "--stages", "0", "--out", unused],
+        "480 units cannot host a 0-stage ring pair",
+    );
+    fails_with(
+        &["enroll", "--units", "5", "--stages", "7", "--out", unused],
+        "5 units cannot host a 7-stage ring pair",
+    );
+    fails_with(
+        &["enroll", "--units", "0", "--out", unused],
+        "0 units cannot host a 7-stage ring pair",
+    );
+    assert!(!std::path::Path::new(unused).exists());
+
+    // A default 480-unit enrollment, then respond flags it cannot use.
+    let enrollment = tmp("wide.enrollment");
+    let enrollment = enrollment.to_str().unwrap();
+    let out = ropuf(&["enroll", "--seed", "3", "--out", enrollment]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    fails_with(
+        &[
+            "respond",
+            "--enrollment",
+            enrollment,
+            "--seed",
+            "3",
+            "--votes",
+            "2",
+        ],
+        "majority voting needs an odd vote count, got 2",
+    );
+    fails_with(
+        &[
+            "respond",
+            "--enrollment",
+            enrollment,
+            "--seed",
+            "3",
+            "--units",
+            "20",
+        ],
+        "20 units cannot host the enrollment",
+    );
+}
+
+#[test]
 fn inhouse_generation_round_trips() {
     let path = tmp("inhouse.csv");
     let out = ropuf(&[
