@@ -257,19 +257,24 @@ impl PairSpec {
     /// [`Error::Selection`] when `top` is empty or the lists differ in
     /// length.
     pub fn try_new(top: Vec<usize>, bottom: Vec<usize>) -> Result<Self, Error> {
-        if top.is_empty() {
+        Self::check_layout(top.len(), bottom.len())?;
+        Ok(Self { top, bottom })
+    }
+
+    /// [`PairSpec::try_new`]'s checks on the two ring lengths alone, for
+    /// callers that validate a layout without building it.
+    pub(crate) fn check_layout(top: usize, bottom: usize) -> Result<(), Error> {
+        if top == 0 {
             return Err(Error::Selection(
                 "rings need at least one stage".to_string(),
             ));
         }
-        if top.len() != bottom.len() {
+        if top != bottom {
             return Err(Error::Selection(format!(
-                "paired rings must be equally sized, got {} and {}",
-                top.len(),
-                bottom.len()
+                "paired rings must be equally sized, got {top} and {bottom}"
             )));
         }
-        Ok(Self { top, bottom })
+        Ok(())
     }
 
     /// Splits `2n` consecutive units starting at `start` into a

@@ -29,19 +29,33 @@
 //! Opening a store replays every shard into a compact in-memory index
 //! (expected bits + Key Code + liveness counters — the enrollment text
 //! itself stays on disk only), so a million enrolled devices fit in a
-//! few hundred megabytes of RAM. A truncated trailing record is
+//! few hundred megabytes of RAM. Replay streams each shard through a
+//! fixed-size buffer into two reused payload buffers, checking every
+//! length field against the bytes left before reading it, and shards
+//! replay in parallel. Each envelope is validated in full but not
+//! built: `persist::expected_bits_from_bytes` runs every check of the
+//! enrollment parser and keeps only the expected bits, the one part of
+//! the enrollment the index serves from. Enroll and supersede validate
+//! their payloads the same way. A truncated trailing record is
 //! reported as corruption, not silently dropped.
+//!
+//! Telemetry: a `serve.store.open` span around the whole open, one
+//! `serve.store.replay` span per shard, and the
+//! `serve.store.records_replayed` / `serve.store.bytes_replayed`
+//! counters.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use ropuf_core::error::Error as CoreError;
+use ropuf_core::fleet::parallel_map_indexed;
 use ropuf_core::lifecycle::KeyCode;
-use ropuf_core::persist::enrollment_from_bytes;
+use ropuf_core::persist::expected_bits_from_bytes;
 use ropuf_num::bits::BitVec;
+use ropuf_telemetry as telemetry;
 
 /// Shard-file magic.
 pub const STORE_MAGIC: &[u8; 8] = b"RPUFSTOR";
@@ -52,6 +66,9 @@ pub const STORE_VERSION: u16 = 1;
 const KIND_ENROLL: u8 = 1;
 const KIND_REVOKE: u8 = 2;
 const KIND_SUPERSEDE: u8 = 3;
+
+/// Bytes the replay reader buffers per shard.
+const REPLAY_BUFFER: usize = 64 * 1024;
 
 /// How many recent nonces each device remembers for replay rejection.
 pub const NONCE_WINDOW: usize = 8;
@@ -209,6 +226,11 @@ impl Store {
     /// Opens (creating if absent) a store with `shards` shard files,
     /// replaying any existing records into the in-memory index.
     ///
+    /// Shards replay in parallel on up to
+    /// [`std::thread::available_parallelism`] threads, never more than
+    /// there are shards. On failure the error is the lowest-index
+    /// failing shard's, as a serial replay would report.
+    ///
     /// # Errors
     ///
     /// [`StoreError`] on I/O failure, a corrupt shard, or a shard
@@ -219,30 +241,30 @@ impl Store {
     /// Panics if `shards` is zero.
     pub fn open(dir: &Path, shards: usize, fsync: FsyncPolicy) -> Result<Self, StoreError> {
         assert!(shards > 0, "a store needs at least one shard");
+        let _span = telemetry::span("serve.store.open");
         fs::create_dir_all(dir)?;
-        let mut loaded = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let path = dir.join(format!("shard_{i:03}.log"));
-            loaded.push(Mutex::new(Self::open_shard(&path)?));
-        }
+        let threads = std::thread::available_parallelism().map_or(1, usize::from);
+        let replayed = parallel_map_indexed(shards, threads, |i| {
+            Self::open_shard(&dir.join(format!("shard_{i:03}.log")))
+        });
         Ok(Self {
             dir: dir.to_path_buf(),
-            shards: loaded,
+            shards: replayed
+                .into_iter()
+                .map(|shard| shard.map(Mutex::new))
+                .collect::<Result<_, _>>()?,
             fsync,
         })
     }
 
     fn open_shard(path: &Path) -> Result<Shard, StoreError> {
+        let _span = telemetry::span("serve.store.replay");
         let mut file = OpenOptions::new()
             .read(true)
             .append(true)
             .create(true)
             .open(path)?;
         let len = file.metadata()?.len();
-        let corrupt = |detail: String| StoreError::Corrupt {
-            path: path.to_path_buf(),
-            detail,
-        };
         if len == 0 {
             file.write_all(STORE_MAGIC)?;
             file.write_all(&STORE_VERSION.to_le_bytes())?;
@@ -252,12 +274,21 @@ impl Store {
                 devices: HashMap::new(),
             });
         }
-        let mut bytes = Vec::with_capacity(len as usize);
-        file.read_to_end(&mut bytes)?;
-        if bytes.len() < STORE_MAGIC.len() + 2 || &bytes[..STORE_MAGIC.len()] != STORE_MAGIC {
-            return Err(corrupt("missing RPUFSTOR header".to_string()));
+        let mut replay = Replay {
+            reader: BufReader::with_capacity(REPLAY_BUFFER, &file),
+            path,
+            left: len,
+            record_start: 0,
+        };
+        let mut header = [0u8; STORE_MAGIC.len() + 2];
+        let has_header = len >= header.len() as u64 && {
+            replay.read(&mut header)?;
+            header.starts_with(STORE_MAGIC)
+        };
+        if !has_header {
+            return Err(replay.corrupt("missing RPUFSTOR header".to_string()));
         }
-        let version = u16::from_le_bytes([bytes[8], bytes[9]]);
+        let version = u16::from_le_bytes([header[8], header[9]]);
         if version != STORE_VERSION {
             return Err(StoreError::UnsupportedVersion {
                 found: version,
@@ -265,62 +296,50 @@ impl Store {
             });
         }
         let mut devices = HashMap::new();
-        let mut at = STORE_MAGIC.len() + 2;
-        while at < bytes.len() {
-            let record_start = at;
-            let take = |at: &mut usize, n: usize| -> Result<&[u8], StoreError> {
-                if bytes.len() - *at < n {
-                    return Err(corrupt(format!("truncated record at byte {record_start}")));
-                }
-                let s = &bytes[*at..*at + n];
-                *at += n;
-                Ok(s)
-            };
-            let kind = take(&mut at, 1)?[0];
-            let mut id = [0u8; 8];
-            id.copy_from_slice(take(&mut at, 8)?);
-            let device_id = u64::from_le_bytes(id);
+        // Every record's payloads land in these two buffers in turn.
+        let (mut enrollment, mut key_code) = (Vec::new(), Vec::new());
+        let mut records = 0;
+        while replay.left > 0 {
+            replay.record_start = len - replay.left;
+            let [kind] = replay.array()?;
+            let device_id = u64::from_le_bytes(replay.array()?);
             match kind {
                 KIND_ENROLL => {
-                    let mut len4 = [0u8; 4];
-                    len4.copy_from_slice(take(&mut at, 4)?);
-                    let enrollment = take(&mut at, u32::from_le_bytes(len4) as usize)?.to_vec();
-                    len4.copy_from_slice(take(&mut at, 4)?);
-                    let key_code = take(&mut at, u32::from_le_bytes(len4) as usize)?.to_vec();
-                    let state = parse_payload(&enrollment, &key_code)
-                        .map_err(|e| corrupt(format!("record at byte {record_start}: {e}")))?;
+                    replay.payload(&mut enrollment)?;
+                    replay.payload(&mut key_code)?;
+                    let state = replay.parse(&enrollment, &key_code)?;
                     devices.insert(device_id, state);
                 }
                 KIND_REVOKE => {
                     devices.remove(&device_id);
                 }
                 KIND_SUPERSEDE => {
-                    let mut len4 = [0u8; 4];
-                    len4.copy_from_slice(take(&mut at, 4)?);
-                    let generation = u32::from_le_bytes(len4);
-                    len4.copy_from_slice(take(&mut at, 4)?);
-                    let enrollment = take(&mut at, u32::from_le_bytes(len4) as usize)?.to_vec();
-                    len4.copy_from_slice(take(&mut at, 4)?);
-                    let key_code = take(&mut at, u32::from_le_bytes(len4) as usize)?.to_vec();
+                    let generation = u32::from_le_bytes(replay.array()?);
+                    replay.payload(&mut enrollment)?;
+                    replay.payload(&mut key_code)?;
                     // A supersede is only ever appended for a live
                     // device, so replay must find one to replace.
                     if !devices.contains_key(&device_id) {
-                        return Err(corrupt(format!(
-                            "supersede for unenrolled device {device_id} at byte {record_start}"
+                        return Err(replay.corrupt(format!(
+                            "supersede for unenrolled device {device_id} at byte {}",
+                            replay.record_start
                         )));
                     }
-                    let mut state = parse_payload(&enrollment, &key_code)
-                        .map_err(|e| corrupt(format!("record at byte {record_start}: {e}")))?;
+                    let mut state = replay.parse(&enrollment, &key_code)?;
                     state.generation = generation;
                     devices.insert(device_id, state);
                 }
                 other => {
-                    return Err(corrupt(format!(
-                        "unknown record kind {other} at byte {record_start}"
+                    return Err(replay.corrupt(format!(
+                        "unknown record kind {other} at byte {}",
+                        replay.record_start
                     )))
                 }
             }
+            records += 1;
         }
+        telemetry::counter("serve.store.records_replayed", records);
+        telemetry::counter("serve.store.bytes_replayed", len);
         Ok(Shard { file, devices })
     }
 
@@ -511,7 +530,69 @@ impl Store {
     }
 }
 
-/// Parses + cross-validates the two payloads into serving state.
+/// A shard file read front to back through a fixed-size buffer. Every
+/// length is checked against the bytes left in the file before anything
+/// is read or allocated.
+struct Replay<'a> {
+    reader: BufReader<&'a File>,
+    path: &'a Path,
+    /// Bytes not yet read.
+    left: u64,
+    /// Offset of the record being read, for error messages.
+    record_start: u64,
+}
+
+impl Replay<'_> {
+    fn corrupt(&self, detail: String) -> StoreError {
+        StoreError::Corrupt {
+            path: self.path.to_path_buf(),
+            detail,
+        }
+    }
+
+    fn truncated(&self) -> StoreError {
+        self.corrupt(format!("truncated record at byte {}", self.record_start))
+    }
+
+    /// Reads exactly `buf.len()` bytes of the current record.
+    fn read(&mut self, buf: &mut [u8]) -> Result<(), StoreError> {
+        if self.left < buf.len() as u64 {
+            return Err(self.truncated());
+        }
+        self.reader.read_exact(buf)?;
+        self.left -= buf.len() as u64;
+        Ok(())
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], StoreError> {
+        let mut bytes = [0u8; N];
+        self.read(&mut bytes)?;
+        Ok(bytes)
+    }
+
+    /// Reads a u32-length-prefixed payload into `buf`, reusing its
+    /// allocation.
+    fn payload(&mut self, buf: &mut Vec<u8>) -> Result<(), StoreError> {
+        let len = u64::from(u32::from_le_bytes(self.array()?));
+        if self.left < len {
+            return Err(self.truncated());
+        }
+        buf.clear();
+        buf.resize(len as usize, 0);
+        self.read(buf)
+    }
+
+    /// [`parse_payload`], with a failure reported as this record's
+    /// corruption.
+    fn parse(&self, enrollment: &[u8], key_code: &[u8]) -> Result<DeviceState, StoreError> {
+        parse_payload(enrollment, key_code)
+            .map_err(|e| self.corrupt(format!("record at byte {}: {e}", self.record_start)))
+    }
+}
+
+/// Validates + cross-checks the two payloads into serving state. The
+/// enrollment is checked in full but never built: the index keeps only
+/// its expected bits.
 fn parse_payload(enrollment: &[u8], key_code: &[u8]) -> Result<DeviceState, StoreError> {
     let lift = |e: CoreError| match e {
         CoreError::UnsupportedVersion { found, supported } => {
@@ -519,9 +600,8 @@ fn parse_payload(enrollment: &[u8], key_code: &[u8]) -> Result<DeviceState, Stor
         }
         other => StoreError::BadPayload(other.to_string()),
     };
-    let enrollment = enrollment_from_bytes(enrollment).map_err(lift)?;
+    let expected = expected_bits_from_bytes(enrollment).map_err(lift)?;
     let key_code = KeyCode::from_bytes(key_code).map_err(lift)?;
-    let expected = enrollment.expected_bits();
     if key_code.helper().len() > expected.len() {
         return Err(StoreError::BadPayload(format!(
             "key code needs {} response bits but the enrollment yields {}",
@@ -536,6 +616,7 @@ fn parse_payload(enrollment: &[u8], key_code: &[u8]) -> Result<DeviceState, Stor
 mod tests {
     use super::*;
     use crate::testutil::{enrolled_fixture, temp_dir};
+    use proptest::prelude::*;
 
     #[test]
     fn enroll_persists_across_reopen() {
@@ -769,5 +850,239 @@ mod tests {
         assert!(!d.nonce_seen(0), "oldest nonce evicted");
         assert!(d.nonce_seen(100));
         assert!(d.nonce_seen(NONCE_WINDOW as u64 - 1));
+    }
+
+    /// Live devices of one shard: id → (generation, fixture index).
+    type Model = std::collections::BTreeMap<u64, (u32, usize)>;
+
+    /// Header bytes at the front of every shard file.
+    const HEADER_LEN: u64 = STORE_MAGIC.len() as u64 + 2;
+
+    fn fixtures() -> &'static [crate::testutil::Fixture] {
+        static FIXTURES: std::sync::OnceLock<Vec<crate::testutil::Fixture>> =
+            std::sync::OnceLock::new();
+        FIXTURES.get_or_init(|| (21..24).map(enrolled_fixture).collect())
+    }
+
+    /// A two-shard store written by a script of enroll, supersede and
+    /// revoke calls through the public API, with the model state at
+    /// every record boundary.
+    struct Scripted {
+        dir: PathBuf,
+        /// Per shard: (offset, that shard's live devices) at the header
+        /// end and after each record.
+        boundaries: [Vec<(u64, Model)>; 2],
+        /// Per shard: (offset of a u32 length field, its record's start).
+        length_fields: [Vec<(u64, u64)>; 2],
+        /// The shard files as the script left them.
+        files: [Vec<u8>; 2],
+    }
+
+    impl Scripted {
+        /// Runs `steps`: each picks a device (`step % 6`) and a fixture
+        /// (`step / 6 % 3`). An unenrolled device is enrolled; a live one
+        /// is superseded or revoked (`step / 18 % 2`).
+        fn run(name: &str, steps: &[u32]) -> Self {
+            let dir = temp_dir(name);
+            let fx = fixtures();
+            let store = Store::open(&dir, 2, FsyncPolicy::Batched).unwrap();
+            let empty = (HEADER_LEN, Model::new());
+            let mut script = Scripted {
+                dir,
+                boundaries: [vec![empty.clone()], vec![empty]],
+                length_fields: [Vec::new(), Vec::new()],
+                files: [Vec::new(), Vec::new()],
+            };
+            let mut live = [Model::new(), Model::new()];
+            for &step in steps {
+                let (id, f) = (u64::from(step % 6), (step / 6 % 3) as usize);
+                let shard = (id % 2) as usize;
+                let start = fs::metadata(script.path(shard)).unwrap().len();
+                let (elen, payload) = (
+                    fx[f].enrollment_bytes.len() as u64,
+                    (&fx[f].enrollment_bytes, &fx[f].key_code_bytes),
+                );
+                let fields = &mut script.length_fields[shard];
+                match live[shard].get(&id) {
+                    None => {
+                        store.enroll(id, payload.0, payload.1).unwrap();
+                        live[shard].insert(id, (0, f));
+                        fields.extend([(start + 9, start), (start + 13 + elen, start)]);
+                    }
+                    Some(_) if step / 18 % 2 == 0 => {
+                        let (_, generation) = store.supersede(id, payload.0, payload.1).unwrap();
+                        live[shard].insert(id, (generation, f));
+                        fields.extend([(start + 13, start), (start + 17 + elen, start)]);
+                    }
+                    Some(_) => {
+                        assert!(store.revoke(id).unwrap());
+                        live[shard].remove(&id);
+                    }
+                }
+                let end = fs::metadata(script.path(shard)).unwrap().len();
+                script.boundaries[shard].push((end, live[shard].clone()));
+            }
+            drop(store);
+            script.files = [0, 1].map(|s| fs::read(script.path(s)).unwrap());
+            script
+        }
+
+        fn path(&self, shard: usize) -> PathBuf {
+            self.dir.join(format!("shard_{shard:03}.log"))
+        }
+
+        /// The model after the whole script, both shards.
+        fn full(&self, shard: usize) -> &Model {
+            &self.boundaries[shard].last().unwrap().1
+        }
+
+        /// Opens the store with shard `shard` replaced by `bytes`.
+        fn open_with(&self, shard: usize, bytes: &[u8]) -> Result<Store, StoreError> {
+            fs::write(self.path(shard), bytes).unwrap();
+            fs::write(self.path(1 - shard), &self.files[1 - shard]).unwrap();
+            Store::open(&self.dir, 2, FsyncPolicy::Batched)
+        }
+
+        /// Truncates `shard` at `cut`: a record boundary must reopen to
+        /// exactly the model's state for that prefix, anywhere else must
+        /// be corruption of that shard.
+        fn check_cut(&self, shard: usize, cut: usize) {
+            let opened = self.open_with(shard, &self.files[shard][..cut]);
+            let prefix = self.boundaries[shard]
+                .iter()
+                .find(|(end, _)| *end == cut as u64)
+                .map(|(_, model)| model)
+                .or((cut == 0).then_some(&self.boundaries[shard][0].1));
+            match (opened, prefix) {
+                (Ok(store), Some(model)) => {
+                    let mut want = model.clone();
+                    want.extend(self.full(1 - shard).clone());
+                    assert_state(&store, &want, &format!("cut {cut} of shard {shard}"));
+                }
+                (Err(StoreError::Corrupt { path, .. }), None) => {
+                    assert_eq!(path, self.path(shard), "cut {cut}");
+                }
+                (other, _) => panic!(
+                    "cut {cut} of shard {shard} (boundary: {}): {:?}",
+                    prefix.is_some(),
+                    other.map(|s| s.len())
+                ),
+            }
+        }
+
+        /// Sets the length field at `at` to `u32::MAX`: the record must
+        /// be reported truncated at its start, with nothing allocated.
+        fn check_huge_length(&self, shard: usize, (at, record_start): (u64, u64)) {
+            let mut bytes = self.files[shard].clone();
+            let at = at as usize;
+            bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            match self.open_with(shard, &bytes) {
+                Err(StoreError::Corrupt { path, detail }) => {
+                    assert_eq!(path, self.path(shard));
+                    assert_eq!(detail, format!("truncated record at byte {record_start}"));
+                }
+                other => panic!("length field at {at}: {:?}", other.map(|s| s.len())),
+            }
+        }
+    }
+
+    impl Drop for Scripted {
+        fn drop(&mut self) {
+            fs::remove_dir_all(&self.dir).ok();
+        }
+    }
+
+    /// The reopened index holds exactly `want`: each device at the
+    /// model's generation with its fixture's bits and Key Code.
+    fn assert_state(store: &Store, want: &Model, what: &str) {
+        assert_eq!(store.len(), want.len(), "{what}");
+        for (&id, &(generation, f)) in want {
+            store.with_device(id, |d| {
+                let d = d.unwrap_or_else(|| panic!("{what}: device {id} missing"));
+                assert_eq!(d.generation, generation, "{what}: device {id}");
+                assert_eq!(d.expected, fixtures()[f].expected, "{what}: device {id}");
+                assert_eq!(d.key_code, fixtures()[f].key_code, "{what}: device {id}");
+                assert!(!d.locked && !d.quarantined && d.nonce_len == 0);
+            });
+        }
+    }
+
+    /// Enrolls all six devices, then supersedes, revokes and re-enrolls.
+    const SCRIPT: [u32; 14] = [0, 7, 14, 3, 10, 5, 6, 25, 20, 19, 0, 33, 26, 1];
+
+    #[test]
+    fn replay_of_every_truncation_is_a_consistent_prefix_or_corruption() {
+        let script = Scripted::run("store-every-cut", &SCRIPT);
+        for shard in 0..2 {
+            assert!(
+                script.boundaries[shard].len() > 4,
+                "script writes each shard"
+            );
+            for cut in 0..=script.files[shard].len() {
+                script.check_cut(shard, cut);
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_length_fields_are_corruption_not_allocations() {
+        let script = Scripted::run("store-huge-length", &SCRIPT);
+        for shard in 0..2 {
+            assert!(!script.length_fields[shard].is_empty());
+            for &field in &script.length_fields[shard] {
+                script.check_huge_length(shard, field);
+            }
+        }
+    }
+
+    #[test]
+    fn the_lowest_corrupt_shard_is_the_one_reported() {
+        let dir = temp_dir("store-two-corrupt");
+        let fx = enrolled_fixture(19);
+        {
+            let store = Store::open(&dir, 3, FsyncPolicy::Batched).unwrap();
+            for id in 0..3 {
+                store
+                    .enroll(id, &fx.enrollment_bytes, &fx.key_code_bytes)
+                    .unwrap();
+            }
+        }
+        let path = |i: usize| dir.join(format!("shard_{i:03}.log"));
+        let truncate = |i: usize| {
+            let bytes = fs::read(path(i)).unwrap();
+            fs::write(path(i), &bytes[..bytes.len() - 1]).unwrap();
+        };
+        truncate(2);
+        truncate(1);
+        for _ in 0..4 {
+            match Store::open(&dir, 3, FsyncPolicy::Batched) {
+                Err(StoreError::Corrupt { path: p, .. }) => assert_eq!(p, path(1)),
+                other => panic!("{:?}", other.map(|s| s.len())),
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    proptest! {
+        #[test]
+        fn replay_of_random_scripts_is_a_consistent_prefix_or_corruption(
+            steps in proptest::collection::vec(any::<u32>(), 1..12),
+            shard in 0usize..2,
+            cuts in proptest::collection::vec(any::<usize>(), 6),
+            field in any::<usize>(),
+        ) {
+            let script = Scripted::run("store-prop", &steps);
+            let len = script.files[shard].len();
+            for &(end, _) in &script.boundaries[shard] {
+                script.check_cut(shard, end as usize);
+            }
+            for cut in cuts {
+                script.check_cut(shard, cut % (len + 1));
+            }
+            let fields = &script.length_fields[shard];
+            if !fields.is_empty() {
+                script.check_huge_length(shard, fields[field % fields.len()]);
+            }
+        }
     }
 }

@@ -7,16 +7,18 @@
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ropuf_core::fleet::split_seed;
 use ropuf_core::lifecycle::Device;
-use ropuf_core::persist::enrollment_to_bytes;
+use ropuf_core::persist::{enrollment_to_bytes, FORMAT_VERSION, MAGIC};
 use ropuf_core::puf::{ConfigurableRoPuf, EnrollOptions};
 use ropuf_core::robust::{respond_robust_bound, FaultPlan};
 use ropuf_num::bits::BitVec;
+use ropuf_server::proto::{read_frame, write_frame};
 use ropuf_server::{
     run_drill, serve, serve_with_admin, AccessLog, Client, DrillSpec, FsyncPolicy, OpsConfig,
     PufService, RejectReason, Reply, Request, ServerHandle, ServiceConfig, ServiceOptions, Store,
@@ -68,6 +70,46 @@ fn drill_transcript_is_byte_identical_across_runs_and_worker_counts() {
             "transcript diverged at workers={workers} run={run}"
         );
     }
+}
+
+#[test]
+fn an_empty_configuration_field_is_rejected_and_the_worker_survives() {
+    // Empty configuration fields used to panic the worker parsing the
+    // enrollment: the sender got no reply, and with one worker no later
+    // connection was served.
+    let (server, dir) = spawn_server("empty-config", 1);
+    let mut envelope = MAGIC.to_vec();
+    envelope.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    envelope.extend_from_slice(b"ropuf-enrollment v1\nenv,1.2,25\npair,0,1,2,,,0,1.0\n");
+    let (_, key_code, _) = enrolled_device(5);
+    let call = |request: &Request| -> Option<Reply> {
+        let mut stream = TcpStream::connect(server.addr()).expect("connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout set");
+        write_frame(&mut stream, &request.encode()).ok()?;
+        Reply::decode(&read_frame(&mut stream).ok()??).ok()
+    };
+    let bad = Request::Enroll {
+        device_id: 1,
+        enrollment: envelope,
+        key_code,
+    };
+    assert_eq!(
+        call(&bad),
+        Some(Reply::Reject {
+            reason: RejectReason::BadRequest
+        })
+    );
+    assert_eq!(
+        call(&Request::Revoke { device_id: 1 }),
+        Some(Reply::Reject {
+            reason: RejectReason::UnknownDevice
+        }),
+        "a new connection to the one worker gets a reply"
+    );
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]

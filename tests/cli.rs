@@ -173,6 +173,25 @@ fn enroll_then_respond_at_corner() {
 }
 
 #[test]
+fn respond_rejects_an_enrollment_with_an_empty_configuration() {
+    // An empty configuration field is a typed parse error (exit 1), not
+    // a panic (exit 101).
+    let enrollment = tmp("empty-config.enrollment");
+    std::fs::write(
+        &enrollment,
+        "ropuf-enrollment v1\nenv,1.2,25\npair,0,1,2,,,0,1.0\n",
+    )
+    .expect("enrollment written");
+    let out = ropuf(&["respond", "--enrollment", enrollment.to_str().unwrap()]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("line 3: configuration length does not match the pair"),
+        "{err}"
+    );
+}
+
+#[test]
 fn respond_with_wrong_board_differs() {
     // A different silicon seed is a different device: the response
     // cannot match the stored enrollment (authentication would reject).
@@ -881,6 +900,61 @@ fn serve_drill_stdout_is_identical_with_admin_plane_enabled() {
         std::fs::remove_dir_all(d).ok();
     }
     std::fs::remove_file(&log).ok();
+}
+
+#[test]
+fn serve_drill_stdout_is_identical_with_tracing_on() {
+    // Replay telemetry is pure observation: a drill over a reopened
+    // store prints the same transcript traced as untraced, and the
+    // trace carries the replay spans and counters.
+    let trace = tmp("serve-trace-det.jsonl");
+    std::fs::remove_file(&trace).ok();
+    let drill = |store: &std::path::Path, extra: &[&str]| {
+        let mut args = vec![
+            "serve",
+            "--store",
+            store.to_str().unwrap(),
+            "--fsync",
+            "batched",
+            "--drill",
+            "true",
+            "--devices",
+            "4",
+            "--ops",
+            "7",
+            "--seed",
+            "99",
+        ];
+        args.extend_from_slice(extra);
+        let out = ropuf(&args);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let plain_dir = tmp("serve-trace-det-a");
+    let traced_dir = tmp("serve-trace-det-b");
+    for d in [&plain_dir, &traced_dir] {
+        std::fs::remove_dir_all(d).ok();
+        drill(d, &[]);
+    }
+    let plain = drill(&plain_dir, &[]);
+    let traced = drill(&traced_dir, &["--trace-out", trace.to_str().unwrap()]);
+    assert_eq!(plain, traced, "tracing cannot perturb the transcript");
+    let trace = std::fs::read_to_string(&trace).expect("trace written");
+    for name in [
+        "\"serve.store.open\"",
+        "\"serve.store.replay\"",
+        "\"serve.store.records_replayed\"",
+        "\"serve.store.bytes_replayed\"",
+    ] {
+        assert!(trace.contains(name), "trace lacks {name}");
+    }
+    for d in [&plain_dir, &traced_dir] {
+        std::fs::remove_dir_all(d).ok();
+    }
 }
 
 #[test]
