@@ -66,38 +66,34 @@ pub fn case2_with_offset(
         "offset must be finite, got {offset_ps}"
     );
     let n = alpha.len();
+    let mut orders = StageOrders::new(n);
+    orders.sort(alpha, beta);
 
     // Orientation A maximizes the signed difference D = offset + Σαx − Σβy:
     // slowest-k of α against fastest-k of β.
-    let (k_max, d_max) = extreme_prefix(alpha, beta, offset_ps, parity);
+    let (k_max, d_max) = orders.best_prefix(Orientation::Forward, alpha, beta, offset_ps, parity);
     // Orientation B minimizes D: fastest-k of α against slowest-k of β,
     // equivalently maximizes −D = −offset + Σβy' − Σαx'.
-    let (k_min, neg_d_min) = extreme_prefix(beta, alpha, -offset_ps, parity);
+    let (k_min, neg_d_min) =
+        orders.best_prefix(Orientation::Reverse, alpha, beta, offset_ps, parity);
     let d_min = -neg_d_min;
 
-    let selection = if d_max.abs() >= d_min.abs() {
+    let (orientation, k, d) = if d_max.abs() >= d_min.abs() {
         telemetry::counter("select.case2.forward_wins", 1);
-        let top = select_extreme(alpha, k_max, Extreme::Slowest);
-        let bottom = select_extreme(beta, k_max, Extreme::Fastest);
-        PairSelection::new(
-            ConfigVector::from_selected(n, &top),
-            ConfigVector::from_selected(n, &bottom),
-            d_max.abs(),
-            // Strict: an exact tie (D == 0) has no slower ring; the
-            // conventional `false` is flagged via `is_degenerate`.
-            d_max > 0.0,
-        )
+        (Orientation::Forward, k_max, d_max)
     } else {
         telemetry::counter("select.case2.reverse_wins", 1);
-        let top = select_extreme(alpha, k_min, Extreme::Fastest);
-        let bottom = select_extreme(beta, k_min, Extreme::Slowest);
-        PairSelection::new(
-            ConfigVector::from_selected(n, &top),
-            ConfigVector::from_selected(n, &bottom),
-            d_min.abs(),
-            d_min > 0.0,
-        )
+        (Orientation::Reverse, k_min, d_min)
     };
+    let (top, bottom) = orders.picks(orientation, k);
+    let selection = PairSelection::new(
+        ConfigVector::from_selected(n, top),
+        ConfigVector::from_selected(n, bottom),
+        d.abs(),
+        // Strict: an exact tie (D == 0) has no slower ring; the
+        // conventional `false` is flagged via `is_degenerate`.
+        d > 0.0,
+    );
     if selection.is_degenerate() {
         telemetry::counter("select.case2.degenerate", 1);
         // A degenerate pair (margin exactly 0) has no slower ring, and
@@ -114,52 +110,124 @@ pub fn case2_with_offset(
     selection
 }
 
-/// Maximizes `offset + Σ_{i≤k}(slow_desc[i] − fast_asc[i])` over
-/// admissible `k`. Under `ParityPolicy::Ignore` the scan includes `k = 0`
-/// (value `offset`); under `ForceOdd` only odd `k` qualify.
-pub(super) fn extreme_prefix(
-    slow: &[f64],
-    fast: &[f64],
-    offset: f64,
-    parity: ParityPolicy,
-) -> (usize, f64) {
-    let n = slow.len();
-    let mut slow_sorted = slow.to_vec();
-    slow_sorted.sort_by(|a, b| b.total_cmp(a)); // descending
-    let mut fast_sorted = fast.to_vec();
-    fast_sorted.sort_by(|a, b| a.total_cmp(b)); // ascending
+/// Which way round a §III.D prefix selection runs: `Forward` takes the
+/// slowest stages of the top ring against the fastest of the bottom
+/// ring (maximizing `D`), `Reverse` the fastest of the top against the
+/// slowest of the bottom (maximizing `−D`).
+#[derive(Clone, Copy)]
+pub(super) enum Orientation {
+    Forward,
+    Reverse,
+}
 
-    let mut best: Option<(usize, f64)> = match parity {
-        ParityPolicy::Ignore => Some((0, offset)),
-        ParityPolicy::ForceOdd => None,
-    };
-    let mut acc = offset;
-    for k in 1..=n {
-        acc += slow_sorted[k - 1] - fast_sorted[k - 1];
-        if parity.admits(k) && best.is_none_or(|(_, m)| acc > m) {
-            best = Some((k, acc));
+/// The four stage orders the sorted-prefix construction reads at one
+/// operating point: `α` descending, `α` ascending, `β` descending and
+/// `β` ascending, each by value (`total_cmp`) and then by stage index.
+///
+/// The values read along an order are exactly the value-sorted delays,
+/// bit for bit (`total_cmp`-equal floats are bitwise equal), so prefix
+/// sums along the orders are the sums of the sorted delays, and the
+/// first `k` entries of an order are the `k` slowest or fastest stages
+/// with ties going to the lower index.
+pub(super) struct StageOrders {
+    /// `[α desc | α asc | β desc | β asc]`, `n` stage indices each.
+    order: Vec<usize>,
+    n: usize,
+}
+
+const ALPHA_DESC: usize = 0;
+const ALPHA_ASC: usize = 1;
+const BETA_DESC: usize = 2;
+const BETA_ASC: usize = 3;
+
+impl StageOrders {
+    pub(super) fn new(n: usize) -> Self {
+        Self {
+            order: (0..4).flat_map(|_| 0..n).collect(),
+            n,
         }
     }
-    best.expect("at least one admissible k exists for n >= 1")
-}
 
-#[derive(Clone, Copy)]
-pub(super) enum Extreme {
-    Slowest,
-    Fastest,
-}
-
-/// Indices of the `k` slowest (largest delay) or fastest stages; ties are
-/// broken by original index, matching the sorts in [`extreme_prefix`].
-pub(super) fn select_extreme(delays: &[f64], k: usize, which: Extreme) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..delays.len()).collect();
-    match which {
-        Extreme::Slowest => order.sort_by(|&a, &b| delays[b].total_cmp(&delays[a]).then(a.cmp(&b))),
-        Extreme::Fastest => order.sort_by(|&a, &b| delays[a].total_cmp(&delays[b]).then(a.cmp(&b))),
+    /// Re-sorts the four orders for `alpha`/`beta`. Each descending
+    /// order is sorted starting from its previous permutation, which is
+    /// nearly sorted when consecutive corners rank their stages alike;
+    /// the index tie-break makes the result independent of that starting
+    /// point. Each ascending order is its descending order reversed, with
+    /// every run of equal values turned back to ascending index.
+    pub(super) fn sort(&mut self, alpha: &[f64], beta: &[f64]) {
+        let n = self.n;
+        for (pair, v) in self.order.chunks_exact_mut(2 * n).zip([alpha, beta]) {
+            let (desc, asc) = pair.split_at_mut(n);
+            desc.sort_unstable_by(|&i, &j| v[j].total_cmp(&v[i]).then(i.cmp(&j)));
+            for (a, &d) in asc.iter_mut().zip(desc.iter().rev()) {
+                *a = d;
+            }
+            let mut run = 0;
+            for end in 1..=n {
+                if end == n || v[asc[end]].to_bits() != v[asc[run]].to_bits() {
+                    asc[run..end].reverse();
+                    run = end;
+                }
+            }
+        }
     }
-    let mut chosen: Vec<usize> = order.into_iter().take(k).collect();
-    chosen.sort_unstable();
-    chosen
+
+    fn quarter(&self, q: usize) -> &[usize] {
+        &self.order[q * self.n..(q + 1) * self.n]
+    }
+
+    /// The top-ring and bottom-ring stages of the `k`-prefix selection
+    /// in `orientation`, in order position (not index) order.
+    pub(super) fn picks(&self, orientation: Orientation, k: usize) -> (&[usize], &[usize]) {
+        match orientation {
+            Orientation::Forward => (&self.quarter(ALPHA_DESC)[..k], &self.quarter(BETA_ASC)[..k]),
+            Orientation::Reverse => (&self.quarter(ALPHA_ASC)[..k], &self.quarter(BETA_DESC)[..k]),
+        }
+    }
+
+    /// Best admissible prefix length `k` in `orientation` and its value:
+    /// `D = offset + Σ_{i<k}(α_slow[i] − β_fast[i])` for `Forward`, and
+    /// `−D = −offset + Σ_{i<k}(β_slow[i] − α_fast[i])` for `Reverse`.
+    /// Under `ParityPolicy::Ignore` the scan includes `k = 0` (value
+    /// `±offset`); under `ForceOdd` only odd `k` qualify. The first
+    /// strict maximum wins.
+    pub(super) fn best_prefix(
+        &self,
+        orientation: Orientation,
+        alpha: &[f64],
+        beta: &[f64],
+        offset: f64,
+        parity: ParityPolicy,
+    ) -> (usize, f64) {
+        let (slow, slow_order, fast, fast_order, offset) = match orientation {
+            Orientation::Forward => (
+                alpha,
+                self.quarter(ALPHA_DESC),
+                beta,
+                self.quarter(BETA_ASC),
+                offset,
+            ),
+            Orientation::Reverse => (
+                beta,
+                self.quarter(BETA_DESC),
+                alpha,
+                self.quarter(ALPHA_ASC),
+                -offset,
+            ),
+        };
+        let mut best: Option<(usize, f64)> = match parity {
+            ParityPolicy::Ignore => Some((0, offset)),
+            ParityPolicy::ForceOdd => None,
+        };
+        let mut acc = offset;
+        for (k, (&s, &f)) in (1..).zip(slow_order.iter().zip(fast_order)) {
+            acc += slow[s] - fast[f];
+            if parity.admits(k) && best.is_none_or(|(_, m)| acc > m) {
+                best = Some((k, acc));
+            }
+        }
+        best.expect("at least one admissible k exists for n >= 1")
+    }
 }
 
 #[cfg(test)]

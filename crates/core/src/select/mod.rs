@@ -32,9 +32,7 @@ pub use brute::{brute_force_case1, brute_force_case2};
 pub use case1::{case1, case1_with_offset};
 pub use case2::{case2, case2_with_offset};
 pub use local_search::case1_local_search;
-pub use multi_corner::{
-    case1_local_search_multi, case1_multi_corner, case2_multi_corner, CornerDelays,
-};
+pub use multi_corner::{case1_multi_corner, case2_multi_corner, CornerDelays};
 
 use crate::config::ConfigVector;
 

@@ -280,3 +280,60 @@ fn enrollment_kernel_counts_are_exact() {
         }
     }
 }
+
+/// The multi-corner Case-2 solver reports its swap search once per call
+/// as totals: swaps considered and swaps folded exactly. Two identical
+/// calls count exactly twice one call, the prune bound skips most swaps
+/// on a realistic five-corner pair, and the single-corner path (no swap
+/// search) counts nothing.
+#[test]
+fn multi_corner_swap_counters_are_per_call_totals() {
+    use ropuf_core::select::{case2_multi_corner, CornerDelays};
+    use ropuf_core::ParityPolicy;
+
+    let alpha = [24.1, 26.3, 25.7, 27.9, 25.2, 26.8, 24.9];
+    let beta = [25.5, 24.4, 27.1, 26.0, 25.9, 24.7, 26.6];
+    // Five corners: a global V/T scale with a little per-stage dispersion.
+    let rings: Vec<(Vec<f64>, Vec<f64>, f64)> = [1.0, 0.93, 1.08, 0.97, 1.04]
+        .iter()
+        .enumerate()
+        .map(|(c, &scale)| {
+            let skew = |i: usize| scale * (1.0 + 0.002 * ((i * 7 + c * 3) % 5) as f64);
+            (
+                alpha.iter().enumerate().map(|(i, a)| a * skew(i)).collect(),
+                beta.iter()
+                    .enumerate()
+                    .map(|(i, b)| b * skew(i + 1))
+                    .collect(),
+                0.4 * scale,
+            )
+        })
+        .collect();
+    let corners: Vec<CornerDelays<'_>> = rings
+        .iter()
+        .map(|(alpha, beta, offset_ps)| CornerDelays {
+            alpha,
+            beta,
+            offset_ps: *offset_ps,
+        })
+        .collect();
+    let counts = |corners: &[CornerDelays<'_>], calls: usize| {
+        let sink = Arc::new(MemorySink::default());
+        telemetry::scoped(sink.clone(), || {
+            for _ in 0..calls {
+                case2_multi_corner(corners, ParityPolicy::Ignore);
+            }
+        });
+        let snapshot = sink.snapshot().expect("flush delivered a snapshot");
+        (
+            snapshot.counter("select.multi.case2.swaps"),
+            snapshot.counter("select.multi.case2.swaps_exact"),
+        )
+    };
+    let (Some(swaps), Some(exact)) = counts(&corners, 1) else {
+        panic!("both swap counters are emitted");
+    };
+    assert!(swaps > 0 && exact < swaps, "swaps {swaps}, exact {exact}");
+    assert_eq!(counts(&corners, 2), (Some(2 * swaps), Some(2 * exact)));
+    assert_eq!(counts(&corners[..1], 1), (None, None));
+}

@@ -155,21 +155,127 @@ fn main() -> ExitCode {
     let Some((command, mut options)) = parse(&args) else {
         return usage("expected: ropuf <command> [--flag value]...");
     };
-    if let Err(e) = init_tracing(&mut options) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    let result = {
-        let _cmd_span = telemetry::span(command_span(&command));
-        dispatch(&command, &options)
-    };
-    telemetry::flush();
+    let result = lookup(&command, &options).and_then(|command| {
+        init_tracing(&mut options)?;
+        let result = {
+            let _cmd_span = telemetry::span(command.span);
+            (command.run)(&options)
+        };
+        telemetry::flush();
+        result
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// One subcommand: its name, its top-level span (span names are
+/// interned `&'static str`s), its handler, and every flag it reads,
+/// space-separated.
+struct Command {
+    name: &'static str,
+    span: &'static str,
+    run: fn(&HashMap<String, String>) -> Result<(), CliError>,
+    flags: &'static str,
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate-vt",
+        span: "cli.generate-vt",
+        run: generate_vt,
+        flags: "out boards swept ros seed",
+    },
+    Command {
+        name: "generate-inhouse",
+        span: "cli.generate-inhouse",
+        run: generate_inhouse,
+        flags: "out boards seed",
+    },
+    Command {
+        name: "extract",
+        span: "cli.extract",
+        run: extract,
+        flags: "dataset out stages mode raw",
+    },
+    Command {
+        name: "nist",
+        span: "cli.nist",
+        run: nist,
+        flags: "bits",
+    },
+    Command {
+        name: "rth",
+        span: "cli.rth",
+        run: rth,
+        flags: "dataset usable max-rth",
+    },
+    Command {
+        name: "fleet",
+        span: "cli.fleet",
+        run: fleet,
+        flags: "boards seed units stages cols threads votes threshold faults",
+    },
+    Command {
+        name: "monitor",
+        span: "cli.monitor",
+        run: monitor,
+        flags: "boards seed units stages cols threads years threshold sweep fail-on format faults security enroll-baseline baseline",
+    },
+    Command {
+        name: "attack",
+        span: "cli.attack",
+        run: attack,
+        flags: "seed boards units cols stages probed-pairs crp-boards crps threads format dump-transcript assert-guard",
+    },
+    Command {
+        name: "enroll",
+        span: "cli.enroll",
+        run: enroll,
+        flags: "out seed units stages threshold mode",
+    },
+    Command {
+        name: "respond",
+        span: "cli.respond",
+        run: respond,
+        flags: "enrollment seed units voltage temperature votes",
+    },
+    Command {
+        name: "serve",
+        span: "cli.serve",
+        run: serve,
+        flags: "store addr workers shards drill health linger admin sample access-log fsync seed devices ops units cols votes repetition faults threads",
+    },
+    Command {
+        name: "reenroll",
+        span: "cli.reenroll",
+        run: reenroll,
+        flags: "store workers shards fsync stop-after seed devices units cols votes repetition years threads resume",
+    },
+];
+
+/// Finds `command` and checks that it reads every flag given, so a
+/// misspelt flag fails before any work instead of silently running with
+/// a default. `--trace-out` is accepted by every command.
+fn lookup(command: &str, options: &HashMap<String, String>) -> Result<&'static Command, CliError> {
+    let found = COMMANDS.iter().find(|c| c.name == command).ok_or_else(|| {
+        CliError::Usage(format!(
+            "unknown command {command:?} (run with no arguments for usage)"
+        ))
+    })?;
+    let unknown = options
+        .keys()
+        .filter(|flag| *flag != "trace-out" && !found.flags.split(' ').any(|f| f == *flag))
+        .min();
+    match unknown {
+        Some(flag) => Err(CliError::Usage(format!(
+            "{command} has no --{flag} flag (run with no arguments for usage)"
+        ))),
+        None => Ok(found),
     }
 }
 
@@ -193,26 +299,6 @@ fn init_tracing(options: &mut HashMap<String, String>) -> Result<(), CliError> {
     }
 }
 
-/// Static span name for the top-level command (span names are interned
-/// `&'static str`s, so map rather than format).
-fn command_span(command: &str) -> &'static str {
-    match command {
-        "generate-vt" => "cli.generate-vt",
-        "generate-inhouse" => "cli.generate-inhouse",
-        "extract" => "cli.extract",
-        "nist" => "cli.nist",
-        "rth" => "cli.rth",
-        "fleet" => "cli.fleet",
-        "monitor" => "cli.monitor",
-        "attack" => "cli.attack",
-        "enroll" => "cli.enroll",
-        "respond" => "cli.respond",
-        "serve" => "cli.serve",
-        "reenroll" => "cli.reenroll",
-        _ => "cli.unknown",
-    }
-}
-
 /// Splits `<command> (--key value)*`; returns `None` on malformed input.
 fn parse(args: &[String]) -> Option<(String, HashMap<String, String>)> {
     let mut iter = args.iter();
@@ -229,9 +315,9 @@ fn parse(args: &[String]) -> Option<(String, HashMap<String, String>)> {
     Some((command, options))
 }
 
-fn usage(problem: &str) -> ExitCode {
-    eprintln!(
-        "error: {problem}\n\n\
+/// Usage text listing every command and its flags; `lookup` accepts
+/// exactly these (a test checks that the two agree).
+const USAGE: &str = "\
          commands:\n\
            generate-vt       --out FILE [--boards N=40] [--swept N=5] [--ros N=512] [--seed N=1]\n\
            generate-inhouse  --out FILE [--boards N=9] [--seed N=1]\n\
@@ -243,7 +329,7 @@ fn usage(problem: &str) -> ExitCode {
                              [--faults SCALE=off] (chaos drill: inject measurement faults)\n\
            monitor           [--boards N=16] [--seed N=1] [--units N=120] [--stages N=5]\n\
                              [--cols N=8] [--threads N=auto] [--sweep nominal|voltage|temperature|full]\n\
-                             [--years Y=5] [--format human|json|prometheus]\n\
+                             [--years Y=5] [--threshold PS=0] [--format human|json|prometheus]\n\
                              [--baseline FILE] [--enroll-baseline FILE] [--fail-on warn|critical|never]\n\
                              [--faults SCALE=off] [--security true] (adds attacker_advantage_* gauges)\n\
            attack            [--seed N=191007068] [--boards N=16] [--units N=224] [--cols N=16]\n\
@@ -268,29 +354,11 @@ fn usage(problem: &str) -> ExitCode {
                              [--fsync every|batched] [--stop-after enroll|assess|reenroll]\n\
                              [--resume true] (verify against an existing store)\n\
          every command also accepts --trace-out FILE|summary (or set\n\
-         ROPUF_TRACE) to write structured telemetry; see docs/OBSERVABILITY.md"
-    );
-    ExitCode::FAILURE
-}
+         ROPUF_TRACE) to write structured telemetry; see docs/OBSERVABILITY.md";
 
-fn dispatch(command: &str, opts: &HashMap<String, String>) -> Result<(), CliError> {
-    match command {
-        "generate-vt" => generate_vt(opts),
-        "generate-inhouse" => generate_inhouse(opts),
-        "extract" => extract(opts),
-        "nist" => nist(opts),
-        "rth" => rth(opts),
-        "fleet" => fleet(opts),
-        "monitor" => monitor(opts),
-        "attack" => attack(opts),
-        "enroll" => enroll(opts),
-        "respond" => respond(opts),
-        "serve" => serve(opts),
-        "reenroll" => reenroll(opts),
-        other => Err(CliError::Usage(format!(
-            "unknown command {other:?} (run with no arguments for usage)"
-        ))),
-    }
+fn usage(problem: &str) -> ExitCode {
+    eprintln!("error: {problem}\n\n{USAGE}");
+    ExitCode::FAILURE
 }
 
 /// Parses `--faults SCALE` into a fault-injection plan: the default
@@ -1210,4 +1278,47 @@ fn reenroll(opts: &HashMap<String, String>) -> Result<(), CliError> {
     service.store().sync_all()?;
     server.shutdown();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The usage text and the command table name the same flags for
+    /// every command, so no documented flag is refused and no accepted
+    /// flag goes undocumented.
+    #[test]
+    fn usage_text_and_command_table_agree() {
+        let mut listed: HashMap<&str, Vec<&str>> = HashMap::new();
+        let mut current = None;
+        for line in USAGE
+            .lines()
+            .skip_while(|l| !l.starts_with("commands:"))
+            .skip(1)
+        {
+            if line.starts_with("every command") {
+                break;
+            }
+            if !line.starts_with('[') {
+                current = line.split_whitespace().next();
+            }
+            let name = current.expect("a command line comes first");
+            let flags = listed.entry(name).or_default();
+            for (at, _) in line.match_indices("--") {
+                let rest = &line[at + 2..];
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                    .unwrap_or(rest.len());
+                flags.push(&rest[..end]);
+            }
+        }
+        assert_eq!(listed.len(), COMMANDS.len(), "{listed:?}");
+        for command in COMMANDS {
+            let mut documented = listed[command.name].clone();
+            documented.sort();
+            let mut accepted: Vec<&str> = command.flags.split(' ').collect();
+            accepted.sort();
+            assert_eq!(documented, accepted, "{}", command.name);
+        }
+    }
 }

@@ -323,6 +323,68 @@ fn missing_required_flag_is_reported() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--out is required"));
 }
 
+/// A misspelt flag is a usage error naming the flag, raised before any
+/// work: no stdout, no output file, no trace file. (It used to be
+/// ignored, so `--bords 4` ran the 64-board default fleet and `--sead 3`
+/// enrolled with seed 1.)
+#[test]
+fn unknown_flags_are_refused_before_any_work() {
+    let trace = tmp("refused-flag-trace.jsonl");
+    let _ = std::fs::remove_file(&trace);
+    let out = ropuf(&[
+        "fleet",
+        "--bords",
+        "4",
+        "--seed",
+        "7",
+        "--trace-out",
+        trace.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "the fleet must not run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("error: fleet has no --bords flag"), "{err}");
+    assert!(!trace.exists(), "no trace before the refusal");
+
+    let enrollment = tmp("refused-flag.enr");
+    let _ = std::fs::remove_file(&enrollment);
+    let out = ropuf(&[
+        "enroll",
+        "--out",
+        enrollment.to_str().unwrap(),
+        "--sead",
+        "3",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("error: enroll has no --sead flag"), "{err}");
+    assert!(!enrollment.exists(), "nothing may be enrolled");
+
+    // A flag one command reads is still unknown to another.
+    let out = ropuf(&["nist", "--bits", "x.txt", "--seed", "1"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("nist has no --seed flag"));
+
+    // --trace-out is accepted by every command.
+    let out = ropuf(&[
+        "enroll",
+        "--out",
+        enrollment.to_str().unwrap(),
+        "--units",
+        "60",
+        "--stages",
+        "3",
+        "--trace-out",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(enrollment.exists() && trace.exists());
+}
+
 #[test]
 fn rth_sweep_on_generated_inhouse_data() {
     let path = tmp("inhouse_rth.csv");
