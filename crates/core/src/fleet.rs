@@ -55,7 +55,7 @@ use ropuf_silicon::{DelayProbe, Environment, MeasureArena, SiliconSim};
 use ropuf_telemetry as telemetry;
 
 use crate::error::Error;
-use crate::puf::{ConfigurableRoPuf, EnrollOptions, Enrollment};
+use crate::puf::{ConfigurableRoPuf, EnrollOptions};
 use crate::robust::{self, FaultPlan, FaultSummary};
 
 /// Derives the seed for `index` under `master_seed`.
@@ -277,10 +277,13 @@ pub struct FleetConfig {
     /// identical with and without it.
     pub aging: Option<FleetAging>,
     /// Optional measurement-fault injection campaign (`None` = the
-    /// plain pipeline). A plan with all rates at zero produces output
-    /// byte-identical to `None`; fault rolls and retry reads draw from
-    /// their own seed streams, so a fixed seed yields the same fault
-    /// schedule — and the same quarantine set — at any thread count.
+    /// plain pipeline, run as an inert plan). A plan with all rates at
+    /// zero produces records byte-identical to `None` at every
+    /// threshold: one evaluator serves both, and a board left with no
+    /// bits is recorded, never quarantined. Fault rolls and retry reads
+    /// draw from their own seed streams, so a fixed seed yields the
+    /// same fault schedule — and the same quarantine set — at any
+    /// thread count.
     pub faults: Option<FaultPlan>,
     /// Worker threads [`FleetEngine::run`] uses. `None` resolves
     /// [`worker_threads`] **once, at engine construction** — the
@@ -341,8 +344,6 @@ pub enum QuarantineReason {
         /// Pairs attempted.
         total_pairs: usize,
     },
-    /// Enrollment completed but produced no usable bits at all.
-    NoBits,
     /// The board's evaluation panicked; the engine contained the
     /// unwind instead of letting it poison the thread map.
     WorkerPanic {
@@ -361,7 +362,6 @@ impl fmt::Display for QuarantineReason {
                 f,
                 "calibration failed sanity checks ({unreadable_pairs}/{total_pairs} pairs unreadable)"
             ),
-            Self::NoBits => write!(f, "enrollment produced no usable bits"),
             Self::WorkerPanic { message } => write!(f, "worker panic contained: {message}"),
         }
     }
@@ -495,6 +495,9 @@ pub struct FleetEngine {
     sim: SiliconSim,
     puf: ConfigurableRoPuf,
     config: FleetConfig,
+    /// [`FleetConfig::faults`], or an inert plan when it is `None`:
+    /// every board runs under the fault-screened reader either way.
+    plan: FaultPlan,
     /// Worker-thread count, resolved exactly once at construction from
     /// [`FleetConfig::threads`] (or the environment when `None`).
     threads: usize,
@@ -580,10 +583,15 @@ impl FleetEngine {
         // parallel-regression fix: `worker_threads()` used to be
         // re-read per call site).
         let threads = config.threads.unwrap_or_else(worker_threads);
+        let plan = config
+            .faults
+            .clone()
+            .unwrap_or_else(|| FaultPlan::scaled(0.0));
         Ok(Self {
             sim,
             puf,
             config,
+            plan,
             threads,
         })
     }
@@ -682,14 +690,9 @@ impl FleetEngine {
         index: usize,
         arena: &mut MeasureArena,
     ) -> BoardOutcome {
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &self.config.faults {
-                Some(plan) => self.eval_board_robust(master_seed, index, plan, arena),
-                None => BoardOutcome::Healthy(
-                    self.eval_board(master_seed, index, arena),
-                    FaultSummary::default(),
-                ),
-            }));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.eval_board(master_seed, index, arena)
+        }));
         let outcome = match result {
             Ok(outcome) => outcome,
             Err(payload) => {
@@ -726,120 +729,23 @@ impl FleetEngine {
     /// Grows, enrolls, and reads back one board. Pure in
     /// `(master_seed, index)` — the engine shares no mutable state.
     ///
-    /// With telemetry enabled, each stage (grow / enroll / respond)
-    /// runs under its own span, all nested in a `fleet.board` span.
-    fn eval_board(&self, master_seed: u64, index: usize, arena: &mut MeasureArena) -> BoardRecord {
+    /// Every read passes through the [`crate::robust`] retry/read-back
+    /// pipeline under the engine's plan; with no plan configured that
+    /// plan is inert, and the reads, seed streams and bits are exactly
+    /// the plain pipeline's. A board whose calibration fails the sanity
+    /// check is quarantined with a typed reason instead of producing
+    /// garbage or panicking.
+    ///
+    /// With telemetry enabled, each stage (grow / enroll / age /
+    /// respond) runs under its own span, all nested in a `fleet.board`
+    /// span.
+    fn eval_board(&self, master_seed: u64, index: usize, arena: &mut MeasureArena) -> BoardOutcome {
         let _board_span = telemetry::span("fleet.board");
         telemetry::counter("fleet.boards", 1);
         let config = &self.config;
+        let plan = &self.plan;
         let board_seed = split_seed(master_seed, index as u64);
         let tech = self.sim.technology();
-        let board = {
-            let _span = telemetry::span("fleet.grow");
-            let mut grow_rng = StdRng::seed_from_u64(split_seed(board_seed, STREAM_GROW));
-            self.sim.grow_board_with_id(
-                &mut grow_rng,
-                BoardId(index as u32),
-                config.units,
-                config.cols,
-            )
-        };
-        let enrolled_at = *config.corners.first().unwrap_or(&Environment::nominal());
-        let enrollment: Enrollment = {
-            let _span = telemetry::span("fleet.enroll");
-            self.puf.enroll_seeded_in(
-                split_seed(board_seed, STREAM_ENROLL),
-                &board,
-                tech,
-                enrolled_at,
-                &config.opts,
-                arena,
-            )
-        };
-        let expected = enrollment.expected_bits();
-        // Deployment drift: responses read back from aged silicon while
-        // the enrollment above stays the year-0 reference. The aging
-        // RNG is its own seed stream, so configuring it cannot perturb
-        // enrollment or corner streams.
-        let board = match &config.aging {
-            Some(aging) if aging.years > 0.0 => {
-                let _span = telemetry::span("fleet.age");
-                let mut age_rng = StdRng::seed_from_u64(split_seed(board_seed, STREAM_AGING));
-                aging.model.age_board(&mut age_rng, &board, aging.years)
-            }
-            _ => board,
-        };
-        let respond_span = telemetry::span("fleet.respond");
-        // One binding of the (possibly aged) board serves every corner:
-        // binding draws no randomness, so the sweep stays byte-identical
-        // to per-corner rebinding.
-        let bound = enrollment.bind(&board);
-        let corner_flips = config
-            .corners
-            .iter()
-            .enumerate()
-            .map(|(c, &env)| {
-                let mut rng =
-                    StdRng::seed_from_u64(split_seed(board_seed, STREAM_CORNER_BASE + c as u64));
-                let response = if config.votes > 1 {
-                    bound.respond_majority(
-                        &mut rng,
-                        tech,
-                        env,
-                        &config.response_probe,
-                        config.votes,
-                    )
-                } else {
-                    bound.respond(&mut rng, tech, env, &config.response_probe)
-                };
-                // Same value as `hamming_distance` when the lengths
-                // match (they do: both come from this enrollment), but
-                // never panics on a ragged record.
-                let n = response.len().min(expected.len());
-                (0..n)
-                    .filter(|&k| response.get(k) != expected.get(k))
-                    .count()
-            })
-            .collect();
-        drop(respond_span);
-        BoardRecord {
-            board_index: index,
-            board_seed,
-            margins_ps: enrollment.margins_ps(),
-            expected_bits: expected,
-            corner_flips,
-            corner_erasures: vec![0; config.corners.len()],
-        }
-    }
-
-    /// Fault-injecting twin of [`Self::eval_board`]: same seed streams
-    /// and measurement order, but every read passes through the
-    /// [`crate::robust`] retry/read-back pipeline, and boards that fail
-    /// sanity checks are quarantined with a typed reason instead of
-    /// producing garbage or panicking.
-    fn eval_board_robust(
-        &self,
-        master_seed: u64,
-        index: usize,
-        plan: &FaultPlan,
-        arena: &mut MeasureArena,
-    ) -> BoardOutcome {
-        let _board_span = telemetry::span("fleet.board");
-        telemetry::counter("fleet.boards", 1);
-        let config = &self.config;
-        let board_seed = split_seed(master_seed, index as u64);
-        let tech = self.sim.technology();
-        let quarantine = |reason: QuarantineReason, mut summary: FaultSummary| {
-            summary.quarantined_boards += 1;
-            BoardOutcome::Quarantined(
-                Quarantine {
-                    board_index: index,
-                    board_seed,
-                    reason,
-                },
-                summary,
-            )
-        };
         // Injected worker panic: rolled from its own board-level stream
         // before any real work, so the panic schedule — like every
         // fault schedule — is a pure function of the master seed.
@@ -877,20 +783,26 @@ impl FleetEngine {
         if enrolled.total_pairs > 0 {
             let failed_fraction = enrolled.unreadable_pairs as f64 / enrolled.total_pairs as f64;
             if failed_fraction > plan.options.max_failed_pair_fraction {
-                return quarantine(
-                    QuarantineReason::CalibrationFailure {
-                        unreadable_pairs: enrolled.unreadable_pairs,
-                        total_pairs: enrolled.total_pairs,
+                summary.quarantined_boards += 1;
+                return BoardOutcome::Quarantined(
+                    Quarantine {
+                        board_index: index,
+                        board_seed,
+                        reason: QuarantineReason::CalibrationFailure {
+                            unreadable_pairs: enrolled.unreadable_pairs,
+                            total_pairs: enrolled.total_pairs,
+                        },
                     },
                     summary,
                 );
             }
         }
         let enrollment = enrolled.enrollment;
-        if enrollment.bit_count() == 0 {
-            return quarantine(QuarantineReason::NoBits, summary);
-        }
         let expected = enrollment.expected_bits();
+        // Deployment drift: responses read back from aged silicon while
+        // the enrollment above stays the year-0 reference. The aging
+        // RNG is its own seed stream, so configuring it cannot perturb
+        // enrollment or corner streams.
         let board = match &config.aging {
             Some(aging) if aging.years > 0.0 => {
                 let _span = telemetry::span("fleet.age");
@@ -900,8 +812,9 @@ impl FleetEngine {
             _ => board,
         };
         let respond_span = telemetry::span("fleet.respond");
-        // As in `eval_board`: bind the (possibly aged) board once and
-        // reuse the context across the corner sweep.
+        // One binding of the (possibly aged) board serves every corner:
+        // binding draws no randomness, so the sweep stays byte-identical
+        // to per-corner rebinding.
         let bound = enrollment.bind(&board);
         let mut corner_flips = Vec::with_capacity(config.corners.len());
         let mut corner_erasures = Vec::with_capacity(config.corners.len());
@@ -1251,6 +1164,94 @@ mod tests {
             }),
             Error::Fleet(_)
         ));
+    }
+
+    /// The record `run_serial` should hold for board `index`, built from
+    /// the public plain pipeline alone: grow, `enroll_seeded_in` and age
+    /// on the board's streams, then `bind` and `respond_majority` at
+    /// each corner on its own stream.
+    fn plain_pipeline_record(engine: &FleetEngine, master_seed: u64, index: usize) -> BoardRecord {
+        let config = engine.config();
+        let tech = engine.sim.technology();
+        let board_seed = split_seed(master_seed, index as u64);
+        let stream = |s: u64| StdRng::seed_from_u64(split_seed(board_seed, s));
+        let board = engine.sim.grow_board_with_id(
+            &mut stream(STREAM_GROW),
+            BoardId(index as u32),
+            config.units,
+            config.cols,
+        );
+        let enrollment = engine.puf().enroll_seeded_in(
+            split_seed(board_seed, STREAM_ENROLL),
+            &board,
+            tech,
+            config.corners[0],
+            &config.opts,
+            &mut MeasureArena::new(),
+        );
+        let board = match &config.aging {
+            Some(aging) => aging
+                .model
+                .age_board(&mut stream(STREAM_AGING), &board, aging.years),
+            None => board,
+        };
+        let expected = enrollment.expected_bits();
+        let bound = enrollment.bind(&board);
+        let corner_flips = config
+            .corners
+            .iter()
+            .enumerate()
+            .map(|(c, &env)| {
+                let mut rng = stream(STREAM_CORNER_BASE + c as u64);
+                bound
+                    .respond_majority(&mut rng, tech, env, &config.response_probe, config.votes)
+                    .hamming_distance(&expected)
+                    .expect("equal lengths")
+            })
+            .collect();
+        BoardRecord {
+            board_index: index,
+            board_seed,
+            margins_ps: enrollment.margins_ps(),
+            expected_bits: expected,
+            corner_flips,
+            corner_erasures: vec![0; config.corners.len()],
+        }
+    }
+
+    #[test]
+    fn plain_fleet_equals_the_plain_pipeline() {
+        // With no plan the engine reads through the fault-screened
+        // pipeline under an inert plan; this pins that to the paper's
+        // pipeline.
+        let aged = FleetAging {
+            model: AgingModel::default(),
+            years: 10.0,
+        };
+        for votes in [1, 3] {
+            for aging in [None, Some(aged)] {
+                let engine = FleetEngine::new(
+                    SiliconSim::default_spartan(),
+                    FleetConfig {
+                        boards: 6,
+                        units: 60,
+                        cols: 6,
+                        stages: 3,
+                        votes,
+                        aging,
+                        ..FleetConfig::default()
+                    },
+                )
+                .expect("valid config");
+                let run = engine.run_serial(5);
+                let want: Vec<BoardRecord> = (0..6)
+                    .map(|i| plain_pipeline_record(&engine, 5, i))
+                    .collect();
+                assert_eq!(run.records, want, "votes {votes}, aging {aging:?}");
+                assert!(run.quarantined.is_empty());
+                assert!(!run.faults.has_activity());
+            }
+        }
     }
 
     /// A synthetic run with ragged bit counts and corner lists — the

@@ -63,7 +63,7 @@ use crate::fleet::split_seed;
 use crate::fuzzy::FuzzyExtractor;
 use crate::puf::{ConfigurableRoPuf, EnrollOptions, Enrollment};
 use crate::reenroll::{self, ReenrollOutcome, ReenrollPolicy};
-use crate::robust::{enroll_robust, respond_robust, FaultPlan, FaultSummary};
+use crate::robust::{enroll_robust, respond_robust_bound, FaultPlan, FaultSummary};
 
 /// Sub-stream of the enrollment seed reserved for key generation, far
 /// from the per-pair indices (and distinct from the fault/retry streams
@@ -275,7 +275,7 @@ impl<'a> Device<'a, Enrolled> {
     /// # Panics
     ///
     /// Panics if `votes` is zero or even (same contract as
-    /// [`respond_robust`]).
+    /// [`respond_robust_bound`]).
     pub fn respond(
         &self,
         seed: u64,
@@ -283,10 +283,9 @@ impl<'a> Device<'a, Enrolled> {
         plan: &FaultPlan,
     ) -> (Vec<Option<bool>>, FaultSummary) {
         let _span = telemetry::span("lifecycle.respond");
-        respond_robust(
-            &self.state.enrollment,
+        respond_robust_bound(
+            &self.state.enrollment.bind(self.board),
             seed,
-            self.board,
             &self.tech,
             self.env,
             &self.opts.probe,

@@ -871,23 +871,7 @@ impl<'a, 'b> BoundEnrollment<'a, 'b> {
         env: Environment,
         probe: &DelayProbe,
     ) -> BitVec {
-        let scale = tech.delay_scale(env);
-        self.pairs
-            .iter()
-            .map(|(p, pair)| {
-                let d_top = probe.measure_ps(
-                    rng,
-                    pair.top()
-                        .ring_delay_ps_scaled(&p.top_config, scale, env, tech),
-                );
-                let d_bottom = probe.measure_ps(
-                    rng,
-                    pair.bottom()
-                        .ring_delay_ps_scaled(&p.bottom_config, scale, env, tech),
-                );
-                d_top > d_bottom
-            })
-            .collect()
+        self.respond_majority(rng, tech, env, probe, 1)
     }
 
     /// See [`Enrollment::respond_majority`].
@@ -903,17 +887,63 @@ impl<'a, 'b> BoundEnrollment<'a, 'b> {
         probe: &DelayProbe,
         votes: usize,
     ) -> BitVec {
+        self.read_out::<Option<BitVec>>(tech, env, votes, |d| Some(probe.measure_ps(rng, d)))
+            .expect("an odd number of valid votes never ties")
+    }
+
+    /// The read-out kernel behind every response path, plain and
+    /// fault-screened ([`crate::robust::respond_robust_bound`]).
+    ///
+    /// Makes `votes` passes; each walks the pairs in order and reads the
+    /// top ring, then the bottom ring, through `read` — both of them
+    /// even when the first reading fails, so the measurement stream
+    /// advances the same either way. A pair votes `top > bottom` when
+    /// both readings are valid and casts no vote in that pass otherwise.
+    /// Bit `i` is `Some(ones > zeros)`, or `None` (an erasure) when
+    /// `ones == zeros`; with every reading valid and `votes` odd that
+    /// is the plain majority rule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `votes` is zero or even.
+    pub(crate) fn read_out<C: FromIterator<Option<bool>>>(
+        &self,
+        tech: &Technology,
+        env: Environment,
+        votes: usize,
+        mut read: impl FnMut(f64) -> Option<f64>,
+    ) -> C {
         assert!(
             votes % 2 == 1,
             "majority voting needs an odd vote count, got {votes}"
         );
-        let reads: Vec<BitVec> = (0..votes)
-            .map(|_| self.respond(rng, tech, env, probe))
-            .collect();
-        (0..reads[0].len())
-            .map(|i| {
-                let ones = reads.iter().filter(|r| r.get(i).expect("in range")).count();
-                ones * 2 > votes
+        let scale = tech.delay_scale(env);
+        // +1 for a `top > bottom` vote, -1 against, 0 for no vote.
+        let mut vote = |(p, pair): &(&EnrolledPair, RoPair<'_>)| -> isize {
+            let (top, bottom) = (pair.top(), pair.bottom());
+            let top = read(top.ring_delay_ps_scaled(&p.top_config, scale, env, tech));
+            let bottom = read(bottom.ring_delay_ps_scaled(&p.bottom_config, scale, env, tech));
+            match (top, bottom) {
+                (Some(t), Some(b)) if t > b => 1,
+                (Some(_), Some(_)) => -1,
+                _ => 0,
+            }
+        };
+        // Every pass but the last tallies `ones - zeros` per pair; the
+        // last adds its own vote and resolves the bit, so a single pass
+        // collects straight into `C`.
+        let mut tally = vec![0; if votes > 1 { self.pairs.len() } else { 0 }];
+        for _ in 1..votes {
+            for (t, pair) in tally.iter_mut().zip(&self.pairs) {
+                *t += vote(pair);
+            }
+        }
+        self.pairs
+            .iter()
+            .enumerate()
+            .map(|(i, pair)| {
+                let net = tally.get(i).copied().unwrap_or(0) + vote(pair);
+                (net != 0).then_some(net > 0)
             })
             .collect()
     }

@@ -146,7 +146,8 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// The default chaos drill with all rates multiplied by `scale`.
     /// `scaled(0.0)` injects nothing and leaves outputs byte-identical
-    /// to a run without any plan.
+    /// to a run without any plan, at every reliability threshold: it is
+    /// the inert plan the fleet engine runs when none is configured.
     pub fn scaled(scale: f64) -> Self {
         Self {
             model: FaultModel::default().scaled(scale),
@@ -476,74 +477,22 @@ pub fn enroll_robust_in(
     }
 }
 
-/// One fault-screened response pass over a pre-bound enrollment.
-/// Erasures (`None`) mark bits whose read-out failed unrecoverably.
-fn respond_once<R: Rng + ?Sized>(
-    bound: &BoundEnrollment<'_, '_>,
-    meas_rng: &mut R,
-    measurer: &mut RobustMeasurer<'_>,
-    tech: &Technology,
-    env: Environment,
-) -> Vec<Option<bool>> {
-    let scale = tech.delay_scale(env);
-    bound
-        .pairs()
-        .iter()
-        .map(|(p, pair)| {
-            let d_top = measurer.read(
-                meas_rng,
-                pair.top()
-                    .ring_delay_ps_scaled(p.top_config(), scale, env, tech),
-            );
-            let d_bottom = measurer.read(
-                meas_rng,
-                pair.bottom()
-                    .ring_delay_ps_scaled(p.bottom_config(), scale, env, tech),
-            );
-            match (d_top, d_bottom) {
-                (Some(t), Some(b)) => Some(t > b),
-                _ => None,
-            }
-        })
-        .collect()
-}
-
-/// Fault-tolerant counterpart of [`Enrollment::respond`] /
-/// [`Enrollment::respond_majority`], seeded the way the fleet engine
-/// seeds a corner read-out: the measurement RNG comes straight from
-/// `seed`, the fault and retry streams from sub-splits of it.
+/// Fault-tolerant counterpart of [`BoundEnrollment::respond_majority`],
+/// seeded the way the fleet engine seeds a corner read-out: the
+/// measurement RNG comes straight from `seed`, the fault and retry
+/// streams from sub-splits of it. Bind once with [`Enrollment::bind`]
+/// and call this per corner; binding draws no randomness.
 ///
-/// With `votes > 1`, each bit is the majority over its *valid* votes;
-/// a bit with no valid votes, or a tie, is an erasure. With every vote
-/// valid this reduces exactly to the plain majority rule.
+/// Every reading goes through the retry/read-back pipeline, and the
+/// read-out kernel of the plain path turns readings into bits: each
+/// bit is the majority over its *valid* votes, and a bit with no valid
+/// votes, or a tie, is an erasure. With every vote valid this reduces
+/// exactly to the plain majority rule.
 ///
 /// # Panics
 ///
 /// Panics if `votes` is zero or even (same contract as
 /// [`Enrollment::respond_majority`]).
-#[allow(clippy::too_many_arguments)] // mirrors the plain respond_majority signature plus the plan
-pub fn respond_robust(
-    enrollment: &Enrollment,
-    seed: u64,
-    board: &Board,
-    tech: &Technology,
-    env: Environment,
-    probe: &DelayProbe,
-    votes: usize,
-    plan: &FaultPlan,
-) -> (Vec<Option<bool>>, FaultSummary) {
-    respond_robust_bound(&enrollment.bind(board), seed, tech, env, probe, votes, plan)
-}
-
-/// [`respond_robust`] over a pre-bound enrollment — the form the fleet
-/// engine calls so one [`Enrollment::bind`] serves every corner of the
-/// environment sweep. Binding draws no randomness, so results are
-/// byte-identical to [`respond_robust`].
-///
-/// # Panics
-///
-/// Panics if `votes` is zero or even.
-#[allow(clippy::too_many_arguments)] // mirrors respond_robust minus the board
 pub fn respond_robust_bound(
     bound: &BoundEnrollment<'_, '_>,
     seed: u64,
@@ -553,10 +502,6 @@ pub fn respond_robust_bound(
     votes: usize,
     plan: &FaultPlan,
 ) -> (Vec<Option<bool>>, FaultSummary) {
-    assert!(
-        votes % 2 == 1,
-        "majority voting needs an odd vote count, got {votes}"
-    );
     let mut meas_rng = StdRng::seed_from_u64(seed);
     let mut measurer = RobustMeasurer::new(
         plan,
@@ -564,26 +509,8 @@ pub fn respond_robust_bound(
         split_seed(seed, STREAM_FAULT),
         split_seed(seed, STREAM_RETRY),
     );
-    let reads: Vec<Vec<Option<bool>>> = (0..votes)
-        .map(|_| respond_once(bound, &mut meas_rng, &mut measurer, tech, env))
-        .collect();
-    let bits: Vec<Option<bool>> = (0..reads[0].len())
-        .map(|i| {
-            let (mut ones, mut zeros) = (0usize, 0usize);
-            for vote in &reads {
-                match vote[i] {
-                    Some(true) => ones += 1,
-                    Some(false) => zeros += 1,
-                    None => {}
-                }
-            }
-            if ones + zeros == 0 || ones == zeros {
-                None
-            } else {
-                Some(ones > zeros)
-            }
-        })
-        .collect();
+    let bits: Vec<Option<bool>> =
+        bound.read_out(tech, env, votes, |d| measurer.read(&mut meas_rng, d));
     let mut summary = measurer.summary;
     summary.response_erasures += bits.iter().filter(|b| b.is_none()).count() as u64;
     (bits, summary)
@@ -592,8 +519,216 @@ pub fn respond_robust_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::RngCore;
     use ropuf_silicon::board::BoardId;
     use ropuf_silicon::SiliconSim;
+
+    /// The two read-out loops [`BoundEnrollment::read_out`] replaced,
+    /// verbatim: the plain pass and majority
+    /// (`BoundEnrollment::respond` / `respond_majority`) and the
+    /// fault-screened pass and erasure-aware tally (`respond_once` /
+    /// `respond_robust_bound`). The kernel is proptested against them.
+    mod oracle {
+        use super::*;
+        use ropuf_num::bits::BitVec;
+
+        pub fn respond<R: Rng + ?Sized>(
+            bound: &BoundEnrollment<'_, '_>,
+            rng: &mut R,
+            tech: &Technology,
+            env: Environment,
+            probe: &DelayProbe,
+        ) -> BitVec {
+            let scale = tech.delay_scale(env);
+            bound
+                .pairs()
+                .iter()
+                .map(|(p, pair)| {
+                    let d_top = probe.measure_ps(
+                        rng,
+                        pair.top()
+                            .ring_delay_ps_scaled(p.top_config(), scale, env, tech),
+                    );
+                    let d_bottom = probe.measure_ps(
+                        rng,
+                        pair.bottom()
+                            .ring_delay_ps_scaled(p.bottom_config(), scale, env, tech),
+                    );
+                    d_top > d_bottom
+                })
+                .collect()
+        }
+
+        pub fn respond_majority<R: Rng + ?Sized>(
+            bound: &BoundEnrollment<'_, '_>,
+            rng: &mut R,
+            tech: &Technology,
+            env: Environment,
+            probe: &DelayProbe,
+            votes: usize,
+        ) -> BitVec {
+            assert!(
+                votes % 2 == 1,
+                "majority voting needs an odd vote count, got {votes}"
+            );
+            let reads: Vec<BitVec> = (0..votes)
+                .map(|_| respond(bound, rng, tech, env, probe))
+                .collect();
+            (0..reads[0].len())
+                .map(|i| {
+                    let ones = reads.iter().filter(|r| r.get(i).expect("in range")).count();
+                    ones * 2 > votes
+                })
+                .collect()
+        }
+
+        fn respond_once<R: Rng + ?Sized>(
+            bound: &BoundEnrollment<'_, '_>,
+            meas_rng: &mut R,
+            measurer: &mut RobustMeasurer<'_>,
+            tech: &Technology,
+            env: Environment,
+        ) -> Vec<Option<bool>> {
+            let scale = tech.delay_scale(env);
+            bound
+                .pairs()
+                .iter()
+                .map(|(p, pair)| {
+                    let d_top = measurer.read(
+                        meas_rng,
+                        pair.top()
+                            .ring_delay_ps_scaled(p.top_config(), scale, env, tech),
+                    );
+                    let d_bottom = measurer.read(
+                        meas_rng,
+                        pair.bottom()
+                            .ring_delay_ps_scaled(p.bottom_config(), scale, env, tech),
+                    );
+                    match (d_top, d_bottom) {
+                        (Some(t), Some(b)) => Some(t > b),
+                        _ => None,
+                    }
+                })
+                .collect()
+        }
+
+        pub fn respond_robust_bound(
+            bound: &BoundEnrollment<'_, '_>,
+            seed: u64,
+            tech: &Technology,
+            env: Environment,
+            probe: &DelayProbe,
+            votes: usize,
+            plan: &FaultPlan,
+        ) -> (Vec<Option<bool>>, FaultSummary) {
+            assert!(
+                votes % 2 == 1,
+                "majority voting needs an odd vote count, got {votes}"
+            );
+            let mut meas_rng = StdRng::seed_from_u64(seed);
+            let mut measurer = RobustMeasurer::new(
+                plan,
+                *probe,
+                split_seed(seed, STREAM_FAULT),
+                split_seed(seed, STREAM_RETRY),
+            );
+            let reads: Vec<Vec<Option<bool>>> = (0..votes)
+                .map(|_| respond_once(bound, &mut meas_rng, &mut measurer, tech, env))
+                .collect();
+            let bits: Vec<Option<bool>> = (0..reads[0].len())
+                .map(|i| {
+                    let (mut ones, mut zeros) = (0usize, 0usize);
+                    for vote in &reads {
+                        match vote[i] {
+                            Some(true) => ones += 1,
+                            Some(false) => zeros += 1,
+                            None => {}
+                        }
+                    }
+                    if ones + zeros == 0 || ones == zeros {
+                        None
+                    } else {
+                        Some(ones > zeros)
+                    }
+                })
+                .collect();
+            let mut summary = measurer.summary;
+            summary.response_erasures += bits.iter().filter(|b| b.is_none()).count() as u64;
+            (bits, summary)
+        }
+    }
+
+    /// Heavy dropouts and a starved retry budget: recovery often fails,
+    /// so readings come back `None` and bits are erased or tied.
+    fn starved_plan() -> FaultPlan {
+        FaultPlan {
+            model: ropuf_silicon::FaultModel {
+                drop_rate: 0.6,
+                stuck_rate: 0.2,
+                glitch_rate: 0.0,
+                flaky_rate: 0.0,
+                ..ropuf_silicon::FaultModel::default()
+            },
+            options: RobustOptions {
+                retry_budget: 2,
+                readback_k: 3,
+                ..RobustOptions::default()
+            },
+        }
+    }
+
+    proptest! {
+        /// The guard for the read-out kernel: the plain and the
+        /// fault-screened response paths return exactly what the loops
+        /// they replaced returned — bits, erasures and fault accounting,
+        /// and on the plain path the caller's RNG position afterwards.
+        #[test]
+        fn read_out_matches_the_replaced_loops(
+            seed in any::<u64>(),
+            stages in 1usize..=9,
+            votes in proptest::sample::select(vec![1usize, 3, 5, 7]),
+            voltage in 0.95f64..1.45,
+            temperature in -25.0f64..100.0,
+            sigma_ps in 0.0f64..3.0,
+            plan_kind in 0u8..3,
+            scale in 0u32..12,
+        ) {
+            let sim = SiliconSim::default_spartan();
+            let units = 12 * stages;
+            let mut grow_rng = StdRng::seed_from_u64(seed);
+            let board = sim.grow_board_with_id(&mut grow_rng, BoardId(0), units, 6);
+            let tech = *sim.technology();
+            let puf = ConfigurableRoPuf::tiled_interleaved(units, stages);
+            let opts = EnrollOptions::default();
+            let enrollment = puf.enroll_seeded(seed, &board, &tech, Environment::nominal(), &opts);
+            let bound = enrollment.bind(&board);
+            let env = Environment::new(voltage, temperature);
+            let probe = DelayProbe::new(sigma_ps, 1);
+
+            let mut rng = StdRng::seed_from_u64(seed.rotate_left(17));
+            let mut oracle_rng = rng.clone();
+            let single = bound.respond(&mut rng, &tech, env, &probe);
+            let majority = bound.respond_majority(&mut rng, &tech, env, &probe, votes);
+            prop_assert_eq!(&single, &oracle::respond(&bound, &mut oracle_rng, &tech, env, &probe));
+            prop_assert_eq!(
+                &majority,
+                &oracle::respond_majority(&bound, &mut oracle_rng, &tech, env, &probe, votes)
+            );
+            prop_assert_eq!(rng.next_u64(), oracle_rng.next_u64(), "RNG out of lockstep");
+
+            let plan = match plan_kind {
+                0 => FaultPlan::scaled(0.0),
+                1 => FaultPlan::scaled(f64::from(scale)),
+                _ => starved_plan(),
+            };
+            let corner_seed = seed.rotate_left(31);
+            let got = respond_robust_bound(&bound, corner_seed, &tech, env, &probe, votes, &plan);
+            let want =
+                oracle::respond_robust_bound(&bound, corner_seed, &tech, env, &probe, votes, &plan);
+            prop_assert_eq!(got, want, "plan {}", plan_kind);
+        }
+    }
 
     fn setup(units: usize) -> (Board, Technology) {
         let sim = SiliconSim::default_spartan();
@@ -628,7 +763,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         let plain = enrollment.respond(&mut rng, &board, &tech, env, &probe);
         let plan = FaultPlan::scaled(0.0);
-        let (bits, summary) = respond_robust(&enrollment, 99, &board, &tech, env, &probe, 1, &plan);
+        let bound = enrollment.bind(&board);
+        let (bits, summary) = respond_robust_bound(&bound, 99, &tech, env, &probe, 1, &plan);
         let robust: Vec<bool> = bits.into_iter().map(|b| b.expect("no erasures")).collect();
         let plain: Vec<bool> = (0..plain.len()).map(|i| plain.get(i).unwrap()).collect();
         assert_eq!(robust, plain);
@@ -694,21 +830,7 @@ mod tests {
         let puf = ConfigurableRoPuf::tiled_interleaved(80, 4);
         let opts = EnrollOptions::default();
         let env = Environment::nominal();
-        // Heavy drop rate and a tiny budget: recovery often starves.
-        let plan = FaultPlan {
-            model: ropuf_silicon::FaultModel {
-                drop_rate: 0.6,
-                stuck_rate: 0.2,
-                glitch_rate: 0.0,
-                flaky_rate: 0.0,
-                ..ropuf_silicon::FaultModel::default()
-            },
-            options: RobustOptions {
-                retry_budget: 2,
-                readback_k: 3,
-                ..RobustOptions::default()
-            },
-        };
+        let plan = starved_plan();
         plan.validate().expect("valid plan");
         let robust = enroll_robust(&puf, 5, &board, &tech, env, &opts, &plan);
         assert!(
@@ -768,21 +890,7 @@ mod tests {
             ..EnrollOptions::default()
         };
         let env = Environment::nominal();
-        let plan = FaultPlan {
-            model: ropuf_silicon::FaultModel {
-                drop_rate: 0.6,
-                stuck_rate: 0.2,
-                glitch_rate: 0.0,
-                flaky_rate: 0.0,
-                ..ropuf_silicon::FaultModel::default()
-            },
-            options: RobustOptions {
-                retry_budget: 2,
-                readback_k: 3,
-                ..RobustOptions::default()
-            },
-        };
-        let robust = enroll_robust(&puf, 5, &board, &tech, env, &opts, &plan);
+        let robust = enroll_robust(&puf, 5, &board, &tech, env, &opts, &starved_plan());
         assert!(robust.unreadable_pairs > 0);
         assert_eq!(
             robust.summary.unreadable_pairs as usize,

@@ -10,9 +10,6 @@
 //!   which ring is likely faster),
 //! * `brute` — exhaustive oracles used by the test suite to prove both
 //!   algorithms optimal,
-//! * [`case1_local_search`] — a restart hill-climbing heuristic kept for
-//!   comparison: what a practitioner without §III.D's closed form would
-//!   write,
 //! * [`case1_multi_corner`] / [`case2_multi_corner`] — the same two
 //!   problems under the min-margin-across-corners objective: maximize
 //!   the margin at the *worst* V/T corner of a [`CornerDelays`] set
@@ -25,13 +22,11 @@
 mod brute;
 mod case1;
 mod case2;
-mod local_search;
 mod multi_corner;
 
 pub use brute::{brute_force_case1, brute_force_case2};
 pub use case1::{case1, case1_with_offset};
 pub use case2::{case2, case2_with_offset};
-pub use local_search::case1_local_search;
 pub use multi_corner::{case1_multi_corner, case2_multi_corner, CornerDelays};
 
 use crate::config::ConfigVector;

@@ -14,12 +14,16 @@
 use ropuf_core::fleet::{FleetConfig, FleetEngine, QuarantineReason};
 use ropuf_core::fuzzy::FuzzyExtractor;
 use ropuf_core::puf::{ConfigurableRoPuf, EnrollOptions};
-use ropuf_core::robust::{enroll_robust, respond_robust, FaultPlan, RobustOptions};
+use ropuf_core::robust::{enroll_robust, respond_robust_bound, FaultPlan, RobustOptions};
 use ropuf_num::bits::BitVec;
 use ropuf_silicon::faults::FaultModel;
 use ropuf_silicon::{DelayProbe, Environment, SiliconSim};
 
 fn engine(boards: usize, faults: Option<FaultPlan>) -> FleetEngine {
+    engine_at_threshold(boards, 0.0, faults)
+}
+
+fn engine_at_threshold(boards: usize, threshold_ps: f64, faults: Option<FaultPlan>) -> FleetEngine {
     FleetEngine::new(
         SiliconSim::default_spartan(),
         FleetConfig {
@@ -27,6 +31,10 @@ fn engine(boards: usize, faults: Option<FaultPlan>) -> FleetEngine {
             units: 60,
             cols: 6,
             stages: 3,
+            opts: EnrollOptions {
+                threshold_ps,
+                ..EnrollOptions::default()
+            },
             faults,
             ..FleetConfig::default()
         },
@@ -80,7 +88,6 @@ fn chaos_run_completes_with_quarantined_boards_and_no_panic() {
             } => {
                 assert!(unreadable_pairs <= total_pairs);
             }
-            QuarantineReason::NoBits => {}
         }
     }
     // Board indices stay meaningful: records skip exactly the
@@ -125,13 +132,26 @@ fn quarantine_set_is_deterministic_across_runs() {
 
 #[test]
 fn zero_rate_plan_is_identical_to_no_plan_at_all() {
-    let plain = engine(12, None).run_on(7, 4);
-    let zero = engine(12, Some(FaultPlan::scaled(0.0))).run_on(7, 4);
-    assert_eq!(zero.records, plain.records);
-    assert!(zero.quarantined.is_empty());
-    assert!(!zero.faults.has_activity());
-    assert_eq!(zero.uniqueness(), plain.uniqueness());
-    assert_eq!(zero.corner_flip_rates(), plain.corner_flip_rates());
+    // At a 6 ps threshold this floorplan leaves 4 of the 12 boards with
+    // no bits at all; a zero-rate plan must record them, as a plain run
+    // does, rather than quarantine them.
+    for threshold_ps in [0.0, 6.0] {
+        let plain = engine_at_threshold(12, threshold_ps, None).run_on(7, 4);
+        let zero = engine_at_threshold(12, threshold_ps, Some(FaultPlan::scaled(0.0))).run_on(7, 4);
+        assert_eq!(zero.records, plain.records, "threshold {threshold_ps}");
+        assert!(zero.quarantined.is_empty(), "threshold {threshold_ps}");
+        assert!(plain.quarantined.is_empty(), "threshold {threshold_ps}");
+        assert!(!zero.faults.has_activity());
+        assert_eq!(zero.faults, plain.faults, "threshold {threshold_ps}");
+        assert_eq!(zero.uniqueness(), plain.uniqueness());
+        assert_eq!(zero.corner_flip_rates(), plain.corner_flip_rates());
+        let empty = plain
+            .records
+            .iter()
+            .filter(|r| r.expected_bits.is_empty())
+            .count();
+        assert_eq!(empty, if threshold_ps > 0.0 { 4 } else { 0 });
+    }
 }
 
 #[test]
@@ -226,17 +246,10 @@ fn fuzzy_keys_survive_the_default_chaos_sweep() {
     let (key, helper) = fx.generate(&mut gen_rng, &bits);
 
     let probe = DelayProbe::new(0.25, 1);
+    let bound = enrolled.enrollment.bind(&board);
     for seed in [100u64, 200, 300] {
-        let (response, summary) = respond_robust(
-            &enrolled.enrollment,
-            seed,
-            &board,
-            sim.technology(),
-            env,
-            &probe,
-            1,
-            &plan,
-        );
+        let (response, summary) =
+            respond_robust_bound(&bound, seed, sim.technology(), env, &probe, 1, &plan);
         assert!(summary.injected_faults() > 0, "the sweep actually injected");
         // Erased bits fall back to 0 — the fuzzy extractor's block
         // majority absorbs them like any other error.

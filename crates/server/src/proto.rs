@@ -42,7 +42,7 @@ pub struct WireBits {
 }
 
 impl WireBits {
-    /// Wraps a read-out (the output of `respond_robust*`).
+    /// Wraps a read-out (the output of `respond_robust_bound`).
     pub fn new(bits: Vec<Option<bool>>) -> Self {
         Self { bits }
     }
@@ -706,7 +706,7 @@ mod tests {
     #[test]
     fn erasures_survive_the_wire_bit_for_bit() {
         // Every (valid, value) combination across a non-multiple-of-8
-        // length — the exact vector respond_robust produces.
+        // length — the exact vector respond_robust_bound produces.
         let bits: Vec<Option<bool>> = (0..133)
             .map(|i| match i % 4 {
                 0 => Some(true),

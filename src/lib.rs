@@ -57,7 +57,8 @@ pub mod prelude {
     };
     pub use ropuf_core::ro::RoPair;
     pub use ropuf_core::robust::{
-        enroll_robust, respond_robust, FaultPlan, FaultSummary, RobustEnrollment, RobustOptions,
+        enroll_robust, respond_robust_bound, FaultPlan, FaultSummary, RobustEnrollment,
+        RobustOptions,
     };
     pub use ropuf_core::traditional::{TraditionalEnrollment, TraditionalRoPuf};
     pub use ropuf_core::{ConfigVector, ParityPolicy};

@@ -702,18 +702,20 @@ fn fleet_rejects_malformed_fault_scale() {
 fn fleet_with_zero_fault_scale_is_byte_identical_to_plain() {
     // `--faults 0` must not perturb the measurement RNG stream: the
     // robust read path falls back to plain reads and the report gains
-    // no extra lines.
-    let plain = ropuf(&[
+    // no extra lines. At `--threshold 6` half of these boards enroll no
+    // bits; they are recorded either way, never quarantined.
+    let base = [
         "fleet", "--boards", "6", "--seed", "7", "--units", "60", "--stages", "3",
-    ]);
-    let zero = ropuf(&[
-        "fleet", "--boards", "6", "--seed", "7", "--units", "60", "--stages", "3", "--faults", "0",
-    ]);
-    assert!(plain.status.success() && zero.status.success());
-    assert_eq!(
-        plain.stdout, zero.stdout,
-        "zero-rate fault layer must be byte-identical to no fault layer"
-    );
+    ];
+    for extra in [&[][..], &["--threshold", "6"][..]] {
+        let plain = ropuf(&[&base[..], extra].concat());
+        let zero = ropuf(&[&base[..], extra, &["--faults", "0"]].concat());
+        assert!(plain.status.success() && zero.status.success());
+        assert_eq!(
+            plain.stdout, zero.stdout,
+            "zero-rate fault layer must be byte-identical to no fault layer ({extra:?})"
+        );
+    }
 }
 
 #[test]
