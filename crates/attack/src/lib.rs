@@ -30,10 +30,11 @@
 //!   pipeline — the distiller is the defense under test.
 //! * [`transcript`] / [`model`] — CRP transcripts of a hypothetical
 //!   *reconfigurable* deployment (the design the paper rejects in §II)
-//!   and the modeling attacks that break it: a correlation/ordering
-//!   attack and a logistic-regression harness (IRLS over
+//!   and the modeling attacks that break it: the least-squares
+//!   [`model::LinearDelayAttack`], a correlation/ordering attack and a
+//!   logistic-regression harness (IRLS over
 //!   [`ropuf_num::linalg::Matrix::weighted_least_squares_ridge`])
-//!   generalizing [`ropuf_core::crp::LinearDelayAttack`].
+//!   generalizing it.
 //! * [`suite`] — one deterministic run of every attack, reported as
 //!   `attacker advantage` (accuracy − 0.5) per attack, plus the
 //!   [`suite::SuiteReport::security_readings`] the

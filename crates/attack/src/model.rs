@@ -1,13 +1,13 @@
-//! Modeling attacks on CRP transcripts: correlation/ordering and
-//! logistic regression.
+//! Modeling attacks on CRP transcripts: least squares,
+//! correlation/ordering and logistic regression.
 //!
-//! Both generalize the least-squares seed in
-//! [`ropuf_core::crp::LinearDelayAttack`]. The correlation attack is
-//! the cheapest statistic Wilde et al. describe — per-stage Pearson
-//! correlation between the selection indicator and the response, which
-//! already recovers the *ordering* of the secret stage delays. The
-//! logistic attack fits the proper Bernoulli model of the same features
-//! by IRLS, each inner step a
+//! [`LinearDelayAttack`] is the standard first-order attack: a ridge
+//! least-squares fit of the ±1 response. The other two generalize it.
+//! The correlation attack is the cheapest statistic Wilde et al.
+//! describe — per-stage Pearson correlation between the selection
+//! indicator and the response, which already recovers the *ordering*
+//! of the secret stage delays. The logistic attack fits the proper
+//! Bernoulli model of the same features by IRLS, each inner step a
 //! [`ropuf_num::linalg::Matrix::weighted_least_squares_ridge`] solve.
 
 use ropuf_core::crp::Challenge;
@@ -16,8 +16,7 @@ use ropuf_num::stats::pearson;
 
 /// The feature vector of the linear/logistic delay models:
 /// `[1, x₁…x_n, −y₁…−y_n]` (intercept, top selections, negated bottom
-/// selections) — identical to the encoding
-/// [`ropuf_core::crp::LinearDelayAttack`] trains on.
+/// selections), shared by every model in this module.
 pub fn features(challenge: &Challenge, stages: usize) -> Vec<f64> {
     let mut f = Vec::with_capacity(2 * stages + 1);
     f.push(1.0);
@@ -64,6 +63,103 @@ impl std::fmt::Display for ModelError {
 }
 
 impl std::error::Error for ModelError {}
+
+/// The regression models' design matrix (one [`features`] row per
+/// challenge) and stage count; fewer CRPs than the `2n + 1` parameters
+/// is [`ModelError::NotEnoughData`].
+fn design_matrix(
+    challenges: &[Challenge],
+    responses: &[bool],
+) -> Result<(Matrix, usize), ModelError> {
+    assert_eq!(
+        challenges.len(),
+        responses.len(),
+        "one response per challenge"
+    );
+    let stages = challenges.first().map_or(0, Challenge::stages);
+    let params = 2 * stages + 1;
+    if challenges.len() < params {
+        return Err(ModelError::NotEnoughData {
+            observed: challenges.len(),
+            required: params,
+        });
+    }
+    let design = Matrix::from_fn(challenges.len(), params, |i, j| {
+        features(&challenges[i], stages)[j]
+    });
+    Ok((design, stages))
+}
+
+/// A least-squares linear delay model of one ring pair, learned from
+/// observed challenge-response pairs.
+///
+/// The model regresses the ±1 response on [`features`] and predicts
+/// with the sign of the fit — the standard first-order attack on
+/// delay-based PUFs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LinearDelayAttack {
+    weights: Vec<f64>,
+    stages: usize,
+}
+
+impl LinearDelayAttack {
+    /// Fits the model to observed CRPs.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::NotEnoughData`] with fewer than `2n + 1` CRPs;
+    /// [`ModelError::Degenerate`] if the challenges do not span the
+    /// feature space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `challenges` and `responses` differ in length or the
+    /// challenges differ in stage count.
+    pub fn train(challenges: &[Challenge], responses: &[bool]) -> Result<Self, ModelError> {
+        let (design, stages) = design_matrix(challenges, responses)?;
+        let targets: Vec<f64> = responses
+            .iter()
+            .map(|&b| if b { 1.0 } else { -1.0 })
+            .collect();
+        // The equal-count constraint makes the stage columns exactly
+        // collinear (their sum is the zero vector), so a whisker of
+        // ridge regularization is required; it does not affect the
+        // decision boundary.
+        let weights = design
+            .least_squares_ridge(&targets, 1e-6)
+            .map_err(|_| ModelError::Degenerate)?;
+        Ok(Self { weights, stages })
+    }
+
+    /// Predicts the response to a challenge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the challenge's stage count differs from the training
+    /// data's.
+    pub fn predict(&self, challenge: &Challenge) -> bool {
+        assert_eq!(challenge.stages(), self.stages, "stage count mismatch");
+        let f = features(challenge, self.stages);
+        let score: f64 = self.weights.iter().zip(&f).map(|(w, x)| w * x).sum();
+        score > 0.0
+    }
+
+    /// Prediction accuracy over a labelled test set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length or the test set is empty.
+    pub fn accuracy(&self, challenges: &[Challenge], responses: &[bool]) -> f64 {
+        accuracy_of(|c| self.predict(c), challenges, responses)
+    }
+
+    /// The fitted weights `[w₀, w₁…w_n, v₁…v_n]` (intercept, top-stage,
+    /// bottom-stage). The top weights approximate the top ring's stage
+    /// delays up to affine transformation — the leak the attack exploits.
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
+    }
+}
 
 /// The correlation/ordering attack: per-feature Pearson correlation
 /// with the ±1 response, used directly as a linear score. Needs no
@@ -202,24 +298,9 @@ impl LogisticDelayAttack {
     /// Panics if the slices differ in length or the challenges differ
     /// in stage count.
     pub fn train(challenges: &[Challenge], responses: &[bool]) -> Result<Self, ModelError> {
-        assert_eq!(
-            challenges.len(),
-            responses.len(),
-            "one response per challenge"
-        );
-        let stages = challenges.first().map_or(0, Challenge::stages);
-        let params = 2 * stages + 1;
-        if challenges.len() < params {
-            return Err(ModelError::NotEnoughData {
-                observed: challenges.len(),
-                required: params,
-            });
-        }
-        let design = Matrix::from_fn(challenges.len(), params, |i, j| {
-            features(&challenges[i], stages)[j]
-        });
+        let (design, stages) = design_matrix(challenges, responses)?;
         let y: Vec<f64> = responses.iter().map(|&b| f64::from(u8::from(b))).collect();
-        let mut beta = vec![0.0; params];
+        let mut beta = vec![0.0; design.cols()];
         let mut iterations = 0;
         for _ in 0..IRLS_MAX_ITERATIONS {
             iterations += 1;
@@ -348,7 +429,22 @@ fn ranks(xs: &[f64]) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::transcript::{Transcript, TranscriptConfig};
-    use ropuf_core::crp::LinearDelayAttack;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use ropuf_core::config::ParityPolicy;
+    use ropuf_core::crp::respond;
+    use ropuf_core::ro::RoPair;
+    use ropuf_silicon::board::BoardId;
+    use ropuf_silicon::{DelayProbe, Environment, SiliconSim, Technology};
+
+    fn pair_and_tech(n: usize) -> (ropuf_silicon::Board, Technology) {
+        let sim = SiliconSim::default_spartan();
+        let mut rng = StdRng::seed_from_u64(3);
+        (
+            sim.grow_board_with_id(&mut rng, BoardId(0), 2 * n, n),
+            *sim.technology(),
+        )
+    }
 
     fn transcript() -> Transcript {
         Transcript::generate(&TranscriptConfig {
@@ -419,6 +515,62 @@ mod tests {
             CorrelationAttack::train(&b.challenges[..1], &b.responses[..1]),
             Err(ModelError::NotEnoughData { .. })
         ));
+    }
+
+    #[test]
+    fn attack_learns_the_pair() {
+        let n = 11;
+        let (board, tech) = pair_and_tech(n);
+        let pair = RoPair::split_range(&board, 0..2 * n);
+        let mut rng = StdRng::seed_from_u64(5);
+        let probe = DelayProbe::noiseless();
+        let env = Environment::nominal();
+        let crps: Vec<(Challenge, bool)> = (0..600)
+            .map(|_| {
+                let c = Challenge::random(&mut rng, n, ParityPolicy::Ignore);
+                let r = respond(&mut rng, &pair, &c, &probe, env, &tech);
+                (c, r)
+            })
+            .collect();
+        let (train, test) = crps.split_at(300);
+        let (tc, tr): (Vec<_>, Vec<_>) = train.iter().cloned().unzip();
+        let model = LinearDelayAttack::train(&tc, &tr).expect("enough data");
+        let (xc, xr): (Vec<_>, Vec<_>) = test.iter().cloned().unzip();
+        let acc = model.accuracy(&xc, &xr);
+        assert!(acc > 0.9, "attack accuracy {acc}");
+        assert_eq!(model.weights().len(), 2 * n + 1);
+    }
+
+    #[test]
+    fn attack_needs_enough_data() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let cs: Vec<Challenge> = (0..5)
+            .map(|_| Challenge::random(&mut rng, 9, ParityPolicy::Ignore))
+            .collect();
+        let rs = vec![true; 5];
+        let err = LinearDelayAttack::train(&cs, &rs).unwrap_err();
+        assert_eq!(
+            err,
+            ModelError::NotEnoughData {
+                observed: 5,
+                required: 19
+            }
+        );
+        assert!(err.to_string().contains("19-parameter"));
+    }
+
+    #[test]
+    fn degenerate_training_set_learns_only_the_constant() {
+        // With ridge regularization a rank-deficient training set still
+        // trains, but all it can learn is the constant answer: the
+        // training challenge predicts correctly, everything else is
+        // uninformed.
+        let mut rng = StdRng::seed_from_u64(7);
+        let c = Challenge::random(&mut rng, 4, ParityPolicy::Ignore);
+        let cs = vec![c.clone(); 20];
+        let rs = vec![true; 20];
+        let model = LinearDelayAttack::train(&cs, &rs).expect("ridge keeps this solvable");
+        assert!(model.predict(&c));
     }
 
     #[test]

@@ -11,14 +11,13 @@
 use std::sync::Arc;
 
 use ropuf_core::config::ParityPolicy;
-use ropuf_core::crp::LinearDelayAttack;
 use ropuf_telemetry as telemetry;
 use telemetry::MemorySink;
 
 use crate::count_leak::{count_leak, degenerate_distinguisher};
 use crate::envelope::{EnvelopeConfig, EnvelopeFleet, Guard};
 use crate::gradient::gradient_attack;
-use crate::model::{spearman, CorrelationAttack, LogisticDelayAttack};
+use crate::model::{spearman, CorrelationAttack, LinearDelayAttack, LogisticDelayAttack};
 use crate::transcript::{Transcript, TranscriptConfig};
 use crate::AttackOutcome;
 

@@ -858,7 +858,8 @@ pub fn baselines(seed: u64) -> BaselinesOutcome {
     );
     rows.push(("1-out-of-8", one8.bit_count(), 0.25, flips));
 
-    let coop = CooperativePuf::tiled(units, n).enroll(
+    let coop_puf = CooperativePuf::tiled(units, n);
+    let coop = coop_puf.enroll(
         &mut rng,
         &board,
         sim.technology(),
@@ -872,7 +873,12 @@ pub fn baselines(seed: u64) -> BaselinesOutcome {
         &mut |rng, env| coop.respond(rng, &board, sim.technology(), env, &probe),
         &mut rng,
     );
-    rows.push(("cooperative", coop.bit_count(), coop.utilization(), flips));
+    rows.push((
+        "cooperative",
+        coop.bit_count(),
+        coop_puf.utilization(&coop),
+        flips,
+    ));
 
     let conf = ConfigurableRoPuf::tiled(units, n).enroll(
         &mut rng,

@@ -16,10 +16,10 @@
 //! number the comparison is about.
 
 use rand::Rng;
-use ropuf_num::bits::BitVec;
 use ropuf_silicon::{Board, DelayProbe, Environment, Technology};
 
 use crate::config::ConfigVector;
+use crate::puf::{EnrolledPair, Enrollment, PairSpec};
 use crate::ro::ConfigurableRo;
 
 /// A cooperative RO PUF floorplan: a pool of equally sized rings that
@@ -70,9 +70,21 @@ impl CooperativePuf {
         self.rings.len()
     }
 
+    /// Hardware utilization of an enrollment of this pool: rings
+    /// actually producing bits over rings provisioned (the traditional
+    /// RO PUF's baseline is 1.0; 1-out-of-8 sits at 0.25).
+    pub fn utilization(&self, enrollment: &Enrollment) -> f64 {
+        2.0 * enrollment.bit_count() as f64 / self.rings.len() as f64
+    }
+
     /// Enrolls: measures every ring at every corner in `corners`, then
     /// pairs rings whose ordering is corner-consistent with at least
     /// `min_margin_ps` of slack everywhere, most-robust pairs first.
+    ///
+    /// Each pair is an all-selected [`EnrolledPair`] with the
+    /// lower-indexed ring on top, the expected bit `true` when that ring
+    /// is slower at every corner, and the worst-corner separation as its
+    /// margin. The enrollment is recorded at `corners[0]`.
     ///
     /// # Panics
     ///
@@ -86,7 +98,7 @@ impl CooperativePuf {
         corners: &[Environment],
         probe: &DelayProbe,
         min_margin_ps: f64,
-    ) -> CooperativeEnrollment {
+    ) -> Enrollment {
         assert!(!corners.is_empty(), "enrollment needs at least one corner");
         assert!(
             min_margin_ps.is_finite() && min_margin_ps >= 0.0,
@@ -135,100 +147,18 @@ impl CooperativePuf {
             if !used[a] && !used[b] {
                 used[a] = true;
                 used[b] = true;
-                pairs.push(CooperativePair {
-                    ring_a: self.rings[a].clone(),
-                    ring_b: self.rings[b].clone(),
-                    expected_bit: a_slower,
-                    worst_margin_ps: worst,
-                });
+                let spec = PairSpec::try_new(self.rings[a].clone(), self.rings[b].clone())
+                    .expect("pool rings are equally sized");
+                pairs.push(Some(EnrolledPair::from_parts(
+                    spec,
+                    config.clone(),
+                    config.clone(),
+                    a_slower,
+                    worst,
+                )));
             }
         }
-        CooperativeEnrollment {
-            pairs,
-            ring_pool: self.rings.len(),
-            stages,
-        }
-    }
-}
-
-/// One enrolled cooperative pair.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CooperativePair {
-    ring_a: Vec<usize>,
-    ring_b: Vec<usize>,
-    expected_bit: bool,
-    worst_margin_ps: f64,
-}
-
-impl CooperativePair {
-    /// Bit recorded at enrollment (`true` = ring A slower at every
-    /// corner).
-    pub fn expected_bit(&self) -> bool {
-        self.expected_bit
-    }
-
-    /// The pair's delay separation at its worst enrollment corner.
-    pub fn worst_margin_ps(&self) -> f64 {
-        self.worst_margin_ps
-    }
-}
-
-/// An enrolled cooperative PUF.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CooperativeEnrollment {
-    pairs: Vec<CooperativePair>,
-    ring_pool: usize,
-    stages: usize,
-}
-
-impl CooperativeEnrollment {
-    /// The enrolled pairs, most robust first.
-    pub fn pairs(&self) -> &[CooperativePair] {
-        &self.pairs
-    }
-
-    /// Number of bits produced.
-    pub fn bit_count(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Hardware utilization: rings actually producing bits over rings
-    /// provisioned (the traditional RO PUF's baseline is 1.0; 1-out-of-8
-    /// sits at 0.25).
-    pub fn utilization(&self) -> f64 {
-        2.0 * self.pairs.len() as f64 / self.ring_pool as f64
-    }
-
-    /// Bits recorded at enrollment.
-    pub fn expected_bits(&self) -> BitVec {
-        self.pairs
-            .iter()
-            .map(CooperativePair::expected_bit)
-            .collect()
-    }
-
-    /// Generates a response at `env`.
-    pub fn respond<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        board: &Board,
-        tech: &Technology,
-        env: Environment,
-        probe: &DelayProbe,
-    ) -> BitVec {
-        let config = ConfigVector::all_selected(self.stages);
-        self.pairs
-            .iter()
-            .map(|p| {
-                let ring = |units: &Vec<usize>| {
-                    ConfigurableRo::try_new(board, units.clone())
-                        .expect("cooperative rings fit the board")
-                };
-                let da = probe.measure_ps(rng, ring(&p.ring_a).ring_delay_ps(&config, env, tech));
-                let db = probe.measure_ps(rng, ring(&p.ring_b).ring_delay_ps(&config, env, tech));
-                da > db
-            })
-            .collect()
+        Enrollment::from_parts(pairs, corners[0])
     }
 }
 
@@ -247,7 +177,7 @@ mod tests {
         (board, *sim.technology(), rng)
     }
 
-    fn enroll(min_margin: f64) -> (CooperativeEnrollment, Board, Technology, StdRng) {
+    fn enroll(min_margin: f64) -> (Enrollment, Board, Technology, StdRng) {
         let (board, tech, mut rng) = setup();
         let puf = CooperativePuf::tiled(board.len(), 5);
         let e = puf.enroll(
@@ -263,10 +193,11 @@ mod tests {
 
     #[test]
     fn utilization_beats_one_of_eight() {
-        let (e, _, _, _) = enroll(0.5);
+        let (e, board, _, _) = enroll(0.5);
+        let utilization = CooperativePuf::tiled(board.len(), 5).utilization(&e);
         // Reference [2] claims ~80 % above 1-out-of-8's 25 %; anything
         // comfortably above 0.25 demonstrates the point.
-        assert!(e.utilization() > 0.5, "utilization {}", e.utilization());
+        assert!(utilization > 0.5, "utilization {utilization}");
         assert!(e.bit_count() >= 16);
     }
 
@@ -275,12 +206,12 @@ mod tests {
         let (e, _, _, _) = enroll(0.5);
         let mut seen = std::collections::HashSet::new();
         let mut prev = f64::INFINITY;
-        for p in e.pairs() {
-            for u in p.ring_a.iter().chain(&p.ring_b) {
+        for p in e.pairs().iter().flatten() {
+            for u in p.spec().top().iter().chain(p.spec().bottom()) {
                 assert!(seen.insert(*u), "unit {u} reused");
             }
-            assert!(p.worst_margin_ps() <= prev);
-            prev = p.worst_margin_ps();
+            assert!(p.margin_ps() <= prev);
+            prev = p.margin_ps();
         }
     }
 
@@ -315,7 +246,8 @@ mod tests {
             &DelayProbe::noiseless(),
             0.0,
         );
-        assert!(e.utilization() > 0.96, "utilization {}", e.utilization());
+        let utilization = puf.utilization(&e);
+        assert!(utilization > 0.96, "utilization {utilization}");
     }
 
     #[test]

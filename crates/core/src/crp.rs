@@ -1,4 +1,4 @@
-//! Challenge-response operation and the modeling attack against it.
+//! Challenge-response operation of a reconfigurable deployment.
 //!
 //! §II of the paper distinguishes its *configurable* PUF (configuration
 //! fixed once at enrollment) from *reconfigurable* PUFs that accept the
@@ -9,15 +9,14 @@
 //!
 //! This module makes that argument concrete. [`Challenge`] treats a
 //! configuration pair as a challenge and [`respond`] evaluates the bit a
-//! reconfigurable deployment would emit. [`LinearDelayAttack`] then does
-//! what an attacker would do: fit the obvious linear delay model
-//! `bit = sign(w₀ + Σ wᵢ xᵢ − Σ vᵢ yᵢ)` to observed CRPs by least
-//! squares and predict unseen challenges. A few hundred CRPs suffice for
-//! near-perfect prediction (see the `modeling_attack` example) — which
-//! is exactly why the paper freezes the configuration instead.
+//! reconfigurable deployment would emit. The modeling attacks in
+//! `ropuf_attack::model` then do what an attacker would do: fit a delay
+//! model to observed CRPs and predict unseen challenges. A few hundred
+//! CRPs suffice for near-perfect prediction (see the `modeling_attack`
+//! example) — which is exactly why the paper freezes the configuration
+//! instead.
 
 use rand::Rng;
-use ropuf_num::linalg::Matrix;
 use ropuf_silicon::{DelayProbe, Environment, Technology};
 
 use crate::config::{ConfigVector, ParityPolicy};
@@ -125,154 +124,6 @@ pub fn respond<R: Rng + ?Sized>(
     d_top > d_bottom
 }
 
-/// A least-squares linear delay model of one ring pair, learned from
-/// observed challenge-response pairs.
-///
-/// The model regresses the ±1 response on the feature vector
-/// `[1, x₁…x_n, y₁…y_n]` and predicts with the sign of the fit — the
-/// standard first-order attack on delay-based PUFs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinearDelayAttack {
-    weights: Vec<f64>,
-    stages: usize,
-}
-
-/// Errors from [`LinearDelayAttack::train`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TrainError {
-    /// Fewer CRPs than model parameters (`2n + 1`).
-    NotEnoughData {
-        /// CRPs supplied.
-        observed: usize,
-        /// CRPs required.
-        required: usize,
-    },
-    /// The training set does not span the feature space (e.g. all
-    /// challenges identical).
-    Degenerate,
-}
-
-impl std::fmt::Display for TrainError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TrainError::NotEnoughData { observed, required } => {
-                write!(f, "{observed} CRPs cannot fit a {required}-parameter model")
-            }
-            TrainError::Degenerate => write!(f, "training challenges are degenerate"),
-        }
-    }
-}
-
-impl std::error::Error for TrainError {}
-
-impl LinearDelayAttack {
-    /// Fits the model to observed CRPs.
-    ///
-    /// # Errors
-    ///
-    /// [`TrainError::NotEnoughData`] with fewer than `2n + 1` CRPs;
-    /// [`TrainError::Degenerate`] if the challenges do not span the
-    /// feature space.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `challenges` and `responses` differ in length or the
-    /// challenges differ in stage count.
-    pub fn train(challenges: &[Challenge], responses: &[bool]) -> Result<Self, TrainError> {
-        assert_eq!(
-            challenges.len(),
-            responses.len(),
-            "one response per challenge"
-        );
-        let stages = challenges.first().map_or(0, Challenge::stages);
-        let params = 2 * stages + 1;
-        if challenges.len() < params {
-            return Err(TrainError::NotEnoughData {
-                observed: challenges.len(),
-                required: params,
-            });
-        }
-        let design = Matrix::from_fn(challenges.len(), params, |i, j| {
-            features(&challenges[i], stages)[j]
-        });
-        let targets: Vec<f64> = responses
-            .iter()
-            .map(|&b| if b { 1.0 } else { -1.0 })
-            .collect();
-        // The equal-count constraint makes the stage columns exactly
-        // collinear (their sum is the zero vector), so a whisker of
-        // ridge regularization is required; it does not affect the
-        // decision boundary.
-        let weights = design
-            .least_squares_ridge(&targets, 1e-6)
-            .map_err(|_| TrainError::Degenerate)?;
-        Ok(Self { weights, stages })
-    }
-
-    /// Predicts the response to a challenge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the challenge's stage count differs from the training
-    /// data's.
-    pub fn predict(&self, challenge: &Challenge) -> bool {
-        assert_eq!(challenge.stages(), self.stages, "stage count mismatch");
-        let f = features(challenge, self.stages);
-        let score: f64 = self.weights.iter().zip(&f).map(|(w, x)| w * x).sum();
-        score > 0.0
-    }
-
-    /// Prediction accuracy over a labelled test set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length or the test set is empty.
-    pub fn accuracy(&self, challenges: &[Challenge], responses: &[bool]) -> f64 {
-        assert_eq!(
-            challenges.len(),
-            responses.len(),
-            "one response per challenge"
-        );
-        assert!(
-            !challenges.is_empty(),
-            "accuracy needs a non-empty test set"
-        );
-        let hits = challenges
-            .iter()
-            .zip(responses)
-            .filter(|(c, &r)| self.predict(c) == r)
-            .count();
-        hits as f64 / challenges.len() as f64
-    }
-
-    /// The fitted weights `[w₀, w₁…w_n, v₁…v_n]` (intercept, top-stage,
-    /// bottom-stage). The top weights approximate the top ring's stage
-    /// delays up to affine transformation — the leak the attack exploits.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-}
-
-fn features(challenge: &Challenge, stages: usize) -> Vec<f64> {
-    let mut f = Vec::with_capacity(2 * stages + 1);
-    f.push(1.0);
-    for i in 0..stages {
-        f.push(if challenge.top().is_selected(i) {
-            1.0
-        } else {
-            0.0
-        });
-    }
-    for i in 0..stages {
-        f.push(if challenge.bottom().is_selected(i) {
-            -1.0
-        } else {
-            0.0
-        });
-    }
-    f
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,62 +182,6 @@ mod tests {
         let r1 = respond(&mut rng, &pair, &c, &probe, env, &tech);
         let r2 = respond(&mut rng, &pair, &c, &probe, env, &tech);
         assert_eq!(r1, r2);
-    }
-
-    #[test]
-    fn attack_learns_the_pair() {
-        let n = 11;
-        let (board, tech) = pair_and_tech(n);
-        let pair = RoPair::split_range(&board, 0..2 * n);
-        let mut rng = StdRng::seed_from_u64(5);
-        let probe = DelayProbe::noiseless();
-        let env = Environment::nominal();
-        let crps: Vec<(Challenge, bool)> = (0..600)
-            .map(|_| {
-                let c = Challenge::random(&mut rng, n, ParityPolicy::Ignore);
-                let r = respond(&mut rng, &pair, &c, &probe, env, &tech);
-                (c, r)
-            })
-            .collect();
-        let (train, test) = crps.split_at(300);
-        let (tc, tr): (Vec<_>, Vec<_>) = train.iter().cloned().unzip();
-        let model = LinearDelayAttack::train(&tc, &tr).expect("enough data");
-        let (xc, xr): (Vec<_>, Vec<_>) = test.iter().cloned().unzip();
-        let acc = model.accuracy(&xc, &xr);
-        assert!(acc > 0.9, "attack accuracy {acc}");
-        assert_eq!(model.weights().len(), 2 * n + 1);
-    }
-
-    #[test]
-    fn attack_needs_enough_data() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let cs: Vec<Challenge> = (0..5)
-            .map(|_| Challenge::random(&mut rng, 9, ParityPolicy::Ignore))
-            .collect();
-        let rs = vec![true; 5];
-        let err = LinearDelayAttack::train(&cs, &rs).unwrap_err();
-        assert_eq!(
-            err,
-            TrainError::NotEnoughData {
-                observed: 5,
-                required: 19
-            }
-        );
-        assert!(err.to_string().contains("19-parameter"));
-    }
-
-    #[test]
-    fn degenerate_training_set_learns_only_the_constant() {
-        // With ridge regularization a rank-deficient training set still
-        // trains, but all it can learn is the constant answer: the
-        // training challenge predicts correctly, everything else is
-        // uninformed.
-        let mut rng = StdRng::seed_from_u64(7);
-        let c = Challenge::random(&mut rng, 4, ParityPolicy::Ignore);
-        let cs = vec![c.clone(); 20];
-        let rs = vec![true; 20];
-        let model = LinearDelayAttack::train(&cs, &rs).expect("ridge keeps this solvable");
-        assert!(model.predict(&c));
     }
 
     #[test]

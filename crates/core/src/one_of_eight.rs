@@ -8,10 +8,10 @@
 //! schemes (25 % hardware utilization, the paper's Table V).
 
 use rand::Rng;
-use ropuf_num::bits::BitVec;
 use ropuf_silicon::{Board, DelayProbe, Environment, Technology};
 
 use crate::config::ConfigVector;
+use crate::puf::{EnrolledPair, Enrollment, PairSpec};
 
 /// A group of eight equally sized rings, described by the unit indices of
 /// each ring.
@@ -119,7 +119,10 @@ impl OneOfEightPuf {
     }
 
     /// Enrolls: measures all eight rings per group and records the
-    /// indices of the fastest and slowest rings plus the expected bit.
+    /// fastest and slowest rings as one all-selected [`EnrolledPair`],
+    /// the lower-positioned ring on top. The expected bit is `true` when
+    /// the top ring measured slower; the margin is the separation
+    /// between the two.
     pub fn enroll<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -127,8 +130,8 @@ impl OneOfEightPuf {
         tech: &Technology,
         env: Environment,
         probe: &DelayProbe,
-    ) -> OneOfEightEnrollment {
-        let picks = self
+    ) -> Enrollment {
+        let pairs = self
             .groups
             .iter()
             .map(|group| {
@@ -146,97 +149,19 @@ impl OneOfEightPuf {
                     .max_by(|a, b| a.1.total_cmp(b.1))
                     .expect("eight rings");
                 let (a, b) = (fast.min(slow), fast.max(slow));
-                GroupPick {
-                    group: group.clone(),
-                    ring_a: a,
-                    ring_b: b,
-                    expected_bit: delays[a] > delays[b],
-                    margin_ps: (delays[fast] - delays[slow]).abs(),
-                }
+                let spec = PairSpec::try_new(group.ring(a).to_vec(), group.ring(b).to_vec())
+                    .expect("group rings are equally sized");
+                let config = ConfigVector::all_selected(group.stages());
+                Some(EnrolledPair::from_parts(
+                    spec,
+                    config.clone(),
+                    config,
+                    delays[a] > delays[b],
+                    (delays[fast] - delays[slow]).abs(),
+                ))
             })
             .collect();
-        OneOfEightEnrollment { picks }
-    }
-}
-
-/// One enrolled group: the chosen ring pair and expected bit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupPick {
-    group: RoGroup,
-    ring_a: usize,
-    ring_b: usize,
-    expected_bit: bool,
-    margin_ps: f64,
-}
-
-impl GroupPick {
-    /// Index (0–7) of the lower-positioned chosen ring.
-    pub fn ring_a(&self) -> usize {
-        self.ring_a
-    }
-
-    /// Index (0–7) of the higher-positioned chosen ring.
-    pub fn ring_b(&self) -> usize {
-        self.ring_b
-    }
-
-    /// Bit recorded at enrollment (`true` = ring A slower than ring B).
-    pub fn expected_bit(&self) -> bool {
-        self.expected_bit
-    }
-
-    /// Delay separation between the chosen rings at enrollment,
-    /// picoseconds.
-    pub fn margin_ps(&self) -> f64 {
-        self.margin_ps
-    }
-}
-
-/// An enrolled 1-out-of-8 PUF.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OneOfEightEnrollment {
-    picks: Vec<GroupPick>,
-}
-
-impl OneOfEightEnrollment {
-    /// Per-group picks.
-    pub fn picks(&self) -> &[GroupPick] {
-        &self.picks
-    }
-
-    /// Number of bits.
-    pub fn bit_count(&self) -> usize {
-        self.picks.len()
-    }
-
-    /// Bits recorded at enrollment.
-    pub fn expected_bits(&self) -> BitVec {
-        self.picks.iter().map(GroupPick::expected_bit).collect()
-    }
-
-    /// Margins at enrollment, picoseconds.
-    pub fn margins_ps(&self) -> Vec<f64> {
-        self.picks.iter().map(GroupPick::margin_ps).collect()
-    }
-
-    /// Generates a response at `env`: re-measures only the two chosen
-    /// rings per group.
-    pub fn respond<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        board: &Board,
-        tech: &Technology,
-        env: Environment,
-        probe: &DelayProbe,
-    ) -> BitVec {
-        self.picks
-            .iter()
-            .map(|p| {
-                let da = p.group.ring_delay(rng, board, tech, env, probe, p.ring_a);
-                let db = p.group.ring_delay(rng, board, tech, env, probe, p.ring_b);
-                da > db
-            })
-            .collect()
+        Enrollment::from_parts(pairs, env)
     }
 }
 
@@ -281,7 +206,9 @@ mod tests {
         let puf = OneOfEightPuf::tiled(120, 3);
         let env = Environment::nominal();
         let e = puf.enroll(&mut rng, &board, &tech, env, &DelayProbe::noiseless());
-        for (pick, group) in e.picks().iter().zip(puf.groups()) {
+        assert_eq!(e.pairs().len(), puf.bit_capacity());
+        for (pick, group) in e.pairs().iter().zip(puf.groups()) {
+            let pick = pick.as_ref().expect("every group enrolls");
             let config = ConfigVector::all_selected(3);
             let delays: Vec<f64> = (0..8)
                 .map(|i| {
@@ -293,6 +220,8 @@ mod tests {
             let max = delays.iter().cloned().fold(f64::MIN, f64::max);
             let min = delays.iter().cloned().fold(f64::MAX, f64::min);
             assert!((pick.margin_ps() - (max - min)).abs() < 1e-9);
+            // The lower-positioned extreme ring is the top ring.
+            assert!(pick.spec().top()[0] < pick.spec().bottom()[0]);
         }
     }
 

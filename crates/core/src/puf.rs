@@ -690,8 +690,8 @@ pub struct EnrolledPair {
 }
 
 impl EnrolledPair {
-    /// Reassembles a pair record from parsed parts (used by
-    /// [`crate::persist`]).
+    /// Reassembles a pair record from its parts (used by
+    /// [`crate::persist`] and the baseline schemes).
     pub(crate) fn from_parts(
         spec: PairSpec,
         top_config: ConfigVector,
@@ -742,8 +742,8 @@ pub struct Enrollment {
 }
 
 impl Enrollment {
-    /// Reassembles an enrollment from parsed parts (used by
-    /// [`crate::persist`]).
+    /// Reassembles an enrollment from its parts (used by
+    /// [`crate::persist`] and the baseline schemes).
     pub(crate) fn from_parts(pairs: Vec<Option<EnrolledPair>>, enrolled_at: Environment) -> Self {
         Self { pairs, enrolled_at }
     }

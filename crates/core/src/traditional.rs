@@ -7,50 +7,16 @@
 //! reliability — are whatever fabrication happened to produce.
 
 use rand::Rng;
-use ropuf_num::bits::BitVec;
 use ropuf_silicon::{Board, DelayProbe, Environment, Technology};
 
 use crate::config::ConfigVector;
-use crate::puf::PairSpec;
+use crate::puf::{ConfigurableRoPuf, EnrolledPair, Enrollment, PairSpec};
 
 /// A traditional RO PUF: the same pair floorplan as
-/// [`ConfigurableRoPuf`](crate::puf::ConfigurableRoPuf), with all
-/// inverters always selected.
+/// [`ConfigurableRoPuf`], with all inverters always selected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraditionalRoPuf {
-    specs: Vec<PairSpec>,
-}
-
-/// One enrolled traditional pair.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraditionalPair {
-    spec: PairSpec,
-    expected_bit: bool,
-    margin_ps: f64,
-}
-
-impl TraditionalPair {
-    /// The floorplan entry.
-    pub fn spec(&self) -> &PairSpec {
-        &self.spec
-    }
-
-    /// Bit recorded at enrollment (`true` = top slower).
-    pub fn expected_bit(&self) -> bool {
-        self.expected_bit
-    }
-
-    /// Measured delay-difference magnitude at enrollment, picoseconds.
-    pub fn margin_ps(&self) -> f64 {
-        self.margin_ps
-    }
-}
-
-/// An enrolled traditional PUF.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraditionalEnrollment {
-    pairs: Vec<Option<TraditionalPair>>,
-    stages: usize,
+    floorplan: ConfigurableRoPuf,
 }
 
 impl TraditionalRoPuf {
@@ -60,44 +26,37 @@ impl TraditionalRoPuf {
     ///
     /// Panics if `specs` is empty.
     pub fn new(specs: Vec<PairSpec>) -> Self {
-        assert!(!specs.is_empty(), "a PUF needs at least one ring pair");
-        Self { specs }
+        Self {
+            floorplan: ConfigurableRoPuf::new(specs),
+        }
     }
 
     /// Tiles `total_units` into consecutive `stages`-per-ring pairs,
-    /// identical to
-    /// [`ConfigurableRoPuf::tiled`](crate::puf::ConfigurableRoPuf::tiled)
-    /// so comparisons are apples-to-apples.
+    /// identical to [`ConfigurableRoPuf::tiled`] so comparisons are
+    /// apples-to-apples.
     ///
     /// # Panics
     ///
     /// Panics if fewer than one pair fits.
     pub fn tiled(total_units: usize, stages: usize) -> Self {
-        assert!(stages > 0, "rings need at least one stage");
-        let pairs = total_units / (2 * stages);
-        assert!(
-            pairs > 0,
-            "{total_units} units cannot host a {stages}-stage pair"
-        );
-        Self::new(
-            (0..pairs)
-                .map(|p| PairSpec::split_at(p * 2 * stages, stages))
-                .collect(),
-        )
+        Self {
+            floorplan: ConfigurableRoPuf::tiled(total_units, stages),
+        }
     }
 
     /// The floorplan's pair specs.
     pub fn specs(&self) -> &[PairSpec] {
-        &self.specs
+        self.floorplan.specs()
     }
 
     /// Number of ring pairs.
     pub fn pair_count(&self) -> usize {
-        self.specs.len()
+        self.floorplan.pair_count()
     }
 
-    /// Enrolls: measures every pair at `env` and records the sign and
-    /// magnitude of the delay difference. Pairs with a magnitude below
+    /// Enrolls: measures every pair at `env`, top ring then bottom ring,
+    /// and records the sign and magnitude of the delay difference as an
+    /// all-selected [`EnrolledPair`]. Pairs with a magnitude below
     /// `threshold_ps` are excluded (§IV.E's `Rth`).
     pub fn enroll<R: Rng + ?Sized>(
         &self,
@@ -107,13 +66,12 @@ impl TraditionalRoPuf {
         env: Environment,
         probe: &DelayProbe,
         threshold_ps: f64,
-    ) -> TraditionalEnrollment {
-        let stages = self.specs[0].stages();
-        let config = ConfigVector::all_selected(stages);
+    ) -> Enrollment {
         let pairs = self
-            .specs
+            .specs()
             .iter()
             .map(|spec| {
+                let config = ConfigVector::all_selected(spec.stages());
                 let pair = spec.bind(board);
                 let d_top = probe.measure_ps(rng, pair.top().ring_delay_ps(&config, env, tech));
                 let d_bottom =
@@ -122,68 +80,17 @@ impl TraditionalRoPuf {
                 if diff.abs() < threshold_ps {
                     None
                 } else {
-                    Some(TraditionalPair {
-                        spec: spec.clone(),
-                        expected_bit: diff > 0.0,
-                        margin_ps: diff.abs(),
-                    })
+                    Some(EnrolledPair::from_parts(
+                        spec.clone(),
+                        config.clone(),
+                        config,
+                        diff > 0.0,
+                        diff.abs(),
+                    ))
                 }
             })
             .collect();
-        TraditionalEnrollment { pairs, stages }
-    }
-}
-
-impl TraditionalEnrollment {
-    /// Per-pair records; `None` marks threshold-excluded pairs.
-    pub fn pairs(&self) -> &[Option<TraditionalPair>] {
-        &self.pairs
-    }
-
-    /// Number of pairs producing bits.
-    pub fn bit_count(&self) -> usize {
-        self.pairs.iter().flatten().count()
-    }
-
-    /// Bits recorded at enrollment (excluded pairs skipped).
-    pub fn expected_bits(&self) -> BitVec {
-        self.pairs
-            .iter()
-            .flatten()
-            .map(TraditionalPair::expected_bit)
-            .collect()
-    }
-
-    /// Enrollment margins (excluded pairs skipped), picoseconds.
-    pub fn margins_ps(&self) -> Vec<f64> {
-        self.pairs
-            .iter()
-            .flatten()
-            .map(TraditionalPair::margin_ps)
-            .collect()
-    }
-
-    /// Generates a response at `env`.
-    pub fn respond<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        board: &Board,
-        tech: &Technology,
-        env: Environment,
-        probe: &DelayProbe,
-    ) -> BitVec {
-        let config = ConfigVector::all_selected(self.stages);
-        self.pairs
-            .iter()
-            .flatten()
-            .map(|p| {
-                let pair = p.spec.bind(board);
-                let d_top = probe.measure_ps(rng, pair.top().ring_delay_ps(&config, env, tech));
-                let d_bottom =
-                    probe.measure_ps(rng, pair.bottom().ring_delay_ps(&config, env, tech));
-                d_top > d_bottom
-            })
-            .collect()
+        Enrollment::from_parts(pairs, env)
     }
 }
 
@@ -222,11 +129,18 @@ mod tests {
     #[test]
     fn noiseless_response_reproduces_enrollment() {
         let (board, tech, mut rng) = setup(60);
-        let puf = TraditionalRoPuf::tiled(60, 5);
         let env = Environment::nominal();
-        let e = puf.enroll(&mut rng, &board, &tech, env, &DelayProbe::noiseless(), 0.0);
-        let r = e.respond(&mut rng, &board, &tech, env, &DelayProbe::noiseless());
-        assert_eq!(r, e.expected_bits());
+        // The second floorplan mixes ring lengths: each pair is
+        // configured at its own stage count.
+        for puf in [
+            TraditionalRoPuf::tiled(60, 5),
+            TraditionalRoPuf::new(vec![PairSpec::split_at(0, 3), PairSpec::split_at(6, 5)]),
+        ] {
+            let e = puf.enroll(&mut rng, &board, &tech, env, &DelayProbe::noiseless(), 0.0);
+            let r = e.respond(&mut rng, &board, &tech, env, &DelayProbe::noiseless());
+            assert_eq!(r, e.expected_bits());
+            assert_eq!(e.bit_count(), puf.pair_count());
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Property-based tests for the selection algorithms, calibration, and
-//! distiller.
+//! Property-based tests for the selection algorithms, calibration, the
+//! distiller, and the baseline schemes against the loops they replaced.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -567,5 +567,457 @@ proptest! {
         );
         let back = enrollment_from_text(&enrollment_to_text(&e)).unwrap();
         prop_assert_eq!(back, e);
+    }
+}
+
+/// The three baselines' enrollment records and their enroll and respond
+/// loops as they stood before every scheme enrolled into
+/// [`Enrollment`](ropuf_core::puf::Enrollment), verbatim apart from
+/// reaching each floorplan through its public accessors.
+/// `baselines_match_the_replaced_loops` proptests the baselines against
+/// them.
+mod oracle {
+    use rand::Rng;
+    use ropuf_core::config::ConfigVector;
+    use ropuf_core::one_of_eight::{OneOfEightPuf, RoGroup};
+    use ropuf_core::puf::PairSpec;
+    use ropuf_core::ro::ConfigurableRo;
+    use ropuf_core::traditional::TraditionalRoPuf;
+    use ropuf_num::bits::BitVec;
+    use ropuf_silicon::{Board, DelayProbe, Environment, Technology};
+
+    /// Top-ring units, bottom-ring units, expected bit and margin of
+    /// every bit-producing pair, in bit order.
+    pub type Records = Vec<(Vec<usize>, Vec<usize>, bool, f64)>;
+
+    pub struct TraditionalPair {
+        spec: PairSpec,
+        expected_bit: bool,
+        margin_ps: f64,
+    }
+
+    pub struct TraditionalEnrollment {
+        pairs: Vec<Option<TraditionalPair>>,
+        stages: usize,
+    }
+
+    pub fn traditional_enroll<R: Rng + ?Sized>(
+        puf: &TraditionalRoPuf,
+        rng: &mut R,
+        board: &Board,
+        tech: &Technology,
+        env: Environment,
+        probe: &DelayProbe,
+        threshold_ps: f64,
+    ) -> TraditionalEnrollment {
+        let stages = puf.specs()[0].stages();
+        let config = ConfigVector::all_selected(stages);
+        let pairs = puf
+            .specs()
+            .iter()
+            .map(|spec| {
+                let pair = spec.bind(board);
+                let d_top = probe.measure_ps(rng, pair.top().ring_delay_ps(&config, env, tech));
+                let d_bottom =
+                    probe.measure_ps(rng, pair.bottom().ring_delay_ps(&config, env, tech));
+                let diff = d_top - d_bottom;
+                if diff.abs() < threshold_ps {
+                    None
+                } else {
+                    Some(TraditionalPair {
+                        spec: spec.clone(),
+                        expected_bit: diff > 0.0,
+                        margin_ps: diff.abs(),
+                    })
+                }
+            })
+            .collect();
+        TraditionalEnrollment { pairs, stages }
+    }
+
+    impl TraditionalEnrollment {
+        pub fn records(&self) -> Records {
+            self.pairs
+                .iter()
+                .flatten()
+                .map(|p| {
+                    let (top, bottom) = (p.spec.top().to_vec(), p.spec.bottom().to_vec());
+                    (top, bottom, p.expected_bit, p.margin_ps)
+                })
+                .collect()
+        }
+
+        pub fn respond<R: Rng + ?Sized>(
+            &self,
+            rng: &mut R,
+            board: &Board,
+            tech: &Technology,
+            env: Environment,
+            probe: &DelayProbe,
+        ) -> BitVec {
+            let config = ConfigVector::all_selected(self.stages);
+            self.pairs
+                .iter()
+                .flatten()
+                .map(|p| {
+                    let pair = p.spec.bind(board);
+                    let d_top = probe.measure_ps(rng, pair.top().ring_delay_ps(&config, env, tech));
+                    let d_bottom =
+                        probe.measure_ps(rng, pair.bottom().ring_delay_ps(&config, env, tech));
+                    d_top > d_bottom
+                })
+                .collect()
+        }
+    }
+
+    fn ring_delay<R: Rng + ?Sized>(
+        group: &RoGroup,
+        rng: &mut R,
+        board: &Board,
+        tech: &Technology,
+        env: Environment,
+        probe: &DelayProbe,
+        i: usize,
+    ) -> f64 {
+        let config = ConfigVector::all_selected(group.stages());
+        let ro = ConfigurableRo::try_new(board, group.ring(i).to_vec())
+            .expect("group rings fit the board");
+        probe.measure_ps(rng, ro.ring_delay_ps(&config, env, tech))
+    }
+
+    pub struct GroupPick {
+        group: RoGroup,
+        ring_a: usize,
+        ring_b: usize,
+        expected_bit: bool,
+        margin_ps: f64,
+    }
+
+    pub struct OneOfEightEnrollment {
+        picks: Vec<GroupPick>,
+    }
+
+    pub fn one_of_eight_enroll<R: Rng + ?Sized>(
+        puf: &OneOfEightPuf,
+        rng: &mut R,
+        board: &Board,
+        tech: &Technology,
+        env: Environment,
+        probe: &DelayProbe,
+    ) -> OneOfEightEnrollment {
+        let picks = puf
+            .groups()
+            .iter()
+            .map(|group| {
+                let delays: Vec<f64> = (0..8)
+                    .map(|i| ring_delay(group, rng, board, tech, env, probe, i))
+                    .collect();
+                let (fast, _) = delays
+                    .iter()
+                    .enumerate()
+                    .min_by(|a, b| a.1.total_cmp(b.1))
+                    .expect("eight rings");
+                let (slow, _) = delays
+                    .iter()
+                    .enumerate()
+                    .max_by(|a, b| a.1.total_cmp(b.1))
+                    .expect("eight rings");
+                let (a, b) = (fast.min(slow), fast.max(slow));
+                GroupPick {
+                    group: group.clone(),
+                    ring_a: a,
+                    ring_b: b,
+                    expected_bit: delays[a] > delays[b],
+                    margin_ps: (delays[fast] - delays[slow]).abs(),
+                }
+            })
+            .collect();
+        OneOfEightEnrollment { picks }
+    }
+
+    impl OneOfEightEnrollment {
+        pub fn records(&self) -> Records {
+            self.picks
+                .iter()
+                .map(|p| {
+                    let (a, b) = (p.group.ring(p.ring_a), p.group.ring(p.ring_b));
+                    (a.to_vec(), b.to_vec(), p.expected_bit, p.margin_ps)
+                })
+                .collect()
+        }
+
+        pub fn respond<R: Rng + ?Sized>(
+            &self,
+            rng: &mut R,
+            board: &Board,
+            tech: &Technology,
+            env: Environment,
+            probe: &DelayProbe,
+        ) -> BitVec {
+            self.picks
+                .iter()
+                .map(|p| {
+                    let da = ring_delay(&p.group, rng, board, tech, env, probe, p.ring_a);
+                    let db = ring_delay(&p.group, rng, board, tech, env, probe, p.ring_b);
+                    da > db
+                })
+                .collect()
+        }
+    }
+
+    pub struct CooperativePair {
+        ring_a: Vec<usize>,
+        ring_b: Vec<usize>,
+        expected_bit: bool,
+        worst_margin_ps: f64,
+    }
+
+    pub struct CooperativeEnrollment {
+        pairs: Vec<CooperativePair>,
+        ring_pool: usize,
+        stages: usize,
+    }
+
+    pub fn cooperative_enroll<R: Rng + ?Sized>(
+        rings: &[Vec<usize>],
+        rng: &mut R,
+        board: &Board,
+        tech: &Technology,
+        corners: &[Environment],
+        probe: &DelayProbe,
+        min_margin_ps: f64,
+    ) -> CooperativeEnrollment {
+        assert!(!corners.is_empty(), "enrollment needs at least one corner");
+        assert!(
+            min_margin_ps.is_finite() && min_margin_ps >= 0.0,
+            "margin must be finite and non-negative"
+        );
+        let stages = rings[0].len();
+        let config = ConfigVector::all_selected(stages);
+        // delays[r][c] = ring r's measured delay at corner c.
+        let delays: Vec<Vec<f64>> = rings
+            .iter()
+            .map(|units| {
+                let ro = ConfigurableRo::try_new(board, units.clone())
+                    .expect("cooperative rings fit the board");
+                corners
+                    .iter()
+                    .map(|&env| probe.measure_ps(rng, ro.ring_delay_ps(&config, env, tech)))
+                    .collect()
+            })
+            .collect();
+
+        // Candidate pairs with corner-consistent ordering; robustness =
+        // the worst-corner separation.
+        let mut candidates: Vec<(usize, usize, f64, bool)> = Vec::new();
+        for a in 0..rings.len() {
+            for b in a + 1..rings.len() {
+                let diffs: Vec<f64> = delays[a]
+                    .iter()
+                    .zip(&delays[b])
+                    .map(|(da, db)| da - db)
+                    .collect();
+                let all_pos = diffs.iter().all(|&d| d >= min_margin_ps);
+                let all_neg = diffs.iter().all(|&d| d <= -min_margin_ps);
+                if all_pos || all_neg {
+                    let worst = diffs.iter().map(|d| d.abs()).fold(f64::INFINITY, f64::min);
+                    candidates.push((a, b, worst, all_pos));
+                }
+            }
+        }
+        candidates.sort_by(|x, y| y.2.total_cmp(&x.2));
+
+        // Greedy disjoint matching, most robust first.
+        let mut used = vec![false; rings.len()];
+        let mut pairs = Vec::new();
+        for (a, b, worst, a_slower) in candidates {
+            if !used[a] && !used[b] {
+                used[a] = true;
+                used[b] = true;
+                pairs.push(CooperativePair {
+                    ring_a: rings[a].clone(),
+                    ring_b: rings[b].clone(),
+                    expected_bit: a_slower,
+                    worst_margin_ps: worst,
+                });
+            }
+        }
+        CooperativeEnrollment {
+            pairs,
+            ring_pool: rings.len(),
+            stages,
+        }
+    }
+
+    impl CooperativeEnrollment {
+        pub fn records(&self) -> Records {
+            self.pairs
+                .iter()
+                .map(|p| {
+                    let (a, b) = (p.ring_a.clone(), p.ring_b.clone());
+                    (a, b, p.expected_bit, p.worst_margin_ps)
+                })
+                .collect()
+        }
+
+        pub fn utilization(&self) -> f64 {
+            2.0 * self.pairs.len() as f64 / self.ring_pool as f64
+        }
+
+        pub fn respond<R: Rng + ?Sized>(
+            &self,
+            rng: &mut R,
+            board: &Board,
+            tech: &Technology,
+            env: Environment,
+            probe: &DelayProbe,
+        ) -> BitVec {
+            let config = ConfigVector::all_selected(self.stages);
+            self.pairs
+                .iter()
+                .map(|p| {
+                    let ring = |units: &Vec<usize>| {
+                        ConfigurableRo::try_new(board, units.clone())
+                            .expect("cooperative rings fit the board")
+                    };
+                    let da =
+                        probe.measure_ps(rng, ring(&p.ring_a).ring_delay_ps(&config, env, tech));
+                    let db =
+                        probe.measure_ps(rng, ring(&p.ring_b).ring_delay_ps(&config, env, tech));
+                    da > db
+                })
+                .collect()
+        }
+    }
+}
+
+/// Checks a baseline's [`Enrollment`](ropuf_core::puf::Enrollment)
+/// against its oracle's records: the same rings in the same order, top
+/// ring first, all-selected configurations, the same bits and margins,
+/// and a lossless trip through the text format.
+fn matches_records(
+    e: &ropuf_core::puf::Enrollment,
+    want: &oracle::Records,
+    enrolled_at: Environment,
+) -> Result<(), TestCaseError> {
+    use ropuf_core::config::ConfigVector;
+    use ropuf_core::persist::{enrollment_from_text, enrollment_to_text};
+    use ropuf_num::bits::BitVec;
+
+    let got: oracle::Records = e
+        .pairs()
+        .iter()
+        .flatten()
+        .map(|p| {
+            let (top, bottom) = (p.spec().top().to_vec(), p.spec().bottom().to_vec());
+            (top, bottom, p.expected_bit(), p.margin_ps())
+        })
+        .collect();
+    prop_assert_eq!(&got, want);
+    prop_assert_eq!(e.bit_count(), want.len());
+    prop_assert_eq!(
+        e.expected_bits(),
+        want.iter().map(|r| r.2).collect::<BitVec>()
+    );
+    prop_assert_eq!(
+        e.margins_ps(),
+        want.iter().map(|r| r.3).collect::<Vec<f64>>()
+    );
+    prop_assert_eq!(e.enrolled_at(), enrolled_at);
+    for p in e.pairs().iter().flatten() {
+        let all = ConfigVector::all_selected(p.spec().stages());
+        prop_assert!(p.top_config() == &all && p.bottom_config() == &all);
+    }
+    match enrollment_from_text(&enrollment_to_text(e)) {
+        Ok(back) => prop_assert_eq!(&back, e),
+        // The text format refuses an enrollment without a single pair
+        // record; only a cooperative pool with no corner-consistent
+        // pairing enrolls none.
+        Err(err) => prop_assert!(
+            e.pairs().is_empty() && err.message.contains("no pairs"),
+            "round trip failed: {}",
+            err
+        ),
+    }
+    Ok(())
+}
+
+proptest! {
+    /// The guard for the baselines' move onto the one enrollment
+    /// record: the traditional, 1-out-of-8 and cooperative schemes pick
+    /// the same rings, record the same bits and margins, and read the
+    /// same responses as the loops they replaced, leave the caller's RNG
+    /// where those loops left it, and survive the text format.
+    #[test]
+    fn baselines_match_the_replaced_loops(
+        seed in any::<u64>(),
+        stages in 1usize..=9,
+        groups in 1usize..=3,
+        extra_units in 0usize..16,
+        noisy in any::<bool>(),
+        threshold_ps in 0.0f64..3.0,
+        voltages in proptest::collection::vec(0.95f64..1.45, 1..=3),
+        temperatures in proptest::collection::vec(-25.0f64..100.0, 3),
+        min_margin_ps in 0.0f64..2.0,
+        respond_voltage in 0.95f64..1.45,
+        respond_temperature in -25.0f64..100.0,
+    ) {
+        use rand::RngCore;
+        use ropuf_core::cooperative::CooperativePuf;
+        use ropuf_core::one_of_eight::OneOfEightPuf;
+        use ropuf_core::traditional::TraditionalRoPuf;
+
+        let sim = SiliconSim::default_spartan();
+        let tech = *sim.technology();
+        let units = groups * 8 * stages + extra_units;
+        let mut grow_rng = StdRng::seed_from_u64(seed);
+        let board = sim.grow_board_with_id(&mut grow_rng, BoardId(0), units, 8);
+        let probe = if noisy { DelayProbe::new(0.25, 1) } else { DelayProbe::noiseless() };
+        let corners: Vec<Environment> = voltages
+            .iter()
+            .zip(&temperatures)
+            .map(|(&v, &t)| Environment::new(v, t))
+            .collect();
+        let env = corners[0];
+        let at = Environment::new(respond_voltage, respond_temperature);
+        let mut rng = StdRng::seed_from_u64(seed.rotate_left(17));
+        let mut oracle_rng = rng.clone();
+
+        let trad = TraditionalRoPuf::tiled(units, stages);
+        let e = trad.enroll(&mut rng, &board, &tech, env, &probe, threshold_ps);
+        let want = oracle::traditional_enroll(
+            &trad, &mut oracle_rng, &board, &tech, env, &probe, threshold_ps,
+        );
+        matches_records(&e, &want.records(), env)?;
+        prop_assert_eq!(
+            e.respond(&mut rng, &board, &tech, at, &probe),
+            want.respond(&mut oracle_rng, &board, &tech, at, &probe)
+        );
+
+        let one8 = OneOfEightPuf::tiled(units, stages);
+        let e = one8.enroll(&mut rng, &board, &tech, env, &probe);
+        let want = oracle::one_of_eight_enroll(&one8, &mut oracle_rng, &board, &tech, env, &probe);
+        matches_records(&e, &want.records(), env)?;
+        prop_assert_eq!(
+            e.respond(&mut rng, &board, &tech, at, &probe),
+            want.respond(&mut oracle_rng, &board, &tech, at, &probe)
+        );
+
+        let rings: Vec<Vec<usize>> = (0..units / stages)
+            .map(|r| (r * stages..(r + 1) * stages).collect())
+            .collect();
+        let coop = CooperativePuf::new(rings.clone());
+        let e = coop.enroll(&mut rng, &board, &tech, &corners, &probe, min_margin_ps);
+        let want = oracle::cooperative_enroll(
+            &rings, &mut oracle_rng, &board, &tech, &corners, &probe, min_margin_ps,
+        );
+        matches_records(&e, &want.records(), env)?;
+        prop_assert_eq!(coop.utilization(&e), want.utilization());
+        prop_assert_eq!(
+            e.respond(&mut rng, &board, &tech, at, &probe),
+            want.respond(&mut oracle_rng, &board, &tech, at, &probe)
+        );
+
+        prop_assert_eq!(rng.next_u64(), oracle_rng.next_u64(), "RNG out of lockstep");
     }
 }

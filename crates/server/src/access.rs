@@ -14,6 +14,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use ropuf_telemetry::sink::json_escape;
+
 use crate::proto::Reply;
 
 /// Identity of one request: which connection it arrived on and its
@@ -70,25 +72,6 @@ impl StageTimer {
     pub(crate) fn stages(&self) -> &[(&'static str, u64)] {
         &self.stages
     }
-}
-
-/// Minimal JSON string escaping for log fields (error messages may
-/// contain quotes or backslashes; everything else we emit is already
-/// identifier-shaped).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders one access-log line (no trailing newline): request id, op,

@@ -30,8 +30,10 @@ pub trait Sink: Send + Sync {
     fn on_flush(&self, _snapshot: &Snapshot) {}
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for embedding in a JSON string literal: quotes,
+/// backslashes and control characters. Shared by every JSON-lines
+/// writer in the workspace (the trace sink and the server's access log).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -36,10 +36,11 @@ pub use ropuf_telemetry as telemetry;
 /// assert_eq!(e.bit_count(), 5);
 /// ```
 pub mod prelude {
+    pub use ropuf_attack::model::LinearDelayAttack;
     pub use ropuf_attack::suite::{
         SuiteConfig as AttackSuiteConfig, SuiteReport as AttackSuiteReport,
     };
-    pub use ropuf_core::crp::{respond as crp_respond, Challenge, LinearDelayAttack};
+    pub use ropuf_core::crp::{respond as crp_respond, Challenge};
     pub use ropuf_core::error::Error;
     pub use ropuf_core::fleet::{
         split_seed, worker_threads, BoardRecord, FleetAging, FleetConfig, FleetEngine, FleetRun,
@@ -48,7 +49,7 @@ pub mod prelude {
     pub use ropuf_core::fuzzy::FuzzyExtractor;
     pub use ropuf_core::lifecycle::{Device, Enrolled, KeyCode, Started};
     pub use ropuf_core::monitor::{FleetHealth, FleetObservatory, MonitorConfig, SweepPlan};
-    pub use ropuf_core::one_of_eight::{OneOfEightEnrollment, OneOfEightPuf, RoGroup};
+    pub use ropuf_core::one_of_eight::{OneOfEightPuf, RoGroup};
     pub use ropuf_core::persist::{
         enrollment_from_bytes, enrollment_from_text, enrollment_to_bytes, enrollment_to_text,
     };
@@ -60,7 +61,7 @@ pub mod prelude {
         enroll_robust, respond_robust_bound, FaultPlan, FaultSummary, RobustEnrollment,
         RobustOptions,
     };
-    pub use ropuf_core::traditional::{TraditionalEnrollment, TraditionalRoPuf};
+    pub use ropuf_core::traditional::TraditionalRoPuf;
     pub use ropuf_core::{ConfigVector, ParityPolicy};
     pub use ropuf_dataset::extract::{distill_values, select_board, VirtualLayout};
     pub use ropuf_dataset::{InHouseConfig, InHouseDataset, VtConfig, VtDataset};

@@ -4,7 +4,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ropuf::core::crp::{respond as crp_respond, Challenge, LinearDelayAttack};
+use ropuf::attack::model::LinearDelayAttack;
+use ropuf::core::crp::{respond as crp_respond, Challenge};
 use ropuf::core::fuzzy::FuzzyExtractor;
 use ropuf::core::persist::{enrollment_from_text, enrollment_to_text};
 use ropuf::core::puf::{ConfigurableRoPuf, EnrollOptions};
