@@ -18,20 +18,14 @@
 use std::time::Instant;
 
 use ropuf_core::fleet::{parallel_map_indexed, split_seed, worker_threads};
-use ropuf_core::lifecycle::Device;
 use ropuf_core::persist::enrollment_to_bytes;
-use ropuf_core::puf::{ConfigurableRoPuf, EnrollOptions};
+use ropuf_core::puf::EnrollOptions;
 use ropuf_core::robust::FaultPlan;
 use ropuf_num::bits::BitVec;
 use ropuf_server::{
-    run_drill, serve, DrillSpec, FsyncPolicy, PufService, Reply, Request, ServiceConfig, Store,
-    WireBits,
+    provision, run_drill, serve, DrillSpec, FsyncPolicy, PufService, Reply, Request, ServiceConfig,
+    Store, WireBits,
 };
-use ropuf_silicon::board::BoardId;
-use ropuf_silicon::{Environment, SiliconSim};
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// The enrolled-fleet sizes the bench sweeps (filtered by
 /// [`Config::max_scale`]).
@@ -126,29 +120,6 @@ struct Payload {
     expected: BitVec,
 }
 
-/// Grows and enrolls one unique board through the typestate lifecycle.
-fn grow_payload(config: &Config, u: usize) -> Payload {
-    let seed = split_seed(config.seed, u as u64);
-    let sim = SiliconSim::default_spartan();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let board = sim.grow_board_with_id(&mut rng, BoardId(u as u32), config.units, config.cols);
-    let started = Device::start(
-        &board,
-        sim.technology(),
-        Environment::nominal(),
-        ConfigurableRoPuf::tiled_interleaved(board.len(), 4),
-        EnrollOptions::default(),
-    );
-    let (device, code) = started
-        .generate_key(seed, config.repetition, &FaultPlan::scaled(0.0))
-        .expect("bench board enrolls");
-    Payload {
-        enrollment: enrollment_to_bytes(device.enrollment()),
-        key_code: code.to_bytes(),
-        expected: device.enrollment().expected_bits(),
-    }
-}
-
 /// Same-seed drill twice, at 1 and 2 server workers: the transcripts
 /// must be byte-identical (the server's ordering guarantees, not luck).
 fn drill_determinism(config: &Config, threads: usize) -> bool {
@@ -183,7 +154,23 @@ fn drill_determinism(config: &Config, threads: usize) -> bool {
 /// Runs the benchmark.
 pub fn run(config: &Config) -> Outcome {
     let threads = config.threads.unwrap_or_else(worker_threads);
-    let payloads = parallel_map_indexed(config.unique_boards, threads, |u| grow_payload(config, u));
+    let payloads = parallel_map_indexed(config.unique_boards, threads, |u| {
+        let board = provision(
+            split_seed(config.seed, u as u64),
+            u as u32,
+            config.units,
+            config.cols,
+            EnrollOptions::default(),
+            config.repetition,
+            &FaultPlan::scaled(0.0),
+        )
+        .expect("bench board enrolls");
+        Payload {
+            enrollment: enrollment_to_bytes(&board.enrollment),
+            key_code: board.code.to_bytes(),
+            expected: board.enrollment.expected_bits(),
+        }
+    });
     let deterministic = drill_determinism(config, threads);
 
     let mut scales = Vec::new();

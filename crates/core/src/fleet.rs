@@ -224,18 +224,6 @@ where
     keyed.into_iter().map(|(_, u)| u).collect()
 }
 
-/// How ring pairs are placed on each board.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Layout {
-    /// Consecutive blocks of units per ring ([`ConfigurableRoPuf::tiled`]).
-    Tiled,
-    /// Physically adjacent units alternate between the two rings
-    /// ([`ConfigurableRoPuf::tiled_interleaved`]) — the layout that
-    /// cancels the systematic process gradient. The fleet default.
-    #[default]
-    Interleaved,
-}
-
 /// Lifetime drift injected between enrollment and response: each board
 /// is enrolled fresh, then responds on silicon aged by
 /// [`AgingModel::age_board`] — the deployment scenario where helper
@@ -259,10 +247,10 @@ pub struct FleetConfig {
     pub units: usize,
     /// Grid width the units are placed on.
     pub cols: usize,
-    /// Stages per ring.
+    /// Stages per ring. Pairs are placed by
+    /// [`ConfigurableRoPuf::tiled_interleaved`]: adjacent units alternate
+    /// between a pair's two rings.
     pub stages: usize,
-    /// Pair placement.
-    pub layout: Layout,
     /// Enrollment options (selection mode, parity, threshold, probe).
     pub opts: EnrollOptions,
     /// Environment corners responses are collected at, in order.
@@ -300,7 +288,6 @@ impl Default for FleetConfig {
             units: 480,
             cols: 16,
             stages: 5,
-            layout: Layout::Interleaved,
             opts: EnrollOptions::default(),
             corners: vec![Environment::nominal(), Environment::new(0.98, 25.0)],
             response_probe: DelayProbe::new(0.25, 1),
@@ -572,12 +559,7 @@ impl FleetEngine {
         if config.threads == Some(0) {
             return Err(Error::Fleet("thread count must be nonzero".into()));
         }
-        let puf = match config.layout {
-            Layout::Tiled => ConfigurableRoPuf::tiled(config.units, config.stages),
-            Layout::Interleaved => {
-                ConfigurableRoPuf::tiled_interleaved(config.units, config.stages)
-            }
-        };
+        let puf = ConfigurableRoPuf::tiled_interleaved(config.units, config.stages);
         // Resolve the environment exactly once so every `run` of this
         // engine agrees on the thread count (satellite of the
         // parallel-regression fix: `worker_threads()` used to be

@@ -444,19 +444,7 @@ impl KeyCode {
         out.extend_from_slice(&KEY_CODE_VERSION.to_le_bytes());
         out.extend_from_slice(&(self.repetition as u16).to_le_bytes());
         out.extend_from_slice(&(self.helper.len() as u32).to_le_bytes());
-        let mut byte = 0u8;
-        for (i, b) in self.helper.iter().enumerate() {
-            if b {
-                byte |= 1 << (i % 8);
-            }
-            if i % 8 == 7 {
-                out.push(byte);
-                byte = 0;
-            }
-        }
-        if !self.helper.len().is_multiple_of(8) {
-            out.push(byte);
-        }
+        BitVec::pack(self.helper.iter(), &mut out);
         out
     }
 
@@ -497,10 +485,10 @@ impl KeyCode {
                 bytes.len()
             )));
         }
-        let helper: BitVec = (0..helper_bits)
-            .map(|i| bytes[12 + i / 8] >> (i % 8) & 1 == 1)
-            .collect();
-        Ok(Self { repetition, helper })
+        Ok(Self {
+            repetition,
+            helper: BitVec::unpack(&bytes[12..], helper_bits).collect(),
+        })
     }
 }
 
@@ -622,7 +610,10 @@ mod tests {
     fn resume_rejects_empty_enrollments() {
         let (board, tech) = setup(80);
         // A threshold nothing survives.
-        let opts = EnrollOptions::builder().threshold_ps(1e12).build();
+        let opts = EnrollOptions {
+            threshold_ps: 1e12,
+            ..EnrollOptions::default()
+        };
         let device = Device::start(
             &board,
             &tech,

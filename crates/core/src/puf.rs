@@ -129,24 +129,46 @@ impl Default for EnrollOptions {
 }
 
 impl EnrollOptions {
-    /// Starts a builder pre-loaded with the defaults.
+    /// Checks the options, passing them through when consistent. Every
+    /// field is public, so callers build options as struct literals and
+    /// validate the ones that came from untrusted input.
     ///
     /// # Examples
     ///
     /// ```
-    /// use ropuf_core::config::ParityPolicy;
-    /// use ropuf_core::puf::{EnrollOptions, SelectionMode};
+    /// use ropuf_core::puf::EnrollOptions;
     ///
-    /// let opts = EnrollOptions::builder()
-    ///     .selection(SelectionMode::Case2)
-    ///     .parity(ParityPolicy::Ignore)
-    ///     .build();
-    /// assert_eq!(opts.parity, ParityPolicy::Ignore);
+    /// let opts = EnrollOptions {
+    ///     threshold_ps: 3.0,
+    ///     ..EnrollOptions::default()
+    /// };
+    /// assert_eq!(opts.validate().unwrap(), opts);
+    /// let negative = EnrollOptions {
+    ///     threshold_ps: -1.0,
+    ///     ..EnrollOptions::default()
+    /// };
+    /// assert!(negative.validate().is_err());
     /// ```
-    pub fn builder() -> EnrollOptionsBuilder {
-        EnrollOptionsBuilder {
-            opts: Self::default(),
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Enrollment`] when the threshold is negative or
+    /// not finite, or the plausibility band is inverted or not finite.
+    pub fn validate(self) -> Result<Self, Error> {
+        if !self.threshold_ps.is_finite() || self.threshold_ps < 0.0 {
+            return Err(Error::Enrollment(format!(
+                "reliability threshold must be finite and non-negative, got {}",
+                self.threshold_ps
+            )));
         }
+        if let Some((lo, hi)) = self.plausible_ddiff_ps {
+            if !lo.is_finite() || !hi.is_finite() || lo > hi {
+                return Err(Error::Enrollment(format!(
+                    "plausibility band [{lo}, {hi}] must be finite and ordered"
+                )));
+            }
+        }
+        Ok(self)
     }
 
     /// The corners enrollment calibrates at: the enrollment
@@ -158,86 +180,6 @@ impl EnrollOptions {
         std::iter::once(env)
             .chain(self.corners.iter().filter(|&c| c != env))
             .collect()
-    }
-}
-
-/// Fluent builder for [`EnrollOptions`]; start with
-/// [`EnrollOptions::builder`].
-#[derive(Debug, Clone, Copy)]
-pub struct EnrollOptionsBuilder {
-    opts: EnrollOptions,
-}
-
-impl EnrollOptionsBuilder {
-    /// Selection algorithm enrollment runs.
-    pub fn selection(mut self, mode: SelectionMode) -> Self {
-        self.opts.mode = mode;
-        self
-    }
-
-    /// Oscillation-parity policy for selected configurations.
-    pub fn parity(mut self, parity: ParityPolicy) -> Self {
-        self.opts.parity = parity;
-        self
-    }
-
-    /// Reliability threshold `Rth` in picoseconds (§IV.E).
-    pub fn threshold_ps(mut self, threshold_ps: f64) -> Self {
-        self.opts.threshold_ps = threshold_ps;
-        self
-    }
-
-    /// Plausibility band `[lo, hi]` (ps) for calibrated `ddiff` values.
-    pub fn plausible_ddiff_ps(mut self, lo: f64, hi: f64) -> Self {
-        self.opts.plausible_ddiff_ps = Some((lo, hi));
-        self
-    }
-
-    /// Delay probe used for calibration measurements.
-    pub fn probe(mut self, probe: DelayProbe) -> Self {
-        self.opts.probe = probe;
-        self
-    }
-
-    /// Corner set for min-margin-across-corners selection (see
-    /// [`EnrollOptions::corners`]).
-    pub fn corners(mut self, corners: CornerSet) -> Self {
-        self.opts.corners = corners;
-        self
-    }
-
-    /// Finishes the builder.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the options are inconsistent (see
-    /// [`try_build`](Self::try_build) for the fallible form).
-    pub fn build(self) -> EnrollOptions {
-        self.try_build().expect("invalid enrollment options")
-    }
-
-    /// Finishes the builder, rejecting inconsistent options.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Enrollment`] when the threshold is negative or
-    /// not finite, or the plausibility band is inverted or not finite.
-    pub fn try_build(self) -> Result<EnrollOptions, Error> {
-        let o = &self.opts;
-        if !o.threshold_ps.is_finite() || o.threshold_ps < 0.0 {
-            return Err(Error::Enrollment(format!(
-                "reliability threshold must be finite and non-negative, got {}",
-                o.threshold_ps
-            )));
-        }
-        if let Some((lo, hi)) = o.plausible_ddiff_ps {
-            if !lo.is_finite() || !hi.is_finite() || lo > hi {
-                return Err(Error::Enrollment(format!(
-                    "plausibility band [{lo}, {hi}] must be finite and ordered"
-                )));
-            }
-        }
-        Ok(self.opts)
     }
 }
 
@@ -1260,45 +1202,32 @@ mod tests {
     }
 
     #[test]
-    fn builder_mirrors_struct_literal() {
-        let built = EnrollOptions::builder()
-            .selection(SelectionMode::Case1)
-            .parity(ParityPolicy::Ignore)
-            .threshold_ps(1.5)
-            .plausible_ddiff_ps(50.0, 200.0)
-            .probe(DelayProbe::noiseless())
-            .corners(CornerSet::worst_case())
-            .build();
-        let literal = EnrollOptions {
-            mode: SelectionMode::Case1,
-            parity: ParityPolicy::Ignore,
-            threshold_ps: 1.5,
-            plausible_ddiff_ps: Some((50.0, 200.0)),
-            probe: DelayProbe::noiseless(),
-            corners: CornerSet::worst_case(),
-        };
-        assert_eq!(built, literal);
-        // Untouched fields keep the defaults.
-        assert_eq!(EnrollOptions::builder().build(), EnrollOptions::default());
-    }
-
-    #[test]
-    fn builder_rejects_inconsistent_options() {
+    fn validate_rejects_inconsistent_options() {
         use crate::error::Error;
-        assert!(matches!(
-            EnrollOptions::builder().threshold_ps(-1.0).try_build(),
-            Err(Error::Enrollment(_))
-        ));
-        assert!(matches!(
-            EnrollOptions::builder()
-                .plausible_ddiff_ps(5.0, 1.0)
-                .try_build(),
-            Err(Error::Enrollment(_))
-        ));
-        assert!(matches!(
-            EnrollOptions::builder().threshold_ps(f64::NAN).try_build(),
-            Err(Error::Enrollment(_))
-        ));
+        let with = |threshold_ps: f64, plausible_ddiff_ps: Option<(f64, f64)>| EnrollOptions {
+            threshold_ps,
+            plausible_ddiff_ps,
+            ..EnrollOptions::default()
+        };
+        assert_eq!(
+            EnrollOptions::default().validate().unwrap(),
+            EnrollOptions::default()
+        );
+        assert_eq!(
+            with(1.5, Some((50.0, 200.0))).validate().unwrap(),
+            with(1.5, Some((50.0, 200.0)))
+        );
+        for bad in [
+            with(-1.0, None),
+            with(f64::NAN, None),
+            with(0.0, Some((5.0, 1.0))),
+            with(0.0, Some((0.0, f64::INFINITY))),
+        ] {
+            assert!(
+                matches!(bad.validate(), Err(Error::Enrollment(_))),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

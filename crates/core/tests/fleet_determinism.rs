@@ -3,7 +3,7 @@
 //! the per-board seed split must never collide.
 
 use proptest::prelude::*;
-use ropuf_core::fleet::{split_seed, FleetConfig, FleetEngine, Layout};
+use ropuf_core::fleet::{split_seed, FleetConfig, FleetEngine};
 use ropuf_core::puf::EnrollOptions;
 use ropuf_silicon::{DelayProbe, Environment, SiliconSim};
 
@@ -15,7 +15,6 @@ fn engine(boards: usize) -> FleetEngine {
             units: 80,
             cols: 8,
             stages: 4,
-            layout: Layout::Interleaved,
             opts: EnrollOptions::default(),
             corners: vec![Environment::nominal(), Environment::new(1.32, 55.0)],
             response_probe: DelayProbe::new(0.25, 1),

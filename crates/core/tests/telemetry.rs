@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use ropuf_core::fleet::{parallel_map_indexed, FleetConfig, FleetEngine, Layout};
+use ropuf_core::fleet::{parallel_map_indexed, FleetConfig, FleetEngine};
 use ropuf_core::puf::EnrollOptions;
 use ropuf_silicon::{DelayProbe, Environment, SiliconSim};
 use ropuf_telemetry::{self as telemetry, JsonLinesSink, MemorySink};
@@ -23,7 +23,6 @@ fn engine(boards: usize) -> FleetEngine {
             units: 80,
             cols: 8,
             stages: 4,
-            layout: Layout::Interleaved,
             opts: EnrollOptions::default(),
             corners: vec![Environment::nominal(), Environment::new(1.32, 55.0)],
             response_probe: DelayProbe::new(0.25, 1),

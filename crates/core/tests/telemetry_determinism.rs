@@ -5,7 +5,7 @@
 //! same binary, outside any scope, would be counted too. It therefore
 //! lives in a test binary of its own.
 
-use ropuf_core::fleet::{FleetConfig, FleetEngine, Layout};
+use ropuf_core::fleet::{FleetConfig, FleetEngine};
 use ropuf_core::puf::EnrollOptions;
 use ropuf_silicon::{DelayProbe, Environment, SiliconSim};
 
@@ -17,7 +17,6 @@ fn engine(boards: usize) -> FleetEngine {
             units: 80,
             cols: 8,
             stages: 4,
-            layout: Layout::Interleaved,
             opts: EnrollOptions::default(),
             corners: vec![Environment::nominal(), Environment::new(1.32, 55.0)],
             response_probe: DelayProbe::new(0.25, 1),

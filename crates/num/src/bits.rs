@@ -269,6 +269,49 @@ impl BitVec {
         }
     }
 
+    /// Appends `bits` packed LSB-first: bit `i` becomes bit `i % 8` of
+    /// byte `i / 8`, and a partial last byte is zero-padded. This is the
+    /// byte form Key Codes and wire frames carry; [`unpack`](Self::unpack)
+    /// reads it back.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ropuf_num::bits::BitVec;
+    /// let v = BitVec::from_binary_str("1100000001").unwrap();
+    /// let mut bytes = Vec::new();
+    /// BitVec::pack(v.iter(), &mut bytes);
+    /// assert_eq!(bytes, [0b0000_0011, 0b0000_0010]);
+    /// assert_eq!(BitVec::unpack(&bytes, v.len()).collect::<BitVec>(), v);
+    /// ```
+    pub fn pack(bits: impl IntoIterator<Item = bool>, out: &mut Vec<u8>) {
+        let (mut byte, mut filled) = (0u8, 0u32);
+        for bit in bits {
+            byte |= u8::from(bit) << filled;
+            filled += 1;
+            if filled == 8 {
+                out.push(byte);
+                (byte, filled) = (0, 0);
+            }
+        }
+        if filled > 0 {
+            out.push(byte);
+        }
+    }
+
+    /// The first `len` bits of LSB-first packed `bytes`, in order: the
+    /// inverse of [`pack`](Self::pack). Bits past `len` in the last byte
+    /// are ignored. Collect them into a `BitVec`, or zip two planes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` holds fewer than `len.div_ceil(8)` bytes.
+    #[inline]
+    pub fn unpack(bytes: &[u8], len: usize) -> impl ExactSizeIterator<Item = bool> + '_ {
+        let bytes = &bytes[..len.div_ceil(8)];
+        (0..len).map(move |i| bytes[i / 8] >> (i % 8) & 1 == 1)
+    }
+
     /// Collects the bits into a `Vec<bool>`.
     pub fn to_bools(&self) -> Vec<bool> {
         self.iter().collect()

@@ -19,6 +19,30 @@ proptest! {
     }
 
     #[test]
+    fn bitvec_packs_lsb_first_and_unpacks_back(
+        bits in proptest::collection::vec(any::<bool>(), 0..300),
+        junk in any::<u8>(),
+    ) {
+        let v: BitVec = bits.iter().copied().collect();
+        let mut packed = vec![0xA5]; // appends after what is there
+        BitVec::pack(v.iter(), &mut packed);
+        let mut expected = vec![0u8; bits.len().div_ceil(8)];
+        for (i, &b) in bits.iter().enumerate() {
+            expected[i / 8] |= u8::from(b) << (i % 8);
+        }
+        prop_assert_eq!(&packed[1..], &expected[..]);
+        prop_assert_eq!(&BitVec::unpack(&packed[1..], bits.len()).collect::<BitVec>(), &v);
+        // Junk past the last bit and trailing bytes are ignored.
+        if let Some(last) = expected.last_mut() {
+            if bits.len() % 8 != 0 {
+                *last |= junk << (bits.len() % 8);
+            }
+        }
+        expected.push(junk);
+        prop_assert_eq!(BitVec::unpack(&expected, bits.len()).collect::<BitVec>(), v);
+    }
+
+    #[test]
     fn bitvec_hamming_is_metric(
         a in proptest::collection::vec(any::<bool>(), 1..200),
         b in proptest::collection::vec(any::<bool>(), 1..200),

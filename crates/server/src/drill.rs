@@ -2,8 +2,14 @@
 //! typestate lifecycle, and drive a server over TCP with a scripted,
 //! seed-derived op mix.
 //!
+//! Both drills run on one harness: [`provision`] enrolls each device,
+//! whose seed-derived *script* per phase lists labelled steps (wire
+//! requests or local notes); one session loop plays a phase and writes
+//! `d={d} <label> -> <reply or note>` per step. The plain drill is one
+//! phase, the re-enrollment drill four.
+//!
 //! Determinism contract: the transcript is a pure function of the
-//! [`DrillSpec`]. Each device's ops run sequentially on a dedicated
+//! drill's spec. Each device's steps run sequentially on a dedicated
 //! connection (so its server-side state evolves in program order), and
 //! the per-device transcripts are assembled in device order after the
 //! parallel fan-out — so the bytes are identical across runs *and*
@@ -16,20 +22,21 @@ use std::net::SocketAddr;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ropuf_core::fleet::{parallel_map_indexed, split_seed};
-use ropuf_core::lifecycle::Device;
+use ropuf_core::lifecycle::{Device, Enrolled, KeyCode};
+use ropuf_core::monitor;
 use ropuf_core::persist::enrollment_to_bytes;
-use ropuf_core::puf::{ConfigurableRoPuf, EnrollOptions};
+use ropuf_core::puf::{ConfigurableRoPuf, EnrollOptions, Enrollment};
 use ropuf_core::reenroll::{self, DriftAssessment, ReenrollOutcome, ReenrollPolicy};
 use ropuf_core::robust::FaultPlan;
 use ropuf_num::bits::BitVec;
 use ropuf_silicon::aging::AgingModel;
 use ropuf_silicon::board::BoardId;
-use ropuf_silicon::{Environment, SiliconSim};
+use ropuf_silicon::{Board, Environment, SiliconSim, Technology};
 use ropuf_telemetry as telemetry;
-use ropuf_telemetry::health::{Direction, GaugeSpec, HealthBoard, Thresholds};
+use ropuf_telemetry::health::HealthBoard;
 
 use crate::net::Client;
-use crate::proto::{RejectReason, Reply, Request, WireBits};
+use crate::proto::{Reply, Request, WireBits};
 
 /// Seed stream for the aging draw of the re-enrollment drill. Distinct
 /// from every other reserved high stream (`u64::MAX` / `u64::MAX - 1`
@@ -40,6 +47,212 @@ const STREAM_DRILL_AGING: u64 = u64::MAX - 6;
 /// Seed stream for the replacement enrollment (and its re-issued key
 /// code) in the re-enrollment drill.
 const STREAM_DRILL_REENROLL: u64 = u64::MAX - 7;
+
+/// A device enrolled the way the drills, `repro serve` and the server
+/// tests enroll one: its grown board, the helper data, and the Key Code
+/// issued against it.
+pub struct Provisioned {
+    /// The grown board.
+    pub board: Board,
+    /// The board's technology (the default Spartan-class simulator's).
+    pub tech: Technology,
+    /// The enrollment `generate_key` produced.
+    pub enrollment: Enrollment,
+    /// The Key Code `generate_key` issued.
+    pub code: KeyCode,
+    opts: EnrollOptions,
+}
+
+impl Provisioned {
+    /// The enrolled device, for fresh read-outs of the board.
+    pub fn device(&self) -> Device<'_, Enrolled> {
+        Device::resume(
+            &self.board,
+            &self.tech,
+            Environment::nominal(),
+            self.opts,
+            self.enrollment.clone(),
+        )
+        .expect("generate_key enrolls at least one repetition block")
+    }
+}
+
+/// The drills' floorplan: 4-stage interleaved pairs over the board.
+fn floorplan(units: usize) -> ConfigurableRoPuf {
+    ConfigurableRoPuf::tiled_interleaved(units, 4)
+}
+
+/// Grows board `id` (`units` on a `cols`-wide grid) from `seed`, starts
+/// a device on the drills' floorplan at the nominal corner, and
+/// generates its key from the same `seed` under `plan`.
+///
+/// # Errors
+///
+/// The [`Device::generate_key`] failure: an even repetition factor, or
+/// an enrollment too small for one repetition block.
+pub fn provision(
+    seed: u64,
+    id: u32,
+    units: usize,
+    cols: usize,
+    opts: EnrollOptions,
+    repetition: usize,
+    plan: &FaultPlan,
+) -> Result<Provisioned, ropuf_core::Error> {
+    let sim = SiliconSim::default_spartan();
+    let board = sim.grow_board_with_id(&mut StdRng::seed_from_u64(seed), BoardId(id), units, cols);
+    let (tech, env) = (*sim.technology(), Environment::nominal());
+    let (device, code) = Device::start(&board, &tech, env, floorplan(units), opts)
+        .generate_key(seed, repetition, plan)?;
+    let enrollment = device.enrollment().clone();
+    Ok(Provisioned {
+        board,
+        tech,
+        enrollment,
+        code,
+        opts,
+    })
+}
+
+/// One step of a device's script.
+enum Step {
+    /// A request whose reply the transcript describes and the report
+    /// tallies.
+    Call(Request),
+    /// A request left out of the tallies (the plain drill's enroll).
+    Untallied(Request),
+    /// A line the client writes without touching the server.
+    Note(String),
+}
+
+/// A device's steps for one phase, each with its transcript label.
+type Script = Vec<(String, Step)>;
+
+/// Aggregate outcome of a drill, or of one phase of one.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DrillReport {
+    /// One line per step in device order — the determinism artefact.
+    pub transcript: String,
+    /// Devices enrolled.
+    pub devices: u64,
+    /// Tallied ops (the plain drill leaves out its enrolls).
+    pub ops: u64,
+    /// Accepted ops.
+    pub accepted: u64,
+    /// Rejected ops (the scripted replays land here).
+    pub rejected: u64,
+}
+
+impl DrillReport {
+    fn count(&mut self, reply: &Reply) {
+        self.ops += 1;
+        match reply {
+            Reply::Enrolled { .. }
+            | Reply::AuthOk { .. }
+            | Reply::Key { .. }
+            | Reply::Reenrolled { .. } => self.accepted += 1,
+            Reply::Reject { .. } => self.rejected += 1,
+            Reply::Revoked | Reply::Error { .. } => {}
+        }
+    }
+
+    /// Appends a later device's or phase's transcript and tallies.
+    fn absorb(&mut self, other: DrillReport) {
+        self.transcript.push_str(&other.transcript);
+        self.ops += other.ops;
+        self.accepted += other.accepted;
+        self.rejected += other.rejected;
+    }
+}
+
+/// The session loop: runs one phase, device `d` playing `script(d)` on
+/// its own connection (opened at its first request) with the devices
+/// fanned out over `threads`, and folds the outcomes in device order.
+///
+/// # Errors
+///
+/// The first transport failure, in device order.
+fn run_phase<'a>(
+    addr: SocketAddr,
+    devices: usize,
+    threads: usize,
+    script: impl Fn(usize) -> &'a [(String, Step)] + Sync,
+) -> io::Result<DrillReport> {
+    let sessions = parallel_map_indexed(devices, threads, |d| -> io::Result<DrillReport> {
+        let mut client = None;
+        let mut tally = DrillReport::default();
+        for (label, step) in script(d) {
+            let outcome = match step {
+                Step::Note(text) => text.clone(),
+                Step::Call(request) | Step::Untallied(request) => {
+                    let client = match &mut client {
+                        Some(client) => client,
+                        slot => slot.insert(Client::connect(addr)?),
+                    };
+                    let reply = client.call(request)?;
+                    if matches!(step, Step::Call(_)) {
+                        tally.count(&reply);
+                    }
+                    describe(&reply)
+                }
+            };
+            writeln!(tally.transcript, "d={d} {label} -> {outcome}").expect("write to String");
+        }
+        Ok(tally)
+    });
+    let mut phase = DrillReport {
+        devices: devices as u64,
+        ..DrillReport::default()
+    };
+    for session in sessions {
+        phase.absorb(session?);
+    }
+    Ok(phase)
+}
+
+fn bits_hex(bits: &BitVec) -> String {
+    let mut bytes = Vec::new();
+    BitVec::pack(bits.iter(), &mut bytes);
+    bytes
+        .iter()
+        .flat_map(|b| [b & 0xf, b >> 4])
+        .take(bits.len().div_ceil(4))
+        .map(|nibble| char::from_digit(u32::from(nibble), 16).expect("a nibble"))
+        .collect()
+}
+
+fn describe(reply: &Reply) -> String {
+    match reply {
+        Reply::Enrolled { bits } => format!("enrolled bits={bits}"),
+        Reply::AuthOk { compared, flips } => format!("auth_ok compared={compared} flips={flips}"),
+        Reply::Key { key } => format!("key bits={} hex={}", key.len(), bits_hex(key)),
+        Reply::Revoked => "revoked".to_string(),
+        Reply::Reenrolled { bits, generation } => {
+            format!("reenrolled bits={bits} gen={generation}")
+        }
+        Reply::Reject { reason } => format!("reject {}", reason.as_str()),
+        Reply::Error { message } => format!("error {message}"),
+    }
+}
+
+/// An `auth` request over read-out `bits`, or with `derive` a
+/// `derive_key` one.
+fn auth(device_id: u64, nonce: u64, bits: Vec<Option<bool>>, derive: bool) -> Step {
+    let response = WireBits::new(bits);
+    Step::Call(if derive {
+        Request::DeriveKey {
+            device_id,
+            nonce,
+            response,
+        }
+    } else {
+        Request::Auth {
+            device_id,
+            nonce,
+            response,
+        }
+    })
+}
 
 /// What a drill does. Everything that could perturb the transcript is
 /// in here — the transcript is a pure function of this struct.
@@ -81,136 +294,43 @@ impl Default for DrillSpec {
     }
 }
 
-/// Aggregate outcome of a drill.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DrillReport {
-    /// One line per op in device order — the determinism artefact.
-    pub transcript: String,
-    /// Devices enrolled.
-    pub devices: u64,
-    /// Ops replayed (excluding enrollment).
-    pub ops: u64,
-    /// Accepted auth/derive ops.
-    pub accepted: u64,
-    /// Rejected ops (the scripted replays land here).
-    pub rejected: u64,
-}
-
-fn bits_hex(bits: &BitVec) -> String {
-    let mut out = String::with_capacity(bits.len().div_ceil(4));
-    let mut nibble = 0u8;
-    for (i, b) in bits.iter().enumerate() {
-        if b {
-            nibble |= 1 << (i % 4);
-        }
-        if i % 4 == 3 {
-            write!(out, "{nibble:x}").expect("write to String");
-            nibble = 0;
-        }
-    }
-    if !bits.len().is_multiple_of(4) {
-        write!(out, "{nibble:x}").expect("write to String");
-    }
-    out
-}
-
-fn describe(reply: &Reply) -> String {
-    match reply {
-        Reply::Enrolled { bits } => format!("enrolled bits={bits}"),
-        Reply::AuthOk { compared, flips } => format!("auth_ok compared={compared} flips={flips}"),
-        Reply::Key { key } => format!("key bits={} hex={}", key.len(), bits_hex(key)),
-        Reply::Revoked => "revoked".to_string(),
-        Reply::Reenrolled { bits, generation } => {
-            format!("reenrolled bits={bits} gen={generation}")
-        }
-        Reply::Reject { reason } => format!("reject {}", reason.as_str()),
-        Reply::Error { message } => format!("error {message}"),
-    }
-}
-
-/// One device's scripted session. Returns its transcript chunk plus
-/// (ops, accepted, rejected) tallies.
-fn drill_device(addr: SocketAddr, spec: &DrillSpec, d: u64) -> io::Result<(String, u64, u64, u64)> {
+/// Device `d`'s plain-drill script: its enroll, then the scripted op
+/// mix over fresh read-outs.
+fn drill_script(spec: &DrillSpec, d: u64) -> io::Result<Script> {
     let device_seed = split_seed(spec.seed, d);
     let plan = FaultPlan::scaled(spec.fault_scale);
-    let sim = SiliconSim::default_spartan();
-    let mut rng = StdRng::seed_from_u64(device_seed);
-    let board = sim.grow_board_with_id(&mut rng, BoardId(d as u32), spec.units, spec.cols);
-    let started = Device::start(
-        &board,
-        sim.technology(),
-        Environment::nominal(),
-        ConfigurableRoPuf::tiled_interleaved(board.len(), 4),
+    let provisioned = provision(
+        device_seed,
+        d as u32,
+        spec.units,
+        spec.cols,
         EnrollOptions::default(),
-    );
-    let (device, code) = started
-        .generate_key(device_seed, spec.repetition, &plan)
-        .map_err(|e| io::Error::other(format!("device {d} failed to enroll: {e}")))?;
-
-    let mut client = Client::connect(addr)?;
-    let mut transcript = String::new();
-    let reply = client.call(&Request::Enroll {
+        spec.repetition,
+        &plan,
+    )
+    .map_err(|e| io::Error::other(format!("device {d} failed to enroll: {e}")))?;
+    let device = provisioned.device();
+    let enroll = Request::Enroll {
         device_id: d,
-        enrollment: enrollment_to_bytes(device.enrollment()),
-        key_code: code.to_bytes(),
-    })?;
-    writeln!(transcript, "d={d} op=enroll -> {}", describe(&reply)).expect("write to String");
-
-    let (mut accepted, mut rejected) = (0u64, 0u64);
+        enrollment: enrollment_to_bytes(&provisioned.enrollment),
+        key_code: provisioned.code.to_bytes(),
+    };
+    let mut script = vec![("op=enroll".to_string(), Step::Untallied(enroll))];
     for k in 0..spec.ops_per_device {
-        let op_seed = split_seed(device_seed, k + 1);
-        let (bits, _summary) = device.respond(op_seed, spec.votes, &plan);
-        let response = WireBits::new(bits);
+        let (bits, _summary) = device.respond(split_seed(device_seed, k + 1), spec.votes, &plan);
         // Op mix: every 5th op starting at k=3 replays the previous
-        // nonce (must be rejected); every 5th starting at k=4 derives
-        // the key; the rest are plain auths. Nonces are 1-based.
-        let (name, request) = match k % 5 {
-            3 => (
-                "replay",
-                Request::Auth {
-                    device_id: d,
-                    nonce: k, // the nonce op k-1 just used
-                    response,
-                },
-            ),
-            4 => (
-                "derive_key",
-                Request::DeriveKey {
-                    device_id: d,
-                    nonce: k + 1,
-                    response,
-                },
-            ),
-            _ => (
-                "auth",
-                Request::Auth {
-                    device_id: d,
-                    nonce: k + 1,
-                    response,
-                },
-            ),
+        // nonce, the one op k-1 just used (must be rejected); every 5th
+        // starting at k=4 derives the key; the rest are plain auths.
+        // Nonces are 1-based.
+        let (name, nonce) = match k % 5 {
+            3 => ("replay", k),
+            4 => ("derive_key", k + 1),
+            _ => ("auth", k + 1),
         };
-        let reply = client.call(&request)?;
-        match &reply {
-            Reply::AuthOk { .. } | Reply::Key { .. } => accepted += 1,
-            Reply::Reject { .. } => rejected += 1,
-            _ => {}
-        }
-        if name == "replay" {
-            debug_assert!(
-                matches!(
-                    reply,
-                    Reply::Reject {
-                        reason: RejectReason::Replay
-                    }
-                ),
-                "scripted replay was not rejected: {reply:?}"
-            );
-        }
-        writeln!(transcript, "d={d} k={k} op={name} -> {}", describe(&reply))
-            .expect("write to String");
+        let step = auth(d, nonce, bits, name == "derive_key");
+        script.push((format!("k={k} op={name}"), step));
     }
-    Ok((transcript, spec.ops_per_device, accepted, rejected))
+    Ok(script)
 }
 
 /// Runs the drill against a live server and assembles the
@@ -221,23 +341,20 @@ fn drill_device(addr: SocketAddr, spec: &DrillSpec, d: u64) -> io::Result<(Strin
 /// The first per-device transport or enrollment failure.
 pub fn run_drill(addr: SocketAddr, spec: &DrillSpec) -> io::Result<DrillReport> {
     let _span = telemetry::span("serve.drill");
-    let chunks = parallel_map_indexed(spec.devices as usize, spec.client_threads, |d| {
-        drill_device(addr, spec, d as u64)
-    });
-    let mut report = DrillReport {
-        transcript: String::new(),
-        devices: spec.devices,
-        ops: 0,
-        accepted: 0,
-        rejected: 0,
-    };
-    for chunk in chunks {
-        let (transcript, ops, accepted, rejected) = chunk?;
-        report.transcript.push_str(&transcript);
-        report.ops += ops;
-        report.accepted += accepted;
-        report.rejected += rejected;
-    }
+    let n = spec.devices as usize;
+    let scripts = parallel_map_indexed(n, spec.client_threads, |d| drill_script(spec, d as u64))
+        .into_iter()
+        .collect::<io::Result<Vec<_>>>()?;
+    let report = run_phase(addr, n, spec.client_threads, |d| &scripts[d])?;
+    debug_assert!(
+        report
+            .transcript
+            .lines()
+            .filter(|line| line.contains(" op=replay -> "))
+            .all(|line| line.ends_with(" -> reject replay")),
+        "a scripted replay was not rejected:\n{}",
+        report.transcript
+    );
     Ok(report)
 }
 
@@ -339,39 +456,25 @@ pub struct ReenrollDrillReport {
 /// front as a pure function of the spec (which is what lets a resumed
 /// run rebuild its local state without the earlier phases' wire ops).
 struct ReenrollBundle {
-    /// Serialized original enrollment (the `enroll` op payload).
-    enroll_bytes: Vec<u8>,
-    /// Serialized original key code.
-    code_bytes: Vec<u8>,
-    /// Fresh-silicon auth response (nonce 1).
-    fresh_bits: Vec<Option<bool>>,
-    /// Aged-silicon auth response under the old enrollment (nonce 2).
-    aged_bits: Vec<Option<bool>>,
+    /// The device's script for each phase: enroll, assess, reenroll,
+    /// verify.
+    scripts: [Script; 4],
     /// The old enrollment re-assessed on the aged silicon.
     pre: DriftAssessment,
-    /// Whether `pre` triggered the re-enrollment policy.
-    drifted: bool,
-    /// Human-readable decision: the margin improvement, or why the old
-    /// enrollment was kept.
-    decision: String,
-    /// Supersede payload (enrollment, key code) when accepted.
-    replacement: Option<(Vec<u8>, Vec<u8>)>,
     /// The in-force enrollment (replacement or old) re-assessed on the
     /// aged silicon — the heal evidence.
     post: DriftAssessment,
-    /// Post-loop auth response under the in-force enrollment (nonce 3).
-    post_bits: Vec<Option<bool>>,
-    /// Key-derivation response under the in-force enrollment (nonce 4).
-    key_bits: Vec<Option<bool>>,
+    /// Whether `pre` triggered the re-enrollment policy.
+    drifted: bool,
+    /// Whether a replacement enrollment was accepted for supersede.
+    reenrolled: bool,
 }
 
-/// Computes device `d`'s bundle: grow, enroll, age, assess, decide,
-/// and pre-derive every wire response.
+/// Computes device `d`'s bundle: provision, age, assess, decide, and
+/// pre-derive every wire response.
 fn reenroll_bundle(spec: &ReenrollDrillSpec, d: u64) -> io::Result<ReenrollBundle> {
     let device_seed = split_seed(spec.seed, d);
     let plan = FaultPlan::scaled(0.0);
-    let sim = SiliconSim::default_spartan();
-    let tech = *sim.technology();
     let env = Environment::nominal();
     // The threshold keeps near-tie pairs out of the enrollment, so a
     // noiseless re-assessment on *unaged* silicon never flips — only
@@ -380,22 +483,19 @@ fn reenroll_bundle(spec: &ReenrollDrillSpec, d: u64) -> io::Result<ReenrollBundl
         threshold_ps: 5.0,
         ..EnrollOptions::default()
     };
-    let mut rng = StdRng::seed_from_u64(device_seed);
-    let board = sim.grow_board_with_id(&mut rng, BoardId(d as u32), spec.units, spec.cols);
-    let started = Device::start(
-        &board,
-        &tech,
-        env,
-        ConfigurableRoPuf::tiled_interleaved(board.len(), 4),
+    let provisioned = provision(
+        device_seed,
+        d as u32,
+        spec.units,
+        spec.cols,
         opts,
-    );
-    let (device, code) = started
-        .generate_key(device_seed, spec.repetition, &plan)
-        .map_err(|e| io::Error::other(format!("device {d} failed to enroll: {e}")))?;
-    let fresh_bits = device
-        .respond(split_seed(device_seed, 1), spec.votes, &plan)
-        .0;
-    let old = device.enrollment().clone();
+        spec.repetition,
+        &plan,
+    )
+    .map_err(|e| io::Error::other(format!("device {d} failed to enroll: {e}")))?;
+    let tech = provisioned.tech;
+    let old = &provisioned.enrollment;
+    let resume_failed = |e| io::Error::other(format!("device {d} failed to resume: {e}"));
 
     let model = AgingModel {
         sigma_drift_rel: 0.02,
@@ -403,19 +503,17 @@ fn reenroll_bundle(spec: &ReenrollDrillSpec, d: u64) -> io::Result<ReenrollBundl
         ..AgingModel::default()
     };
     let mut aging_rng = StdRng::seed_from_u64(split_seed(device_seed, STREAM_DRILL_AGING));
-    let aged = model.age_board(&mut aging_rng, &board, spec.years);
+    let aged = model.age_board(&mut aging_rng, &provisioned.board, spec.years);
 
     let policy = ReenrollPolicy::default();
     let corners = reenroll::assessment_corners(env, &policy);
-    let pre = reenroll::assess_drift(&old, &aged, &tech, &corners);
-    let aged_device = Device::resume(&aged, &tech, env, opts, old.clone())
-        .map_err(|e| io::Error::other(format!("device {d} failed to resume: {e}")))?;
-    let aged_bits = aged_device
-        .respond(split_seed(device_seed, 2), spec.votes, &plan)
-        .0;
+    let pre = reenroll::assess_drift(old, &aged, &tech, &corners);
+    let drifted = pre.drifted(&policy);
+    let aged_device =
+        Device::resume(&aged, &tech, env, opts, old.clone()).map_err(resume_failed)?;
 
     let outcome = reenroll::reenroll(
-        &ConfigurableRoPuf::tiled_interleaved(board.len(), 4),
+        &floorplan(provisioned.board.len()),
         split_seed(device_seed, STREAM_DRILL_REENROLL),
         &aged,
         &tech,
@@ -423,113 +521,115 @@ fn reenroll_bundle(spec: &ReenrollDrillSpec, d: u64) -> io::Result<ReenrollBundl
         &opts,
         &policy,
         &plan,
-        &old,
+        old,
     );
-    let (in_force, decision, replacement) = match outcome {
+    let in_force = outcome.accepted().unwrap_or(old).clone();
+    let post = reenroll::assess_drift(&in_force, &aged, &tech, &corners);
+    let final_device = Device::resume(&aged, &tech, env, opts, in_force).map_err(resume_failed)?;
+    let reenroll_step = match outcome {
         ReenrollOutcome::Accepted {
-            enrollment,
             old_margin_ps,
             new_margin_ps,
+            ..
         } => {
             // Old key codes are bound to the old response; re-issue
             // against the replacement before committing it.
-            let resumed = Device::resume(&aged, &tech, env, opts, enrollment.clone())
-                .map_err(|e| io::Error::other(format!("device {d} failed to resume: {e}")))?;
-            let new_code = resumed
+            let code = final_device
                 .issue_key(
                     split_seed(device_seed, STREAM_DRILL_REENROLL),
                     spec.repetition,
                 )
                 .map_err(|e| io::Error::other(format!("device {d} failed to re-key: {e}")))?;
-            let payload = (enrollment_to_bytes(&enrollment), new_code.to_bytes());
-            (
-                enrollment,
-                format!("(margin {old_margin_ps:.2} -> {new_margin_ps:.2} ps)"),
-                Some(payload),
-            )
+            let supersede = Request::Reenroll {
+                device_id: d,
+                enrollment: enrollment_to_bytes(final_device.enrollment()),
+                key_code: code.to_bytes(),
+            };
+            let label = format!("op=reenroll (margin {old_margin_ps:.2} -> {new_margin_ps:.2} ps)");
+            (label, Step::Call(supersede))
         }
-        ReenrollOutcome::Rejected(reason) => (old.clone(), format!("kept ({reason})"), None),
+        ReenrollOutcome::Rejected(reason) => {
+            let kept = Step::Note(format!("kept ({reason})"));
+            ("op=reenroll".into(), kept)
+        }
     };
-    let post = reenroll::assess_drift(&in_force, &aged, &tech, &corners);
-    let final_device = Device::resume(&aged, &tech, env, opts, in_force)
-        .map_err(|e| io::Error::other(format!("device {d} failed to resume: {e}")))?;
-    let post_bits = final_device
-        .respond(split_seed(device_seed, 3), spec.votes, &plan)
-        .0;
-    let key_bits = final_device
-        .respond(split_seed(device_seed, 4), spec.votes, &plan)
-        .0;
+    // Read-out k draws from stream k of the device seed and travels
+    // with nonce k.
+    let read = |device: &Device<'_, Enrolled>, k: u64, derive: bool| {
+        let bits = device
+            .respond(split_seed(device_seed, k), spec.votes, &plan)
+            .0;
+        auth(d, k, bits, derive)
+    };
+    let fresh_device = provisioned.device();
+    let assessment = format!(
+        "drifted={drifted} flips={}/{} margin={:.2} ps worst={:.2} ps",
+        pre.enrollment_point_flips, pre.bits, pre.min_margin_ps, pre.worst_corner_margin_ps
+    );
+    let reenrolled = matches!(reenroll_step.1, Step::Call(_));
+    let enroll = Request::Enroll {
+        device_id: d,
+        enrollment: enrollment_to_bytes(old),
+        key_code: provisioned.code.to_bytes(),
+    };
+    let scripts = [
+        // Enroll: provision the device and prove the fresh silicon
+        // authenticates.
+        vec![
+            ("op=enroll".into(), Step::Call(enroll)),
+            ("op=auth_fresh".into(), read(&fresh_device, 1, false)),
+        ],
+        // Assess: the old enrollment on the aged silicon, locally and
+        // on the wire.
+        vec![
+            ("op=assess".into(), Step::Note(assessment)),
+            ("op=auth_aged".into(), read(&aged_device, 2, false)),
+        ],
+        // Reenroll: supersede an accepted replacement; a kept
+        // enrollment is a local line only.
+        vec![reenroll_step],
+        // Verify: auth and key derivation against whatever generation
+        // the store resolved.
+        vec![
+            ("op=auth_post".into(), read(&final_device, 3, false)),
+            ("op=derive_key".into(), read(&final_device, 4, true)),
+        ],
+    ];
     Ok(ReenrollBundle {
-        enroll_bytes: enrollment_to_bytes(&old),
-        code_bytes: code.to_bytes(),
-        fresh_bits,
-        aged_bits,
-        drifted: pre.drifted(&policy),
+        scripts,
         pre,
-        decision,
-        replacement,
         post,
-        post_bits,
-        key_bits,
+        drifted,
+        reenrolled,
     })
 }
 
 /// Renders the fleet drift gauge line for one phase: the aggregate
-/// enrollment-point flip rate classified through the same
-/// `aged_flip_rate_nominal` gauge (name and thresholds) the fleet
-/// observatory publishes, plus whether [`reenroll::drift_flagged`]
-/// would nominate the fleet for re-enrollment.
-fn drift_gauge_line(phase: &str, flips: usize, bits: usize) -> String {
-    let value = if bits == 0 {
-        0.0
-    } else {
-        flips as f64 / bits as f64
-    };
-    let mut health = HealthBoard::new(vec![GaugeSpec {
-        name: "aged_flip_rate_nominal",
-        help: "Mean flip fraction at the nominal corner on aged silicon (ideal 0)",
-        direction: Direction::HighIsBad,
-        level: Thresholds {
-            warn: 0.005,
-            critical: 0.05,
-            hysteresis: 0.001,
-        },
-        drift: None,
-    }]);
-    health.observe("aged_flip_rate_nominal", value);
+/// enrollment-point flip rate classified through the fleet
+/// observatory's own `aged_flip_rate_nominal` gauge, plus whether
+/// [`reenroll::drift_flagged`] would nominate the fleet for
+/// re-enrollment.
+fn drift_gauge_line<'a>(
+    phase: &str,
+    assessments: impl Iterator<Item = &'a DriftAssessment>,
+) -> String {
+    const GAUGE: &str = "aged_flip_rate_nominal";
+    let (flips, bits) = assessments.fold((0, 0), |(flips, bits), a| {
+        (flips + a.enrollment_point_flips, bits + a.bits)
+    });
+    let value = flips as f64 / bits.max(1) as f64;
+    let spec = monitor::default_gauges()
+        .into_iter()
+        .find(|g| g.name == GAUGE)
+        .expect("the fleet observatory publishes aged_flip_rate_nominal");
+    let mut health = HealthBoard::new(vec![spec]);
+    health.observe(GAUGE, value);
     let report = health.report();
     format!(
-        "phase={phase} gauge=aged_flip_rate_nominal value={value:.4} status={} drift_flagged={}\n",
+        "phase={phase} gauge={GAUGE} value={value:.4} status={} drift_flagged={}\n",
         report.gauges[0].status,
         reenroll::drift_flagged(&report)
     )
-}
-
-/// Classifies one reply into the accepted/rejected tallies.
-fn tally(reply: &Reply, accepted: &mut u64, rejected: &mut u64) {
-    match reply {
-        Reply::Enrolled { .. }
-        | Reply::AuthOk { .. }
-        | Reply::Key { .. }
-        | Reply::Reenrolled { .. } => *accepted += 1,
-        Reply::Reject { .. } => *rejected += 1,
-        _ => {}
-    }
-}
-
-/// Folds per-device phase chunks into the report in device order.
-fn append_chunks(
-    report: &mut ReenrollDrillReport,
-    chunks: Vec<io::Result<(String, u64, u64, u64)>>,
-) -> io::Result<()> {
-    for chunk in chunks {
-        let (transcript, ops, accepted, rejected) = chunk?;
-        report.transcript.push_str(&transcript);
-        report.ops += ops;
-        report.accepted += accepted;
-        report.rejected += rejected;
-    }
-    Ok(())
 }
 
 /// Runs the aged-fleet re-enrollment drill against a live server:
@@ -550,153 +650,40 @@ pub fn run_reenroll_drill(
     let bundles = parallel_map_indexed(n, spec.client_threads, |d| reenroll_bundle(spec, d as u64))
         .into_iter()
         .collect::<io::Result<Vec<_>>>()?;
-    let mut report = ReenrollDrillReport {
-        transcript: String::new(),
-        devices: spec.devices,
-        drifted: bundles.iter().filter(|b| b.drifted).count() as u64,
-        reenrolled: bundles.iter().filter(|b| b.replacement.is_some()).count() as u64,
-        ops: 0,
-        accepted: 0,
-        rejected: 0,
-    };
-
-    if !spec.resume {
-        // Phase 1 — enroll: provision every device and prove the fresh
-        // silicon authenticates.
-        let chunks = parallel_map_indexed(n, spec.client_threads, |d| {
-            let b = &bundles[d];
-            let d = d as u64;
-            let mut client = Client::connect(addr)?;
-            let mut t = String::new();
-            let (mut acc, mut rej) = (0u64, 0u64);
-            let reply = client.call(&Request::Enroll {
-                device_id: d,
-                enrollment: b.enroll_bytes.clone(),
-                key_code: b.code_bytes.clone(),
-            })?;
-            tally(&reply, &mut acc, &mut rej);
-            writeln!(t, "d={d} op=enroll -> {}", describe(&reply)).expect("write to String");
-            let reply = client.call(&Request::Auth {
-                device_id: d,
-                nonce: 1,
-                response: WireBits::new(b.fresh_bits.clone()),
-            })?;
-            tally(&reply, &mut acc, &mut rej);
-            writeln!(t, "d={d} op=auth_fresh -> {}", describe(&reply)).expect("write to String");
-            Ok((t, 2u64, acc, rej))
-        });
-        append_chunks(&mut report, chunks)?;
-        if spec.stop_after == Some(ReenrollStage::Enroll) {
-            return Ok(report);
+    // The four phases in order: the stop point each completes (verify
+    // has none, and is the only phase a resumed run replays) and the
+    // fleet gauge line closing it, with the assessment it sums.
+    type Gauge = Option<(&'static str, fn(&ReenrollBundle) -> &DriftAssessment)>;
+    let phases: [(Option<ReenrollStage>, Gauge); 4] = [
+        (Some(ReenrollStage::Enroll), None),
+        (Some(ReenrollStage::Assess), Some(("assess", |b| &b.pre))),
+        (Some(ReenrollStage::Reenroll), None),
+        (None, Some(("verify", |b| &b.post))),
+    ];
+    let mut tally = DrillReport::default();
+    for (i, (stage, gauge)) in phases.into_iter().enumerate() {
+        if spec.resume && stage.is_some() {
+            continue;
         }
-
-        // Phase 2 — assess: re-evaluate every enrollment on the aged
-        // silicon and show the degraded fleet on the wire.
-        let chunks = parallel_map_indexed(n, spec.client_threads, |d| {
-            let b = &bundles[d];
-            let d = d as u64;
-            let mut client = Client::connect(addr)?;
-            let mut t = String::new();
-            let (mut acc, mut rej) = (0u64, 0u64);
-            writeln!(
-                t,
-                "d={d} op=assess -> drifted={} flips={}/{} margin={:.2} ps worst={:.2} ps",
-                b.drifted,
-                b.pre.enrollment_point_flips,
-                b.pre.bits,
-                b.pre.min_margin_ps,
-                b.pre.worst_corner_margin_ps
-            )
-            .expect("write to String");
-            let reply = client.call(&Request::Auth {
-                device_id: d,
-                nonce: 2,
-                response: WireBits::new(b.aged_bits.clone()),
-            })?;
-            tally(&reply, &mut acc, &mut rej);
-            writeln!(t, "d={d} op=auth_aged -> {}", describe(&reply)).expect("write to String");
-            Ok((t, 1u64, acc, rej))
-        });
-        append_chunks(&mut report, chunks)?;
-        let flips: usize = bundles.iter().map(|b| b.pre.enrollment_point_flips).sum();
-        let bits: usize = bundles.iter().map(|b| b.pre.bits).sum();
-        report
-            .transcript
-            .push_str(&drift_gauge_line("assess", flips, bits));
-        if spec.stop_after == Some(ReenrollStage::Assess) {
-            return Ok(report);
+        tally.absorb(run_phase(addr, n, spec.client_threads, |d| {
+            &bundles[d].scripts[i]
+        })?);
+        if let Some((name, assessment)) = gauge {
+            tally.transcript += &drift_gauge_line(name, bundles.iter().map(assessment));
         }
-
-        // Phase 3 — reenroll: supersede the accepted replacements;
-        // devices the policy kept produce a local line only.
-        let chunks = parallel_map_indexed(n, spec.client_threads, |d| {
-            let b = &bundles[d];
-            let d = d as u64;
-            let mut t = String::new();
-            let (mut acc, mut rej) = (0u64, 0u64);
-            let mut ops = 0u64;
-            match &b.replacement {
-                Some((enrollment, key_code)) => {
-                    let mut client = Client::connect(addr)?;
-                    let reply = client.call(&Request::Reenroll {
-                        device_id: d,
-                        enrollment: enrollment.clone(),
-                        key_code: key_code.clone(),
-                    })?;
-                    ops += 1;
-                    tally(&reply, &mut acc, &mut rej);
-                    writeln!(
-                        t,
-                        "d={d} op=reenroll {} -> {}",
-                        b.decision,
-                        describe(&reply)
-                    )
-                    .expect("write to String");
-                }
-                None => {
-                    writeln!(t, "d={d} op=reenroll -> {}", b.decision).expect("write to String");
-                }
-            }
-            Ok((t, ops, acc, rej))
-        });
-        append_chunks(&mut report, chunks)?;
-        if spec.stop_after == Some(ReenrollStage::Reenroll) {
-            return Ok(report);
+        if stage == spec.stop_after {
+            break;
         }
     }
-
-    // Phase 4 — verify: the fleet authenticates and derives keys
-    // against whatever generation the store resolved (fresh process or
-    // not), and the drift gauge reads healthy again.
-    let chunks = parallel_map_indexed(n, spec.client_threads, |d| {
-        let b = &bundles[d];
-        let d = d as u64;
-        let mut client = Client::connect(addr)?;
-        let mut t = String::new();
-        let (mut acc, mut rej) = (0u64, 0u64);
-        let reply = client.call(&Request::Auth {
-            device_id: d,
-            nonce: 3,
-            response: WireBits::new(b.post_bits.clone()),
-        })?;
-        tally(&reply, &mut acc, &mut rej);
-        writeln!(t, "d={d} op=auth_post -> {}", describe(&reply)).expect("write to String");
-        let reply = client.call(&Request::DeriveKey {
-            device_id: d,
-            nonce: 4,
-            response: WireBits::new(b.key_bits.clone()),
-        })?;
-        tally(&reply, &mut acc, &mut rej);
-        writeln!(t, "d={d} op=derive_key -> {}", describe(&reply)).expect("write to String");
-        Ok((t, 2u64, acc, rej))
-    });
-    append_chunks(&mut report, chunks)?;
-    let flips: usize = bundles.iter().map(|b| b.post.enrollment_point_flips).sum();
-    let bits: usize = bundles.iter().map(|b| b.post.bits).sum();
-    report
-        .transcript
-        .push_str(&drift_gauge_line("verify", flips, bits));
-    Ok(report)
+    Ok(ReenrollDrillReport {
+        transcript: tally.transcript,
+        devices: spec.devices,
+        drifted: bundles.iter().filter(|b| b.drifted).count() as u64,
+        reenrolled: bundles.iter().filter(|b| b.reenrolled).count() as u64,
+        ops: tally.ops,
+        accepted: tally.accepted,
+        rejected: tally.rejected,
+    })
 }
 
 #[cfg(test)]

@@ -24,7 +24,8 @@
 //! * [`ops`] — the rolling-window operations plane and SLO engine,
 //! * [`access`] — request ids, gate stage timing, and the sampled
 //!   JSONL access log,
-//! * [`drill`] — deterministic end-to-end drills whose transcript is
+//! * [`drill`] — the device provisioner and the deterministic
+//!   end-to-end drills, scripted sessions whose transcript is
 //!   byte-identical across runs and thread counts.
 
 pub mod access;
@@ -41,8 +42,8 @@ pub(crate) mod testutil;
 
 pub use access::{AccessLog, RequestId};
 pub use drill::{
-    run_drill, run_reenroll_drill, DrillReport, DrillSpec, ReenrollDrillReport, ReenrollDrillSpec,
-    ReenrollStage,
+    provision, run_drill, run_reenroll_drill, DrillReport, DrillSpec, Provisioned,
+    ReenrollDrillReport, ReenrollDrillSpec, ReenrollStage,
 };
 pub use net::{serve, serve_with_admin, Client, ServerHandle};
 pub use ops::{OpsConfig, OpsPlane};

@@ -33,7 +33,9 @@ pub struct ServerHandle {
     admin_addr: Option<SocketAddr>,
     service: Arc<PufService>,
     shutting_down: Arc<AtomicBool>,
-    live_conns: Arc<Mutex<Vec<TcpStream>>>,
+    /// One slot per worker: a handle on the connection it is serving,
+    /// so shutdown can sever connections a client left idle-open.
+    live_conns: Arc<Mutex<Vec<Option<TcpStream>>>>,
     accept_threads: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -85,7 +87,7 @@ pub fn serve_with_admin(
         None => None,
     };
     let shutting_down = Arc::new(AtomicBool::new(false));
-    let live_conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+    let live_conns = Arc::new(Mutex::new((0..workers).map(|_| None).collect::<Vec<_>>()));
     let (tx, rx) = mpsc::channel::<Conn>();
     let rx = Arc::new(Mutex::new(rx));
 
@@ -105,14 +107,14 @@ pub fn serve_with_admin(
                             let stream = match &conn {
                                 Conn::Proto(s) | Conn::Admin(s) => s,
                             };
-                            // Register a handle so shutdown can sever
-                            // connections a client left idle-open.
-                            if let Ok(clone) = stream.try_clone() {
-                                live_conns
-                                    .lock()
-                                    .expect("connection registry poisoned")
-                                    .push(clone);
-                            }
+                            // The slot holds the handle only while the
+                            // handler runs, so a closed connection's
+                            // descriptor is released with it.
+                            let park = |handle: Option<TcpStream>| {
+                                live_conns.lock().expect("connection registry poisoned")[i] =
+                                    handle;
+                            };
+                            park(stream.try_clone().ok());
                             match conn {
                                 Conn::Proto(stream) => {
                                     let _ = handle_connection(&service, stream);
@@ -121,6 +123,7 @@ pub fn serve_with_admin(
                                     let _ = handle_admin_connection(&service, stream);
                                 }
                             }
+                            park(None);
                         }
                         Err(_) => return, // queue closed: shutdown
                     }
@@ -243,7 +246,8 @@ impl ServerHandle {
             .live_conns
             .lock()
             .expect("connection registry poisoned")
-            .drain(..)
+            .iter_mut()
+            .filter_map(Option::take)
         {
             let _ = conn.shutdown(Shutdown::Both);
         }

@@ -64,39 +64,18 @@ impl WireBits {
 
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.bits.len() as u32).to_le_bytes());
-        let planes = |f: &dyn Fn(&Option<bool>) -> bool, out: &mut Vec<u8>| {
-            let mut byte = 0u8;
-            for (i, b) in self.bits.iter().enumerate() {
-                if f(b) {
-                    byte |= 1 << (i % 8);
-                }
-                if i % 8 == 7 {
-                    out.push(byte);
-                    byte = 0;
-                }
-            }
-            if !self.bits.len().is_multiple_of(8) {
-                out.push(byte);
-            }
-        };
-        planes(&|b| b.is_some(), out);
-        planes(&|b| *b == Some(true), out);
+        BitVec::pack(self.bits.iter().map(Option::is_some), out);
+        BitVec::pack(self.bits.iter().map(|b| *b == Some(true)), out);
     }
 
     fn decode_from(buf: &[u8], at: &mut usize) -> Result<Self, ProtoError> {
         let n = take_u32(buf, at)? as usize;
         let plane_bytes = n.div_ceil(8);
-        let valid = take_slice(buf, at, plane_bytes)?;
-        let values = take_slice(buf, at, plane_bytes)?;
-        let bit = |plane: &[u8], i: usize| plane[i / 8] >> (i % 8) & 1 == 1;
-        let bits = (0..n)
-            .map(|i| {
-                if bit(valid, i) {
-                    Some(bit(values, i))
-                } else {
-                    None
-                }
-            })
+        let valid = BitVec::unpack(take_slice(buf, at, plane_bytes)?, n);
+        let values = BitVec::unpack(take_slice(buf, at, plane_bytes)?, n);
+        let bits = valid
+            .zip(values)
+            .map(|(valid, value)| valid.then_some(value))
             .collect();
         Ok(Self { bits })
     }
@@ -403,19 +382,7 @@ impl Reply {
             Reply::Key { key } => {
                 out.push(ST_KEY);
                 out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                let mut byte = 0u8;
-                for (i, b) in key.iter().enumerate() {
-                    if b {
-                        byte |= 1 << (i % 8);
-                    }
-                    if i % 8 == 7 {
-                        out.push(byte);
-                        byte = 0;
-                    }
-                }
-                if key.len() % 8 != 0 {
-                    out.push(byte);
-                }
+                BitVec::pack(key.iter(), &mut out);
             }
             Reply::Revoked => out.push(ST_REVOKED),
             Reply::Reenrolled { bits, generation } => {
@@ -456,9 +423,8 @@ impl Reply {
             },
             ST_KEY => {
                 let n = take_u32(buf, &mut at)? as usize;
-                let bytes = take_slice(buf, &mut at, n.div_ceil(8))?;
                 Reply::Key {
-                    key: (0..n).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect(),
+                    key: BitVec::unpack(take_slice(buf, &mut at, n.div_ceil(8))?, n).collect(),
                 }
             }
             ST_REVOKED => Reply::Revoked,

@@ -2,15 +2,13 @@
 
 use std::path::PathBuf;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use ropuf_core::lifecycle::{Device, KeyCode};
+use ropuf_core::lifecycle::KeyCode;
 use ropuf_core::persist::enrollment_to_bytes;
-use ropuf_core::puf::{ConfigurableRoPuf, EnrollOptions};
+use ropuf_core::puf::EnrollOptions;
 use ropuf_core::robust::FaultPlan;
 use ropuf_num::bits::BitVec;
-use ropuf_silicon::board::BoardId;
-use ropuf_silicon::{Environment, SiliconSim};
+
+use crate::drill::provision;
 
 /// One device's worth of enrollable material.
 pub struct Fixture {
@@ -24,27 +22,24 @@ pub struct Fixture {
     pub key_code: KeyCode,
 }
 
-/// Grows a board and runs the typestate lifecycle to produce store
-/// payloads. Deterministic in `seed`.
+/// Provisions board `seed` (80 units, 12 columns) into store payloads.
+/// Deterministic in `seed`.
 pub fn enrolled_fixture(seed: u64) -> Fixture {
-    let sim = SiliconSim::default_spartan();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let board = sim.grow_board_with_id(&mut rng, BoardId(seed as u32), 80, 12);
-    let device = Device::start(
-        &board,
-        sim.technology(),
-        Environment::nominal(),
-        ConfigurableRoPuf::tiled_interleaved(board.len(), 4),
+    let device = provision(
+        seed,
+        seed as u32,
+        80,
+        12,
         EnrollOptions::default(),
-    );
-    let (device, code) = device
-        .generate_key(seed, 3, &FaultPlan::scaled(0.0))
-        .expect("fixture enrolls");
+        3,
+        &FaultPlan::scaled(0.0),
+    )
+    .expect("fixture enrolls");
     Fixture {
-        enrollment_bytes: enrollment_to_bytes(device.enrollment()),
-        key_code_bytes: code.to_bytes(),
-        expected: device.enrollment().expected_bits(),
-        key_code: code,
+        enrollment_bytes: enrollment_to_bytes(&device.enrollment),
+        key_code_bytes: device.code.to_bytes(),
+        expected: device.enrollment.expected_bits(),
+        key_code: device.code,
     }
 }
 

@@ -47,7 +47,12 @@ fn main() {
     let puf = ConfigurableRoPuf::tiled(board.len(), STAGES);
 
     // Enroll with a margin threshold: pairs under 3 ps yield no bit.
-    let opts = EnrollOptions::builder().threshold_ps(3.0).build();
+    let opts = EnrollOptions {
+        threshold_ps: 3.0,
+        ..EnrollOptions::default()
+    }
+    .validate()
+    .expect("a finite, non-negative threshold");
     let enrollment = puf.enroll(
         &mut rng,
         &board,

@@ -19,9 +19,12 @@ fn main() {
 
     // 3. Enroll at nominal conditions: calibrate every ring, pick the
     //    inverter subsets that maximize each pair's delay margin.
-    let opts = EnrollOptions::builder()
-        .selection(SelectionMode::Case2)
-        .build();
+    let opts = EnrollOptions {
+        mode: SelectionMode::Case2,
+        ..EnrollOptions::default()
+    }
+    .validate()
+    .expect("default options are consistent");
     let enrollment = puf.enroll(
         &mut rng,
         &board,

@@ -26,7 +26,9 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
+use std::net::SocketAddr;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,8 +49,8 @@ use ropuf::dataset::ParseCsvError;
 use ropuf::nist::suite::{run_suite, SuiteConfig};
 use ropuf::num::bits::{BitVec, ParseBitsError};
 use ropuf::server::{
-    AccessLog, DrillSpec, FsyncPolicy, OpsConfig, PufService, ReenrollDrillSpec, ReenrollStage,
-    ServiceConfig, ServiceOptions, Store,
+    serve_with_admin, AccessLog, DrillSpec, FsyncPolicy, OpsConfig, PufService, ReenrollDrillSpec,
+    ReenrollStage, ServerHandle, ServiceConfig, ServiceOptions, Store,
 };
 use ropuf::silicon::aging::AgingModel;
 use ropuf::silicon::{DelayProbe, Environment, SiliconSim};
@@ -569,9 +571,11 @@ fn fleet(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let votes = get(opts, "votes", 1usize)?;
     let threshold = get(opts, "threshold", 0.0f64)?;
     let faults = fault_plan(opts)?;
-    let opts = EnrollOptions::builder()
-        .threshold_ps(threshold)
-        .try_build()?;
+    let opts = EnrollOptions {
+        threshold_ps: threshold,
+        ..EnrollOptions::default()
+    }
+    .validate()?;
     let config = FleetConfig {
         boards,
         units,
@@ -700,9 +704,11 @@ fn monitor(opts: &HashMap<String, String>) -> Result<(), CliError> {
             units,
             cols,
             stages,
-            opts: EnrollOptions::builder()
-                .threshold_ps(threshold)
-                .try_build()?,
+            opts: EnrollOptions {
+                threshold_ps: threshold,
+                ..EnrollOptions::default()
+            }
+            .validate()?,
             faults,
             ..FleetConfig::default()
         },
@@ -909,10 +915,12 @@ fn enroll(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let grow_span = telemetry::span("cli.enroll.grow");
     let (board, tech) = demo_board(seed, units);
     drop(grow_span);
-    let enroll_opts = EnrollOptions::builder()
-        .selection(mode)
-        .threshold_ps(threshold)
-        .try_build()?;
+    let enroll_opts = EnrollOptions {
+        mode,
+        threshold_ps: threshold,
+        ..EnrollOptions::default()
+    }
+    .validate()?;
     let enroll_span = telemetry::span("cli.enroll.enroll");
     let enrollment = ConfigurableRoPuf::tiled_interleaved(units, stages).enroll_seeded(
         seed ^ 0xE14A,
@@ -975,6 +983,122 @@ fn respond(opts: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The store and server flags `serve` and `reenroll` share, checked
+/// once for both.
+struct ServerFlags<'a> {
+    store: &'a str,
+    workers: usize,
+    shards: usize,
+    fsync: FsyncPolicy,
+}
+
+impl<'a> ServerFlags<'a> {
+    fn parse(opts: &'a HashMap<String, String>) -> Result<Self, CliError> {
+        let store = required(opts, "store")?;
+        let workers = get(opts, "workers", worker_threads())?;
+        if workers == 0 {
+            return Err(CliError::Usage("--workers must be at least 1".to_string()));
+        }
+        let shards = get(opts, "shards", 8usize)?;
+        if shards == 0 {
+            return Err(CliError::Usage("--shards must be at least 1".to_string()));
+        }
+        let fsync = match opts.get("fsync").map(String::as_str) {
+            None | Some("every") => FsyncPolicy::EveryRecord,
+            Some("batched") => FsyncPolicy::Batched,
+            Some(other) => {
+                return Err(CliError::Usage(format!(
+                    "--fsync must be every or batched, got {other:?}"
+                )))
+            }
+        };
+        Ok(Self {
+            store,
+            workers,
+            shards,
+            fsync,
+        })
+    }
+
+    /// Opens the store and serves it on `addr`, plus the admin plane on
+    /// `admin`. A drill's service reads a frozen manual clock, so even
+    /// the windowed ops-plane figures are a pure function of the
+    /// request stream; a real server windows over wall time.
+    fn stand_up(
+        &self,
+        addr: SocketAddr,
+        admin: Option<SocketAddr>,
+        drill: bool,
+        access_log: Option<AccessLog>,
+    ) -> Result<(Arc<PufService>, ServerHandle), CliError> {
+        let open_span = telemetry::span("cli.store.open");
+        let store = Store::open(std::path::Path::new(self.store), self.shards, self.fsync)?;
+        let mut ops = OpsConfig::default();
+        if drill {
+            ops.clock = Arc::new(telemetry::ManualClock::at(0));
+        }
+        let service = Arc::new(PufService::with_options(
+            store,
+            ServiceOptions {
+                config: ServiceConfig::default(),
+                ops,
+                access_log,
+            },
+        ));
+        drop(open_span);
+        let server = serve_with_admin(Arc::clone(&service), addr, self.workers, admin).map_err(
+            |source| CliError::Io {
+                path: addr.to_string(),
+                source,
+            },
+        )?;
+        eprintln!(
+            "serving on {} ({} workers, {} shards, fsync {})",
+            server.addr(),
+            self.workers,
+            self.shards,
+            if self.fsync == FsyncPolicy::EveryRecord {
+                "every"
+            } else {
+                "batched"
+            },
+        );
+        if let Some(admin_addr) = server.admin_addr() {
+            eprintln!("admin on http://{admin_addr} (/metrics, /healthz, /slo)");
+        }
+        Ok((service, server))
+    }
+}
+
+/// Reads a flag that must be an odd count (`--votes`, `--repetition`).
+fn odd(opts: &HashMap<String, String>, key: &str, default: usize) -> Result<usize, CliError> {
+    let value = get(opts, key, default)?;
+    if value.is_multiple_of(2) {
+        return Err(CliError::Usage(format!("--{key} must be odd, got {value}")));
+    }
+    Ok(value)
+}
+
+/// Runs `drill` against a stood-up server: the transcript, the only
+/// seed-determined output, goes to stdout and the tally line to
+/// stderr; then the store is synced.
+fn run_drill_on(
+    service: &PufService,
+    server: &ServerHandle,
+    drill: impl FnOnce(SocketAddr) -> std::io::Result<(String, String)>,
+) -> Result<(), CliError> {
+    let drill_span = telemetry::span("cli.drill");
+    let (transcript, tallies) = drill(server.addr()).map_err(|source| CliError::Io {
+        path: format!("drill against {}", server.addr()),
+        source,
+    })?;
+    drop(drill_span);
+    print!("{transcript}");
+    eprintln!("{tallies}");
+    service.store().sync_all()?;
+    Ok(())
+}
+
 /// Runs the device-authentication server over an on-disk enrollment
 /// store. With `--drill true` the command enrolls `--devices` boards
 /// through the typestate lifecycle, drives the scripted auth mix
@@ -982,19 +1106,11 @@ fn respond(opts: &HashMap<String, String>) -> Result<(), CliError> {
 /// exits — the CI-facing smoke mode. Without it, the server blocks
 /// serving the bound address until killed.
 fn serve(opts: &HashMap<String, String>) -> Result<(), CliError> {
-    let store_dir = required(opts, "store")?;
+    let flags = ServerFlags::parse(opts)?;
     let addr_raw = get(opts, "addr", "127.0.0.1:0".to_string())?;
-    let addr: std::net::SocketAddr = addr_raw
+    let addr: SocketAddr = addr_raw
         .parse()
         .map_err(|_| CliError::Usage(format!("--addr value {addr_raw:?} is malformed")))?;
-    let workers = get(opts, "workers", worker_threads())?;
-    if workers == 0 {
-        return Err(CliError::Usage("--workers must be at least 1".to_string()));
-    }
-    let shards = get(opts, "shards", 8usize)?;
-    if shards == 0 {
-        return Err(CliError::Usage("--shards must be at least 1".to_string()));
-    }
     let drill = get(opts, "drill", false)?;
     let health = get(opts, "health", false)?;
     let linger = get(opts, "linger", false)?;
@@ -1004,7 +1120,7 @@ fn serve(opts: &HashMap<String, String>) -> Result<(), CliError> {
                 .to_string(),
         ));
     }
-    let admin: Option<std::net::SocketAddr> = match opts.get("admin") {
+    let admin: Option<SocketAddr> = match opts.get("admin") {
         None => None,
         Some(raw) => Some(
             raw.parse()
@@ -1022,6 +1138,23 @@ fn serve(opts: &HashMap<String, String>) -> Result<(), CliError> {
             "--sample requires --access-log FILE".to_string(),
         ));
     }
+    let spec = DrillSpec {
+        seed: get(opts, "seed", DrillSpec::default().seed)?,
+        devices: get(opts, "devices", 16u64)?,
+        ops_per_device: get(opts, "ops", 10u64)?,
+        units: get(opts, "units", 80usize)?,
+        cols: get(opts, "cols", 12usize)?,
+        votes: odd(opts, "votes", 1)?,
+        repetition: odd(opts, "repetition", 3)?,
+        fault_scale: get(opts, "faults", 0.0f64)?,
+        client_threads: get(opts, "threads", worker_threads())?,
+    };
+    if !(spec.fault_scale.is_finite() && spec.fault_scale >= 0.0) {
+        return Err(CliError::Usage(format!(
+            "--faults must be a finite non-negative scale, got {}",
+            spec.fault_scale
+        )));
+    }
     let access_log = match opts.get("access-log") {
         None => None,
         Some(path) => Some(
@@ -1033,127 +1166,35 @@ fn serve(opts: &HashMap<String, String>) -> Result<(), CliError> {
             })?,
         ),
     };
-    let fsync = match opts.get("fsync").map(String::as_str) {
-        None | Some("every") => FsyncPolicy::EveryRecord,
-        Some("batched") => FsyncPolicy::Batched,
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "--fsync must be every or batched, got {other:?}"
-            )))
-        }
-    };
-    let spec = DrillSpec {
-        seed: get(opts, "seed", DrillSpec::default().seed)?,
-        devices: get(opts, "devices", 16u64)?,
-        ops_per_device: get(opts, "ops", 10u64)?,
-        units: get(opts, "units", 80usize)?,
-        cols: get(opts, "cols", 12usize)?,
-        votes: get(opts, "votes", 1usize)?,
-        repetition: get(opts, "repetition", 3usize)?,
-        fault_scale: get(opts, "faults", 0.0f64)?,
-        client_threads: get(opts, "threads", worker_threads())?,
-    };
-    if spec.votes == 0 || spec.votes.is_multiple_of(2) {
-        return Err(CliError::Usage(format!(
-            "--votes must be odd, got {}",
-            spec.votes
-        )));
-    }
-    if spec.repetition == 0 || spec.repetition.is_multiple_of(2) {
-        return Err(CliError::Usage(format!(
-            "--repetition must be odd, got {}",
-            spec.repetition
-        )));
-    }
-    if !(spec.fault_scale.is_finite() && spec.fault_scale >= 0.0) {
-        return Err(CliError::Usage(format!(
-            "--faults must be a finite non-negative scale, got {}",
-            spec.fault_scale
-        )));
-    }
 
-    let open_span = telemetry::span("cli.serve.open");
-    let store = Store::open(std::path::Path::new(store_dir), shards, fsync)?;
-    // Drills get a frozen manual clock so even the windowed ops-plane
-    // figures are a pure function of the request stream; a real server
-    // windows over wall time.
-    let ops = if drill {
-        OpsConfig {
-            clock: std::sync::Arc::new(telemetry::ManualClock::at(0)),
-            ..OpsConfig::default()
-        }
-    } else {
-        OpsConfig::default()
-    };
-    let service = std::sync::Arc::new(PufService::with_options(
-        store,
-        ServiceOptions {
-            config: ServiceConfig::default(),
-            ops,
-            access_log,
-        },
-    ));
-    drop(open_span);
-    let server =
-        ropuf::server::serve_with_admin(std::sync::Arc::clone(&service), addr, workers, admin)
-            .map_err(|source| CliError::Io {
-                path: addr_raw.clone(),
-                source,
-            })?;
-    eprintln!(
-        "serving on {} ({} workers, {} shards, fsync {})",
-        server.addr(),
-        workers,
-        shards,
-        if fsync == FsyncPolicy::EveryRecord {
-            "every"
-        } else {
-            "batched"
-        },
-    );
-    if let Some(admin_addr) = server.admin_addr() {
-        eprintln!("admin on http://{admin_addr} (/metrics, /healthz, /slo)");
-    }
-
+    let (service, server) = flags.stand_up(addr, admin, drill, access_log)?;
     if drill {
-        let drill_span = telemetry::span("cli.serve.drill");
-        let report =
-            ropuf::server::run_drill(server.addr(), &spec).map_err(|source| CliError::Io {
-                path: format!("drill against {}", server.addr()),
-                source,
-            })?;
-        drop(drill_span);
-        // Stdout carries only the seed-determined transcript; tallies
-        // and health go to stderr like every other subcommand.
-        print!("{}", report.transcript);
-        eprintln!(
-            "drill: {} devices, {} ops ({} accepted, {} rejected)",
-            report.devices, report.ops, report.accepted, report.rejected
-        );
-        if health {
-            eprint!("{}", service.health_report().render());
-        }
-        service.store().sync_all()?;
+        run_drill_on(&service, &server, |addr| {
+            let r = ropuf::server::run_drill(addr, &spec)?;
+            let tallies = format!(
+                "drill: {} devices, {} ops ({} accepted, {} rejected)",
+                r.devices, r.ops, r.accepted, r.rejected
+            );
+            Ok((r.transcript, tallies))
+        })?;
         if let Some(log) = service.access_log() {
             log.flush();
         }
-        if linger {
-            // Keep serving (admin plane included) after the drill so a
-            // harness can scrape `/metrics` and `/slo` against the
-            // drill's windowed state; kill the process to exit.
-            eprintln!("drill complete; lingering (kill to exit)");
-            loop {
-                std::thread::park();
-            }
-        }
-        server.shutdown();
-        return Ok(());
     }
-
     if health {
         eprint!("{}", service.health_report().render());
     }
-    // Block forever: the accept/worker threads own the work now.
+    if drill && !linger {
+        server.shutdown();
+        return Ok(());
+    }
+    // Block: the accept/worker threads own the work now. A lingering
+    // drill keeps serving (admin plane included) so a harness can scrape
+    // `/metrics` and `/slo` against the drill's windowed state; kill the
+    // process to exit.
+    if drill {
+        eprintln!("drill complete; lingering (kill to exit)");
+    }
     loop {
         std::thread::park();
     }
@@ -1167,24 +1208,7 @@ fn serve(opts: &HashMap<String, String>) -> Result<(), CliError> {
 /// kill-and-restart check can diff the concatenated transcripts
 /// against a full run's.
 fn reenroll(opts: &HashMap<String, String>) -> Result<(), CliError> {
-    let store_dir = required(opts, "store")?;
-    let workers = get(opts, "workers", worker_threads())?;
-    if workers == 0 {
-        return Err(CliError::Usage("--workers must be at least 1".to_string()));
-    }
-    let shards = get(opts, "shards", 8usize)?;
-    if shards == 0 {
-        return Err(CliError::Usage("--shards must be at least 1".to_string()));
-    }
-    let fsync = match opts.get("fsync").map(String::as_str) {
-        None | Some("every") => FsyncPolicy::EveryRecord,
-        Some("batched") => FsyncPolicy::Batched,
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "--fsync must be every or batched, got {other:?}"
-            )))
-        }
-    };
+    let flags = ServerFlags::parse(opts)?;
     let stop_after = match opts.get("stop-after").map(String::as_str) {
         None => None,
         Some(raw) => Some(ReenrollStage::parse(raw).ok_or_else(|| {
@@ -1199,25 +1223,13 @@ fn reenroll(opts: &HashMap<String, String>) -> Result<(), CliError> {
         devices: get(opts, "devices", defaults.devices)?,
         units: get(opts, "units", defaults.units)?,
         cols: get(opts, "cols", defaults.cols)?,
-        votes: get(opts, "votes", defaults.votes)?,
-        repetition: get(opts, "repetition", defaults.repetition)?,
+        votes: odd(opts, "votes", defaults.votes)?,
+        repetition: odd(opts, "repetition", defaults.repetition)?,
         years: get(opts, "years", defaults.years)?,
         client_threads: get(opts, "threads", worker_threads())?,
         stop_after,
         resume: get(opts, "resume", false)?,
     };
-    if spec.votes == 0 || spec.votes.is_multiple_of(2) {
-        return Err(CliError::Usage(format!(
-            "--votes must be odd, got {}",
-            spec.votes
-        )));
-    }
-    if spec.repetition == 0 || spec.repetition.is_multiple_of(2) {
-        return Err(CliError::Usage(format!(
-            "--repetition must be odd, got {}",
-            spec.repetition
-        )));
-    }
     if !(spec.years.is_finite() && spec.years >= 0.0) {
         return Err(CliError::Usage(format!(
             "--years must be a finite non-negative span, got {}",
@@ -1230,52 +1242,16 @@ fn reenroll(opts: &HashMap<String, String>) -> Result<(), CliError> {
         ));
     }
 
-    let open_span = telemetry::span("cli.reenroll.open");
-    let store = Store::open(std::path::Path::new(store_dir), shards, fsync)?;
-    // Same frozen clock as `serve --drill`: the ops plane must not
-    // leak wall time into anything a harness could diff.
-    let service = std::sync::Arc::new(PufService::with_options(
-        store,
-        ServiceOptions {
-            config: ServiceConfig::default(),
-            ops: OpsConfig {
-                clock: std::sync::Arc::new(telemetry::ManualClock::at(0)),
-                ..OpsConfig::default()
-            },
-            access_log: None,
-        },
-    ));
-    drop(open_span);
-    let server = ropuf::server::serve(
-        std::sync::Arc::clone(&service),
-        "127.0.0.1:0".parse().expect("loopback addr"),
-        workers,
-    )
-    .map_err(|source| CliError::Io {
-        path: "127.0.0.1:0".to_string(),
-        source,
+    let loopback = SocketAddr::from(([127, 0, 0, 1], 0));
+    let (service, server) = flags.stand_up(loopback, None, true, None)?;
+    run_drill_on(&service, &server, |addr| {
+        let r = ropuf::server::run_reenroll_drill(addr, &spec)?;
+        let tallies = format!(
+            "reenroll: {} devices, {} drifted, {} superseded, {} ops ({} accepted, {} rejected)",
+            r.devices, r.drifted, r.reenrolled, r.ops, r.accepted, r.rejected
+        );
+        Ok((r.transcript, tallies))
     })?;
-
-    let drill_span = telemetry::span("cli.reenroll.drill");
-    let report =
-        ropuf::server::run_reenroll_drill(server.addr(), &spec).map_err(|source| CliError::Io {
-            path: format!("reenroll drill against {}", server.addr()),
-            source,
-        })?;
-    drop(drill_span);
-    // Stdout carries only the seed-determined transcript; tallies go
-    // to stderr like every other subcommand.
-    print!("{}", report.transcript);
-    eprintln!(
-        "reenroll: {} devices, {} drifted, {} superseded, {} ops ({} accepted, {} rejected)",
-        report.devices,
-        report.drifted,
-        report.reenrolled,
-        report.ops,
-        report.accepted,
-        report.rejected
-    );
-    service.store().sync_all()?;
     server.shutdown();
     Ok(())
 }

@@ -44,7 +44,7 @@ pub mod prelude {
     pub use ropuf_core::error::Error;
     pub use ropuf_core::fleet::{
         split_seed, worker_threads, BoardRecord, FleetAging, FleetConfig, FleetEngine, FleetRun,
-        Layout, Quarantine, QuarantineReason,
+        Quarantine, QuarantineReason,
     };
     pub use ropuf_core::fuzzy::FuzzyExtractor;
     pub use ropuf_core::lifecycle::{Device, Enrolled, KeyCode, Started};
@@ -54,7 +54,7 @@ pub mod prelude {
         enrollment_from_bytes, enrollment_from_text, enrollment_to_bytes, enrollment_to_text,
     };
     pub use ropuf_core::puf::{
-        ConfigurableRoPuf, EnrollOptions, EnrollOptionsBuilder, Enrollment, PairSpec, SelectionMode,
+        ConfigurableRoPuf, EnrollOptions, Enrollment, PairSpec, SelectionMode,
     };
     pub use ropuf_core::ro::RoPair;
     pub use ropuf_core::robust::{

@@ -813,6 +813,59 @@ fn serve_flag_parse_failures_are_typed_nonzero_exits() {
 }
 
 #[test]
+fn reenroll_flag_parse_failures_are_typed_nonzero_exits() {
+    // `reenroll` shares its store, server and odd-count checks with
+    // `serve`; each failure must still name its flag.
+    let store = tmp("reenroll-flags-store");
+    let store = store.to_str().unwrap();
+    let cases: &[(&[&str], &str)] = &[
+        (&["reenroll"], "--store"),
+        (
+            &["reenroll", "--store", store, "--workers", "0"],
+            "--workers",
+        ),
+        (&["reenroll", "--store", store, "--shards", "0"], "--shards"),
+        (
+            &["reenroll", "--store", store, "--fsync", "sometimes"],
+            "--fsync",
+        ),
+        (&["reenroll", "--store", store, "--votes", "2"], "--votes"),
+        (
+            &["reenroll", "--store", store, "--repetition", "0"],
+            "--repetition",
+        ),
+        (&["reenroll", "--store", store, "--years", "-1"], "--years"),
+        (
+            &["reenroll", "--store", store, "--stop-after", "verify"],
+            "--stop-after",
+        ),
+        (
+            &[
+                "reenroll",
+                "--store",
+                store,
+                "--resume",
+                "true",
+                "--stop-after",
+                "enroll",
+            ],
+            "--resume",
+        ),
+        (
+            &["reenroll", "--store", store, "--devices", "many"],
+            "--devices",
+        ),
+    ];
+    for (args, flag) in cases {
+        let out = ropuf(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("error:"), "{args:?}: {err}");
+        assert!(err.contains(flag), "{args:?} should name {flag}: {err}");
+    }
+}
+
+#[test]
 fn fleet_flag_parse_failures_are_typed_nonzero_exits() {
     let cases: &[(&[&str], &str)] = &[
         (&["fleet", "--boards", "two"], "--boards"),
