@@ -506,8 +506,7 @@ fn check_bench_fleet(opts: &Options, baseline_text: &str) {
     };
     describe("baseline", &baseline);
     describe("fresh   ", &fresh);
-    let (violations, notes) =
-        check::compare_with_notes(&baseline, &fresh, &check::Tolerance::default());
+    let (violations, notes) = check::compare_with_notes(&baseline, &fresh);
     finish_gate(&violations, &notes);
 }
 
@@ -589,8 +588,7 @@ fn check_bench_serve(opts: &Options, baseline_text: &str) {
     };
     describe("baseline", &baseline);
     describe("fresh   ", &fresh);
-    let (violations, notes) =
-        check::compare_serve_with_notes(&baseline, &fresh, &check::Tolerance::default());
+    let (violations, notes) = check::compare_serve_with_notes(&baseline, &fresh);
     finish_gate(&violations, &notes);
 }
 

@@ -135,49 +135,31 @@ fn parse_speedup_curve(text: &str) -> Vec<(u64, f64)> {
         .collect()
 }
 
-/// Accepted drift between a baseline and a fresh bench record.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tolerance {
-    /// Largest accepted fractional throughput loss (0.25 = fresh may
-    /// be up to 25 % slower than the baseline; faster always passes).
-    pub max_throughput_regression: f64,
-    /// Largest accepted fractional serve p99 latency growth (0.5 =
-    /// fresh p99 may be up to 50 % above the baseline; lower always
-    /// passes). Wide on purpose: tail latency on shared CI hardware is
-    /// noisy, but a 10x blow-up is a real regression and must fail.
-    pub max_p99_regression: f64,
-    /// Largest accepted absolute change of the uniqueness statistic.
-    pub max_uniqueness_delta: f64,
-    /// Smallest accepted fraction of the physically achievable speedup
-    /// at the gated thread count (0.7 = the 8-thread pass must reach at
-    /// least 70 % of `min(8, cores)`). A flat curve on a multi-core
-    /// machine means the parallel path stopped scaling — the regression
-    /// this gate exists to catch.
-    pub min_scaling_fraction: f64,
-}
+/// Largest accepted fractional throughput loss (0.25 = fresh may be up
+/// to 25 % slower than the baseline; faster always passes).
+const MAX_THROUGHPUT_REGRESSION: f64 = 0.25;
 
-impl Default for Tolerance {
-    fn default() -> Self {
-        Self {
-            max_throughput_regression: 0.25,
-            max_p99_regression: 0.5,
-            max_uniqueness_delta: 1e-9,
-            min_scaling_fraction: 0.7,
-        }
-    }
-}
+/// Largest accepted fractional serve p99 latency growth (0.5 = fresh
+/// p99 may be up to 50 % above the baseline; lower always passes). Wide
+/// on purpose: tail latency on shared CI hardware is noisy, but a 10x
+/// blow-up is a real regression and must fail.
+const MAX_P99_REGRESSION: f64 = 0.5;
+
+/// Largest accepted absolute change of the uniqueness statistic.
+const MAX_UNIQUENESS_DELTA: f64 = 1e-9;
+
+/// Smallest accepted fraction of the physically achievable speedup at
+/// the gated thread count (0.7 = the 8-thread pass must reach at least
+/// 70 % of `min(8, cores)`). A flat curve on a multi-core machine means
+/// the parallel path stopped scaling — the regression this gate exists
+/// to catch.
+const MIN_SCALING_FRACTION: f64 = 0.7;
 
 /// Compares `fresh` against `baseline`; returns one message per
-/// violated claim (empty = gate passes). Notes from the thread-aware
-/// throughput handling are discarded; use [`compare_with_notes`] to
-/// surface them.
-pub fn compare(baseline: &BenchRecord, fresh: &BenchRecord, tol: &Tolerance) -> Vec<String> {
-    compare_with_notes(baseline, fresh, tol).0
-}
-
-/// [`compare`] plus the non-fatal notes the comparison logged — today
-/// that is the reason the throughput band was skipped when one record
-/// does not carry a thread count.
+/// violated claim (empty = gate passes) and the non-fatal notes the
+/// comparison logged — today that is the reason a gate was skipped,
+/// such as the throughput band when one record does not carry a thread
+/// count.
 ///
 /// Thread handling:
 ///
@@ -192,7 +174,6 @@ pub fn compare(baseline: &BenchRecord, fresh: &BenchRecord, tol: &Tolerance) -> 
 pub fn compare_with_notes(
     baseline: &BenchRecord,
     fresh: &BenchRecord,
-    tol: &Tolerance,
 ) -> (Vec<String>, Vec<String>) {
     let mut violations = Vec::new();
     let mut notes = Vec::new();
@@ -217,10 +198,10 @@ pub fn compare_with_notes(
     match (baseline.uniqueness, fresh.uniqueness) {
         (Some(b), Some(f)) => {
             let delta = (f - b).abs();
-            if delta > tol.max_uniqueness_delta {
+            if delta > MAX_UNIQUENESS_DELTA {
                 violations.push(format!(
-                    "uniqueness drifted: baseline {b}, fresh {f} (|Δ| {delta:e} > {:e})",
-                    tol.max_uniqueness_delta
+                    "uniqueness drifted: baseline {b}, fresh {f} (|Δ| {delta:e} > \
+                     {MAX_UNIQUENESS_DELTA:e})"
                 ));
             }
         }
@@ -251,8 +232,8 @@ pub fn compare_with_notes(
     // tolerance fraction of what its core count can deliver. This runs
     // before the thread-count match below because a skipped throughput
     // band must not also skip the scaling claim.
-    check_scaling("baseline", baseline, tol, &mut violations, &mut notes);
-    check_scaling("fresh", fresh, tol, &mut violations, &mut notes);
+    check_scaling("baseline", baseline, &mut violations, &mut notes);
+    check_scaling("fresh", fresh, &mut violations, &mut notes);
     // Only throughput is compared band-wise; the shape checks above
     // make the boards/sec figures commensurable — provided the two
     // records also ran on the same number of worker threads.
@@ -279,12 +260,12 @@ pub fn compare_with_notes(
         }
         _ => {}
     }
-    let floor = baseline.boards_per_sec * (1.0 - tol.max_throughput_regression);
+    let floor = baseline.boards_per_sec * (1.0 - MAX_THROUGHPUT_REGRESSION);
     if fresh.boards_per_sec < floor {
         violations.push(format!(
             "throughput regressed beyond {:.0}%: baseline {:.1} boards/sec, fresh {:.1} \
              (floor {:.1})",
-            100.0 * tol.max_throughput_regression,
+            100.0 * MAX_THROUGHPUT_REGRESSION,
             baseline.boards_per_sec,
             fresh.boards_per_sec,
             floor
@@ -387,14 +368,13 @@ const GATED_CURVE_THREADS: u64 = 8;
 /// neither `cores` nor a curve predates the scaling fields and is
 /// silently grandfathered; one carrying only half the information is
 /// skipped with a note. A record with both must carry the gated thread
-/// count and reach [`Tolerance::min_scaling_fraction`] × `min(8,
-/// cores)` there — the core count caps the demand at what the machine
+/// count and reach [`MIN_SCALING_FRACTION`] × `min(8, cores)`
+/// there — the core count caps the demand at what the machine
 /// can physically deliver, so a flat curve on one core passes while the
 /// same curve on eight cores is a collapsed parallel path.
 fn check_scaling(
     label: &str,
     record: &BenchRecord,
-    tol: &Tolerance,
     violations: &mut Vec<String>,
     notes: &mut Vec<String>,
 ) {
@@ -429,13 +409,13 @@ fn check_scaling(
         ));
         return;
     }
-    let floor = tol.min_scaling_fraction * achievable;
+    let floor = MIN_SCALING_FRACTION * achievable;
     if speedup < floor {
         violations.push(format!(
             "{label} parallel scaling collapsed: {GATED_CURVE_THREADS}-thread speedup \
              {speedup:.2}x on a {cores}-core machine (floor {floor:.2}x = {:.0}% of \
              min({GATED_CURVE_THREADS}, cores))",
-            100.0 * tol.min_scaling_fraction
+            100.0 * MIN_SCALING_FRACTION
         ));
     }
 }
@@ -448,7 +428,7 @@ pub struct ServeScale {
     /// Auth requests per second at this enrolled-fleet size.
     pub auth_ops_per_sec: f64,
     /// 99th-percentile per-op latency, microseconds. Banded by
-    /// [`Tolerance::max_p99_regression`] at matching thread counts (a
+    /// `MAX_P99_REGRESSION` at matching thread counts (a
     /// wide band — tail latency on shared CI hardware is noisy), and
     /// always reported as a note; vanishing is a violation.
     pub p99_us: f64,
@@ -522,15 +502,14 @@ impl ServeRecord {
 /// Compares a fresh serve record against the committed baseline under
 /// the same thread-handling rules as [`compare_with_notes`]: drill
 /// determinism is a hard claim in both records, per-scale auth
-/// throughput is banded by [`Tolerance::max_throughput_regression`]
-/// (only at matching thread counts), and a scale present in the
-/// baseline may not vanish from the fresh run. p99 figures are banded
-/// by [`Tolerance::max_p99_regression`] (also only at matching thread
-/// counts) and reported as notes either way.
+/// throughput is banded by `MAX_THROUGHPUT_REGRESSION` (only at
+/// matching thread counts), and a scale present in the baseline may
+/// not vanish from the fresh run. p99 figures are banded by
+/// `MAX_P99_REGRESSION` (also only at matching thread counts) and
+/// reported as notes either way.
 pub fn compare_serve_with_notes(
     baseline: &ServeRecord,
     fresh: &ServeRecord,
-    tol: &Tolerance,
 ) -> (Vec<String>, Vec<String>) {
     let mut violations = Vec::new();
     let mut notes = Vec::new();
@@ -578,25 +557,25 @@ pub fn compare_serve_with_notes(
         if !comparable {
             continue;
         }
-        let floor = base_scale.auth_ops_per_sec * (1.0 - tol.max_throughput_regression);
+        let floor = base_scale.auth_ops_per_sec * (1.0 - MAX_THROUGHPUT_REGRESSION);
         if fresh_scale.auth_ops_per_sec < floor {
             violations.push(format!(
                 "auth throughput at {} regressed beyond {:.0}%: baseline {:.1} ops/sec, \
                  fresh {:.1} (floor {:.1})",
                 base_scale.label,
-                100.0 * tol.max_throughput_regression,
+                100.0 * MAX_THROUGHPUT_REGRESSION,
                 base_scale.auth_ops_per_sec,
                 fresh_scale.auth_ops_per_sec,
                 floor
             ));
         }
-        let ceiling = base_scale.p99_us * (1.0 + tol.max_p99_regression);
+        let ceiling = base_scale.p99_us * (1.0 + MAX_P99_REGRESSION);
         if fresh_scale.p99_us > ceiling {
             violations.push(format!(
                 "p99 latency at {} regressed beyond {:.0}%: baseline {:.1} us, \
                  fresh {:.1} (ceiling {:.1})",
                 base_scale.label,
-                100.0 * tol.max_p99_regression,
+                100.0 * MAX_P99_REGRESSION,
                 base_scale.p99_us,
                 fresh_scale.p99_us,
                 ceiling
@@ -630,7 +609,7 @@ mod tests {
     #[test]
     fn identical_records_pass() {
         let r = record(1000.0);
-        assert!(compare(&r, &r, &Tolerance::default()).is_empty());
+        assert!(compare_with_notes(&r, &r).0.is_empty());
     }
 
     #[test]
@@ -671,7 +650,7 @@ mod tests {
     fn fabricated_2x_regression_fails() {
         let baseline = record(1000.0);
         let fresh = record(500.0); // 2x slower
-        let violations = compare(&baseline, &fresh, &Tolerance::default());
+        let violations = compare_with_notes(&baseline, &fresh).0;
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
             violations[0].contains("throughput regressed"),
@@ -682,11 +661,11 @@ mod tests {
     #[test]
     fn small_throughput_dip_passes_but_speedup_always_passes() {
         let baseline = record(1000.0);
-        assert!(compare(&baseline, &record(800.0), &Tolerance::default()).is_empty());
-        assert!(compare(&baseline, &record(5000.0), &Tolerance::default()).is_empty());
+        assert!(compare_with_notes(&baseline, &record(800.0)).0.is_empty());
+        assert!(compare_with_notes(&baseline, &record(5000.0)).0.is_empty());
         // Exactly at the floor still passes (band is inclusive).
-        assert!(compare(&baseline, &record(750.0), &Tolerance::default()).is_empty());
-        assert!(!compare(&baseline, &record(749.0), &Tolerance::default()).is_empty());
+        assert!(compare_with_notes(&baseline, &record(750.0)).0.is_empty());
+        assert!(!compare_with_notes(&baseline, &record(749.0)).0.is_empty());
     }
 
     #[test]
@@ -694,17 +673,20 @@ mod tests {
         let baseline = record(1000.0);
         let mut broken = record(1000.0);
         broken.deterministic = false;
-        assert!(compare(&baseline, &broken, &Tolerance::default())
+        assert!(compare_with_notes(&baseline, &broken)
+            .0
             .iter()
             .any(|v| v.contains("NOT deterministic")));
         let mut drifted = record(1000.0);
         drifted.uniqueness = Some(0.51);
-        assert!(compare(&baseline, &drifted, &Tolerance::default())
+        assert!(compare_with_notes(&baseline, &drifted)
+            .0
             .iter()
             .any(|v| v.contains("uniqueness drifted")));
         let mut vanished = record(1000.0);
         vanished.uniqueness = None;
-        assert!(compare(&baseline, &vanished, &Tolerance::default())
+        assert!(compare_with_notes(&baseline, &vanished)
+            .0
             .iter()
             .any(|v| v.contains("vanished")));
     }
@@ -717,7 +699,7 @@ mod tests {
         let mut baseline = record(1000.0);
         baseline.threads = Some(8);
         let fresh = record(8000.0);
-        let (violations, notes) = compare_with_notes(&baseline, &fresh, &Tolerance::default());
+        let (violations, notes) = compare_with_notes(&baseline, &fresh);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
             violations[0].contains("thread counts differ")
@@ -736,7 +718,7 @@ mod tests {
         let mut baseline = record(1000.0);
         baseline.threads = None;
         let fresh = record(500.0);
-        let (violations, notes) = compare_with_notes(&baseline, &fresh, &Tolerance::default());
+        let (violations, notes) = compare_with_notes(&baseline, &fresh);
         assert!(violations.is_empty(), "{violations:?}");
         assert_eq!(notes.len(), 1, "{notes:?}");
         assert!(
@@ -787,7 +769,7 @@ mod tests {
         let mut flat = record(1000.0);
         flat.cores = Some(8);
         flat.speedup_curve = vec![(1, 1.0), (2, 1.0), (4, 1.0), (8, 0.94)];
-        let (violations, _) = compare_with_notes(&baseline, &flat, &Tolerance::default());
+        let (violations, _) = compare_with_notes(&baseline, &flat);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
             violations[0].contains("fresh parallel scaling collapsed")
@@ -796,7 +778,7 @@ mod tests {
             "{violations:?}"
         );
         // The same flat curve in the committed baseline is flagged too.
-        let (violations, _) = compare_with_notes(&flat, &baseline, &Tolerance::default());
+        let (violations, _) = compare_with_notes(&flat, &baseline);
         assert!(
             violations
                 .iter()
@@ -814,7 +796,7 @@ mod tests {
         let mut fresh = record(1000.0);
         fresh.cores = Some(1);
         fresh.speedup_curve = vec![(1, 1.0), (2, 0.91), (4, 0.81), (8, 0.66)];
-        let (violations, notes) = compare_with_notes(&baseline, &fresh, &Tolerance::default());
+        let (violations, notes) = compare_with_notes(&baseline, &fresh);
         assert!(violations.is_empty(), "{violations:?}");
         assert!(
             notes
@@ -824,7 +806,7 @@ mod tests {
         );
         // Two cores are enough to demand real scaling: 0.7 × min(8, 2).
         fresh.cores = Some(2);
-        let (violations, _) = compare_with_notes(&baseline, &fresh, &Tolerance::default());
+        let (violations, _) = compare_with_notes(&baseline, &fresh);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
             violations[0].contains("scaling collapsed"),
@@ -838,12 +820,12 @@ mod tests {
         let mut fresh = record(1000.0);
         fresh.cores = Some(8);
         fresh.speedup_curve = vec![(1, 1.0), (2, 1.9), (4, 3.7), (8, 6.4)];
-        let (violations, _) = compare_with_notes(&baseline, &fresh, &Tolerance::default());
+        let (violations, _) = compare_with_notes(&baseline, &fresh);
         assert!(violations.is_empty(), "{violations:?}");
 
         // A curve whose gated point is missing is a malformed claim.
         fresh.speedup_curve = vec![(1, 1.0), (2, 1.9)];
-        let (violations, _) = compare_with_notes(&baseline, &fresh, &Tolerance::default());
+        let (violations, _) = compare_with_notes(&baseline, &fresh);
         assert!(
             violations.iter().any(|v| v.contains("no 8-thread point")),
             "{violations:?}"
@@ -852,7 +834,7 @@ mod tests {
         // Half-present scaling fields skip with a note, not a failure.
         let mut half = record(1000.0);
         half.cores = Some(8);
-        let (violations, notes) = compare_with_notes(&baseline, &half, &Tolerance::default());
+        let (violations, notes) = compare_with_notes(&baseline, &half);
         assert!(violations.is_empty(), "{violations:?}");
         assert!(
             notes
@@ -871,14 +853,14 @@ mod tests {
         let baseline = record(1000.0);
         let mut inverted = record(1000.0);
         inverted.worst_corner_flip_rate_multi_corner = Some(0.2);
-        let (violations, _) = compare_with_notes(&baseline, &inverted, &Tolerance::default());
+        let (violations, _) = compare_with_notes(&baseline, &inverted);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
             violations[0].contains("fresh corner objective inverted"),
             "{violations:?}"
         );
         inverted.worst_corner_flip_rate_multi_corner = inverted.worst_corner_flip_rate_nominal;
-        let (violations, _) = compare_with_notes(&baseline, &inverted, &Tolerance::default());
+        let (violations, _) = compare_with_notes(&baseline, &inverted);
         assert!(
             violations
                 .iter()
@@ -886,7 +868,7 @@ mod tests {
             "equality is not strictly below: {violations:?}"
         );
         // The same inversion in the committed baseline is flagged too.
-        let (violations, _) = compare_with_notes(&inverted, &baseline, &Tolerance::default());
+        let (violations, _) = compare_with_notes(&inverted, &baseline);
         assert!(
             violations
                 .iter()
@@ -901,7 +883,7 @@ mod tests {
         let mut old = record(1000.0);
         old.worst_corner_flip_rate_nominal = None;
         old.worst_corner_flip_rate_multi_corner = None;
-        let (violations, notes) = compare_with_notes(&old, &fresh, &Tolerance::default());
+        let (violations, notes) = compare_with_notes(&old, &fresh);
         assert!(violations.is_empty(), "{violations:?}");
         assert!(
             notes
@@ -911,7 +893,7 @@ mod tests {
         );
         let mut half = record(1000.0);
         half.worst_corner_flip_rate_multi_corner = None;
-        let (violations, _) = compare_with_notes(&old, &half, &Tolerance::default());
+        let (violations, _) = compare_with_notes(&old, &half);
         assert!(
             violations
                 .iter()
@@ -951,7 +933,7 @@ mod tests {
         let baseline = record(1000.0);
         let mut leaky = record(1000.0);
         leaky.attacker_advantage_guarded = Some(0.3);
-        let (violations, _) = compare_with_notes(&baseline, &leaky, &Tolerance::default());
+        let (violations, _) = compare_with_notes(&baseline, &leaky);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
             violations[0].contains("fresh guarded kernel leaks") && violations[0].contains("0.3"),
@@ -959,11 +941,11 @@ mod tests {
         );
         // Exactly at the ceiling still passes (the band is inclusive).
         leaky.attacker_advantage_guarded = Some(0.1);
-        let (violations, _) = compare_with_notes(&baseline, &leaky, &Tolerance::default());
+        let (violations, _) = compare_with_notes(&baseline, &leaky);
         assert!(violations.is_empty(), "{violations:?}");
         // The same leak in the committed baseline is flagged too.
         leaky.attacker_advantage_guarded = Some(0.3);
-        let (violations, _) = compare_with_notes(&leaky, &baseline, &Tolerance::default());
+        let (violations, _) = compare_with_notes(&leaky, &baseline);
         assert!(
             violations
                 .iter()
@@ -977,7 +959,7 @@ mod tests {
         let baseline = record(1000.0);
         let mut quiet = record(1000.0);
         quiet.attacker_advantage_broken = Some(0.05);
-        let (violations, _) = compare_with_notes(&baseline, &quiet, &Tolerance::default());
+        let (violations, _) = compare_with_notes(&baseline, &quiet);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
             violations[0].contains("fresh attack canary went quiet"),
@@ -991,7 +973,7 @@ mod tests {
         let mut old = record(1000.0);
         old.attacker_advantage_guarded = None;
         old.attacker_advantage_broken = None;
-        let (violations, notes) = compare_with_notes(&old, &fresh, &Tolerance::default());
+        let (violations, notes) = compare_with_notes(&old, &fresh);
         assert!(violations.is_empty(), "{violations:?}");
         assert!(
             notes
@@ -1001,7 +983,7 @@ mod tests {
         );
         let mut half = record(1000.0);
         half.attacker_advantage_broken = None;
-        let (violations, _) = compare_with_notes(&old, &half, &Tolerance::default());
+        let (violations, _) = compare_with_notes(&old, &half);
         assert!(
             violations
                 .iter()
@@ -1035,7 +1017,7 @@ mod tests {
         let mut fresh = record(1000.0);
         fresh.boards = 32;
         fresh.bits_per_board = 17;
-        let violations = compare(&baseline, &fresh, &Tolerance::default());
+        let violations = compare_with_notes(&baseline, &fresh).0;
         assert_eq!(violations.len(), 2, "{violations:?}");
     }
 
@@ -1094,7 +1076,7 @@ mod tests {
     #[test]
     fn serve_identical_records_pass_with_p99_notes() {
         let r = serve_record(&[("10k", 60_000.0), ("100k", 55_000.0)]);
-        let (violations, notes) = compare_serve_with_notes(&r, &r, &Tolerance::default());
+        let (violations, notes) = compare_serve_with_notes(&r, &r);
         assert!(violations.is_empty(), "{violations:?}");
         assert_eq!(notes.len(), 2, "one p99 note per scale: {notes:?}");
     }
@@ -1103,12 +1085,12 @@ mod tests {
     fn serve_per_scale_regression_and_vanished_scale_fail() {
         let baseline = serve_record(&[("10k", 60_000.0), ("100k", 55_000.0)]);
         let slow = serve_record(&[("10k", 60_000.0), ("100k", 20_000.0)]);
-        let (violations, _) = compare_serve_with_notes(&baseline, &slow, &Tolerance::default());
+        let (violations, _) = compare_serve_with_notes(&baseline, &slow);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].contains("auth throughput at 100k"));
 
         let missing = serve_record(&[("10k", 60_000.0)]);
-        let (violations, _) = compare_serve_with_notes(&baseline, &missing, &Tolerance::default());
+        let (violations, _) = compare_serve_with_notes(&baseline, &missing);
         assert!(
             violations.iter().any(|v| v.contains("scale 100k vanished")),
             "{violations:?}"
@@ -1123,8 +1105,7 @@ mod tests {
         // even though throughput is untouched.
         let mut blown = baseline.clone();
         blown.scales[1].p99_us = 420.0;
-        let (violations, notes) =
-            compare_serve_with_notes(&baseline, &blown, &Tolerance::default());
+        let (violations, notes) = compare_serve_with_notes(&baseline, &blown);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
             violations[0].contains("p99 latency at 100k"),
@@ -1135,20 +1116,20 @@ mod tests {
         // Just inside the 50% band: passes.
         let mut near = baseline.clone();
         near.scales[0].p99_us = 42.0 * 1.49;
-        let (violations, _) = compare_serve_with_notes(&baseline, &near, &Tolerance::default());
+        let (violations, _) = compare_serve_with_notes(&baseline, &near);
         assert!(violations.is_empty(), "{violations:?}");
 
         // Faster tail always passes.
         let mut faster = baseline.clone();
         faster.scales[0].p99_us = 1.0;
-        let (violations, _) = compare_serve_with_notes(&baseline, &faster, &Tolerance::default());
+        let (violations, _) = compare_serve_with_notes(&baseline, &faster);
         assert!(violations.is_empty(), "{violations:?}");
 
         // Mismatched thread counts skip the p99 band too.
         let mut eight = baseline.clone();
         eight.threads = Some(8);
         eight.scales[1].p99_us = 420.0;
-        let (violations, _) = compare_serve_with_notes(&baseline, &eight, &Tolerance::default());
+        let (violations, _) = compare_serve_with_notes(&baseline, &eight);
         assert_eq!(
             violations.len(),
             1,
@@ -1162,7 +1143,7 @@ mod tests {
         let baseline = serve_record(&[("10k", 60_000.0)]);
         let mut broken = baseline.clone();
         broken.deterministic = false;
-        let (violations, _) = compare_serve_with_notes(&baseline, &broken, &Tolerance::default());
+        let (violations, _) = compare_serve_with_notes(&baseline, &broken);
         assert!(
             violations.iter().any(|v| v.contains("NOT deterministic")),
             "{violations:?}"
@@ -1171,7 +1152,7 @@ mod tests {
         // Mismatched thread counts: hard failure, band not applied.
         let mut eight = serve_record(&[("10k", 10.0)]);
         eight.threads = Some(8);
-        let (violations, _) = compare_serve_with_notes(&baseline, &eight, &Tolerance::default());
+        let (violations, _) = compare_serve_with_notes(&baseline, &eight);
         assert!(
             violations
                 .iter()
@@ -1187,8 +1168,7 @@ mod tests {
         // Missing thread count: band skipped with a note, not a failure.
         let mut unknown = serve_record(&[("10k", 10.0)]);
         unknown.threads = None;
-        let (violations, notes) =
-            compare_serve_with_notes(&baseline, &unknown, &Tolerance::default());
+        let (violations, notes) = compare_serve_with_notes(&baseline, &unknown);
         assert!(violations.is_empty(), "{violations:?}");
         assert!(
             notes.iter().any(|n| n.contains("comparison skipped")),

@@ -5,22 +5,19 @@
 //!
 //! `repro fleet` renders the outcome and emits it as `BENCH_fleet.json`.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ropuf_attack::count_leak::count_leak;
 use ropuf_attack::envelope::{EnvelopeConfig, EnvelopeFleet, Guard};
-use ropuf_core::calibrate::{calibrate, calibrate_per_config};
 use ropuf_core::config::ParityPolicy;
 use ropuf_core::fleet::{parallel_map_indexed, split_seed, FleetConfig, FleetEngine, FleetRun};
 use ropuf_core::puf::{ConfigurableRoPuf, EnrollOptions};
-use ropuf_core::reenroll::{assess_drift, assessment_corners, ReenrollPolicy};
+use ropuf_core::reenroll::{assess_drift, assessment_corners};
 use ropuf_silicon::aging::AgingModel;
 use ropuf_silicon::board::BoardId;
 use ropuf_silicon::{CornerSet, DelayProbe, Environment, SiliconSim};
-use ropuf_telemetry::{self as telemetry, MemorySink};
 
 /// Experiment configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,107 +44,6 @@ impl Default for Config {
             stages: 7,
             threads: None,
         }
-    }
-}
-
-/// Per-stage wall-clock breakdown of the parallel pass, summed across
-/// worker threads from the telemetry spans the fleet engine emits.
-#[derive(Debug, Clone, Default)]
-pub struct StageBreakdown {
-    /// Total microseconds inside `fleet.grow` spans (board synthesis).
-    pub grow_us: u64,
-    /// Total microseconds inside `fleet.enroll` spans.
-    pub enroll_us: u64,
-    /// Total microseconds inside `fleet.respond` spans (corner reads).
-    pub respond_us: u64,
-    /// Boards the engine reported via the `fleet.boards` counter.
-    pub boards: u64,
-    /// Items workers claimed beyond their fair share
-    /// (`parallel.steals`): 0 when the load divides evenly.
-    pub steals: u64,
-    /// Logical measurements served by the batched §III.B kernel
-    /// (`measure.batched`); the enrollment hot path should account for
-    /// all of them.
-    pub batched_measurements: u64,
-    /// Logical measurements that went through a per-configuration walk
-    /// (`measure.fallback`); 0 for the production enrollment path.
-    pub fallback_measurements: u64,
-}
-
-impl StageBreakdown {
-    fn from_sink(sink: &MemorySink) -> Self {
-        let counter = |name: &str| {
-            sink.snapshot()
-                .and_then(|s| s.counter(name))
-                .unwrap_or_default()
-        };
-        Self {
-            grow_us: sink.span_total_us("fleet.grow"),
-            enroll_us: sink.span_total_us("fleet.enroll"),
-            respond_us: sink.span_total_us("fleet.respond"),
-            boards: counter("fleet.boards"),
-            steals: counter("parallel.steals"),
-            batched_measurements: counter("measure.batched"),
-            fallback_measurements: counter("measure.fallback"),
-        }
-    }
-}
-
-/// Head-to-head timing of the batched calibration kernel against the
-/// per-configuration reference path, calibrating every pair of one
-/// representative board (best-of-5 passes per kernel). Both paths
-/// produce bit-identical calibrations; only the wall-clock differs.
-#[derive(Debug, Clone, Default)]
-pub struct CalibrationComparison {
-    /// Microseconds to calibrate the board once via the batched kernel.
-    pub batched_us: u64,
-    /// Microseconds for the same calibrations via independent
-    /// whole-ring walks.
-    pub naive_us: u64,
-    /// `naive_us / batched_us` — how much the batched kernel buys.
-    pub kernel_speedup: f64,
-}
-
-/// Measures [`CalibrationComparison`] on a board grown from
-/// `config.seed` with the benchmark floorplan.
-fn compare_calibration_kernels(config: &Config) -> CalibrationComparison {
-    let sim = SiliconSim::default_spartan();
-    let mut grow_rng = StdRng::seed_from_u64(config.seed);
-    let board = sim.grow_board_with_id(&mut grow_rng, BoardId(0), config.units, 16);
-    let tech = *sim.technology();
-    let env = Environment::nominal();
-    let puf = ConfigurableRoPuf::tiled_interleaved(config.units, config.stages);
-    let probe = EnrollOptions::default().probe;
-    let time_pass = |batched: bool| -> Duration {
-        let mut best = Duration::MAX;
-        for round in 0..5u64 {
-            let start = Instant::now();
-            for (i, spec) in puf.specs().iter().enumerate() {
-                let mut rng = StdRng::seed_from_u64(split_seed(config.seed ^ round, i as u64));
-                let pair = spec.bind(&board);
-                let cals = if batched {
-                    (
-                        calibrate(&mut rng, pair.top(), &probe, env, &tech),
-                        calibrate(&mut rng, pair.bottom(), &probe, env, &tech),
-                    )
-                } else {
-                    (
-                        calibrate_per_config(&mut rng, pair.top(), &probe, env, &tech),
-                        calibrate_per_config(&mut rng, pair.bottom(), &probe, env, &tech),
-                    )
-                };
-                std::hint::black_box(&cals);
-            }
-            best = best.min(start.elapsed());
-        }
-        best
-    };
-    let batched = time_pass(true);
-    let naive = time_pass(false);
-    CalibrationComparison {
-        batched_us: batched.as_micros() as u64,
-        naive_us: naive.as_micros() as u64,
-        kernel_speedup: naive.as_secs_f64() / batched.as_secs_f64().max(1e-12),
     }
 }
 
@@ -215,7 +111,7 @@ fn compare_corner_objectives(config: &Config, threads: usize) -> CornerObjective
     let tech = *sim.technology();
     let env = Environment::nominal();
     let puf = ConfigurableRoPuf::tiled_interleaved(config.units, config.stages);
-    let corners = assessment_corners(env, &ReenrollPolicy::default());
+    let corners = assessment_corners(env);
     let multi_opts = EnrollOptions {
         corners: CornerSet::worst_case(),
         ..EnrollOptions::default()
@@ -363,11 +259,6 @@ pub struct Outcome {
     /// Count-leak attack advantages against the guarded and unguarded
     /// selection kernels.
     pub attack: AttackHeadline,
-    /// Per-stage timing of the parallel pass (CPU-seconds summed
-    /// across workers, so the stage totals can exceed wall-clock).
-    pub stages: StageBreakdown,
-    /// Batched-vs-naive calibration kernel timing on one board.
-    pub calibration: CalibrationComparison,
 }
 
 impl Outcome {
@@ -423,24 +314,6 @@ impl Outcome {
             self.attack.broken_advantage,
             self.attack.broken_accuracy,
         ));
-        out.push_str(&format!(
-            "stages (cpu-time across {} boards): grow {:.3}s, enroll {:.3}s, \
-             respond {:.3}s; {} work-steals\n",
-            self.stages.boards,
-            self.stages.grow_us as f64 / 1e6,
-            self.stages.enroll_us as f64 / 1e6,
-            self.stages.respond_us as f64 / 1e6,
-            self.stages.steals,
-        ));
-        out.push_str(&format!(
-            "measurements: {} batched, {} fallback\n\
-             calibration kernel (one board): batched {}us vs per-config {}us ({:.2}x)\n",
-            self.stages.batched_measurements,
-            self.stages.fallback_measurements,
-            self.calibration.batched_us,
-            self.calibration.naive_us,
-            self.calibration.kernel_speedup,
-        ));
         out
     }
 
@@ -485,12 +358,7 @@ impl Outcome {
              \"bits_multi_corner\": {}, \"corner_flips_multi_corner\": {}, \
              \"worst_corner_flip_rate_multi_corner\": {}}},\n  \
              \"attack\": {{\"attack_samples\": {}, \"attacker_advantage_guarded\": {}, \
-             \"attacker_advantage_broken\": {}, \"attacker_accuracy_broken\": {}}},\n  \
-             \"stages\": {{\"grow_us\": {}, \"enroll_us\": {}, \"respond_us\": {}, \
-             \"boards\": {}, \"steals\": {}, \"batched_measurements\": {}, \
-             \"fallback_measurements\": {}}},\n  \
-             \"calibration\": {{\"batched_us\": {}, \"naive_us\": {}, \
-             \"kernel_speedup\": {}}}\n}}\n",
+             \"attacker_advantage_broken\": {}, \"attacker_accuracy_broken\": {}}}\n}}\n",
             self.boards,
             self.bits_per_board,
             self.threads,
@@ -515,16 +383,6 @@ impl Outcome {
             self.attack.guarded_advantage,
             self.attack.broken_advantage,
             self.attack.broken_accuracy,
-            self.stages.grow_us,
-            self.stages.enroll_us,
-            self.stages.respond_us,
-            self.stages.boards,
-            self.stages.steals,
-            self.stages.batched_measurements,
-            self.stages.fallback_measurements,
-            self.calibration.batched_us,
-            self.calibration.naive_us,
-            self.calibration.kernel_speedup,
         )
     }
 }
@@ -536,12 +394,8 @@ const CURVE_THREADS: [usize; 4] = [1, 2, 4, 8];
 /// bit-level comparison of the two, and an explicit 1/2/4/8-thread
 /// scaling sweep.
 ///
-/// Both headline passes are timed **without** a telemetry sink — the
-/// per-stage breakdown comes from a separate untimed instrumented pass.
-/// (The pre-fix harness timed serial bare but parallel inside a
-/// `MemorySink` scope, so the committed `speedup` measured telemetry
-/// overhead, not the engine; that is how a "parallel loses to serial"
-/// number got recorded.)
+/// Every pass is timed **without** a telemetry sink, so a sink's
+/// overhead never lands in `speedup` or the scaling curve.
 pub fn run(config: &Config) -> Outcome {
     let fleet_config = FleetConfig {
         boards: config.boards,
@@ -563,14 +417,6 @@ pub fn run(config: &Config) -> Outcome {
     let threads = engine.resolved_threads();
     let serial: FleetRun = engine.run_serial(config.seed);
     let parallel: FleetRun = engine.run_on(config.seed, threads);
-    // Untimed instrumented pass: rerun the parallel evaluation under a
-    // memory sink so the engine's spans and counters become the
-    // per-stage breakdown without the sink overhead leaking into the
-    // timed passes above. `scoped` restores any previous sink.
-    let sink = Arc::new(MemorySink::default());
-    let _instrumented: FleetRun =
-        telemetry::scoped(sink.clone(), || engine.run_on(config.seed, threads));
-    let stages = StageBreakdown::from_sink(&sink);
     // Scaling sweep at explicit worker counts (immune to a CI
     // RAYON_NUM_THREADS pin), each point relative to the sweep's own
     // 1-thread pass.
@@ -588,9 +434,6 @@ pub fn run(config: &Config) -> Outcome {
             speedup: one_thread_secs / secs.max(1e-12),
         });
     }
-    // Timed outside the sink scope so the reference path's
-    // `measure.fallback` counters do not pollute the engine breakdown.
-    let calibration = compare_calibration_kernels(config);
     let corner_objective = compare_corner_objectives(config, threads);
     let attack = measure_attack_headline(config, threads);
     let speedup = serial.elapsed.as_secs_f64() / parallel.elapsed.as_secs_f64().max(1e-12);
@@ -614,8 +457,6 @@ pub fn run(config: &Config) -> Outcome {
             .collect(),
         corner_objective,
         attack,
-        stages,
-        calibration,
     }
 }
 

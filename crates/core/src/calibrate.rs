@@ -83,9 +83,10 @@ impl Calibration {
 /// per-stage delay contributions are scaled once and every
 /// configuration's delay comes from one sweep — the same reader the
 /// enrollment kernel runs over a whole board's block. The result is
-/// bit-identical to [`calibrate_per_config`] — same noise-draw order,
-/// same floating-point folds — just cheaper; each call bumps the
-/// `measure.batched` telemetry counter by `n + 2`.
+/// bit-identical to `n + 2` independent whole-ring walks — same
+/// noise-draw order, same floating-point folds — just cheaper (the
+/// per-configuration oracle in `tests/proptests.rs` pins this); each
+/// call bumps the `measure.batched` telemetry counter by `n + 2`.
 ///
 /// # Examples
 ///
@@ -177,39 +178,6 @@ pub(crate) fn calibrate_pair(
 ) -> Option<(Calibration, Calibration)> {
     let top = read_ring(top, &mut read)?;
     Some((top, read_ring(bottom, &mut read)?))
-}
-
-/// Reference implementation of [`calibrate`] that performs `n + 2`
-/// independent whole-ring walks — one O(n) delay sum per configuration —
-/// instead of one arena sweep.
-///
-/// The batched path is bit-identical to this one by construction (same
-/// noise-draw order, same left-to-right delay folds); the equivalence is
-/// pinned by unit and property tests. This path is kept as the oracle for
-/// those tests and for the `repro fleet` batched-vs-naive breakdown, and
-/// feeds the `measure.fallback` telemetry counter.
-pub fn calibrate_per_config<R: Rng + ?Sized>(
-    rng: &mut R,
-    ro: &ConfigurableRo<'_>,
-    probe: &DelayProbe,
-    env: Environment,
-    tech: &Technology,
-) -> Calibration {
-    let n = ro.len();
-    telemetry::counter("measure.fallback", (n + 2) as u64);
-    let measure = |rng: &mut R, config: &ConfigVector| {
-        probe.measure_ps(rng, ro.ring_delay_ps(config, env, tech))
-    };
-    let all_selected_ps = measure(rng, &ConfigVector::all_selected(n));
-    let bypass_ps = measure(rng, &ConfigVector::from_flags(&vec![false; n]));
-    let ddiff_ps: Vec<f64> = (0..n)
-        .map(|i| all_selected_ps - measure(rng, &ConfigVector::all_but(n, i)))
-        .collect();
-    Calibration {
-        ddiff_ps,
-        all_selected_ps,
-        bypass_ps,
-    }
 }
 
 /// The paper's 3-stage solve: given measured ring delays `x` (config
@@ -355,33 +323,6 @@ mod tests {
             sq
         };
         assert!(err(16) < err(1) / 4.0);
-    }
-
-    #[test]
-    fn batched_calibration_matches_per_config_bit_for_bit() {
-        let (board, tech) = grow(8);
-        for (stages, env) in [
-            (1, Environment::nominal()),
-            (4, Environment::new(0.98, 65.0)),
-            (8, Environment::nominal()),
-        ] {
-            let ro = ConfigurableRo::from_range(&board, 0..stages);
-            let probe = DelayProbe::new(0.25, 4);
-            let mut rng_a = StdRng::seed_from_u64(42);
-            let mut rng_b = StdRng::seed_from_u64(42);
-            let batched = calibrate(&mut rng_a, &ro, &probe, env, &tech);
-            let naive = calibrate_per_config(&mut rng_b, &ro, &probe, env, &tech);
-            assert_eq!(
-                batched.all_selected_ps().to_bits(),
-                naive.all_selected_ps().to_bits()
-            );
-            assert_eq!(batched.bypass_ps().to_bits(), naive.bypass_ps().to_bits());
-            for (b, n) in batched.ddiffs_ps().iter().zip(naive.ddiffs_ps()) {
-                assert_eq!(b.to_bits(), n.to_bits(), "stages={stages}");
-            }
-            // And the RNGs stayed in lockstep: next draws agree.
-            assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
-        }
     }
 
     #[test]

@@ -323,8 +323,8 @@ pub struct BoardRecord {
 /// Why a board was quarantined instead of contributing a record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QuarantineReason {
-    /// Calibration failed the sanity check: more than the configured
-    /// fraction of pairs was unreadable even after retries.
+    /// Calibration failed the sanity check: more than half of the
+    /// pairs were unreadable even after retries.
     CalibrationFailure {
         /// Pairs whose calibration reads failed unrecoverably.
         unreadable_pairs: usize,
@@ -764,7 +764,7 @@ impl FleetEngine {
         let mut summary = enrolled.summary;
         if enrolled.total_pairs > 0 {
             let failed_fraction = enrolled.unreadable_pairs as f64 / enrolled.total_pairs as f64;
-            if failed_fraction > plan.options.max_failed_pair_fraction {
+            if failed_fraction > robust::MAX_FAILED_PAIR_FRACTION {
                 summary.quarantined_boards += 1;
                 return BoardOutcome::Quarantined(
                     Quarantine {

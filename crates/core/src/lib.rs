@@ -87,8 +87,8 @@ pub use fleet::{
     split_seed, FleetAging, FleetConfig, FleetEngine, FleetRun, Quarantine, QuarantineReason,
 };
 pub use lifecycle::{Device, Enrolled, KeyCode, Started};
-pub use monitor::{FleetHealth, FleetObservatory, MonitorConfig, SweepPlan};
+pub use monitor::{FleetHealth, FleetObservatory, SweepPlan};
 pub use puf::BoundEnrollment;
-pub use reenroll::{DriftAssessment, ReenrollOutcome, ReenrollPolicy, ReenrollRejected};
-pub use robust::{FaultPlan, FaultSummary, RobustOptions};
+pub use reenroll::{DriftAssessment, ReenrollOutcome, ReenrollRejected};
+pub use robust::{FaultPlan, FaultSummary};
 pub use select::{case1, case2, PairSelection, Selection};

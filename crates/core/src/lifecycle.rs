@@ -62,7 +62,7 @@ use crate::error::Error;
 use crate::fleet::split_seed;
 use crate::fuzzy::FuzzyExtractor;
 use crate::puf::{ConfigurableRoPuf, EnrollOptions, Enrollment};
-use crate::reenroll::{self, ReenrollOutcome, ReenrollPolicy};
+use crate::reenroll::{self, ReenrollOutcome};
 use crate::robust::{enroll_robust, respond_robust_bound, FaultPlan, FaultSummary};
 
 /// Sub-stream of the enrollment seed reserved for key generation, far
@@ -334,12 +334,7 @@ impl<'a> Device<'a, Enrolled> {
     /// after an accepted re-enrollment (the response bits changed);
     /// callers must re-run [`Device::set_key`]-style provisioning via
     /// the server, or accept fresh codes.
-    pub fn reenroll(
-        self,
-        seed: u64,
-        policy: &ReenrollPolicy,
-        plan: &FaultPlan,
-    ) -> (Self, ReenrollOutcome) {
+    pub fn reenroll(self, seed: u64, plan: &FaultPlan) -> (Self, ReenrollOutcome) {
         let _span = telemetry::span("lifecycle.reenroll");
         let outcome = reenroll::reenroll(
             &self.puf,
@@ -348,7 +343,6 @@ impl<'a> Device<'a, Enrolled> {
             &self.tech,
             self.env,
             &self.opts,
-            policy,
             plan,
             &self.state.enrollment,
         );
@@ -643,8 +637,7 @@ mod tests {
         );
         let (device, code) = device.generate_key(41, 1, &plan).expect("enrolls");
         let before = device.enrollment().clone();
-        let (device, outcome) =
-            device.reenroll(99, &crate::reenroll::ReenrollPolicy::default(), &plan);
+        let (device, outcome) = device.reenroll(99, &plan);
         assert!(
             matches!(
                 outcome,
@@ -690,8 +683,7 @@ mod tests {
         };
         let puf = ConfigurableRoPuf::tiled_interleaved(240, 5);
         let old = puf.enroll_seeded(41, &board, &tech, Environment::nominal(), &opts);
-        let policy = crate::reenroll::ReenrollPolicy::default();
-        let corners = crate::reenroll::assessment_corners(Environment::nominal(), &policy);
+        let corners = crate::reenroll::assessment_corners(Environment::nominal());
         let model = AgingModel {
             sigma_drift_rel: 0.02,
             sigma_path_rel: 0.01,
@@ -709,7 +701,7 @@ mod tests {
             .expect("some aging draw flips a bit");
         let device =
             Device::resume(&aged, &tech, Environment::nominal(), opts, old.clone()).unwrap();
-        let (device, outcome) = device.reenroll(43, &policy, &plan);
+        let (device, outcome) = device.reenroll(43, &plan);
         assert!(
             matches!(outcome, ReenrollOutcome::Accepted { .. }),
             "{outcome:?}"

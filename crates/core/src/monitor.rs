@@ -11,12 +11,14 @@
 //!
 //! [`FleetObservatory`] packages that loop. One [`sample`] call:
 //!
-//! 1. runs the fleet across an environment sweep (an edge sweep or the
-//!    full [`Environment::corner_grid`]) on fresh silicon,
-//! 2. optionally repeats the run on *aged* silicon
-//!    ([`FleetAging`] drives [`ropuf_silicon::aging::AgingModel`]) —
-//!    enrollment stays at year zero, responses come from the drifted
-//!    devices, exactly the deployment scenario,
+//! 1. runs the fleet across its environment corners (a [`SweepPlan`]:
+//!    an edge sweep or the full [`Environment::corner_grid`]) on fresh
+//!    silicon,
+//! 2. when the fleet configures aging, repeats the run on *aged*
+//!    silicon ([`FleetAging`](crate::fleet::FleetAging) drives
+//!    [`ropuf_silicon::aging::AgingModel`]) — enrollment stays at year
+//!    zero, responses come from the drifted devices, exactly the
+//!    deployment scenario,
 //! 3. harvests the selection counters (`select.case1.*`,
 //!    `enroll.degenerate`, …) through a scoped in-memory telemetry
 //!    sink, leaving whatever sink the application installed untouched,
@@ -44,26 +46,23 @@
 //! # Examples
 //!
 //! ```
-//! use ropuf_core::monitor::{FleetObservatory, MonitorConfig, SweepPlan};
+//! use ropuf_core::monitor::{FleetObservatory, SweepPlan};
 //! use ropuf_core::fleet::FleetConfig;
 //! use ropuf_silicon::SiliconSim;
 //!
 //! let mut obs = FleetObservatory::new(
 //!     SiliconSim::default_spartan(),
-//!     MonitorConfig {
-//!         fleet: FleetConfig {
-//!             boards: 6,
-//!             units: 60,
-//!             stages: 5,
-//!             ..FleetConfig::default()
-//!         },
-//!         sweep: SweepPlan::Nominal,
-//!         aging: None,
+//!     FleetConfig {
+//!         boards: 6,
+//!         units: 60,
+//!         stages: 5,
+//!         corners: SweepPlan::Nominal.corners(),
 //!         threads: Some(1),
+//!         ..FleetConfig::default()
 //!     },
 //! )
 //! .unwrap();
-//! let health = obs.sample(7);
+//! let health = obs.sample(7, &[]);
 //! println!("{}", health.report.render());
 //! ```
 //!
@@ -81,10 +80,10 @@ use ropuf_telemetry::health::{
 use ropuf_telemetry::{self as telemetry, MemorySink, Snapshot};
 
 use crate::error::Error;
-use crate::fleet::{worker_threads, FleetAging, FleetConfig, FleetEngine, FleetRun};
+use crate::fleet::{FleetConfig, FleetEngine, FleetRun};
 
 /// Which environment corners a monitoring sample visits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepPlan {
     /// Nominal conditions only (1.20 V, 25 °C) — fastest, no corner
     /// coverage.
@@ -96,7 +95,6 @@ pub enum SweepPlan {
     /// The full V×T grid ([`Environment::corner_grid`]) — every §IV.D
     /// operating point including the four extreme corners, where
     /// voltage and temperature stress combine.
-    #[default]
     Full,
 }
 
@@ -120,38 +118,6 @@ impl SweepPlan {
             SweepPlan::Full => extend(Environment::corner_grid()),
         }
         corners
-    }
-}
-
-/// Configuration of a [`FleetObservatory`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonitorConfig {
-    /// The fleet under observation. Its `corners` are replaced by the
-    /// [`sweep`](Self::sweep) plan and its `aging` by
-    /// [`aging`](Self::aging); everything else is used as-is.
-    pub fleet: FleetConfig,
-    /// Environment corners each sample visits.
-    pub sweep: SweepPlan,
-    /// When set, every sample additionally runs the fleet on silicon
-    /// aged by this model, populating the `aged_flip_rate_*` gauges.
-    /// `None` (or `years == 0`) skips the aged pass entirely.
-    pub aging: Option<FleetAging>,
-    /// Worker threads per fleet run; `None` = [`worker_threads`].
-    /// Thread count never changes the bits (see [`crate::fleet`]).
-    pub threads: Option<usize>,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        Self {
-            fleet: FleetConfig::default(),
-            sweep: SweepPlan::default(),
-            aging: Some(FleetAging {
-                model: Default::default(),
-                years: 5.0,
-            }),
-            threads: None,
-        }
     }
 }
 
@@ -284,7 +250,7 @@ pub fn default_gauges() -> Vec<GaugeSpec> {
         },
         // Security gauges: attacker advantage (accuracy − 0.5) of the
         // `ropuf-attack` suite, observed only when a caller supplies the
-        // suite's readings ([`FleetObservatory::sample_with_security`]) —
+        // suite's readings ([`FleetObservatory::sample`]) —
         // the core crate cannot run the attacks itself without a
         // dependency cycle. Plain samples leave them unobserved, so
         // existing reports are unchanged.
@@ -328,7 +294,7 @@ pub struct FleetHealth {
     pub report: HealthReport,
     /// The fresh-silicon run the quality gauges were computed from.
     pub fresh: FleetRun,
-    /// The aged-silicon run, when aging was configured.
+    /// The aged-silicon run, when the fleet configures aging.
     pub aged: Option<FleetRun>,
     /// Selection/enrollment counters and span histograms harvested
     /// during the sample (scoped; the application's own telemetry
@@ -342,42 +308,31 @@ pub struct FleetHealth {
 pub struct FleetObservatory {
     fresh: FleetEngine,
     aged: Option<FleetEngine>,
-    threads: usize,
     health: HealthBoard,
 }
 
 impl FleetObservatory {
-    /// Builds an observatory over `sim` per `config`.
+    /// Builds an observatory over `sim` for `fleet`. Each sample runs
+    /// `fleet` without aging on fresh silicon and, when `fleet.aging`
+    /// is set with a positive age, runs it as given on aged silicon.
     ///
     /// Fails like [`FleetEngine::new`] on an invalid fleet or aging
     /// configuration.
-    pub fn new(sim: SiliconSim, config: MonitorConfig) -> Result<Self, Error> {
-        let MonitorConfig {
-            fleet,
-            sweep,
-            aging,
-            threads,
-        } = config;
-        let fleet = FleetConfig {
-            corners: sweep.corners(),
-            aging: None,
-            ..fleet
-        };
-        let aged = match aging {
-            Some(a) if a.years > 0.0 => Some(FleetEngine::new(
-                sim.clone(),
-                FleetConfig {
-                    aging: Some(a),
-                    ..fleet.clone()
-                },
-            )?),
+    pub fn new(sim: SiliconSim, fleet: FleetConfig) -> Result<Self, Error> {
+        let aged = match fleet.aging {
+            Some(a) if a.years > 0.0 => Some(FleetEngine::new(sim.clone(), fleet.clone())?),
             _ => None,
         };
-        let fresh = FleetEngine::new(sim, fleet)?;
+        let fresh = FleetEngine::new(
+            sim,
+            FleetConfig {
+                aging: None,
+                ..fleet
+            },
+        )?;
         Ok(Self {
             fresh,
             aged,
-            threads: threads.unwrap_or_else(worker_threads),
             health: HealthBoard::new(default_gauges()),
         })
     }
@@ -406,25 +361,20 @@ impl FleetObservatory {
     /// baseline — the enrollment half of drift detection. Persist the
     /// result ([`Baseline::to_json`]) and feed it back through
     /// [`set_baseline`](Self::set_baseline) on later samples.
+    /// `security` readings (see [`sample`](Self::sample)) are included,
+    /// so drift detection covers attacker advantage too.
     ///
     /// The enrollment run itself is classified level-only (no baseline
     /// is installed while it executes) and its alarm memory is
     /// discarded, so a subsequent [`sample`](Self::sample) starts from
     /// a clean hysteresis state.
-    pub fn enroll_baseline(&mut self, master_seed: u64) -> Baseline {
-        self.enroll_baseline_with_security(master_seed, &[])
-    }
-
-    /// [`enroll_baseline`](Self::enroll_baseline) with security-gauge
-    /// readings (see [`sample_with_security`](Self::sample_with_security))
-    /// included, so drift detection covers attacker advantage too.
-    pub fn enroll_baseline_with_security(
+    pub fn enroll_baseline(
         &mut self,
         master_seed: u64,
         security: &[(&'static str, f64)],
     ) -> Baseline {
         let before = self.health.clone();
-        let health = self.sample_with_security(master_seed, security);
+        let health = self.sample(master_seed, security);
         self.health = before;
         Baseline {
             values: health
@@ -440,26 +390,19 @@ impl FleetObservatory {
     /// sweep (when configured), gauge classification. Deterministic —
     /// same seed, same silicon, same [`FleetHealth`] (timings aside) at
     /// any thread count.
-    pub fn sample(&mut self, master_seed: u64) -> FleetHealth {
-        self.sample_with_security(master_seed, &[])
-    }
-
-    /// [`sample`](Self::sample) plus externally supplied security-gauge
-    /// readings — typically `ropuf_attack::suite::SuiteReport::
-    /// security_readings()`, which the CLI `monitor` command feeds here.
-    /// Readings whose names are not in the gauge catalogue are ignored;
-    /// an empty slice makes this identical to [`sample`](Self::sample).
-    pub fn sample_with_security(
-        &mut self,
-        master_seed: u64,
-        security: &[(&'static str, f64)],
-    ) -> FleetHealth {
+    ///
+    /// `security` carries externally supplied security-gauge readings —
+    /// typically `ropuf_attack::suite::SuiteReport::security_readings()`,
+    /// which the CLI `monitor` command feeds here. Readings whose names
+    /// are not in the gauge catalogue are ignored; an empty slice
+    /// leaves the security gauges unobserved.
+    pub fn sample(&mut self, master_seed: u64, security: &[(&'static str, f64)]) -> FleetHealth {
         let sink = Arc::new(MemorySink::default());
         let (fresh, aged) = {
-            let (fresh_engine, aged_engine, threads) = (&self.fresh, &self.aged, self.threads);
+            let (fresh_engine, aged_engine) = (&self.fresh, &self.aged);
             telemetry::scoped(sink.clone(), || {
-                let fresh = fresh_engine.run_on(master_seed, threads);
-                let aged = aged_engine.as_ref().map(|e| e.run_on(master_seed, threads));
+                let fresh = fresh_engine.run(master_seed);
+                let aged = aged_engine.as_ref().map(|e| e.run(master_seed));
                 (fresh, aged)
             })
         };
@@ -606,19 +549,18 @@ fn quality_report(run: &FleetRun) -> Option<QualityReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::FleetAging;
 
-    fn small_config(sweep: SweepPlan, aging: Option<FleetAging>) -> MonitorConfig {
-        MonitorConfig {
-            fleet: FleetConfig {
-                boards: 6,
-                units: 60,
-                cols: 6,
-                stages: 5,
-                ..FleetConfig::default()
-            },
-            sweep,
+    fn small_config(sweep: SweepPlan, aging: Option<FleetAging>) -> FleetConfig {
+        FleetConfig {
+            boards: 6,
+            units: 60,
+            cols: 6,
+            stages: 5,
+            corners: sweep.corners(),
             aging,
             threads: Some(1),
+            ..FleetConfig::default()
         }
     }
 
@@ -663,7 +605,7 @@ mod tests {
             ),
         )
         .unwrap();
-        let health = obs.sample(11);
+        let health = obs.sample(11, &[]);
         let names: Vec<_> = health.report.gauges.iter().map(|g| g.name).collect();
         for expected in [
             "flip_rate_nominal",
@@ -692,7 +634,7 @@ mod tests {
             small_config(SweepPlan::Nominal, None),
         )
         .unwrap();
-        let health = obs.sample(11);
+        let health = obs.sample(11, &[]);
         assert!(health.aged.is_none());
         assert!(health
             .report
@@ -708,10 +650,10 @@ mod tests {
             small_config(SweepPlan::Nominal, None),
         )
         .unwrap();
-        let baseline = obs.enroll_baseline(3);
+        let baseline = obs.enroll_baseline(3, &[]);
         assert!(baseline.get("flip_rate_nominal").is_some());
         obs.set_baseline(baseline);
-        let health = obs.sample(3);
+        let health = obs.sample(3, &[]);
         let nominal = health
             .report
             .gauges
@@ -733,7 +675,7 @@ mod tests {
             .unwrap()
         };
         // Plain sample: no security gauge in the report.
-        let plain = mk().sample(7);
+        let plain = mk().sample(7, &[]);
         assert!(plain
             .report
             .gauges
@@ -747,7 +689,7 @@ mod tests {
             ("attacker_advantage_broken_guard", 0.49),
             ("attacker_advantage_not_in_catalogue", 1.0),
         ];
-        let health = mk().sample_with_security(7, &readings);
+        let health = mk().sample(7, &readings);
         let gauge = |name: &str| {
             health
                 .report
@@ -768,7 +710,7 @@ mod tests {
             ("attacker_advantage_count_leak", 0.2),
             ("attacker_advantage_broken_guard", 0.05),
         ];
-        let health = mk().sample_with_security(7, &bad);
+        let health = mk().sample(7, &bad);
         assert_eq!(
             gauge_status(&health, "attacker_advantage_count_leak"),
             ropuf_telemetry::Status::Critical
@@ -797,10 +739,10 @@ mod tests {
         )
         .unwrap();
         let readings = [("attacker_advantage_count_leak", 0.0)];
-        let baseline = obs.enroll_baseline_with_security(3, &readings);
+        let baseline = obs.enroll_baseline(3, &readings);
         assert_eq!(baseline.get("attacker_advantage_count_leak"), Some(0.0));
         obs.set_baseline(baseline);
-        let health = obs.sample_with_security(3, &readings);
+        let health = obs.sample(3, &readings);
         let gauge = health
             .report
             .gauges
@@ -819,8 +761,8 @@ mod tests {
             )
             .unwrap()
         };
-        let a = mk().sample(42);
-        let b = mk().sample(42);
+        let a = mk().sample(42, &[]);
+        let b = mk().sample(42, &[]);
         assert_eq!(a.fresh.records, b.fresh.records);
         assert_eq!(a.report.gauges, b.report.gauges);
         assert_eq!(a.counters.counters, b.counters.counters);

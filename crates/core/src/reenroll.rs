@@ -16,9 +16,10 @@
 //!
 //! 1. [`assess_drift`] evaluates the *old* enrollment on the current
 //!    silicon noiselessly (pure delay model, no probe noise): expected
-//!    bits are re-derived at the enrollment point and every policy
-//!    corner, and the worst-corner margin is the minimum over pairs,
-//!    with a pair that flips anywhere contributing zero.
+//!    bits are re-derived at the enrollment point and every corner of
+//!    [`CornerSet::worst_case`], and the worst-corner margin is the
+//!    minimum over pairs, with a pair that flips anywhere contributing
+//!    zero.
 //! 2. A device that shows no drift at its enrollment point is left
 //!    alone ([`ReenrollRejected::NotDrifted`]) — re-enrollment costs a
 //!    maintenance window and invalidates issued key codes, so it must
@@ -32,7 +33,7 @@
 //!
 //! Determinism: assessment draws no randomness at all, and the fresh
 //! enrollment is the standard seeded multi-corner pipeline, so the
-//! whole decision is a pure function of `(seed, board, policy)`.
+//! whole decision is a pure function of `(seed, board)`.
 
 use ropuf_silicon::{Board, CornerSet, Environment, Technology};
 use ropuf_telemetry as telemetry;
@@ -40,31 +41,6 @@ use ropuf_telemetry::health::{HealthReport, Status};
 
 use crate::puf::{ConfigurableRoPuf, EnrollOptions, Enrollment};
 use crate::robust::{enroll_robust, FaultPlan};
-
-/// When to re-enroll and which corners the replacement must hold
-/// margin at.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReenrollPolicy {
-    /// Corners the drift assessment and the replacement enrollment
-    /// evaluate (the enrollment environment is always included and
-    /// deduplicated). The default is [`CornerSet::worst_case`]:
-    /// nominal plus the four V/T extremes.
-    pub corners: CornerSet,
-    /// A device whose assessed margin at the *enrollment point* falls
-    /// below this floor counts as drifted even before a bit flips —
-    /// the early-warning half of the trigger. Zero (the default)
-    /// triggers on enrollment-point flips only.
-    pub min_margin_ps: f64,
-}
-
-impl Default for ReenrollPolicy {
-    fn default() -> Self {
-        Self {
-            corners: CornerSet::worst_case(),
-            min_margin_ps: 0.0,
-        }
-    }
-}
 
 /// What [`assess_drift`] saw: the old enrollment re-evaluated on the
 /// current silicon, without measurement noise.
@@ -88,12 +64,12 @@ pub struct DriftAssessment {
 }
 
 impl DriftAssessment {
-    /// The re-enrollment trigger: a flip at the enrollment point, or
-    /// an enrollment-point margin below the policy floor. Corner flips
-    /// alone do not trigger — a nominal-only enrollment legitimately
-    /// flips at corners it never optimized for, aged or not.
-    pub fn drifted(&self, policy: &ReenrollPolicy) -> bool {
-        self.enrollment_point_flips > 0 || self.min_margin_ps < policy.min_margin_ps
+    /// The re-enrollment trigger: a flip at the enrollment point.
+    /// Corner flips alone do not trigger — a nominal-only enrollment
+    /// legitimately flips at corners it never optimized for, aged or
+    /// not.
+    pub fn drifted(&self) -> bool {
+        self.enrollment_point_flips > 0
     }
 }
 
@@ -235,10 +211,11 @@ pub fn assess_drift(
 }
 
 /// The corner list a re-enrollment decision evaluates: the enrollment
-/// environment first, then the policy corners with `env` deduplicated.
-pub fn assessment_corners(env: Environment, policy: &ReenrollPolicy) -> Vec<Environment> {
+/// environment first, then [`CornerSet::worst_case`] (nominal plus the
+/// four V/T extremes) with `env` deduplicated.
+pub fn assessment_corners(env: Environment) -> Vec<Environment> {
     let mut corners = vec![env];
-    corners.extend(policy.corners.iter().filter(|&c| c != env));
+    corners.extend(CornerSet::worst_case().iter().filter(|&c| c != env));
     corners
 }
 
@@ -257,9 +234,9 @@ pub fn drift_flagged(report: &HealthReport) -> bool {
 /// Attempts to re-enroll a drift-flagged device. See the [module
 /// docs](self) for the acceptance rules; `seed` drives the replacement
 /// enrollment exactly like [`enroll_robust`], and the decision is
-/// deterministic in `(seed, board, policy)`.
+/// deterministic in `(seed, board)`.
 ///
-/// The replacement runs with `opts` under the policy's corner set
+/// The replacement runs with `opts` under [`CornerSet::worst_case`]
 /// (min-margin-across-corners selection), through the fault-tolerant
 /// pipeline of `plan`, so unreadable aged pairs are excluded via
 /// §III.C instead of poisoning the candidate.
@@ -271,19 +248,18 @@ pub fn reenroll(
     tech: &Technology,
     env: Environment,
     opts: &EnrollOptions,
-    policy: &ReenrollPolicy,
     plan: &FaultPlan,
     old: &Enrollment,
 ) -> ReenrollOutcome {
     let _span = telemetry::span("reenroll");
-    let corners = assessment_corners(env, policy);
+    let corners = assessment_corners(env);
     let assessment = assess_drift(old, board, tech, &corners);
-    if !assessment.drifted(policy) {
+    if !assessment.drifted() {
         telemetry::counter("reenroll.rejected.not_drifted", 1);
         return ReenrollOutcome::Rejected(ReenrollRejected::NotDrifted { assessment });
     }
     let new_opts = EnrollOptions {
-        corners: policy.corners,
+        corners: CornerSet::worst_case(),
         ..*opts
     };
     let robust = enroll_robust(puf, seed, board, tech, env, &new_opts, plan);
@@ -361,7 +337,6 @@ mod tests {
             &tech,
             env,
             &opts,
-            &ReenrollPolicy::default(),
             &FaultPlan::scaled(0.0),
             &old,
         );
@@ -380,7 +355,7 @@ mod tests {
         let puf = ConfigurableRoPuf::tiled_interleaved(120, 5);
         let env = Environment::nominal();
         let old = puf.enroll_seeded(41, &board, &tech, env, &stable_opts());
-        let corners = assessment_corners(env, &ReenrollPolicy::default());
+        let corners = assessment_corners(env);
         let a = assess_drift(&old, &board, &tech, &corners);
         let b = assess_drift(&old, &board, &tech, &corners);
         assert_eq!(a, b);
@@ -397,8 +372,7 @@ mod tests {
         let old = puf.enroll_seeded(41, &board, &tech, env, &opts);
         // Find an aging draw that actually flips an enrolled bit at the
         // enrollment point; the pessimistic model makes this common.
-        let policy = ReenrollPolicy::default();
-        let corners = assessment_corners(env, &policy);
+        let corners = assessment_corners(env);
         let aged = (0..64)
             .map(|s| harsh_aged(&board, 10.0, s))
             .find(|aged| assess_drift(&old, aged, &tech, &corners).enrollment_point_flips > 0)
@@ -410,7 +384,6 @@ mod tests {
             &tech,
             env,
             &opts,
-            &policy,
             &FaultPlan::scaled(0.0),
             &old,
         );
@@ -423,29 +396,12 @@ mod tests {
                 assert!(new_margin_ps > old_margin_ps);
                 assert!(enrollment.bit_count() > 0);
                 // The accepted enrollment holds its bits on the aged
-                // silicon at every policy corner.
+                // silicon at every assessed corner.
                 let check = assess_drift(&enrollment, &aged, &tech, &corners);
                 assert_eq!(check.corner_flips, 0, "{check:?}");
             }
             other => panic!("expected acceptance on drifted silicon, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn margin_floor_flags_drift_before_a_flip() {
-        let (board, tech) = setup(120, 3);
-        let puf = ConfigurableRoPuf::tiled_interleaved(120, 5);
-        let env = Environment::nominal();
-        let old = puf.enroll_seeded(41, &board, &tech, env, &stable_opts());
-        let policy = ReenrollPolicy {
-            min_margin_ps: f64::INFINITY,
-            ..ReenrollPolicy::default()
-        };
-        let corners = assessment_corners(env, &policy);
-        let assessment = assess_drift(&old, &board, &tech, &corners);
-        assert_eq!(assessment.enrollment_point_flips, 0);
-        assert!(assessment.drifted(&policy), "floor trigger");
-        assert!(!assessment.drifted(&ReenrollPolicy::default()));
     }
 
     #[test]
@@ -463,7 +419,7 @@ mod tests {
     #[test]
     fn assessment_corners_start_at_env_and_dedup() {
         let env = Environment::nominal();
-        let corners = assessment_corners(env, &ReenrollPolicy::default());
+        let corners = assessment_corners(env);
         assert_eq!(corners[0], env);
         // worst_case contains nominal; it must not appear twice.
         assert_eq!(corners.len(), 5);

@@ -8,15 +8,14 @@
 //! This module turns that observation into a measurement pipeline that
 //! survives the fault taxa of [`ropuf_silicon::faults`]:
 //!
-//! 1. **Plausibility band** — a read outside
-//!    [`RobustOptions::plausible_ps`] (stuck-at-rail, saturated, or
-//!    dropped) is rejected outright.
+//! 1. **Plausibility band** — a read outside `PLAUSIBLE_PS`
+//!    (stuck-at-rail, saturated, or dropped) is rejected outright.
 //! 2. **Read-back verification** — every in-band read is confirmed by
 //!    one independent re-read; agreement within a noise-scaled
 //!    tolerance accepts the *primary* value verbatim (never an
 //!    average, so a clean read is bit-identical to the plain path).
 //! 3. **Median-of-k escalation** — on disagreement, up to
-//!    [`RobustOptions::retry_budget`] extra reads are taken; with at
+//!    `RETRY_BUDGET` extra reads are taken; with at
 //!    least [`MIN_RECOVERY_READS`] in-band samples the value is the
 //!    median after MAD outlier rejection, otherwise the read has
 //!    *failed* and the surrounding pair is excluded (enrollment) or
@@ -48,99 +47,39 @@ const STREAM_RETRY: u64 = u64::MAX - 3;
 /// recovered by MAD-filtered median; below this the read fails.
 pub const MIN_RECOVERY_READS: usize = 3;
 
-/// Tuning knobs for the fault-tolerant measurement pipeline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RobustOptions {
-    /// Maximum extra reads spent recovering one disputed measurement.
-    pub retry_budget: usize,
-    /// Target number of in-band samples for the recovery median.
-    pub readback_k: usize,
-    /// MAD multiple beyond which a sample is discarded as an outlier.
-    pub mad_k: f64,
-    /// Agreement tolerance between primary and verification read, in
-    /// multiples of the probe's effective noise sigma (×√2 for the
-    /// difference of two reads).
-    pub agree_sigmas: f64,
-    /// Absolute floor on the agreement tolerance, picoseconds — keeps
-    /// verification meaningful with a noiseless probe.
-    pub agree_floor_ps: f64,
-    /// Closed plausibility band for a single ring-delay read,
-    /// picoseconds; anything outside is treated as a counter fault.
-    pub plausible_ps: (f64, f64),
-    /// A board whose unreadable-pair fraction exceeds this is
-    /// quarantined instead of enrolled.
-    pub max_failed_pair_fraction: f64,
-}
+/// Maximum extra reads spent recovering one disputed measurement.
+const RETRY_BUDGET: usize = 8;
 
-impl Default for RobustOptions {
-    fn default() -> Self {
-        Self {
-            retry_budget: 8,
-            readback_k: 5,
-            mad_k: 5.0,
-            agree_sigmas: 8.0,
-            agree_floor_ps: 0.5,
-            plausible_ps: (1.0, 1.0e6),
-            max_failed_pair_fraction: 0.5,
-        }
-    }
-}
+/// Target number of in-band samples for the recovery median.
+const READBACK_K: usize = 5;
 
-impl RobustOptions {
-    /// Checks budgets, tolerances, and the plausibility band.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.retry_budget == 0 {
-            return Err("retry_budget must be at least 1".to_string());
-        }
-        if self.readback_k < MIN_RECOVERY_READS {
-            return Err(format!(
-                "readback_k must be at least {MIN_RECOVERY_READS}, got {}",
-                self.readback_k
-            ));
-        }
-        if !self.mad_k.is_finite() || self.mad_k <= 0.0 {
-            return Err(format!("mad_k must be finite and > 0, got {}", self.mad_k));
-        }
-        if !self.agree_sigmas.is_finite() || self.agree_sigmas <= 0.0 {
-            return Err(format!(
-                "agree_sigmas must be finite and > 0, got {}",
-                self.agree_sigmas
-            ));
-        }
-        if !self.agree_floor_ps.is_finite() || self.agree_floor_ps < 0.0 {
-            return Err(format!(
-                "agree_floor_ps must be finite and >= 0, got {}",
-                self.agree_floor_ps
-            ));
-        }
-        let (lo, hi) = self.plausible_ps;
-        if !lo.is_finite() || !hi.is_finite() || lo >= hi {
-            return Err(format!(
-                "plausible_ps must be a finite (lo, hi) band, got ({lo}, {hi})"
-            ));
-        }
-        if !(self.max_failed_pair_fraction > 0.0 && self.max_failed_pair_fraction <= 1.0) {
-            return Err(format!(
-                "max_failed_pair_fraction must be in (0, 1], got {}",
-                self.max_failed_pair_fraction
-            ));
-        }
-        Ok(())
-    }
-}
+/// MAD multiple beyond which a sample is discarded as an outlier.
+const MAD_K: f64 = 5.0;
 
-/// A fault-injection campaign: what to inject and how hard the
-/// measurement layer fights back.
+/// Agreement tolerance between primary and verification read, in
+/// multiples of the probe's effective noise sigma (×√2 for the
+/// difference of two reads).
+const AGREE_SIGMAS: f64 = 8.0;
+
+/// Absolute floor on the agreement tolerance, picoseconds — keeps
+/// verification meaningful with a noiseless probe.
+const AGREE_FLOOR_PS: f64 = 0.5;
+
+/// Closed plausibility band for a single ring-delay read, picoseconds;
+/// anything outside is treated as a counter fault.
+const PLAUSIBLE_PS: (f64, f64) = (1.0, 1.0e6);
+
+/// A board whose unreadable-pair fraction exceeds this is quarantined
+/// instead of enrolled.
+pub(crate) const MAX_FAILED_PAIR_FRACTION: f64 = 0.5;
+
+/// A fault-injection campaign: the fault taxa and rates to inject. The
+/// measurement layer fights back with the fixed retry, read-back and
+/// quarantine tuning above.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// The fault taxa and rates to inject.
     pub model: FaultModel,
-    /// Retry/read-back/quarantine tuning.
-    pub options: RobustOptions,
 }
 
 impl FaultPlan {
@@ -151,18 +90,16 @@ impl FaultPlan {
     pub fn scaled(scale: f64) -> Self {
         Self {
             model: FaultModel::default().scaled(scale),
-            options: RobustOptions::default(),
         }
     }
 
-    /// Checks the model and the options.
+    /// Checks the model.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        self.model.validate()?;
-        self.options.validate()
+        self.model.validate()
     }
 }
 
@@ -274,7 +211,6 @@ pub(crate) fn emit_summary_counters(s: &FaultSummary) {
 /// streams plus the counters for everything it injects and repairs.
 struct RobustMeasurer<'a> {
     model: &'a FaultModel,
-    opts: &'a RobustOptions,
     probe: DelayProbe,
     fault_rng: StdRng,
     retry_rng: StdRng,
@@ -285,7 +221,6 @@ impl<'a> RobustMeasurer<'a> {
     fn new(plan: &'a FaultPlan, probe: DelayProbe, fault_seed: u64, retry_seed: u64) -> Self {
         Self {
             model: &plan.model,
-            opts: &plan.options,
             probe,
             fault_rng: StdRng::seed_from_u64(fault_seed),
             retry_rng: StdRng::seed_from_u64(retry_seed),
@@ -293,17 +228,17 @@ impl<'a> RobustMeasurer<'a> {
         }
     }
 
-    fn plausible(&self, v: f64) -> bool {
-        let (lo, hi) = self.opts.plausible_ps;
+    fn plausible(v: f64) -> bool {
+        let (lo, hi) = PLAUSIBLE_PS;
         v.is_finite() && (lo..=hi).contains(&v)
     }
 
-    /// Primary-vs-verification agreement tolerance: `agree_sigmas`
+    /// Primary-vs-verification agreement tolerance: [`AGREE_SIGMAS`]
     /// effective probe sigmas, ×√2 for a difference of two reads, with
     /// an absolute floor for noiseless probes.
     fn agree_tolerance_ps(&self) -> f64 {
-        (self.opts.agree_sigmas * self.probe.effective_sigma_ps() * std::f64::consts::SQRT_2)
-            .max(self.opts.agree_floor_ps)
+        (AGREE_SIGMAS * self.probe.effective_sigma_ps() * std::f64::consts::SQRT_2)
+            .max(AGREE_FLOOR_PS)
     }
 
     /// Passes a clean read through the fault model, counting what fired.
@@ -341,11 +276,11 @@ impl<'a> RobustMeasurer<'a> {
             return Some(clean);
         }
         let primary = self.inject(clean);
-        let mut in_band = Vec::with_capacity(self.opts.readback_k);
-        if let Some(v) = primary.filter(|&v| self.plausible(v)) {
+        let mut in_band = Vec::with_capacity(READBACK_K);
+        if let Some(v) = primary.filter(|&v| Self::plausible(v)) {
             self.summary.retry_reads += 1;
             let verify = self.read_from_retry_stream(true_delay_ps);
-            if let Some(w) = verify.filter(|&w| self.plausible(w)) {
+            if let Some(w) = verify.filter(|&w| Self::plausible(w)) {
                 if (v - w).abs() <= self.agree_tolerance_ps() {
                     return Some(v);
                 }
@@ -361,11 +296,11 @@ impl<'a> RobustMeasurer<'a> {
     /// samples, reject outliers by MAD, and answer with the median.
     fn recover(&mut self, true_delay_ps: f64, mut in_band: Vec<f64>) -> Option<f64> {
         let mut spent = 0;
-        while in_band.len() < self.opts.readback_k && spent < self.opts.retry_budget {
+        while in_band.len() < READBACK_K && spent < RETRY_BUDGET {
             spent += 1;
             self.summary.retry_reads += 1;
             if let Some(v) = self.read_from_retry_stream(true_delay_ps) {
-                if self.plausible(v) {
+                if Self::plausible(v) {
                     in_band.push(v);
                 }
             }
@@ -375,14 +310,14 @@ impl<'a> RobustMeasurer<'a> {
             return None;
         }
         self.summary.recovered_reads += 1;
-        Some(mad_filtered_median(&mut in_band, self.opts.mad_k))
+        Some(mad_filtered_median(&mut in_band))
     }
 }
 
-/// Median after MAD outlier rejection. `values` must be non-empty; the
-/// median itself always survives rejection, so the result is always
-/// defined.
-fn mad_filtered_median(values: &mut [f64], mad_k: f64) -> f64 {
+/// Median after MAD outlier rejection ([`MAD_K`]). `values` must be
+/// non-empty; the median itself always survives rejection, so the
+/// result is always defined.
+fn mad_filtered_median(values: &mut [f64]) -> f64 {
     values.sort_by(f64::total_cmp);
     let median = values[values.len() / 2];
     let mut deviations: Vec<f64> = values.iter().map(|v| (v - median).abs()).collect();
@@ -392,7 +327,7 @@ fn mad_filtered_median(values: &mut [f64], mad_k: f64) -> f64 {
     let kept: Vec<f64> = values
         .iter()
         .copied()
-        .filter(|v| (v - median).abs() <= mad_k * mad)
+        .filter(|v| (v - median).abs() <= MAD_K * mad)
         .collect();
     kept[kept.len() / 2]
 }
@@ -659,8 +594,8 @@ mod tests {
         }
     }
 
-    /// Heavy dropouts and a starved retry budget: recovery often fails,
-    /// so readings come back `None` and bits are erased or tied.
+    /// Heavy dropouts: recovery often fails even with the full retry
+    /// budget, so readings come back `None` and bits are erased or tied.
     fn starved_plan() -> FaultPlan {
         FaultPlan {
             model: ropuf_silicon::FaultModel {
@@ -669,11 +604,6 @@ mod tests {
                 glitch_rate: 0.0,
                 flaky_rate: 0.0,
                 ..ropuf_silicon::FaultModel::default()
-            },
-            options: RobustOptions {
-                retry_budget: 2,
-                readback_k: 3,
-                ..RobustOptions::default()
             },
         }
     }
@@ -902,34 +832,9 @@ mod tests {
     #[test]
     fn mad_median_rejects_planted_outliers() {
         let mut values = vec![5000.1, 5000.3, 4999.9, 5300.0, 5000.2];
-        let v = mad_filtered_median(&mut values, 5.0);
+        let v = mad_filtered_median(&mut values);
         assert!((v - 5000.2).abs() < 1.0, "outlier rejected, got {v}");
         let mut identical = vec![42.0; 5];
-        assert_eq!(mad_filtered_median(&mut identical, 5.0), 42.0);
-    }
-
-    #[test]
-    fn invalid_options_are_rejected() {
-        let bad = RobustOptions {
-            retry_budget: 0,
-            ..RobustOptions::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = RobustOptions {
-            readback_k: 1,
-            ..RobustOptions::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = RobustOptions {
-            plausible_ps: (10.0, 1.0),
-            ..RobustOptions::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = RobustOptions {
-            max_failed_pair_fraction: 0.0,
-            ..RobustOptions::default()
-        };
-        assert!(bad.validate().is_err());
-        assert!(RobustOptions::default().validate().is_ok());
+        assert_eq!(mad_filtered_median(&mut identical), 42.0);
     }
 }

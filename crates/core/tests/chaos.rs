@@ -14,7 +14,7 @@
 use ropuf_core::fleet::{FleetConfig, FleetEngine, QuarantineReason};
 use ropuf_core::fuzzy::FuzzyExtractor;
 use ropuf_core::puf::{ConfigurableRoPuf, EnrollOptions};
-use ropuf_core::robust::{enroll_robust, respond_robust_bound, FaultPlan, RobustOptions};
+use ropuf_core::robust::{enroll_robust, respond_robust_bound, FaultPlan};
 use ropuf_num::bits::BitVec;
 use ropuf_silicon::faults::FaultModel;
 use ropuf_silicon::{DelayProbe, Environment, SiliconSim};
@@ -156,9 +156,9 @@ fn zero_rate_plan_is_identical_to_no_plan_at_all() {
 
 #[test]
 fn starved_calibration_quarantines_with_a_typed_reason() {
-    // Heavy dropouts and a starved retry budget: recovery cannot
-    // collect enough in-band samples, pairs become unreadable, and
-    // boards cross the max_failed_pair_fraction sanity check.
+    // Heavy dropouts: even the full retry budget cannot collect
+    // enough in-band samples, pairs become unreadable, and boards cross
+    // the failed-pair sanity check.
     let plan = FaultPlan {
         model: FaultModel {
             drop_rate: 0.6,
@@ -167,11 +167,6 @@ fn starved_calibration_quarantines_with_a_typed_reason() {
             flaky_rate: 0.0,
             panic_rate: 0.0,
             ..FaultModel::default()
-        },
-        options: RobustOptions {
-            retry_budget: 2,
-            readback_k: 3,
-            ..RobustOptions::default()
         },
     };
     plan.validate().expect("valid plan");
@@ -194,27 +189,11 @@ fn invalid_fault_plans_are_rejected_at_engine_construction() {
             drop_rate: 1.5,
             ..FaultModel::default()
         },
-        options: RobustOptions::default(),
     };
     assert!(FleetEngine::new(
         SiliconSim::default_spartan(),
         FleetConfig {
             faults: Some(bad_model),
-            ..FleetConfig::default()
-        },
-    )
-    .is_err());
-    let bad_options = FaultPlan {
-        model: FaultModel::none(),
-        options: RobustOptions {
-            retry_budget: 0,
-            ..RobustOptions::default()
-        },
-    };
-    assert!(FleetEngine::new(
-        SiliconSim::default_spartan(),
-        FleetConfig {
-            faults: Some(bad_options),
             ..FleetConfig::default()
         },
     )

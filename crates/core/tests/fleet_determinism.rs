@@ -57,30 +57,27 @@ fn runs_are_repeatable() {
 #[test]
 fn monitoring_does_not_perturb_determinism() {
     use ropuf_core::fleet::FleetAging;
-    use ropuf_core::monitor::{FleetObservatory, MonitorConfig, SweepPlan};
+    use ropuf_core::monitor::{FleetObservatory, SweepPlan};
 
     let engine = engine(10);
     let bare = engine.run_serial(33);
     let mut obs = FleetObservatory::new(
         SiliconSim::default_spartan(),
-        MonitorConfig {
-            fleet: FleetConfig {
-                corners: vec![Environment::nominal(), Environment::new(1.32, 55.0)],
-                ..engine.config().clone()
-            },
-            sweep: SweepPlan::Nominal,
+        FleetConfig {
+            corners: SweepPlan::Nominal.corners(),
             aging: Some(FleetAging {
                 model: Default::default(),
                 years: 5.0,
             }),
             threads: Some(1),
+            ..engine.config().clone()
         },
     )
     .expect("valid monitor config");
-    // The observatory replaces the corner list with its sweep plan;
+    // The observatory samples other corners than the bare engine;
     // compare the bits and margins, which only depend on enrollment —
     // enrollment streams are untouched by corners, monitoring, aging.
-    let health = obs.sample(33);
+    let health = obs.sample(33, &[]);
     for (bare, monitored) in bare.records.iter().zip(&health.fresh.records) {
         assert_eq!(bare.board_seed, monitored.board_seed);
         assert_eq!(bare.expected_bits, monitored.expected_bits);

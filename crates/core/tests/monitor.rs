@@ -3,7 +3,7 @@
 //! perturbs the fleet's bits.
 
 use ropuf_core::fleet::{FleetAging, FleetConfig, FleetEngine};
-use ropuf_core::monitor::{FleetObservatory, MonitorConfig, SweepPlan};
+use ropuf_core::monitor::{FleetObservatory, SweepPlan};
 use ropuf_silicon::aging::AgingModel;
 use ropuf_silicon::SiliconSim;
 use ropuf_telemetry::health::{Baseline, Status};
@@ -15,6 +15,17 @@ fn fleet() -> FleetConfig {
         cols: 8,
         stages: 5,
         ..FleetConfig::default()
+    }
+}
+
+/// [`fleet`] observed at the `sweep` corners, optionally aged, on
+/// `threads` workers.
+fn observed(sweep: SweepPlan, aging: Option<FleetAging>, threads: usize) -> FleetConfig {
+    FleetConfig {
+        corners: sweep.corners(),
+        aging,
+        threads: Some(threads),
+        ..fleet()
     }
 }
 
@@ -36,15 +47,10 @@ fn harsh_aging(years: f64) -> FleetAging {
 fn healthy_fleet_reads_all_ok_across_the_full_sweep() {
     let mut obs = FleetObservatory::new(
         SiliconSim::default_spartan(),
-        MonitorConfig {
-            fleet: fleet(),
-            sweep: SweepPlan::Full,
-            aging: None,
-            threads: Some(1),
-        },
+        observed(SweepPlan::Full, None, 1),
     )
     .unwrap();
-    let health = obs.sample(7);
+    let health = obs.sample(7, &[]);
     assert_eq!(
         health.report.overall,
         Status::Ok,
@@ -58,15 +64,10 @@ fn healthy_fleet_reads_all_ok_across_the_full_sweep() {
 fn aging_drift_flips_a_gauge_while_the_fresh_fleet_stays_ok() {
     let mut obs = FleetObservatory::new(
         SiliconSim::default_spartan(),
-        MonitorConfig {
-            fleet: fleet(),
-            sweep: SweepPlan::Full,
-            aging: Some(harsh_aging(6.0)),
-            threads: Some(1),
-        },
+        observed(SweepPlan::Full, Some(harsh_aging(6.0)), 1),
     )
     .unwrap();
-    let health = obs.sample(7);
+    let health = obs.sample(7, &[]);
     // The fresh-silicon gauges are untouched by the aged pass...
     for gauge in health
         .report
@@ -96,18 +97,13 @@ fn aging_drift_flips_a_gauge_while_the_fresh_fleet_stays_ok() {
 
 #[test]
 fn monitoring_does_not_perturb_fleet_outputs() {
-    let config = MonitorConfig {
-        fleet: fleet(),
-        sweep: SweepPlan::Voltage,
-        aging: Some(harsh_aging(6.0)),
-        threads: Some(2),
-    };
+    let config = observed(SweepPlan::Voltage, Some(harsh_aging(6.0)), 2);
     let mut obs = FleetObservatory::new(SiliconSim::default_spartan(), config).unwrap();
     // A plain engine over the identical fleet configuration (the
     // observatory's own resolved config, aging stripped).
     let engine = FleetEngine::new(SiliconSim::default_spartan(), obs.config().clone()).unwrap();
     let bare = engine.run_on(99, 2);
-    let health = obs.sample(99);
+    let health = obs.sample(99, &[]);
     assert_eq!(health.fresh.records, bare.records);
     // The aged pass shares the enrollment stream: identical enrolled
     // bits, possibly different response flips.
@@ -123,25 +119,20 @@ fn fabricated_baseline_trips_the_drift_alarm() {
     let build = || {
         FleetObservatory::new(
             SiliconSim::default_spartan(),
-            MonitorConfig {
-                fleet: fleet(),
-                sweep: SweepPlan::Nominal,
-                aging: None,
-                threads: Some(1),
-            },
+            observed(SweepPlan::Nominal, None, 1),
         )
         .unwrap()
     };
     // Level classification alone is happy with this fleet...
     let mut obs = build();
-    assert_eq!(obs.sample(5).report.overall, Status::Ok);
+    assert_eq!(obs.sample(5, &[]).report.overall, Status::Ok);
     // ...but against a baseline claiming the fleet used to flip half
     // its bits, the drift watch must scream.
     let mut obs = build();
     obs.set_baseline(Baseline {
         values: vec![("flip_rate_nominal".to_string(), 0.5)],
     });
-    let health = obs.sample(5);
+    let health = obs.sample(5, &[]);
     let nominal = health
         .report
         .gauges
@@ -158,20 +149,15 @@ fn fabricated_baseline_trips_the_drift_alarm() {
 fn enrolled_baseline_round_trips_through_json() {
     let mut obs = FleetObservatory::new(
         SiliconSim::default_spartan(),
-        MonitorConfig {
-            fleet: fleet(),
-            sweep: SweepPlan::Nominal,
-            aging: None,
-            threads: Some(1),
-        },
+        observed(SweepPlan::Nominal, None, 1),
     )
     .unwrap();
-    let baseline = obs.enroll_baseline(5);
+    let baseline = obs.enroll_baseline(5, &[]);
     let parsed = Baseline::parse(&baseline.to_json()).unwrap();
     assert_eq!(parsed.values, baseline.values);
     obs.set_baseline(parsed);
     // Same seed: zero drift everywhere, still all-ok.
-    let health = obs.sample(5);
+    let health = obs.sample(5, &[]);
     assert_eq!(health.report.overall, Status::Ok);
     for gauge in &health.report.gauges {
         assert_eq!(gauge.drift, Some(0.0), "{}", gauge.name);
@@ -182,15 +168,10 @@ fn enrolled_baseline_round_trips_through_json() {
 fn reports_render_in_all_three_formats() {
     let mut obs = FleetObservatory::new(
         SiliconSim::default_spartan(),
-        MonitorConfig {
-            fleet: fleet(),
-            sweep: SweepPlan::Nominal,
-            aging: None,
-            threads: Some(1),
-        },
+        observed(SweepPlan::Nominal, None, 1),
     )
     .unwrap();
-    let health = obs.sample(7);
+    let health = obs.sample(7, &[]);
     let json = health.report.to_json();
     assert!(json.contains("\"version\": 1"));
     assert!(json.contains("\"overall\": \"ok\""));

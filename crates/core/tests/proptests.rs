@@ -4,15 +4,49 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ropuf_core::calibrate::{calibrate, calibrate_per_config};
-use ropuf_core::config::ParityPolicy;
+use ropuf_core::calibrate::calibrate;
+use ropuf_core::config::{ConfigVector, ParityPolicy};
 use ropuf_core::distill::Distiller;
 use ropuf_core::ro::ConfigurableRo;
 use ropuf_core::select::{
     brute_force_case1, brute_force_case2, case1, case1_with_offset, case2, case2_with_offset,
 };
 use ropuf_silicon::board::BoardId;
-use ropuf_silicon::{DelayProbe, Environment, SiliconSim};
+use ropuf_silicon::{DelayProbe, Environment, SiliconSim, Technology};
+
+/// A §III.B calibration as the per-configuration oracle computes it.
+struct OracleCalibration {
+    ddiffs_ps: Vec<f64>,
+    all_selected_ps: f64,
+    bypass_ps: f64,
+}
+
+/// The per-configuration §III.B calibration the batched kernel
+/// replaced: `n + 2` independent whole-ring walks, one O(n) delay sum
+/// per configuration, read in the kernel's order (all-selected,
+/// all-bypassed, then each leave-one-out ring). The oracle the batched
+/// kernel is proptested against, bit for bit.
+fn calibrate_per_config<R: rand::Rng + ?Sized>(
+    rng: &mut R,
+    ro: &ConfigurableRo<'_>,
+    probe: &DelayProbe,
+    env: Environment,
+    tech: &Technology,
+) -> OracleCalibration {
+    let n = ro.len();
+    let mut measure =
+        |config: &ConfigVector| probe.measure_ps(rng, ro.ring_delay_ps(config, env, tech));
+    let all_selected_ps = measure(&ConfigVector::all_selected(n));
+    let bypass_ps = measure(&ConfigVector::from_flags(&vec![false; n]));
+    let ddiffs_ps = (0..n)
+        .map(|i| all_selected_ps - measure(&ConfigVector::all_but(n, i)))
+        .collect();
+    OracleCalibration {
+        ddiffs_ps,
+        all_selected_ps,
+        bypass_ps,
+    }
+}
 
 fn delay_vec(n: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(90.0f64..110.0, n..=n)
@@ -155,10 +189,11 @@ proptest! {
         let oracle = calibrate_per_config(&mut rng_oracle, &ro, &probe, env, sim.technology());
         prop_assert_eq!(
             batched.all_selected_ps().to_bits(),
-            oracle.all_selected_ps().to_bits()
+            oracle.all_selected_ps.to_bits()
         );
-        prop_assert_eq!(batched.bypass_ps().to_bits(), oracle.bypass_ps().to_bits());
-        for (b, o) in batched.ddiffs_ps().iter().zip(oracle.ddiffs_ps()) {
+        prop_assert_eq!(batched.bypass_ps().to_bits(), oracle.bypass_ps.to_bits());
+        prop_assert_eq!(batched.ddiffs_ps().len(), oracle.ddiffs_ps.len());
+        for (b, o) in batched.ddiffs_ps().iter().zip(&oracle.ddiffs_ps) {
             prop_assert_eq!(b.to_bits(), o.to_bits(), "n = {}", n);
         }
         // Both paths consumed the same number of draws: the streams are
@@ -394,9 +429,9 @@ proptest! {
             let delays: Vec<CornerDelays> = cals
                 .iter()
                 .map(|(t, b)| CornerDelays {
-                    alpha: t.ddiffs_ps(),
-                    beta: b.ddiffs_ps(),
-                    offset_ps: t.bypass_ps() - b.bypass_ps(),
+                    alpha: &t.ddiffs_ps,
+                    beta: &b.ddiffs_ps,
+                    offset_ps: t.bypass_ps - b.bypass_ps,
                 })
                 .collect();
             let s = match delays.as_slice() {
@@ -520,7 +555,7 @@ proptest! {
         // re-enrollment must keep the old enrollment and return the
         // typed NotDrifted rejection.
         use ropuf_core::puf::{ConfigurableRoPuf, EnrollOptions};
-        use ropuf_core::reenroll::{reenroll, ReenrollOutcome, ReenrollPolicy, ReenrollRejected};
+        use ropuf_core::reenroll::{reenroll, ReenrollOutcome, ReenrollRejected};
         use ropuf_core::robust::FaultPlan;
         let sim = SiliconSim::default_spartan();
         let mut grow = StdRng::seed_from_u64(seed);
@@ -540,7 +575,6 @@ proptest! {
             tech,
             env,
             &opts,
-            &ReenrollPolicy::default(),
             &FaultPlan::scaled(0.0),
             &old,
         );

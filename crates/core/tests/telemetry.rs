@@ -211,6 +211,33 @@ fn warnings_reach_the_sink_verbatim() {
     );
 }
 
+/// A fleet run calibrates both rings of every pair on every board once,
+/// `stages + 2` readings a ring, and counts every board once, at any
+/// thread count.
+#[test]
+fn fleet_run_counts_every_reading_and_board() {
+    const BOARDS: usize = 8;
+    let engine = engine(BOARDS);
+    let stages = engine.config().stages as u64;
+    let pairs = engine.puf().pair_count() as u64;
+    assert_eq!(pairs, 10, "80 units of 4-stage pairs");
+    for threads in [1usize, 2] {
+        let sink = Arc::new(MemorySink::default());
+        telemetry::scoped(sink.clone(), || engine.run_on(7, threads));
+        let snapshot = sink.snapshot().expect("flush delivered a snapshot");
+        assert_eq!(
+            snapshot.counter("measure.batched"),
+            Some((stages + 2) * 2 * pairs * BOARDS as u64),
+            "threads = {threads}"
+        );
+        assert_eq!(
+            snapshot.counter("fleet.boards"),
+            Some(BOARDS as u64),
+            "threads = {threads}"
+        );
+    }
+}
+
 /// Runs one enrollment under a scoped sink and checks the kernel's
 /// exact accounting: `readings` calibration readings in total and one
 /// `enroll.pair` span per pair.

@@ -3,6 +3,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use ropuf_core::fleet::parallel_map_indexed;
 use ropuf_silicon::board::BoardId;
 use ropuf_silicon::{Board, Environment, FrequencyCounter, SiliconParams, SiliconSim};
 
@@ -177,27 +178,9 @@ impl VtDataset {
         let sim = SiliconSim::new(config.params);
         let counter = FrequencyCounter::from_params(&config.params.noise);
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let chunk = config.boards.div_ceil(threads).max(1);
-        let ids: Vec<usize> = (0..config.boards).collect();
-        let mut boards: Vec<VtBoard> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ids
-                .chunks(chunk)
-                .map(|ids| {
-                    let sim = &sim;
-                    let counter = &counter;
-                    scope.spawn(move || {
-                        ids.iter()
-                            .map(|&b| generate_board(config, sim, counter, b))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("generation threads do not panic"))
-                .collect()
+        let boards = parallel_map_indexed(config.boards, threads, |b| {
+            generate_board(config, &sim, &counter, b)
         });
-        boards.sort_by_key(|b| b.id);
         Self {
             boards,
             swept_boards: config.swept_boards,

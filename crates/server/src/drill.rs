@@ -26,7 +26,7 @@ use ropuf_core::lifecycle::{Device, Enrolled, KeyCode};
 use ropuf_core::monitor;
 use ropuf_core::persist::enrollment_to_bytes;
 use ropuf_core::puf::{ConfigurableRoPuf, EnrollOptions, Enrollment};
-use ropuf_core::reenroll::{self, DriftAssessment, ReenrollOutcome, ReenrollPolicy};
+use ropuf_core::reenroll::{self, DriftAssessment, ReenrollOutcome};
 use ropuf_core::robust::FaultPlan;
 use ropuf_num::bits::BitVec;
 use ropuf_silicon::aging::AgingModel;
@@ -464,7 +464,7 @@ struct ReenrollBundle {
     /// The in-force enrollment (replacement or old) re-assessed on the
     /// aged silicon — the heal evidence.
     post: DriftAssessment,
-    /// Whether `pre` triggered the re-enrollment policy.
+    /// Whether `pre` triggered re-enrollment.
     drifted: bool,
     /// Whether a replacement enrollment was accepted for supersede.
     reenrolled: bool,
@@ -505,10 +505,9 @@ fn reenroll_bundle(spec: &ReenrollDrillSpec, d: u64) -> io::Result<ReenrollBundl
     let mut aging_rng = StdRng::seed_from_u64(split_seed(device_seed, STREAM_DRILL_AGING));
     let aged = model.age_board(&mut aging_rng, &provisioned.board, spec.years);
 
-    let policy = ReenrollPolicy::default();
-    let corners = reenroll::assessment_corners(env, &policy);
+    let corners = reenroll::assessment_corners(env);
     let pre = reenroll::assess_drift(old, &aged, &tech, &corners);
-    let drifted = pre.drifted(&policy);
+    let drifted = pre.drifted();
     let aged_device =
         Device::resume(&aged, &tech, env, opts, old.clone()).map_err(resume_failed)?;
 
@@ -519,7 +518,6 @@ fn reenroll_bundle(spec: &ReenrollDrillSpec, d: u64) -> io::Result<ReenrollBundl
         &tech,
         env,
         &opts,
-        &policy,
         &plan,
         old,
     );

@@ -7,6 +7,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use crate::access::RequestId;
 use crate::admin::handle_admin_connection;
@@ -161,6 +162,11 @@ pub fn serve_with_admin(
     })
 }
 
+/// Pause before retrying a failed `accept`. Out of descriptors (EMFILE),
+/// `accept` fails again at once until one frees, so an immediate retry
+/// would spin a whole core.
+const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(10);
+
 /// Spawns one accept loop pushing tagged connections onto the shared
 /// worker queue. Each loop owns a clone of the sender; the queue
 /// closes (retiring the workers) when every accept loop has exited.
@@ -185,7 +191,7 @@ fn spawn_accept_loop(
                             break;
                         }
                     }
-                    Err(_) => continue,
+                    Err(_) => std::thread::sleep(ACCEPT_RETRY_PAUSE),
                 }
             }
             // Dropping `tx` releases this loop's share of the queue.

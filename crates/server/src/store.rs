@@ -936,18 +936,33 @@ mod tests {
             &self.boundaries[shard].last().unwrap().1
         }
 
-        /// Opens the store with shard `shard` replaced by `bytes`.
-        fn open_with(&self, shard: usize, bytes: &[u8]) -> Result<Store, StoreError> {
-            fs::write(self.path(shard), bytes).unwrap();
-            fs::write(self.path(1 - shard), &self.files[1 - shard]).unwrap();
-            Store::open(&self.dir, 2, FsyncPolicy::Batched)
+        /// Truncates `shard` at every cut in `cuts` and reopens the store
+        /// through [`Store::open`] each time (see
+        /// [`check_opened`](Self::check_opened)). The cuts run longest
+        /// first, each one shortening the file in place, and the full
+        /// file is written back once at the end; the other shard is left
+        /// as the script wrote it: rewriting whole files per cut would
+        /// make the sweep wait on the disk rather than on the replay.
+        fn check_cuts(&self, shard: usize, cuts: impl IntoIterator<Item = usize>) {
+            let mut cuts: Vec<usize> = cuts.into_iter().collect();
+            cuts.sort_unstable_by(|a, b| b.cmp(a));
+            let file = OpenOptions::new()
+                .write(true)
+                .open(self.path(shard))
+                .unwrap();
+            for cut in cuts {
+                file.set_len(cut as u64).unwrap();
+                let opened = Store::open(&self.dir, 2, FsyncPolicy::Batched);
+                self.check_opened(shard, cut, opened);
+            }
+            drop(file);
+            fs::write(self.path(shard), &self.files[shard]).unwrap();
         }
 
-        /// Truncates `shard` at `cut`: a record boundary must reopen to
-        /// exactly the model's state for that prefix, anywhere else must
-        /// be corruption of that shard.
-        fn check_cut(&self, shard: usize, cut: usize) {
-            let opened = self.open_with(shard, &self.files[shard][..cut]);
+        /// The store reopened with `shard` truncated at `cut`: a record
+        /// boundary must reopen to exactly the model's state for that
+        /// prefix, anywhere else must be corruption of that shard.
+        fn check_opened(&self, shard: usize, cut: usize, opened: Result<Store, StoreError>) {
             let prefix = self.boundaries[shard]
                 .iter()
                 .find(|(end, _)| *end == cut as u64)
@@ -972,17 +987,26 @@ mod tests {
 
         /// Sets the length field at `at` to `u32::MAX`: the record must
         /// be reported truncated at its start, with nothing allocated.
+        /// The field is patched in place and restored afterwards.
         fn check_huge_length(&self, shard: usize, (at, record_start): (u64, u64)) {
-            let mut bytes = self.files[shard].clone();
-            let at = at as usize;
-            bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            match self.open_with(shard, &bytes) {
+            let patch = |bytes: &[u8]| {
+                let mut file = OpenOptions::new()
+                    .write(true)
+                    .open(self.path(shard))
+                    .unwrap();
+                io::Seek::seek(&mut file, io::SeekFrom::Start(at)).unwrap();
+                file.write_all(bytes).unwrap();
+            };
+            patch(&u32::MAX.to_le_bytes());
+            match Store::open(&self.dir, 2, FsyncPolicy::Batched) {
                 Err(StoreError::Corrupt { path, detail }) => {
                     assert_eq!(path, self.path(shard));
                     assert_eq!(detail, format!("truncated record at byte {record_start}"));
                 }
                 other => panic!("length field at {at}: {:?}", other.map(|s| s.len())),
             }
+            let at = at as usize;
+            patch(&self.files[shard][at..at + 4]);
         }
     }
 
@@ -1018,9 +1042,7 @@ mod tests {
                 script.boundaries[shard].len() > 4,
                 "script writes each shard"
             );
-            for cut in 0..=script.files[shard].len() {
-                script.check_cut(shard, cut);
-            }
+            script.check_cuts(shard, 0..=script.files[shard].len());
         }
     }
 
@@ -1073,12 +1095,8 @@ mod tests {
         ) {
             let script = Scripted::run("store-prop", &steps);
             let len = script.files[shard].len();
-            for &(end, _) in &script.boundaries[shard] {
-                script.check_cut(shard, end as usize);
-            }
-            for cut in cuts {
-                script.check_cut(shard, cut % (len + 1));
-            }
+            let boundaries = script.boundaries[shard].iter().map(|&(end, _)| end as usize);
+            script.check_cuts(shard, boundaries.chain(cuts.iter().map(|cut| cut % (len + 1))));
             let fields = &script.length_fields[shard];
             if !fields.is_empty() {
                 script.check_huge_length(shard, fields[field % fields.len()]);

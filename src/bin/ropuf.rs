@@ -36,7 +36,7 @@ use ropuf::attack::suite::{SuiteConfig as AttackSuiteConfig, SuiteReport as Atta
 use ropuf::attack::transcript::Transcript as AttackTranscript;
 use ropuf::core::distill::DistillError;
 use ropuf::core::fleet::{worker_threads, FleetAging, FleetConfig, FleetEngine};
-use ropuf::core::monitor::{FleetObservatory, MonitorConfig, SweepPlan};
+use ropuf::core::monitor::{FleetObservatory, SweepPlan};
 use ropuf::core::persist::{enrollment_from_text, enrollment_to_text};
 use ropuf::core::puf::{ConfigurableRoPuf, EnrollOptions, SelectionMode};
 use ropuf::core::robust::FaultPlan;
@@ -698,26 +698,24 @@ fn monitor(opts: &HashMap<String, String>) -> Result<(), CliError> {
         )));
     }
     let faults = fault_plan(opts)?;
-    let config = MonitorConfig {
-        fleet: FleetConfig {
-            boards,
-            units,
-            cols,
-            stages,
-            opts: EnrollOptions {
-                threshold_ps: threshold,
-                ..EnrollOptions::default()
-            }
-            .validate()?,
-            faults,
-            ..FleetConfig::default()
-        },
-        sweep,
+    let config = FleetConfig {
+        boards,
+        units,
+        cols,
+        stages,
+        opts: EnrollOptions {
+            threshold_ps: threshold,
+            ..EnrollOptions::default()
+        }
+        .validate()?,
+        corners: sweep.corners(),
         aging: (years > 0.0).then(|| FleetAging {
             model: AgingModel::default(),
             years,
         }),
+        faults,
         threads: Some(threads),
+        ..FleetConfig::default()
     };
     let setup_span = telemetry::span("cli.monitor.setup");
     let mut obs = FleetObservatory::new(SiliconSim::default_spartan(), config)?;
@@ -739,7 +737,7 @@ fn monitor(opts: &HashMap<String, String>) -> Result<(), CliError> {
     };
     if let Some(path) = opts.get("enroll-baseline") {
         let enroll_span = telemetry::span("cli.monitor.enroll-baseline");
-        let baseline = obs.enroll_baseline_with_security(seed, &security);
+        let baseline = obs.enroll_baseline(seed, &security);
         drop(enroll_span);
         write_file(path, &baseline.to_json())?;
         eprintln!(
@@ -754,7 +752,7 @@ fn monitor(opts: &HashMap<String, String>) -> Result<(), CliError> {
         obs.set_baseline(baseline);
     }
     let sample_span = telemetry::span("cli.monitor.sample");
-    let health = obs.sample_with_security(seed, &security);
+    let health = obs.sample(seed, &security);
     drop(sample_span);
     match format {
         "json" => print!("{}", health.report.to_json()),

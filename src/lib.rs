@@ -48,7 +48,7 @@ pub mod prelude {
     };
     pub use ropuf_core::fuzzy::FuzzyExtractor;
     pub use ropuf_core::lifecycle::{Device, Enrolled, KeyCode, Started};
-    pub use ropuf_core::monitor::{FleetHealth, FleetObservatory, MonitorConfig, SweepPlan};
+    pub use ropuf_core::monitor::{FleetHealth, FleetObservatory, SweepPlan};
     pub use ropuf_core::one_of_eight::{OneOfEightPuf, RoGroup};
     pub use ropuf_core::persist::{
         enrollment_from_bytes, enrollment_from_text, enrollment_to_bytes, enrollment_to_text,
@@ -59,7 +59,6 @@ pub mod prelude {
     pub use ropuf_core::ro::RoPair;
     pub use ropuf_core::robust::{
         enroll_robust, respond_robust_bound, FaultPlan, FaultSummary, RobustEnrollment,
-        RobustOptions,
     };
     pub use ropuf_core::traditional::TraditionalRoPuf;
     pub use ropuf_core::{ConfigVector, ParityPolicy};

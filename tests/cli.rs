@@ -899,6 +899,21 @@ fn monitor_flag_parse_failures_are_typed_nonzero_exits() {
     }
 }
 
+/// Both fleet-engine commands refuse a zero worker count with the
+/// engine's typed error instead of quietly running on one thread.
+#[test]
+fn fleet_and_monitor_refuse_zero_threads() {
+    for command in ["fleet", "monitor"] {
+        let out = ropuf(&[command, "--threads", "0", "--boards", "4"]);
+        assert!(!out.status.success(), "{command} --threads 0 must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("error: fleet: thread count must be nonzero"),
+            "{command}: {err}"
+        );
+    }
+}
+
 #[test]
 fn serve_drill_stdout_is_deterministic_across_runs_and_workers() {
     let run = |store: &str, workers: &str| {

@@ -12,6 +12,12 @@ use std::process::Command;
 /// Runs `ropuf args` and checks (or, under `ROPUF_BLESS=1`, rewrites)
 /// `tests/golden/<file>` against its stdout.
 fn golden(file: &str, args: &[&str]) {
+    let stdout = run(args);
+    check(file, &stdout, &format!("{args:?}"));
+}
+
+/// Runs `ropuf args` to success and returns its stdout.
+fn run(args: &[&str]) -> Vec<u8> {
     let out = Command::new(env!("CARGO_BIN_EXE_ropuf"))
         .args(args)
         .output()
@@ -21,17 +27,21 @@ fn golden(file: &str, args: &[&str]) {
         "{args:?} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(file);
+    out.stdout
+}
+
+/// Compares `got` with `tests/golden/<file>`, or rewrites the file
+/// under `ROPUF_BLESS=1`; `what` names the output in a failure.
+fn check(file: &str, got: &[u8], what: &str) {
+    let path = golden_path(file);
     if std::env::var_os("ROPUF_BLESS").is_some_and(|v| v == "1") {
-        std::fs::write(&path, &out.stdout).expect("golden file written");
+        std::fs::write(&path, got).expect("golden file written");
         return;
     }
     let want = std::fs::read(&path)
         .unwrap_or_else(|e| panic!("{}: {e} (bless with ROPUF_BLESS=1)", path.display()));
-    if out.stdout != want {
-        let got = String::from_utf8_lossy(&out.stdout);
+    if got != want {
+        let got = String::from_utf8_lossy(got);
         let want = String::from_utf8_lossy(&want);
         let (line, (g, w)) = got
             .lines()
@@ -41,11 +51,17 @@ fn golden(file: &str, args: &[&str]) {
             .find(|(_, (g, w))| g != w)
             .expect("outputs differ somewhere");
         panic!(
-            "{args:?} differs from {file} at line {}:\n  got:  {g}\n  want: {w}\n\
+            "{what} differs from {file} at line {}:\n  got:  {g}\n  want: {w}\n\
              (bless a declared change with ROPUF_BLESS=1)",
             line + 1
         );
     }
+}
+
+fn golden_path(file: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file)
 }
 
 /// A fresh store directory for one test.
@@ -152,4 +168,106 @@ fn fleet_report() {
         "fleet_boards64_seed7.txt",
         &["fleet", "--boards", "64", "--seed", "7"],
     );
+}
+
+#[test]
+fn chaos_drill_report() {
+    golden(
+        "fleet_chaos_faults8.txt",
+        &[
+            "fleet", "--boards", "24", "--seed", "7", "--units", "60", "--stages", "3", "--cols",
+            "6", "--faults", "8",
+        ],
+    );
+}
+
+#[test]
+fn threshold_drill_report_under_an_inert_plan() {
+    golden(
+        "fleet_threshold6_faults0.txt",
+        &[
+            "fleet",
+            "--boards",
+            "24",
+            "--seed",
+            "7",
+            "--units",
+            "60",
+            "--stages",
+            "3",
+            "--cols",
+            "6",
+            "--threshold",
+            "6",
+            "--faults",
+            "0",
+        ],
+    );
+}
+
+#[test]
+fn monitor_reports() {
+    golden("monitor.txt", &["monitor", "--fail-on", "never"]);
+    golden(
+        "monitor.json",
+        &["monitor", "--fail-on", "never", "--format", "json"],
+    );
+    golden(
+        "monitor.prom",
+        &["monitor", "--fail-on", "never", "--format", "prometheus"],
+    );
+}
+
+#[test]
+fn monitor_report_with_security_gauges() {
+    golden(
+        "monitor_security.json",
+        &[
+            "monitor",
+            "--security",
+            "true",
+            "--format",
+            "json",
+            "--boards",
+            "8",
+            "--units",
+            "80",
+            "--fail-on",
+            "never",
+        ],
+    );
+}
+
+/// `--enroll-baseline` writes exactly the committed baseline, and a
+/// sample against that baseline reads the committed drift report.
+#[test]
+fn monitor_baseline_round_trip() {
+    let dir = store("baseline");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let written = dir.join("baseline.json");
+    run(&["monitor", "--enroll-baseline", written.to_str().unwrap()]);
+    let baseline = std::fs::read(&written).expect("baseline written");
+    check(
+        "monitor_enrolled_baseline.json",
+        &baseline,
+        "the --enroll-baseline file",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    golden(
+        "monitor_against_baseline.txt",
+        &[
+            "monitor",
+            "--baseline",
+            golden_path("monitor_enrolled_baseline.json")
+                .to_str()
+                .unwrap(),
+            "--fail-on",
+            "never",
+        ],
+    );
+}
+
+#[test]
+fn attack_report() {
+    golden("attack.json", &["attack", "--format", "json"]);
 }
