@@ -1,16 +1,18 @@
 //! The admin scrape surface: minimal hand-rolled HTTP/1.1 (GET only,
-//! `Connection: close`) served by the same worker pool as the binary
-//! protocol, so no new threads and no new dependencies.
+//! `Connection: close`, no new dependencies), answered one exchange at
+//! a time on the admin accept thread. It shares no queue with the
+//! binary protocol, so clients holding every worker cannot silence the
+//! operator's probe.
 //!
 //! Three endpoints:
 //!
 //! * `GET /metrics` — Prometheus text exposition: the process-wide
 //!   telemetry registry (when a trace sink is installed), the rolling
-//!   windowed serve families, and the merged health/SLO gauge board.
-//! * `GET /healthz` — the merged service + SLO [`HealthReport`] as
-//!   versioned JSON (`"version"` = schema version).
-//! * `GET /slo` — the SLO engine's focused JSON document (objectives,
-//!   window counts, burn rates, statuses).
+//!   windowed serve families, and the service + SLO gauge board.
+//! * `GET /healthz` — that board's [`HealthReport`] as versioned JSON
+//!   (`"version"` = schema version).
+//! * `GET /slo` — the two objectives' focused JSON document
+//!   (objectives, window counts, burn rates, statuses).
 //!
 //! The admin plane is read-only: nothing it serves can mutate the
 //! store or influence a gate decision.
@@ -18,7 +20,8 @@
 //! [`HealthReport`]: ropuf_telemetry::HealthReport
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::TcpStream;
+use std::time::Duration;
 
 use ropuf_telemetry as telemetry;
 
@@ -28,18 +31,17 @@ use crate::service::PufService;
 /// buffer; curl and Prometheus scrapers stay well under this.
 const MAX_HEAD_BYTES: u64 = 8 * 1024;
 
-/// Serves one admin HTTP exchange and closes the connection.
-pub(crate) fn handle_admin_connection(service: &PufService, stream: TcpStream) -> io::Result<()> {
-    let result = admin_exchange(service, &stream);
-    // The worker registered a clone of this socket for shutdown
-    // severing, so dropping our handle does not close it — shut the
-    // socket down explicitly or the client never sees EOF.
-    let _ = stream.shutdown(Shutdown::Both);
-    result
-}
+/// How long one read or write of an exchange may wait on the client.
+/// The admin thread serves one exchange at a time, so a client that
+/// goes silent holds it for at most this long.
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
-fn admin_exchange(service: &PufService, stream: &TcpStream) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?.take(MAX_HEAD_BYTES));
+/// Serves one admin HTTP exchange; the connection closes when the
+/// caller drops `stream`.
+pub(crate) fn serve_admin(service: &PufService, stream: &TcpStream) -> io::Result<()> {
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    let mut reader = BufReader::new(stream.take(MAX_HEAD_BYTES));
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     // Drain headers (ignored — GET carries no body we care about).
@@ -72,12 +74,7 @@ fn admin_exchange(service: &PufService, stream: &TcpStream) -> io::Result<()> {
             "application/json",
             &service.operations_report().to_json(),
         ),
-        "/slo" => respond(
-            stream,
-            "200 OK",
-            "application/json",
-            &service.ops().slo().to_json(),
-        ),
+        "/slo" => respond(stream, "200 OK", "application/json", &service.slo_json()),
         _ => respond(
             stream,
             "404 Not Found",

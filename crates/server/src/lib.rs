@@ -20,8 +20,9 @@
 //! * [`net`] — a hand-rolled accept-queue/worker-pool TCP loop (no
 //!   async runtime, no new dependencies),
 //! * [`admin`] — the read-only HTTP scrape surface (`/metrics`,
-//!   `/healthz`, `/slo`) sharing the same worker pool,
-//! * [`ops`] — the rolling-window operations plane and SLO engine,
+//!   `/healthz`, `/slo`) on an accept thread of its own,
+//! * [`ops`] — the rolling-window operations plane and the two
+//!   service-level objectives computed from its windows,
 //! * [`access`] — request ids, gate stage timing, and the sampled
 //!   JSONL access log,
 //! * [`drill`] — the device provisioner and the deterministic
@@ -46,7 +47,7 @@ pub use drill::{
     ReenrollDrillReport, ReenrollDrillSpec, ReenrollStage,
 };
 pub use net::{serve, serve_with_admin, Client, ServerHandle};
-pub use ops::{OpsConfig, OpsPlane};
+pub use ops::OpsPlane;
 pub use proto::{RejectReason, Reply, Request, WireBits};
 pub use service::{PufService, ServiceConfig, ServiceOptions, ServiceStats};
 pub use store::{FsyncPolicy, Store, StoreError};

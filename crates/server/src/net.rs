@@ -1,6 +1,7 @@
 //! The TCP request loop: a hand-rolled thread pool (no async runtime,
 //! no external crates) draining accepted connections from a shared
-//! queue, one frame-decode/handle/frame-encode loop per connection.
+//! queue, one frame-decode/handle/frame-encode loop per connection. The
+//! admin plane, when bound, answers on an accept thread of its own.
 
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -10,23 +11,13 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::access::RequestId;
-use crate::admin::handle_admin_connection;
+use crate::admin::serve_admin;
 use crate::proto::{read_frame, write_frame, Reply, Request};
 use crate::service::PufService;
 
-/// Process-wide connection counter: every accepted connection (binary
-/// protocol or admin) gets a distinct 1-based id for request tracing.
+/// Process-wide connection counter: every accepted protocol connection
+/// gets a distinct 1-based id for request tracing.
 static NEXT_CONN: AtomicU64 = AtomicU64::new(1);
-
-/// One accepted connection, tagged with which protocol it speaks. The
-/// admin listener feeds the same worker queue as the binary protocol,
-/// so both planes share one thread pool.
-enum Conn {
-    /// The length-prefixed binary protocol.
-    Proto(TcpStream),
-    /// The hand-rolled HTTP admin plane.
-    Admin(TcpStream),
-}
 
 /// A running server: accept thread(s) + `workers` handler threads.
 pub struct ServerHandle {
@@ -34,9 +25,9 @@ pub struct ServerHandle {
     admin_addr: Option<SocketAddr>,
     service: Arc<PufService>,
     shutting_down: Arc<AtomicBool>,
-    /// One slot per worker: a handle on the connection it is serving,
-    /// so shutdown can sever connections a client left idle-open.
-    live_conns: Arc<Mutex<Vec<Option<TcpStream>>>>,
+    /// One slot per worker: the connection it is serving, shared so
+    /// shutdown can sever connections a client left idle-open.
+    live_conns: Arc<Mutex<Vec<Option<Arc<TcpStream>>>>>,
     accept_threads: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -61,7 +52,8 @@ pub fn serve(
 
 /// Starts serving `service` on `addr`, optionally also binding the
 /// read-only HTTP admin plane (`/metrics`, `/healthz`, `/slo`) on
-/// `admin`. Both listeners feed one shared worker pool.
+/// `admin`. The admin plane's accept thread answers each exchange
+/// itself, so it answers while protocol clients hold every worker.
 ///
 /// # Errors
 ///
@@ -89,7 +81,7 @@ pub fn serve_with_admin(
     };
     let shutting_down = Arc::new(AtomicBool::new(false));
     let live_conns = Arc::new(Mutex::new((0..workers).map(|_| None).collect::<Vec<_>>()));
-    let (tx, rx) = mpsc::channel::<Conn>();
+    let (tx, rx) = mpsc::channel::<TcpStream>();
     let rx = Arc::new(Mutex::new(rx));
 
     let worker_threads = (0..workers)
@@ -102,52 +94,40 @@ pub fn serve_with_admin(
                 .spawn(move || loop {
                     // Hold the queue lock only while dequeuing; the
                     // connection is then owned by this worker until EOF.
-                    let conn = rx.lock().expect("connection queue poisoned").recv();
-                    match conn {
-                        Ok(conn) => {
-                            let stream = match &conn {
-                                Conn::Proto(s) | Conn::Admin(s) => s,
-                            };
-                            // The slot holds the handle only while the
-                            // handler runs, so a closed connection's
-                            // descriptor is released with it.
-                            let park = |handle: Option<TcpStream>| {
-                                live_conns.lock().expect("connection registry poisoned")[i] =
-                                    handle;
-                            };
-                            park(stream.try_clone().ok());
-                            match conn {
-                                Conn::Proto(stream) => {
-                                    let _ = handle_connection(&service, stream);
-                                }
-                                Conn::Admin(stream) => {
-                                    let _ = handle_admin_connection(&service, stream);
-                                }
-                            }
-                            park(None);
-                        }
-                        Err(_) => return, // queue closed: shutdown
-                    }
+                    let next = rx.lock().expect("connection queue poisoned").recv();
+                    let Ok(stream) = next else {
+                        return; // queue closed: shutdown
+                    };
+                    // The slot shares the one descriptor only while the
+                    // handler runs, so it closes with the connection.
+                    let stream = Arc::new(stream);
+                    let park = |handle: Option<Arc<TcpStream>>| {
+                        live_conns.lock().expect("connection registry poisoned")[i] = handle;
+                    };
+                    park(Some(Arc::clone(&stream)));
+                    let _ = handle_connection(&service, &stream);
+                    park(None);
                 })
                 .expect("spawn worker")
         })
         .collect();
 
-    let mut accept_threads = Vec::new();
-    accept_threads.push(spawn_accept_loop(
+    let mut accept_threads = vec![spawn_accept_loop(
         "ropuf-accept",
         listener,
         Arc::clone(&shutting_down),
-        tx.clone(),
-        Conn::Proto,
-    )?);
+        move |stream| tx.send(stream).is_ok(),
+    )?];
     if let Some(admin_listener) = admin_listener {
+        let service = Arc::clone(&service);
         accept_threads.push(spawn_accept_loop(
-            "ropuf-admin-accept",
+            "ropuf-admin",
             admin_listener,
             Arc::clone(&shutting_down),
-            tx,
-            Conn::Admin,
+            move |stream| {
+                let _ = serve_admin(&service, &stream);
+                true
+            },
         )?);
     }
 
@@ -167,15 +147,15 @@ pub fn serve_with_admin(
 /// would spin a whole core.
 const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(10);
 
-/// Spawns one accept loop pushing tagged connections onto the shared
-/// worker queue. Each loop owns a clone of the sender; the queue
-/// closes (retiring the workers) when every accept loop has exited.
+/// Spawns one accept loop handing each connection to `on_accept`,
+/// which returns false once nothing is left to serve it. The protocol
+/// loop's `on_accept` owns the queue's sender, so the queue closes
+/// (retiring the workers) when that loop exits.
 fn spawn_accept_loop(
     name: &str,
     listener: TcpListener,
     shutting_down: Arc<AtomicBool>,
-    tx: mpsc::Sender<Conn>,
-    wrap: fn(TcpStream) -> Conn,
+    mut on_accept: impl FnMut(TcpStream) -> bool + Send + 'static,
 ) -> io::Result<JoinHandle<()>> {
     std::thread::Builder::new()
         .name(name.to_string())
@@ -185,24 +165,24 @@ fn spawn_accept_loop(
                     break;
                 }
                 match stream {
-                    // A send error means the workers are gone; stop.
                     Ok(stream) => {
-                        if tx.send(wrap(stream)).is_err() {
+                        if !on_accept(stream) {
                             break;
                         }
                     }
                     Err(_) => std::thread::sleep(ACCEPT_RETRY_PAUSE),
                 }
             }
-            // Dropping `tx` releases this loop's share of the queue.
         })
 }
 
-fn handle_connection(service: &PufService, stream: TcpStream) -> io::Result<()> {
+/// Serves one protocol connection until EOF, reading and writing
+/// through the one descriptor the worker holds.
+fn handle_connection(service: &PufService, stream: &TcpStream) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     let conn = NEXT_CONN.fetch_add(1, Ordering::Relaxed);
     let mut seq = 0u64;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(stream);
     while let Some(body) = read_frame(&mut reader)? {
         seq += 1;

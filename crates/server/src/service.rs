@@ -15,17 +15,18 @@
 //! outright.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ropuf_core::fuzzy::FuzzyExtractor;
 use ropuf_num::bits::BitVec;
 use ropuf_telemetry as telemetry;
 use ropuf_telemetry::health::{Direction, GaugeSpec, HealthBoard, Thresholds};
+use ropuf_telemetry::window::{Clock, WallClock};
 use ropuf_telemetry::HealthReport;
 
 use crate::access::{render_record, AccessLog, RequestId, StageTimer};
-use crate::ops::{OpsConfig, OpsPlane};
+use crate::ops::{slo_gauges, OpsPlane};
 use crate::proto::{RejectReason, Reply, Request, WireBits};
 use crate::store::{DeviceState, Store, StoreError};
 
@@ -90,17 +91,27 @@ impl ServiceStats {
 }
 
 /// Construction-time wiring for a [`PufService`] beyond the gate
-/// limits: the operations-plane clock/objectives and an optional
-/// access log. [`PufService::new`] uses the defaults (wall clock,
-/// default SLOs, no log).
-#[derive(Default)]
+/// limits: the operations-plane clock and an optional access log.
+/// [`PufService::new`] uses the defaults (wall clock, no log).
 pub struct ServiceOptions {
     /// Gate limits.
     pub config: ServiceConfig,
-    /// Operations-plane clock and SLO objectives.
-    pub ops: OpsConfig,
+    /// Time source for the operations plane's windows: wall time for a
+    /// server, a [`ManualClock`](ropuf_telemetry::ManualClock) for a
+    /// drill or a test.
+    pub clock: Arc<dyn Clock>,
     /// Sampled JSONL access log, when requested.
     pub access_log: Option<AccessLog>,
+}
+
+impl Default for ServiceOptions {
+    fn default() -> Self {
+        Self {
+            config: ServiceConfig::default(),
+            clock: Arc::new(WallClock::default()),
+            access_log: None,
+        }
+    }
 }
 
 /// The authentication service: gate pipeline over a [`Store`].
@@ -108,6 +119,7 @@ pub struct PufService {
     store: Store,
     config: ServiceConfig,
     stats: ServiceStats,
+    /// One board for the four service gauges and the two SLO gauges.
     health: Mutex<HealthBoard>,
     ops: OpsPlane,
     access: Option<AccessLog>,
@@ -127,7 +139,7 @@ enum AuthDecision {
 
 impl PufService {
     /// Wraps a store with the gate pipeline (default ops plane: wall
-    /// clock, default SLO objectives, no access log).
+    /// clock, no access log).
     pub fn new(store: Store, config: ServiceConfig) -> Self {
         Self::with_options(
             store,
@@ -139,14 +151,16 @@ impl PufService {
     }
 
     /// Wraps a store with explicit operations-plane wiring (injected
-    /// clock, SLO objectives, optional access log).
+    /// clock, optional access log).
     pub fn with_options(store: Store, options: ServiceOptions) -> Self {
+        let mut gauges = Self::gauges();
+        gauges.extend(slo_gauges());
         Self {
             store,
             config: options.config,
             stats: ServiceStats::default(),
-            health: Mutex::new(HealthBoard::new(Self::gauges())),
-            ops: OpsPlane::new(options.ops),
+            health: Mutex::new(HealthBoard::new(gauges)),
+            ops: OpsPlane::new(options.clock),
             access: options.access_log,
         }
     }
@@ -214,28 +228,44 @@ impl PufService {
         self.access.as_ref()
     }
 
-    /// The full operator view: the cumulative service gauges merged
-    /// with the windowed SLO gauges into one report (one
-    /// `health_status` family in the Prometheus exposition, one
+    /// The full operator view: the cumulative service gauges and the
+    /// windowed SLO gauges, classified on one board into one report
+    /// (one `health_status` family in the Prometheus exposition, one
     /// versioned JSON document on `/healthz`).
     pub fn operations_report(&self) -> HealthReport {
-        let mut report = self.health_report();
-        let slo = self.ops.slo().evaluate().report;
-        report.overall = report.overall.max(slo.overall);
-        report.gauges.extend(slo.gauges);
-        report
+        let slo = self.ops.slo();
+        let mut board = self.health.lock().expect("health board poisoned");
+        self.observe_service_gauges(&mut board);
+        slo.observe(&mut board);
+        board.report()
     }
 
-    /// Samples the health gauges from the current counters and store
-    /// occupancy, returning the classified report.
+    /// The service gauges alone, sampled from the current counters and
+    /// store occupancy and classified.
     pub fn health_report(&self) -> HealthReport {
+        let mut board = self.health.lock().expect("health board poisoned");
+        self.observe_service_gauges(&mut board);
+        board.report()
+    }
+
+    /// The `/slo` document: both objectives over the window, classified
+    /// on the same board (and latches) as [`operations_report`].
+    ///
+    /// [`operations_report`]: Self::operations_report
+    pub fn slo_json(&self) -> String {
+        let slo = self.ops.slo();
+        let mut board = self.health.lock().expect("health board poisoned");
+        slo.observe(&mut board);
+        slo.to_json(&board.report())
+    }
+
+    fn observe_service_gauges(&self, board: &mut HealthBoard) {
         let accepted = self.stats.auth_accepted.load(Ordering::Relaxed) as f64;
         let rejected = self.stats.auth_rejected.load(Ordering::Relaxed) as f64;
         let replays = self.stats.replays.load(Ordering::Relaxed) as f64;
         let attempts = accepted + rejected;
         let enrolled = self.store.len() as f64;
         let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
-        let mut board = self.health.lock().expect("health board poisoned");
         board.observe("serve_auth_accept_rate", ratio(accepted, attempts.max(1.0)));
         board.observe(
             "serve_replay_reject_rate",
@@ -249,7 +279,6 @@ impl PufService {
             "serve_lockout_fraction",
             ratio(self.store.locked_count() as f64, enrolled.max(1.0)),
         );
-        board.report()
     }
 
     /// Handles one request that did not arrive over a tracked

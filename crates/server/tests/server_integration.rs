@@ -20,9 +20,8 @@ use ropuf_core::robust::{respond_robust_bound, FaultPlan};
 use ropuf_num::bits::BitVec;
 use ropuf_server::proto::{read_frame, write_frame};
 use ropuf_server::{
-    run_drill, serve, serve_with_admin, AccessLog, Client, DrillSpec, FsyncPolicy, OpsConfig,
-    PufService, RejectReason, Reply, Request, ServerHandle, ServiceConfig, ServiceOptions, Store,
-    WireBits,
+    run_drill, serve, serve_with_admin, AccessLog, Client, DrillSpec, FsyncPolicy, PufService,
+    RejectReason, Reply, Request, ServerHandle, ServiceConfig, ServiceOptions, Store, WireBits,
 };
 use ropuf_silicon::board::BoardId;
 use ropuf_silicon::{Environment, SiliconSim};
@@ -144,10 +143,7 @@ fn spawn_admin_server(tag: &str) -> (ServerHandle, Arc<PufService>, PathBuf) {
     // ManualClock pins every request into window period 0, so the
     // scraped figures are a pure function of the request stream.
     let options = ServiceOptions {
-        ops: OpsConfig {
-            clock: Arc::new(ManualClock::at(0)),
-            ..OpsConfig::default()
-        },
+        clock: Arc::new(ManualClock::at(0)),
         ..ServiceOptions::default()
     };
     let service = Arc::new(PufService::with_options(store, options));
@@ -346,6 +342,41 @@ fn slo_flips_unhealthy_under_quality_reject_storm() {
 }
 
 #[test]
+fn healthz_answers_while_every_worker_holds_an_idle_connection() {
+    use std::io::{Read, Write};
+    let (server, _service, dir) = spawn_admin_server("admin-idle-workers");
+    let admin = server.admin_addr().expect("admin listener bound");
+    // One answered frame per protocol connection (the admin server has
+    // two workers): both workers now wait on clients that stay silent.
+    let idle: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let mut stream = TcpStream::connect(server.addr()).expect("connects");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout set");
+            write_frame(&mut stream, &Request::Revoke { device_id: 1 }.encode()).expect("writes");
+            read_frame(&mut stream).expect("reads").expect("a reply");
+            stream
+        })
+        .collect();
+
+    let started = std::time::Instant::now();
+    let mut stream = TcpStream::connect(admin).expect("admin connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .expect("timeout set");
+    write!(stream, "GET /healthz HTTP/1.1\r\nHost: admin\r\n\r\n").expect("request writes");
+    let mut response = String::new();
+    let read = stream.read_to_string(&mut response);
+    let waited = started.elapsed();
+    drop(idle);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+    read.unwrap_or_else(|e| panic!("/healthz unanswered after {waited:?}: {e}"));
+    assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+}
+
+#[test]
 fn drill_transcript_is_byte_identical_with_admin_plane_enabled() {
     let spec = DrillSpec {
         seed: 0xFACADE,
@@ -363,10 +394,7 @@ fn drill_transcript_is_byte_identical_with_admin_plane_enabled() {
     let store = Store::open(&dir, 4, FsyncPolicy::Batched).expect("store opens");
     let log_path = dir.join("access.jsonl");
     let options = ServiceOptions {
-        ops: OpsConfig {
-            clock: Arc::new(ManualClock::at(0)),
-            ..OpsConfig::default()
-        },
+        clock: Arc::new(ManualClock::at(0)),
         access_log: Some(AccessLog::create(&log_path, 3).expect("log creates")),
         ..ServiceOptions::default()
     };

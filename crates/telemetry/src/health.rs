@@ -314,7 +314,7 @@ impl HealthBoard {
 
 /// Formats `v` so it round-trips as JSON (never `NaN`/`inf`, which are
 /// not JSON): non-finite values become `null`.
-pub(crate) fn json_f64(v: f64) -> String {
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         // `{:?}` prints shortest-roundtrip for f64.
         format!("{v:?}")

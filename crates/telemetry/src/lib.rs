@@ -8,6 +8,13 @@
 //! follows the `compat/` shim precedent: it vendors the small subset of
 //! a `tracing`-style API the workspace actually needs, on `std` alone.
 //!
+//! Beyond the process-wide registry, [`window`] keeps rolling-window
+//! counters and histograms (each histogram slot a
+//! [`metrics::Histogram`]) and [`health`] classifies gauges with
+//! latching thresholds. Both are value-only: what a window or a gauge
+//! means lives with its user — the server's operations plane, for
+//! one, computes its service-level objectives from its own windows.
+//!
 //! # Design rules
 //!
 //! * **Never touches stdout.** Sinks write to files
@@ -48,13 +55,11 @@
 pub mod health;
 pub mod metrics;
 pub mod sink;
-pub mod slo;
 pub mod window;
 
 pub use health::{HealthBoard, HealthReport, Status};
 pub use metrics::Snapshot;
 pub use sink::{JsonLinesSink, MemorySink, PrometheusSink, Sink, SummarySink};
-pub use slo::{SloConfig, SloEngine};
 pub use window::{Clock, ManualClock, WallClock, WindowSpec, WindowedCounter, WindowedHistogram};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

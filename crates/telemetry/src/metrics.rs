@@ -46,22 +46,38 @@ impl Histogram {
 
     /// Point-in-time copy of the bucket counts under `name`.
     pub fn snapshot(&self, name: &str) -> HistogramSnapshot {
-        let mut counts = [0u64; BUCKETS];
-        for (slot, bucket) in counts.iter_mut().zip(&self.buckets) {
-            *slot = bucket.load(Ordering::Relaxed);
-        }
-        HistogramSnapshot {
+        let mut snapshot = HistogramSnapshot {
             name: name.to_string(),
-            counts,
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
+            ..HistogramSnapshot::default()
+        };
+        self.merge_into(&mut snapshot);
+        snapshot
+    }
+
+    /// Forgets every observation.
+    pub fn reset(&self) {
+        for bucket in &self.buckets {
+            bucket.store(0, Ordering::Relaxed);
         }
+        self.count.store(0, Ordering::Relaxed);
+        self.sum.store(0, Ordering::Relaxed);
+        self.max.store(0, Ordering::Relaxed);
+    }
+
+    /// Adds this histogram's observations to `merged` (the sum wraps,
+    /// like the recorded one).
+    pub(crate) fn merge_into(&self, merged: &mut HistogramSnapshot) {
+        for (total, bucket) in merged.counts.iter_mut().zip(&self.buckets) {
+            *total += bucket.load(Ordering::Relaxed);
+        }
+        merged.count += self.count.load(Ordering::Relaxed);
+        merged.sum = merged.sum.wrapping_add(self.sum.load(Ordering::Relaxed));
+        merged.max = merged.max.max(self.max.load(Ordering::Relaxed));
     }
 }
 
 /// Point-in-time copy of one histogram.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Histogram name.
     pub name: String,

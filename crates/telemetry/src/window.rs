@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::metrics::{HistogramSnapshot, BUCKETS};
+use crate::metrics::{Histogram, HistogramSnapshot};
 
 /// A time source for windowed metrics, in microseconds from an
 /// arbitrary epoch. Implementations must be monotonic (never go
@@ -112,12 +112,6 @@ pub struct WindowSpec {
 }
 
 impl WindowSpec {
-    /// The default serve-path window: 60 buckets of 5 s = 5 minutes.
-    pub const FIVE_MINUTES: WindowSpec = WindowSpec {
-        buckets: 60,
-        bucket_width_us: 5_000_000,
-    };
-
     /// Total time the window covers, microseconds.
     pub fn window_us(&self) -> u64 {
         self.bucket_width_us.saturating_mul(self.buckets as u64)
@@ -216,37 +210,12 @@ fn rotate(slot_period: &AtomicU64, period: u64, reset: impl FnOnce()) {
     }
 }
 
-/// One histogram ring slot: period tag plus the same fixed power-of-two
-/// buckets as [`crate::metrics::Histogram`].
+/// One histogram ring slot: period tag plus a cumulative histogram of
+/// that period.
+#[derive(Default)]
 struct HistogramSlot {
     period: AtomicU64,
-    counts: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for HistogramSlot {
-    fn default() -> Self {
-        Self {
-            period: AtomicU64::new(0),
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-impl HistogramSlot {
-    fn reset(&self) {
-        for c in &self.counts {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
+    histogram: Histogram,
 }
 
 /// A fixed-bucket latency histogram over a rolling window. Values land
@@ -284,12 +253,8 @@ impl WindowedHistogram {
     pub fn record(&self, value: u64) {
         let period = self.spec.period(self.clock.now_us());
         let slot = &self.slots[(period % self.spec.buckets as u64) as usize];
-        rotate(&slot.period, period, || slot.reset());
-        let bucket = (63 - value.max(1).leading_zeros() as usize).min(BUCKETS - 1);
-        slot.counts[bucket].fetch_add(1, Ordering::Relaxed);
-        slot.count.fetch_add(1, Ordering::Relaxed);
-        slot.sum.fetch_add(value, Ordering::Relaxed);
-        slot.max.fetch_max(value, Ordering::Relaxed);
+        rotate(&slot.period, period, || slot.histogram.reset());
+        slot.histogram.record(value);
     }
 
     /// Merges the live buckets into one snapshot named `name`. The
@@ -297,29 +262,19 @@ impl WindowedHistogram {
     /// the same exposition renderer and quantile convention apply.
     pub fn snapshot(&self, name: &str) -> HistogramSnapshot {
         let now_period = self.spec.period(self.clock.now_us());
-        let mut counts = [0u64; BUCKETS];
-        let (mut count, mut sum, mut max) = (0u64, 0u64, 0u64);
+        let mut merged = HistogramSnapshot {
+            name: name.to_string(),
+            ..HistogramSnapshot::default()
+        };
         for slot in &self.slots {
-            if !self
+            if self
                 .spec
                 .live(slot.period.load(Ordering::Relaxed), now_period)
             {
-                continue;
+                slot.histogram.merge_into(&mut merged);
             }
-            for (merged, c) in counts.iter_mut().zip(&slot.counts) {
-                *merged += c.load(Ordering::Relaxed);
-            }
-            count += slot.count.load(Ordering::Relaxed);
-            sum = sum.wrapping_add(slot.sum.load(Ordering::Relaxed));
-            max = max.max(slot.max.load(Ordering::Relaxed));
         }
-        HistogramSnapshot {
-            name: name.to_string(),
-            counts,
-            count,
-            sum,
-            max,
-        }
+        merged
     }
 }
 
@@ -478,7 +433,7 @@ mod tests {
         let a = w.now_us();
         let b = w.now_us();
         assert!(b >= a);
-        assert_eq!(WindowSpec::FIVE_MINUTES.window_us(), 300_000_000);
+        assert_eq!(spec(60, 5_000_000).window_us(), 300_000_000);
         assert_eq!(spec(3, 1_000).window_us(), 3_000);
     }
 

@@ -49,7 +49,7 @@ use ropuf::dataset::ParseCsvError;
 use ropuf::nist::suite::{run_suite, SuiteConfig};
 use ropuf::num::bits::{BitVec, ParseBitsError};
 use ropuf::server::{
-    serve_with_admin, AccessLog, DrillSpec, FsyncPolicy, OpsConfig, PufService, ReenrollDrillSpec,
+    serve_with_admin, AccessLog, DrillSpec, FsyncPolicy, PufService, ReenrollDrillSpec,
     ReenrollStage, ServerHandle, ServiceConfig, ServiceOptions, Store,
 };
 use ropuf::silicon::aging::AgingModel;
@@ -1031,15 +1031,16 @@ impl<'a> ServerFlags<'a> {
     ) -> Result<(Arc<PufService>, ServerHandle), CliError> {
         let open_span = telemetry::span("cli.store.open");
         let store = Store::open(std::path::Path::new(self.store), self.shards, self.fsync)?;
-        let mut ops = OpsConfig::default();
-        if drill {
-            ops.clock = Arc::new(telemetry::ManualClock::at(0));
-        }
+        let clock: Arc<dyn telemetry::Clock> = if drill {
+            Arc::new(telemetry::ManualClock::at(0))
+        } else {
+            Arc::new(telemetry::WallClock::default())
+        };
         let service = Arc::new(PufService::with_options(
             store,
             ServiceOptions {
                 config: ServiceConfig::default(),
-                ops,
+                clock,
                 access_log,
             },
         ));
