@@ -5,6 +5,10 @@
 //! the expected bit, and the margin. This module round-trips it through
 //! a line-oriented text format with no serialization dependencies.
 //!
+//! One writer appends that format for [`enrollment_to_text`] and
+//! [`enrollment_to_bytes`] alike, into a buffer sized before it is
+//! written.
+//!
 //! One validator checks that format on borrowed slices. It backs both
 //! [`enrollment_from_text`], which builds the [`Enrollment`], and
 //! [`expected_bits_from_bytes`], which keeps only the expected bits for
@@ -33,6 +37,7 @@
 //! ```
 
 use std::fmt;
+use std::io::Write;
 
 use ropuf_num::bits::{BitVec, ParseBitsError};
 use ropuf_silicon::Environment;
@@ -52,32 +57,7 @@ pub const FORMAT_VERSION: u16 = 1;
 
 /// Serializes an enrollment to the portable text format.
 pub fn enrollment_to_text(enrollment: &Enrollment) -> String {
-    let env = enrollment.enrolled_at();
-    let mut out = format!("{HEADER}\nenv,{},{}\n", env.voltage_v, env.temperature_c);
-    for (i, pair) in enrollment.pairs().iter().enumerate() {
-        match pair {
-            None => out.push_str(&format!("pair,{i},excluded\n")),
-            Some(p) => {
-                let join = |units: &[usize]| -> String {
-                    units
-                        .iter()
-                        .map(usize::to_string)
-                        .collect::<Vec<_>>()
-                        .join(";")
-                };
-                out.push_str(&format!(
-                    "pair,{i},{},{},{},{},{},{}\n",
-                    join(p.spec().top()),
-                    join(p.spec().bottom()),
-                    p.top_config(),
-                    p.bottom_config(),
-                    u8::from(p.expected_bit()),
-                    p.margin_ps(),
-                ));
-            }
-        }
-    }
-    out
+    String::from_utf8(write_v1(enrollment, &[])).expect("the v1 text is ASCII")
 }
 
 /// Parses an enrollment from the portable text format.
@@ -98,12 +78,127 @@ pub fn enrollment_from_text(text: &str) -> Result<Enrollment, ParseEnrollmentErr
 /// This is the form the enrollment server stores on disk — the version
 /// field lets the store evolve without silently misreading old records.
 pub fn enrollment_to_bytes(enrollment: &Enrollment) -> Vec<u8> {
-    let text = enrollment_to_text(enrollment);
-    let mut out = Vec::with_capacity(MAGIC.len() + 2 + text.len());
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(text.as_bytes());
+    write_v1(enrollment, &[MAGIC, &FORMAT_VERSION.to_le_bytes()])
+}
+
+/// The one writer behind both serializers: `prefix`, then the v1 text of
+/// `enrollment`, in a buffer of exactly their length. A first pass of
+/// [`put_v1`] sizes the buffer, so it is allocated once and, unless a
+/// margin outgrows [`FLOAT_ROOM`], only shrunk to fit.
+fn write_v1(enrollment: &Enrollment, prefix: &[&[u8]]) -> Vec<u8> {
+    let mut room = Room(prefix.iter().map(|p| p.len()).sum());
+    put_v1(enrollment, &mut room);
+    let mut out = Vec::with_capacity(room.0);
+    for part in prefix {
+        out.extend_from_slice(part);
+    }
+    put_v1(enrollment, &mut out);
+    out.shrink_to_fit();
     out
+}
+
+/// Writes the v1 text: the header, the env line, then one line per pair.
+/// Every field reads as its `Display` writes it: indices as decimal
+/// digits, configurations as one `0`/`1` per stage, the expected bit as
+/// `0`/`1`, margins and the operating point in `f64`'s shortest
+/// round-trip form.
+fn put_v1(enrollment: &Enrollment, out: &mut impl Out) {
+    let env = enrollment.enrolled_at();
+    out.bytes(HEADER.as_bytes());
+    out.bytes(b"\nenv,");
+    out.float(env.voltage_v);
+    out.bytes(b",");
+    out.float(env.temperature_c);
+    out.bytes(b"\n");
+    for (i, pair) in enrollment.pairs().iter().enumerate() {
+        out.bytes(b"pair,");
+        out.decimal(i);
+        let Some(p) = pair else {
+            out.bytes(b",excluded\n");
+            continue;
+        };
+        for ring in [p.spec().top(), p.spec().bottom()] {
+            let mut separator = b",";
+            for &unit in ring {
+                out.bytes(separator);
+                out.decimal(unit);
+                separator = b";";
+            }
+        }
+        for config in [p.top_config(), p.bottom_config()] {
+            out.bytes(b",");
+            out.config(config);
+        }
+        out.bytes(if p.expected_bit() { b",1," } else { b",0," });
+        out.float(p.margin_ps());
+        out.bytes(b"\n");
+    }
+}
+
+/// Bytes [`Room`] sets aside for an `f64`: the shortest form of any
+/// magnitude from 1e-5 to 1e21 fits, and margins of a few picoseconds
+/// take at most 19.
+const FLOAT_ROOM: usize = 24;
+
+/// What [`put_v1`] writes to: the envelope, or the [`Room`] it needs.
+trait Out {
+    /// `bytes` as they are.
+    fn bytes(&mut self, bytes: &[u8]);
+    /// `n` as `usize`'s `Display` writes it.
+    fn decimal(&mut self, n: usize);
+    /// `config` as its `Display` writes it: `1` for a selected stage,
+    /// `0` for a bypassed one.
+    fn config(&mut self, config: &ConfigVector);
+    /// `x` as `f64`'s `Display` writes it.
+    fn float(&mut self, x: f64);
+}
+
+impl Out for Vec<u8> {
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn decimal(&mut self, mut n: usize) {
+        let start = self.len();
+        loop {
+            self.push(b'0' + (n % 10) as u8);
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self[start..].reverse();
+    }
+
+    fn config(&mut self, config: &ConfigVector) {
+        self.extend(config.iter().map(|selected| b'0' + u8::from(selected)));
+    }
+
+    fn float(&mut self, x: f64) {
+        write!(self, "{x}").expect("writing to memory cannot fail");
+    }
+}
+
+/// The length of what [`put_v1`] writes, with [`FLOAT_ROOM`] bytes for
+/// each `f64`.
+struct Room(usize);
+
+impl Out for Room {
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+
+    fn decimal(&mut self, n: usize) {
+        self.0 += n.checked_ilog10().map_or(1, |d| d as usize + 1);
+    }
+
+    fn config(&mut self, config: &ConfigVector) {
+        self.0 += config.len();
+    }
+
+    fn float(&mut self, _: f64) {
+        self.0 += FLOAT_ROOM;
+    }
 }
 
 /// Parses an enrollment from the versioned binary envelope.
@@ -400,7 +495,7 @@ mod tests {
     use crate::puf::{ConfigurableRoPuf, EnrollOptions};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use ropuf_silicon::board::BoardId;
     use ropuf_silicon::{DelayProbe, SiliconSim};
 
@@ -696,6 +791,120 @@ mod tests {
             .map_err(|_| err(line_no, format!("field {name} is malformed")))
     }
 
+    /// The text writer as it stood before [`write_v1`], a `format!` per
+    /// pair: [`enrollment_to_text`] and [`enrollment_to_bytes`] must
+    /// write exactly its bytes.
+    fn oracle_to_text(enrollment: &Enrollment) -> String {
+        let env = enrollment.enrolled_at();
+        let mut out = format!("{HEADER}\nenv,{},{}\n", env.voltage_v, env.temperature_c);
+        for (i, pair) in enrollment.pairs().iter().enumerate() {
+            match pair {
+                None => out.push_str(&format!("pair,{i},excluded\n")),
+                Some(p) => {
+                    let join = |units: &[usize]| -> String {
+                        units
+                            .iter()
+                            .map(usize::to_string)
+                            .collect::<Vec<_>>()
+                            .join(";")
+                    };
+                    out.push_str(&format!(
+                        "pair,{i},{},{},{},{},{},{}\n",
+                        join(p.spec().top()),
+                        join(p.spec().bottom()),
+                        p.top_config(),
+                        p.bottom_config(),
+                        u8::from(p.expected_bit()),
+                        p.margin_ps(),
+                    ));
+                }
+            }
+        }
+        out
+    }
+
+    /// Unit indices on both sides of each change in digit count, and far
+    /// past any board.
+    const EDGE_UNITS: [usize; 10] = [
+        0,
+        9,
+        10,
+        99,
+        100,
+        999,
+        1000,
+        1_000_000,
+        12_345_678_901,
+        usize::MAX,
+    ];
+
+    /// Margins at zero, two subnormals, a small and a large power of
+    /// ten (`1e21` is the first `Display` writes with 22 digits), and
+    /// the largest finite value.
+    const EDGE_MARGINS: [f64; 7] = [0.0, 5e-324, 1e-310, 1e-7, 1e21, 1.5e300, f64::MAX];
+
+    /// Operating points with fractional voltages and negative
+    /// temperatures.
+    const EDGE_ENVS: [(f64, f64); 6] = [
+        (1.2, 25.0),
+        (0.98, -40.0),
+        (1.32, -0.5),
+        (1.0833333333333333, 65.0),
+        (0.7, -12.25),
+        (1e-3, -273.15),
+    ];
+
+    /// An enrollment drawn from `seed` that no floorplan needs to admit:
+    /// 1–12 pairs, each excluded at even odds (so exclusions fall first,
+    /// last and in runs), rings of 1–16 stages, and unit indices,
+    /// margins and operating points half from the edges above, half
+    /// drawn at random.
+    fn arbitrary_enrollment(seed: u64) -> Enrollment {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let unit = |rng: &mut StdRng| {
+            if rng.gen_bool(0.5) {
+                EDGE_UNITS[rng.gen_range(0..EDGE_UNITS.len())]
+            } else {
+                let bits = rng.gen_range(1..40);
+                rng.gen_range(0..1usize << bits)
+            }
+        };
+        let pairs = (0..rng.gen_range(1..=12))
+            .map(|_| {
+                if rng.gen_bool(0.5) {
+                    return None;
+                }
+                let stages = rng.gen_range(1..=16);
+                let top = (0..stages).map(|_| unit(&mut rng)).collect();
+                let bottom = (0..stages).map(|_| unit(&mut rng)).collect();
+                let mut config = || {
+                    ConfigVector::from_flags(
+                        &(0..stages).map(|_| rng.gen_bool(0.5)).collect::<Vec<_>>(),
+                    )
+                };
+                let (top_config, bottom_config) = (config(), config());
+                let margin_ps = if rng.gen_bool(0.5) {
+                    EDGE_MARGINS[rng.gen_range(0..EDGE_MARGINS.len())]
+                } else {
+                    rng.gen::<f64>() * 10f64.powi(rng.gen_range(-12..24))
+                };
+                Some(EnrolledPair::from_parts(
+                    PairSpec::try_new(top, bottom).expect("equal, non-empty rings"),
+                    top_config,
+                    bottom_config,
+                    rng.gen_bool(0.5),
+                    margin_ps,
+                ))
+            })
+            .collect();
+        let (voltage_v, temperature_c) = if rng.gen_bool(0.5) {
+            EDGE_ENVS[rng.gen_range(0..EDGE_ENVS.len())]
+        } else {
+            (rng.gen_range(0.5..1.5), rng.gen_range(-60.0..130.0))
+        };
+        Enrollment::from_parts(pairs, Environment::new(voltage_v, temperature_c))
+    }
+
     /// The decoder contract on one input: both envelope decoders return
     /// (never panic), agree on the bits or the error, and the text
     /// parser matches the oracle wherever the oracle does not panic.
@@ -801,6 +1010,18 @@ mod tests {
             check_decoders(&mutated)?;
             mutated.truncate(cut % (envelope.len() + 1));
             check_decoders(&mutated)?;
+        }
+
+        #[test]
+        fn writer_matches_the_replaced_writer(seed in any::<u64>()) {
+            let enrollment = arbitrary_enrollment(seed);
+            let text = oracle_to_text(&enrollment);
+            prop_assert_eq!(enrollment_to_text(&enrollment), text.clone());
+            let bytes = enrollment_to_bytes(&enrollment);
+            prop_assert_eq!(&bytes[..4], MAGIC);
+            prop_assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), FORMAT_VERSION);
+            prop_assert_eq!(&bytes[6..], text.as_bytes());
+            prop_assert_eq!(bytes.capacity(), bytes.len());
         }
 
         #[test]

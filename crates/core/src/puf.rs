@@ -485,14 +485,16 @@ impl ConfigurableRoPuf {
             .map(PairSpec::stages)
             .max()
             .expect("a PUF has at least one ring pair");
+        let scales: Vec<f64> = corners.iter().map(|&c| tech.delay_scale(c)).collect();
         arena.begin_block(rows_per_pair * self.specs.len(), stages);
         for (i, spec) in self.specs.iter().enumerate() {
             let pair = spec.bind(board);
-            for (c, &corner_env) in corners.iter().enumerate() {
+            for (c, (&corner_env, &scale)) in corners.iter().zip(&scales).enumerate() {
                 let row = i * rows_per_pair + 2 * c;
-                pair.top().stage_delays_into(corner_env, tech, arena, row);
+                pair.top()
+                    .stage_delays_into_scaled(scale, corner_env, tech, arena, row);
                 pair.bottom()
-                    .stage_delays_into(corner_env, tech, arena, row + 1);
+                    .stage_delays_into_scaled(scale, corner_env, tech, arena, row + 1);
             }
         }
         let sweep = arena.sweep();

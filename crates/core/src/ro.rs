@@ -182,7 +182,22 @@ impl<'a> ConfigurableRo<'a> {
         arena: &mut MeasureArena,
         ring_index: usize,
     ) {
-        let scale = tech.delay_scale(env);
+        self.stage_delays_into_scaled(tech.delay_scale(env), env, tech, arena, ring_index);
+    }
+
+    /// [`Self::stage_delays_into`] with the common-mode scale supplied by
+    /// a caller filling many rings at one operating point (one
+    /// [`Technology::delay_scale`] per corner instead of per ring).
+    /// Bit-identical to `stage_delays_into` for
+    /// `scale == tech.delay_scale(env)`.
+    pub(crate) fn stage_delays_into_scaled(
+        &self,
+        scale: f64,
+        env: Environment,
+        tech: &Technology,
+        arena: &mut MeasureArena,
+        ring_index: usize,
+    ) {
         for i in 0..self.len() {
             let unit = self.stage(i);
             arena.set_stage(

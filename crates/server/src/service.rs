@@ -265,19 +265,22 @@ impl PufService {
         let replays = self.stats.replays.load(Ordering::Relaxed) as f64;
         let attempts = accepted + rejected;
         let enrolled = self.store.len() as f64;
-        let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
-        board.observe("serve_auth_accept_rate", ratio(accepted, attempts.max(1.0)));
-        board.observe(
-            "serve_replay_reject_rate",
-            ratio(replays, attempts.max(1.0)),
-        );
+        let ratio = |num: f64, den: f64| num / den.max(1.0);
+        // Before the first attempt no auth has been refused.
+        let accept_rate = if attempts > 0.0 {
+            accepted / attempts
+        } else {
+            1.0
+        };
+        board.observe("serve_auth_accept_rate", accept_rate);
+        board.observe("serve_replay_reject_rate", ratio(replays, attempts));
         board.observe(
             "serve_quarantined_fraction",
-            ratio(self.store.quarantined_count() as f64, enrolled.max(1.0)),
+            ratio(self.store.quarantined_count() as f64, enrolled),
         );
         board.observe(
             "serve_lockout_fraction",
-            ratio(self.store.locked_count() as f64, enrolled.max(1.0)),
+            ratio(self.store.locked_count() as f64, enrolled),
         );
     }
 
@@ -590,6 +593,7 @@ mod tests {
     use super::*;
     use crate::store::FsyncPolicy;
     use crate::testutil::{enrolled_fixture, temp_dir, Fixture};
+    use ropuf_telemetry::health::Status;
 
     fn service(name: &str, fx: &Fixture) -> (PufService, std::path::PathBuf) {
         let dir = temp_dir(name);
@@ -865,6 +869,20 @@ mod tests {
                 reason: RejectReason::UnknownDevice
             }
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn fresh_service_reports_every_gauge_ok() {
+        let dir = temp_dir("svc-fresh");
+        let store = Store::open(&dir, 2, FsyncPolicy::Batched).unwrap();
+        let svc = PufService::new(store, ServiceConfig::default());
+        let report = svc.operations_report();
+        for gauge in &report.gauges {
+            assert_eq!(gauge.status, Status::Ok, "{gauge:?}");
+        }
+        assert_eq!(report.gauges.len(), 6);
+        assert_eq!(report.overall, Status::Ok);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

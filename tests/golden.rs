@@ -71,6 +71,48 @@ fn store(name: &str) -> PathBuf {
     dir
 }
 
+/// Runs `ropuf enroll args --out <file>` and checks both the envelope it
+/// writes, against `tests/golden/<name>.enr`, and its stdout, the
+/// expected bits, against `tests/golden/<name>.txt`.
+fn golden_enrollment(name: &str, args: &[&str]) {
+    let dir = store(name);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let file = dir.join("enrollment.enr");
+    let mut full = vec!["enroll", "--out", file.to_str().unwrap()];
+    full.extend_from_slice(args);
+    let stdout = run(&full);
+    let envelope = std::fs::read(&file).expect("enrollment written");
+    check(&format!("{name}.enr"), &envelope, "the --out file");
+    check(&format!("{name}.txt"), &stdout, &format!("{full:?}"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The CLI's Case-1 default: 34 pairs of 7 stages.
+#[test]
+fn enroll_envelope() {
+    golden_enrollment("enroll_seed7", &["--seed", "7"]);
+}
+
+/// Case-2 with a 10 ps threshold: 9 of the 34 pairs are excluded.
+#[test]
+fn enroll_envelope_with_excluded_pairs() {
+    golden_enrollment(
+        "enroll_seed7_case2_threshold10",
+        &["--seed", "7", "--mode", "case2", "--threshold", "10"],
+    );
+}
+
+/// 76 pairs of 13 stages: unit indices run to four digits.
+#[test]
+fn enroll_envelope_with_four_digit_units() {
+    golden_enrollment(
+        "enroll_seed7_units2000_stages13_case2",
+        &[
+            "--seed", "7", "--units", "2000", "--stages", "13", "--mode", "case2",
+        ],
+    );
+}
+
 #[test]
 fn serve_drill_transcript() {
     let dir = store("drill");
