@@ -15,6 +15,7 @@
 //! [`Config::threads`] workers, so the figure is the service's own
 //! capacity, not the loopback TCP stack's.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use ropuf_core::fleet::{parallel_map_indexed, split_seed, worker_threads};
@@ -133,10 +134,14 @@ fn drill_determinism(config: &Config, threads: usize) -> bool {
         client_threads: threads,
         ..DrillSpec::default()
     };
+    // Each drill gets a store of its own, also when several benchmark
+    // runs share the process (the crate's tests run them in parallel).
+    static DRILLS: AtomicUsize = AtomicUsize::new(0);
     let run_once = |workers: usize, tag: &str| {
         let dir = std::env::temp_dir().join(format!(
-            "ropuf-serve-bench-drill-{tag}-{}",
-            std::process::id()
+            "ropuf-serve-bench-drill-{tag}-{}-{}",
+            std::process::id(),
+            DRILLS.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::remove_dir_all(&dir).ok();
         let store = Store::open(&dir, 4, FsyncPolicy::Batched).expect("drill store opens");

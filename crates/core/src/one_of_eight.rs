@@ -60,7 +60,7 @@ impl RoGroup {
         i: usize,
     ) -> f64 {
         let config = ConfigVector::all_selected(self.stages());
-        let ro = crate::ro::ConfigurableRo::try_new(board, self.rings[i].clone())
+        let ro = crate::ro::ConfigurableRo::try_borrowed(board, &self.rings[i])
             .expect("group rings fit the board");
         probe.measure_ps(rng, ro.ring_delay_ps(&config, env, tech))
     }

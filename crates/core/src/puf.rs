@@ -261,14 +261,15 @@ impl PairSpec {
         self.top.len()
     }
 
-    /// Materializes the pair as ring views over a board.
+    /// Materializes the pair as ring views over a board. The rings
+    /// borrow this spec's unit lists, so binding allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics if any index is outside the board.
-    pub fn bind<'a>(&self, board: &'a Board) -> RoPair<'a> {
-        let ring = |stages: &[usize]| {
-            ConfigurableRo::try_new(board, stages.to_vec()).expect("pair indices outside the board")
+    pub fn bind<'a>(&'a self, board: &'a Board) -> RoPair<'a> {
+        let ring = |stages: &'a [usize]| {
+            ConfigurableRo::try_borrowed(board, stages).expect("pair indices outside the board")
         };
         RoPair::try_new(ring(&self.top), ring(&self.bottom))
             .expect("paired rings are equal-length by construction")
@@ -733,21 +734,17 @@ impl Enrollment {
     /// several operating-point corners or majority votes — without
     /// re-binding per read. Binding draws no randomness, so responses
     /// through the bound context are byte-identical to the unbound
-    /// methods.
+    /// methods. The ring views borrow the enrollment's unit lists, so
+    /// the one allocation is the list of bound pairs.
     ///
     /// # Panics
     ///
     /// Panics if a spec references units outside `board` (enrolling and
     /// responding must use the same board).
-    pub fn bind<'a, 'b>(&'b self, board: &'a Board) -> BoundEnrollment<'a, 'b> {
-        BoundEnrollment {
-            pairs: self
-                .pairs
-                .iter()
-                .flatten()
-                .map(|p| (p, p.spec.bind(board)))
-                .collect(),
-        }
+    pub fn bind<'a, 'b: 'a>(&'b self, board: &'a Board) -> BoundEnrollment<'a, 'b> {
+        let mut pairs = Vec::with_capacity(self.pairs.len());
+        pairs.extend(self.pairs.iter().flatten().map(|p| (p, p.spec.bind(board))));
+        BoundEnrollment { pairs }
     }
 
     /// Generates a majority-voted response: reads the PUF `votes` times

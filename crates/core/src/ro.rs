@@ -25,6 +25,7 @@
 //! assert!(d_top > 0.0);
 //! ```
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use rand::Rng;
@@ -35,10 +36,13 @@ use crate::error::Error;
 
 /// A configurable ring oscillator: an ordered group of delay units on one
 /// board.
+///
+/// The ring owns its unit indices, or borrows them from the floorplan it
+/// was bound from, so [`crate::puf::PairSpec::bind`] copies nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConfigurableRo<'a> {
     board: &'a Board,
-    stages: Vec<usize>,
+    stages: Cow<'a, [usize]>,
 }
 
 impl<'a> ConfigurableRo<'a> {
@@ -49,16 +53,41 @@ impl<'a> ConfigurableRo<'a> {
     /// Returns [`Error::Selection`] if `stages` is empty, contains
     /// duplicates, or references a unit outside the board.
     pub fn try_new(board: &'a Board, stages: Vec<usize>) -> Result<Self, Error> {
+        Self::validated(board, Cow::Owned(stages))
+    }
+
+    /// [`try_new`](Self::try_new) over borrowed unit indices: the ring
+    /// reads them in place instead of copying them.
+    ///
+    /// # Errors
+    ///
+    /// As [`try_new`](Self::try_new).
+    pub(crate) fn try_borrowed(board: &'a Board, stages: &'a [usize]) -> Result<Self, Error> {
+        Self::validated(board, Cow::Borrowed(stages))
+    }
+
+    fn validated(board: &'a Board, stages: Cow<'a, [usize]>) -> Result<Self, Error> {
         if stages.is_empty() {
             return Err(Error::Selection("a ring needs at least one stage".into()));
         }
-        let mut seen = vec![false; board.len()];
-        for &i in &stages {
+        // Indices in ascending order (every floorplan this crate lays
+        // out) cannot repeat; any other order is checked against a
+        // board-wide mask.
+        let ascending = stages.windows(2).all(|w| w[0] < w[1]);
+        let mut seen = if ascending {
+            Vec::new()
+        } else {
+            vec![false; board.len()]
+        };
+        for &i in stages.iter() {
             if i >= board.len() {
                 return Err(Error::Selection(format!(
                     "unit index {i} out of range {}",
                     board.len()
                 )));
+            }
+            if ascending {
+                continue;
             }
             if seen[i] {
                 return Err(Error::Selection(format!(
@@ -524,6 +553,37 @@ mod tests {
         let bottom = ConfigurableRo::from_range(&board, 3..7);
         let err = RoPair::try_new(top, bottom).unwrap_err();
         assert!(err.to_string().contains("equal stage counts"));
+    }
+
+    #[test]
+    fn borrowed_rings_check_and_read_like_owned_ones() {
+        let (board, tech) = board();
+        // The first fault in ring order is reported, ascending or not.
+        for (stages, fault) in [
+            (vec![], "at least one stage"),
+            (vec![3, 999], "index 999 out of range"),
+            (vec![2, 0, 2], "index 2 appears twice"),
+            (vec![5, 999, 5], "index 999 out of range"),
+            (vec![4, 1, 4, 999], "index 4 appears twice"),
+        ] {
+            let borrowed = ConfigurableRo::try_borrowed(&board, &stages).unwrap_err();
+            let owned = ConfigurableRo::try_new(&board, stages.clone()).unwrap_err();
+            assert!(
+                borrowed.to_string().contains(fault),
+                "{stages:?}: {borrowed}"
+            );
+            assert_eq!(borrowed.to_string(), owned.to_string());
+        }
+        let stages = [6, 0, 3];
+        let borrowed = ConfigurableRo::try_borrowed(&board, &stages).unwrap();
+        let owned = ConfigurableRo::try_new(&board, stages.to_vec()).unwrap();
+        assert_eq!(borrowed, owned);
+        let config = ConfigVector::from_selected(3, &[0, 2]);
+        let env = Environment::nominal();
+        assert_eq!(
+            borrowed.ring_delay_ps(&config, env, &tech).to_bits(),
+            owned.ring_delay_ps(&config, env, &tech).to_bits()
+        );
     }
 
     #[test]

@@ -132,7 +132,7 @@ fn quarantine_set_is_deterministic_across_runs() {
 
 #[test]
 fn zero_rate_plan_is_identical_to_no_plan_at_all() {
-    // At a 6 ps threshold this floorplan leaves 4 of the 12 boards with
+    // At a 6 ps threshold this floorplan leaves 3 of the 12 boards with
     // no bits at all; a zero-rate plan must record them, as a plain run
     // does, rather than quarantine them.
     for threshold_ps in [0.0, 6.0] {
@@ -150,7 +150,7 @@ fn zero_rate_plan_is_identical_to_no_plan_at_all() {
             .iter()
             .filter(|r| r.expected_bits.is_empty())
             .count();
-        assert_eq!(empty, if threshold_ps > 0.0 { 4 } else { 0 });
+        assert_eq!(empty, if threshold_ps > 0.0 { 3 } else { 0 });
     }
 }
 

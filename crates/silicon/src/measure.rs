@@ -64,11 +64,14 @@ impl DelayProbe {
 
     /// Measures a path whose true delay is `true_delay_ps`, returning the
     /// (averaged) noisy reading in picoseconds.
+    ///
+    /// The mean of `repeats` independent `N(d, σ²)` readings is exactly
+    /// `N(d, σ²/repeats)`, so the averaged reading is taken as one draw
+    /// at [`effective_sigma_ps`](Self::effective_sigma_ps): one normal
+    /// per measurement whatever the repeat count. A one-repeat reading
+    /// is the single `N(d, σ²)` draw it always was.
     pub fn measure_ps<R: Rng + ?Sized>(&self, rng: &mut R, true_delay_ps: f64) -> f64 {
-        let sum: f64 = (0..self.repeats)
-            .map(|_| sample_normal(rng, true_delay_ps, self.sigma_ps))
-            .sum();
-        sum / self.repeats as f64
+        sample_normal(rng, true_delay_ps, self.effective_sigma_ps())
     }
 
     /// Effective noise sigma after averaging: `sigma / √repeats`.

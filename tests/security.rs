@@ -6,11 +6,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ropuf::attack::model::LinearDelayAttack;
 use ropuf::core::crp::{respond as crp_respond, Challenge};
+use ropuf::core::fleet::split_seed;
 use ropuf::core::fuzzy::FuzzyExtractor;
 use ropuf::core::persist::{enrollment_from_text, enrollment_to_text};
 use ropuf::core::puf::{ConfigurableRoPuf, EnrollOptions};
 use ropuf::core::ro::RoPair;
 use ropuf::core::ParityPolicy;
+use ropuf::silicon::board::BoardId;
 use ropuf::silicon::{AgingModel, DelayProbe, Environment, SiliconSim};
 
 #[test]
@@ -108,42 +110,50 @@ fn fixed_configuration_remains_stable_for_the_attacker_to_observe() {
 
 #[test]
 fn helper_data_alone_does_not_determine_the_key() {
-    // Two devices sharing the same helper data derive different keys:
-    // the key is bound to the silicon, not the public helper.
-    let mut sim = SiliconSim::default_spartan();
-    let mut rng = StdRng::seed_from_u64(19);
+    // Device B reproducing device A's key from A's helper data gets an
+    // unrelated key: the key is bound to the silicon, not the public
+    // helper. One pair of 16-bit keys is too few to say so (a fair pair
+    // lands at HD <= 4 about 4% of the time), so count the differing
+    // bits over 64 device pairs. Fair, independent key bits differ as
+    // Binomial(n, 1/2); the count must sit within 4 standard errors of
+    // n/2.
+    const PAIRS: u32 = 64;
+    const UNITS: usize = 2 * 7 * 48;
+    let sim = SiliconSim::default_spartan();
+    let tech = sim.technology();
     let fx = FuzzyExtractor::new(3);
     let probe = DelayProbe::new(0.25, 1);
     let env = Environment::nominal();
-    let puf = ConfigurableRoPuf::tiled_interleaved(2 * 7 * 48, 7);
-
-    let board_a = sim.grow_board(&mut rng, 2 * 7 * 48, 32);
-    let e_a = puf.enroll(
-        &mut rng,
-        &board_a,
-        sim.technology(),
-        env,
-        &EnrollOptions::default(),
-    );
-    let resp_a = e_a.respond(&mut rng, &board_a, sim.technology(), env, &probe);
-    let (key_a, helper) = fx.generate(&mut rng, &resp_a);
-
-    let board_b = sim.grow_board(&mut rng, 2 * 7 * 48, 32);
-    let e_b = puf.enroll(
-        &mut rng,
-        &board_b,
-        sim.technology(),
-        env,
-        &EnrollOptions::default(),
-    );
-    let resp_b = e_b.respond(&mut rng, &board_b, sim.technology(), env, &probe);
-    let key_b = fx.reproduce(&resp_b, &helper).expect("well-formed helper");
-    assert_ne!(key_a, key_b);
-    // And the disagreement is substantial (near half the bits).
-    let hd = key_a.hamming_distance(&key_b).unwrap();
+    let puf = ConfigurableRoPuf::tiled_interleaved(UNITS, 7);
+    // Device `id` on its own seeded streams: grow, enroll, read once.
+    let response = |id: u32| {
+        let seed = split_seed(19, id.into());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let board = sim.grow_board_with_id(&mut rng, BoardId(id), UNITS, 32);
+        let e = puf.enroll_seeded(
+            split_seed(seed, 1),
+            &board,
+            tech,
+            env,
+            &EnrollOptions::default(),
+        );
+        e.respond(&mut rng, &board, tech, env, &probe)
+    };
+    let (mut differing, mut bits) = (0, 0);
+    for pair in 0..PAIRS {
+        let mut rng = StdRng::seed_from_u64(split_seed(20, pair.into()));
+        let (key_a, helper) = fx.generate(&mut rng, &response(2 * pair));
+        let key_b = fx
+            .reproduce(&response(2 * pair + 1), &helper)
+            .expect("well-formed helper");
+        differing += key_a.hamming_distance(&key_b).unwrap();
+        bits += key_a.len();
+    }
+    let half = bits as f64 / 2.0;
+    let standard_error = (bits as f64).sqrt() / 2.0;
     assert!(
-        hd > key_a.len() / 4,
-        "keys too similar: {hd} of {}",
-        key_a.len()
+        (differing as f64 - half).abs() <= 4.0 * standard_error,
+        "keys from one helper differ in {differing} of {bits} bits \
+         (fair: {half} ± {standard_error:.1})"
     );
 }
