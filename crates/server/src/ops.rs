@@ -103,6 +103,8 @@ pub struct OpsPlane {
     /// this is also the availability objective's good count.
     accepts: WindowedCounter,
     quality_rejects: WindowedCounter,
+    /// Auth-path replay rejects.
+    replays: WindowedCounter,
     errors: WindowedCounter,
     /// Auth-path errors: with the quality rejects, the requests that
     /// burn the availability budget.
@@ -132,6 +134,7 @@ impl OpsPlane {
             requests: counter(),
             accepts: counter(),
             quality_rejects: counter(),
+            replays: counter(),
             errors: counter(),
             auth_errors: counter(),
             request_micros: histogram(),
@@ -155,12 +158,34 @@ impl OpsPlane {
             Reply::Reject { reason } if auth_path && is_quality_reject(*reason) => {
                 self.quality_rejects.add(1);
             }
+            Reply::Reject {
+                reason: RejectReason::Replay,
+            } if auth_path => self.replays.add(1),
             Reply::AuthOk { .. } | Reply::Key { .. } => self.accepts.add(1),
             _ => {}
         }
         if auth_path {
             self.auth_micros.record(micros);
         }
+    }
+
+    /// The service's two auth-rate gauges over the window now: the
+    /// fraction of auth attempts accepted (`1` with no attempts, since
+    /// none was refused) and the fraction rejected as replays. An
+    /// auth-path error is an accepted auth whose key reconstruction
+    /// failed, so it counts as accepted. Every auth attempt records one
+    /// latency sample, so the latency window's count is the attempts.
+    pub(crate) fn auth_rates(&self) -> (f64, f64) {
+        let attempts = self.auth_micros.snapshot("serve.auth_rates").count;
+        if attempts == 0 {
+            return (1.0, 0.0);
+        }
+        let accepted = self.accepts.sum() + self.auth_errors.sum();
+        let attempts = attempts as f64;
+        (
+            accepted as f64 / attempts,
+            self.replays.sum() as f64 / attempts,
+        )
     }
 
     /// Both objectives' figures over the window now.
@@ -306,8 +331,6 @@ impl Slo {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::Ordering;
-
     use ropuf_telemetry::health::{extract_number, Status};
     use ropuf_telemetry::window::ManualClock;
 
@@ -527,29 +550,11 @@ mod tests {
         assert!(json.contains("\"overall\": \"ok\""));
     }
 
-    /// Feeds `n` copies of one handled request into the plane and
-    /// bumps the service counters the gate would have bumped, so the
-    /// merged board sees the same traffic as the windows.
+    /// Feeds `n` copies of one handled request into the service's
+    /// plane, whose windows the SLO and auth-rate gauges read.
     fn feed(svc: &PufService, n: u32, auth_path: bool, reply: Reply, micros: u64) {
-        let stats = svc.stats();
         for _ in 0..n {
             svc.ops().observe(auth_path, &reply, micros);
-            if !auth_path {
-                continue;
-            }
-            match &reply {
-                // A failed key reconstruction is an accepted auth.
-                Reply::AuthOk { .. } | Reply::Key { .. } | Reply::Error { .. } => {
-                    stats.auth_accepted.fetch_add(1, Ordering::Relaxed);
-                }
-                Reply::Reject { reason } => {
-                    stats.auth_rejected.fetch_add(1, Ordering::Relaxed);
-                    if *reason == RejectReason::Replay {
-                        stats.replays.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                _ => {}
-            }
         }
     }
 
@@ -639,13 +644,14 @@ mod tests {
         );
         checkpoint("partial expiry", true);
 
-        // Period 80: the storm has expired; the burn clears at once, a
-        // few slow accepts hold the p99 ratio inside its warn band.
+        // Period 80: the storm has expired; the burn and the accept
+        // rate clear at once, a few slow accepts hold the p99 ratio
+        // inside its warn band.
         clock.set(402_000_000);
         feed(&svc, 3, true, ok, 970);
         checkpoint("recovering", true);
 
-        // Period 140: every bucket has aged out.
+        // Period 140: every bucket has aged out; every gauge reads ok.
         clock.set(700_000_000);
         checkpoint("drained", true);
 

@@ -68,8 +68,6 @@ pub struct ServiceStats {
     pub auth_accepted: AtomicU64,
     /// Rejected auths, all reasons.
     pub auth_rejected: AtomicU64,
-    /// The replay-specific slice of `auth_rejected`.
-    pub replays: AtomicU64,
     /// Keys reconstructed.
     pub keys_derived: AtomicU64,
     /// Devices revoked.
@@ -228,8 +226,10 @@ impl PufService {
         self.access.as_ref()
     }
 
-    /// The full operator view: the cumulative service gauges and the
-    /// windowed SLO gauges, classified on one board into one report
+    /// The full operator view: the service gauges (auth rates over the
+    /// ops plane's rolling window, quarantine and lockout fractions of
+    /// the store now) and the windowed SLO gauges, classified on one
+    /// board into one report
     /// (one `health_status` family in the Prometheus exposition, one
     /// versioned JSON document on `/healthz`).
     pub fn operations_report(&self) -> HealthReport {
@@ -240,7 +240,7 @@ impl PufService {
         board.report()
     }
 
-    /// The service gauges alone, sampled from the current counters and
+    /// The service gauges alone, sampled from the rolling window and
     /// store occupancy and classified.
     pub fn health_report(&self) -> HealthReport {
         let mut board = self.health.lock().expect("health board poisoned");
@@ -260,20 +260,11 @@ impl PufService {
     }
 
     fn observe_service_gauges(&self, board: &mut HealthBoard) {
-        let accepted = self.stats.auth_accepted.load(Ordering::Relaxed) as f64;
-        let rejected = self.stats.auth_rejected.load(Ordering::Relaxed) as f64;
-        let replays = self.stats.replays.load(Ordering::Relaxed) as f64;
-        let attempts = accepted + rejected;
+        let (accept_rate, replay_rate) = self.ops.auth_rates();
         let enrolled = self.store.len() as f64;
         let ratio = |num: f64, den: f64| num / den.max(1.0);
-        // Before the first attempt no auth has been refused.
-        let accept_rate = if attempts > 0.0 {
-            accepted / attempts
-        } else {
-            1.0
-        };
         board.observe("serve_auth_accept_rate", accept_rate);
-        board.observe("serve_replay_reject_rate", ratio(replays, attempts));
+        board.observe("serve_replay_reject_rate", replay_rate);
         board.observe(
             "serve_quarantined_fraction",
             ratio(self.store.quarantined_count() as f64, enrolled),
@@ -467,9 +458,6 @@ impl PufService {
         match decision {
             AuthDecision::Reject(reason) => {
                 ServiceStats::bump(&self.stats.auth_rejected);
-                if reason == RejectReason::Replay {
-                    ServiceStats::bump(&self.stats.replays);
-                }
                 telemetry::counter("serve.auth_rejects", 1);
                 Reply::Reject { reason }
             }
@@ -674,7 +662,8 @@ mod tests {
                 reason: RejectReason::Replay
             }
         );
-        assert_eq!(svc.stats().replays.load(Ordering::Relaxed), 2);
+        let (accept_rate, replay_rate) = svc.ops().auth_rates();
+        assert_eq!((accept_rate, replay_rate), (1.0 / 3.0, 2.0 / 3.0));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -907,6 +896,60 @@ mod tests {
         assert!((find("serve_auth_accept_rate") - 0.5).abs() < 1e-9);
         assert!((find("serve_replay_reject_rate") - 0.5).abs() < 1e-9);
         assert_eq!(find("serve_quarantined_fraction"), 0.0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rate_gauges_return_to_ok_once_the_incident_leaves_the_window() {
+        let fx = enrolled_fixture(27);
+        let clock = Arc::new(ropuf_telemetry::ManualClock::at(0));
+        let dir = temp_dir("svc-rate-window");
+        let svc = PufService::with_options(
+            Store::open(&dir, 2, FsyncPolicy::Batched).unwrap(),
+            ServiceOptions {
+                clock: clock.clone(),
+                ..ServiceOptions::default()
+            },
+        );
+        svc.handle(&Request::Enroll {
+            device_id: 1,
+            enrollment: fx.enrollment_bytes.clone(),
+            key_code: fx.key_code_bytes.clone(),
+        });
+        // An incident: one accept, then a burst of replays of it.
+        auth(&svc, 1, clean_response(&fx));
+        for _ in 0..3 {
+            auth(&svc, 1, clean_response(&fx));
+        }
+        let gauge = |report: &HealthReport, name: &str| {
+            let g = report.gauges.iter().find(|g| g.name == name).unwrap();
+            (g.value, g.status)
+        };
+        let report = svc.health_report();
+        assert_eq!(
+            gauge(&report, "serve_auth_accept_rate"),
+            (0.25, Status::Critical)
+        );
+        assert_eq!(
+            gauge(&report, "serve_replay_reject_rate"),
+            (0.75, Status::Critical)
+        );
+
+        // An hour later the five-minute window holds no attempt: no auth
+        // has been refused in it, and the board is healthy again.
+        clock.advance(3_600_000_000);
+        let report = svc.operations_report();
+        assert_eq!(gauge(&report, "serve_auth_accept_rate"), (1.0, Status::Ok));
+        assert_eq!(
+            gauge(&report, "serve_replay_reject_rate"),
+            (0.0, Status::Ok)
+        );
+        assert_eq!(report.overall, Status::Ok);
+
+        // Fresh traffic is judged on its own: one clean accept.
+        auth(&svc, 2, clean_response(&fx));
+        let report = svc.health_report();
+        assert_eq!(gauge(&report, "serve_auth_accept_rate"), (1.0, Status::Ok));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

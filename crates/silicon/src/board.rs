@@ -94,22 +94,31 @@ impl Board {
     /// ```
     pub fn position(&self, index: usize) -> (f64, f64) {
         assert!(index < self.units.len(), "unit index {index} out of range");
-        let col = index % self.cols;
-        let row = index / self.cols;
-        let norm = |i: usize, n: usize| {
-            if n <= 1 {
-                0.0
-            } else {
-                2.0 * i as f64 / (n - 1) as f64 - 1.0
-            }
-        };
-        (norm(col, self.cols), norm(row, self.rows()))
+        grid_position(index, self.units.len(), self.cols)
     }
 
     /// Normalized positions of every unit, in placement order.
     pub fn positions(&self) -> Vec<(f64, f64)> {
         (0..self.units.len()).map(|i| self.position(i)).collect()
     }
+}
+
+/// Normalized die coordinates in `[-1, 1]²` of unit `index` on a grid
+/// of `units` units, `cols` wide (`units.div_ceil(cols)` rows): the
+/// placement [`Board::position`] reports, computable before the board
+/// exists.
+pub(crate) fn grid_position(index: usize, units: usize, cols: usize) -> (f64, f64) {
+    let norm = |i: usize, n: usize| {
+        if n <= 1 {
+            0.0
+        } else {
+            2.0 * i as f64 / (n - 1) as f64 - 1.0
+        }
+    };
+    (
+        norm(index % cols, cols),
+        norm(index / cols, units.div_ceil(cols)),
+    )
 }
 
 #[cfg(test)]
@@ -154,6 +163,24 @@ mod tests {
             assert!((-1.0..=1.0).contains(&x));
             assert!((-1.0..=1.0).contains(&y));
         }
+    }
+
+    #[test]
+    fn grid_position_is_the_board_position_on_every_grid_shape() {
+        // Ragged, single-row, single-column, square and one-unit grids.
+        for (units, cols) in [(7, 3), (480, 16), (5, 5), (4, 1), (9, 3), (1, 1), (3, 8)] {
+            let b = Board::new(BoardId(0), vec![unit(); units], cols);
+            for i in 0..units {
+                assert_eq!(
+                    grid_position(i, units, cols),
+                    b.position(i),
+                    "unit {i} of {units} on {cols} columns"
+                );
+            }
+        }
+        // A single column centres x and spreads y over [-1, 1].
+        assert_eq!(grid_position(0, 4, 1), (0.0, -1.0));
+        assert_eq!(grid_position(3, 4, 1), (0.0, 1.0));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use rand::Rng;
 
-use crate::board::{Board, BoardId};
+use crate::board::{grid_position, Board, BoardId};
 use crate::device::DelayUnit;
 use crate::env::Technology;
 use crate::noise::sample_normal;
@@ -115,14 +115,9 @@ impl SiliconSim {
         let inter_die = sample_normal(rng, 0.0, var.sigma_inter_die);
         let field = SystematicField::sample(rng, var.sigma_systematic);
 
-        // Pre-compute geometry through a throwaway board of the right
-        // shape so position logic stays in one place.
-        let probe_unit = DelayUnit::new(1.0, 1.0, 1.0, 0.0, 0.0);
-        let geometry = Board::new(id, vec![probe_unit; units], cols);
-
         let fabricated: Vec<DelayUnit> = (0..units)
             .map(|i| {
-                let (x, y) = geometry.position(i);
+                let (x, y) = grid_position(i, units, cols);
                 let shared = 1.0 + inter_die + field.eval(x, y);
                 // Component-local random variation: the inverter and the
                 // two MUX paths vary independently (the paper explicitly

@@ -93,7 +93,7 @@ fn enroll_envelope() {
     golden_enrollment("enroll_seed7", &["--seed", "7"]);
 }
 
-/// Case-2 with a 10 ps threshold: 8 of the 34 pairs are excluded.
+/// Case-2 with a 10 ps threshold: 24 of the 34 pairs are excluded.
 #[test]
 fn enroll_envelope_with_excluded_pairs() {
     golden_enrollment(
