@@ -245,14 +245,13 @@ impl<'a> Device<'a, Enrolled> {
                 "cannot resume from an enrollment with no usable bits".to_string(),
             ));
         }
-        let puf = ConfigurableRoPuf::new(
-            enrollment
-                .pairs()
-                .iter()
-                .flatten()
-                .map(|p| p.spec().clone())
-                .collect(),
-        );
+        // The floorplan shares the enrolled pairs' unit lists: one
+        // allocation, for the list of specs.
+        let mut specs = Vec::with_capacity(enrollment.bit_count());
+        for pair in enrollment.pairs().iter().flatten() {
+            specs.push(pair.spec().clone());
+        }
+        let puf = ConfigurableRoPuf::new(specs);
         Ok(Self {
             board,
             tech: *tech,

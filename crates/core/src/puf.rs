@@ -39,9 +39,12 @@
 //! assert_eq!(bits.len(), 8);
 //! ```
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ropuf_num::bits::BitVec;
+use ropuf_silicon::env::MAX_CORNERS;
 use ropuf_silicon::{
     Board, CornerSet, DelayProbe, Environment, MeasureArena, RingSweep, Technology,
 };
@@ -184,10 +187,23 @@ impl EnrollOptions {
 }
 
 /// Device-independent floorplan: which board units form each ring pair.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The unit lists are shared, not copied: every enrolled pair and every
+/// floorplan rebuilt from an enrollment holds the same allocation, so
+/// cloning a spec allocates nothing.
+#[derive(Clone, PartialEq, Eq)]
 pub struct PairSpec {
-    top: Vec<usize>,
-    bottom: Vec<usize>,
+    /// The top ring's units, then the bottom ring's (equal halves).
+    units: Arc<[usize]>,
+}
+
+impl std::fmt::Debug for PairSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PairSpec")
+            .field("top", &self.top())
+            .field("bottom", &self.bottom())
+            .finish()
+    }
 }
 
 impl PairSpec {
@@ -200,7 +216,9 @@ impl PairSpec {
     /// length.
     pub fn try_new(top: Vec<usize>, bottom: Vec<usize>) -> Result<Self, Error> {
         Self::check_layout(top.len(), bottom.len())?;
-        Ok(Self { top, bottom })
+        Ok(Self {
+            units: top.into_iter().chain(bottom).collect(),
+        })
     }
 
     /// [`PairSpec::try_new`]'s checks on the two ring lengths alone, for
@@ -248,17 +266,17 @@ impl PairSpec {
 
     /// Unit indices of the top ring.
     pub fn top(&self) -> &[usize] {
-        &self.top
+        &self.units[..self.stages()]
     }
 
     /// Unit indices of the bottom ring.
     pub fn bottom(&self) -> &[usize] {
-        &self.bottom
+        &self.units[self.stages()..]
     }
 
     /// Stages per ring.
     pub fn stages(&self) -> usize {
-        self.top.len()
+        self.units.len() / 2
     }
 
     /// Materializes the pair as ring views over a board. The rings
@@ -271,7 +289,7 @@ impl PairSpec {
         let ring = |stages: &'a [usize]| {
             ConfigurableRo::try_borrowed(board, stages).expect("pair indices outside the board")
         };
-        RoPair::try_new(ring(&self.top), ring(&self.bottom))
+        RoPair::try_new(ring(self.top()), ring(self.bottom()))
             .expect("paired rings are equal-length by construction")
     }
 }
@@ -559,44 +577,43 @@ fn select_pair(
             return None;
         }
     }
-    let corners: Vec<CornerDelays<'_>> = cals
-        .iter()
-        .map(|(t, b)| CornerDelays {
+    // Enrollment corners are the enrollment environment plus at most
+    // `MAX_CORNERS` others, so their views fit on the stack.
+    let mut views = [CornerDelays {
+        alpha: &[],
+        beta: &[],
+        offset_ps: 0.0,
+    }; MAX_CORNERS + 1];
+    for (view, (t, b)) in views.iter_mut().zip(cals) {
+        *view = CornerDelays {
             alpha: t.ddiffs_ps(),
             beta: b.ddiffs_ps(),
             offset_ps: t.bypass_ps() - b.bypass_ps(),
-        })
-        .collect();
+        };
+    }
+    let corners = &views[..cals.len()];
     let multi_corner = corners.len() > 1;
     let select_span = telemetry::span("enroll.select");
     let (top_config, bottom_config, margin, bit, degenerate) = match opts.mode {
         SelectionMode::Case1 => {
-            let s = match corners.as_slice() {
+            let s = match corners {
                 [one] => case1_with_offset(one.alpha, one.beta, one.offset_ps, opts.parity),
-                _ => case1_multi_corner(&corners, opts.parity),
+                _ => case1_multi_corner(corners, opts.parity),
             };
             telemetry::counter("enroll.pairs.case1", 1);
-            (
-                s.config().clone(),
-                s.config().clone(),
-                s.margin(),
-                s.bit(),
-                s.is_degenerate(),
-            )
+            let (margin, bit, degenerate) = (s.margin(), s.bit(), s.is_degenerate());
+            let config = s.into_config();
+            (config.clone(), config, margin, bit, degenerate)
         }
         SelectionMode::Case2 => {
-            let s = match corners.as_slice() {
+            let s = match corners {
                 [one] => case2_with_offset(one.alpha, one.beta, one.offset_ps, opts.parity),
-                _ => case2_multi_corner(&corners, opts.parity),
+                _ => case2_multi_corner(corners, opts.parity),
             };
             telemetry::counter("enroll.pairs.case2", 1);
-            (
-                s.top().clone(),
-                s.bottom().clone(),
-                s.margin(),
-                s.bit(),
-                s.is_degenerate(),
-            )
+            let (margin, bit, degenerate) = (s.margin(), s.bit(), s.is_degenerate());
+            let (top, bottom) = s.into_configs();
+            (top, bottom, margin, bit, degenerate)
         }
     };
     drop(select_span);

@@ -142,23 +142,36 @@ const BETA_ASC: usize = 3;
 
 impl StageOrders {
     pub(super) fn new(n: usize) -> Self {
-        Self {
-            order: (0..4).flat_map(|_| 0..n).collect(),
-            n,
+        let mut order = Vec::with_capacity(4 * n);
+        for _ in 0..4 {
+            order.extend(0..n);
         }
+        Self { order, n }
     }
 
     /// Re-sorts the four orders for `alpha`/`beta`. Each descending
-    /// order is sorted starting from its previous permutation, which is
-    /// nearly sorted when consecutive corners rank their stages alike;
-    /// the index tie-break makes the result independent of that starting
-    /// point. Each ascending order is its descending order reversed, with
-    /// every run of equal values turned back to ascending index.
+    /// order is insertion-sorted starting from its previous permutation,
+    /// which is nearly sorted when consecutive corners rank their stages
+    /// alike; the index tie-break makes the order strict and total, so
+    /// the result is independent of the sort and its starting point.
+    /// Each ascending order is its descending order reversed, with every
+    /// run of equal values turned back to ascending index.
     pub(super) fn sort(&mut self, alpha: &[f64], beta: &[f64]) {
         let n = self.n;
         for (pair, v) in self.order.chunks_exact_mut(2 * n).zip([alpha, beta]) {
             let (desc, asc) = pair.split_at_mut(n);
-            desc.sort_unstable_by(|&i, &j| v[j].total_cmp(&v[i]).then(i.cmp(&j)));
+            // Stage `i` goes before stage `j`: slower, or as slow and
+            // lower-indexed.
+            let before = |i: usize, j: usize| v[j].total_cmp(&v[i]).then(i.cmp(&j)).is_lt();
+            for end in 1..n {
+                let stage = desc[end];
+                let mut at = end;
+                while at > 0 && before(stage, desc[at - 1]) {
+                    desc[at] = desc[at - 1];
+                    at -= 1;
+                }
+                desc[at] = stage;
+            }
             for (a, &d) in asc.iter_mut().zip(desc.iter().rev()) {
                 *a = d;
             }
@@ -233,6 +246,7 @@ impl StageOrders {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn signed_diff(alpha: &[f64], beta: &[f64], offset: f64, sel: &PairSelection) -> f64 {
         let top: f64 = sel.top().selected_indices().iter().map(|&i| alpha[i]).sum();
@@ -419,5 +433,50 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn empty_inputs_panic() {
         let _ = case2(&[], &[], ParityPolicy::Ignore);
+    }
+
+    /// `StageOrders::sort` as it stood before the insertion sort, kept
+    /// verbatim as the reference it must match: `order` holds the four
+    /// `n`-entry orders and is sorted from its current permutation.
+    fn sort_by_replaced_construction(order: &mut [usize], n: usize, alpha: &[f64], beta: &[f64]) {
+        for (pair, v) in order.chunks_exact_mut(2 * n).zip([alpha, beta]) {
+            let (desc, asc) = pair.split_at_mut(n);
+            desc.sort_unstable_by(|&i, &j| v[j].total_cmp(&v[i]).then(i.cmp(&j)));
+            for (a, &d) in asc.iter_mut().zip(desc.iter().rev()) {
+                *a = d;
+            }
+            let mut run = 0;
+            for end in 1..=n {
+                if end == n || v[asc[end]].to_bits() != v[asc[run]].to_bits() {
+                    asc[run..end].reverse();
+                    run = end;
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// The insertion sort returns the four orders the replaced
+        /// `sort_unstable_by` construction returned, index for index:
+        /// on a small value grid (so most stages tie, `-0.0` and `+0.0`
+        /// among them), sorted fresh and then warm-started for a second
+        /// corner as `case2_multi_corner` re-sorts.
+        #[test]
+        fn stage_orders_match_the_replaced_sort_bit_for_bit(
+            n in 1usize..=16,
+            values in proptest::collection::vec(
+                proptest::sample::select(vec![-0.0, 0.0, -1.0, 1.0, 2.5, 100.0, 100.0 + 1e-13]),
+                64,
+            ),
+        ) {
+            let mut orders = StageOrders::new(n);
+            let mut oracle: Vec<usize> = (0..4).flat_map(|_| 0..n).collect();
+            for corner in values.chunks_exact(32) {
+                let (alpha, beta) = (&corner[..n], &corner[16..16 + n]);
+                orders.sort(alpha, beta);
+                sort_by_replaced_construction(&mut oracle, n, alpha, beta);
+                prop_assert_eq!(&orders.order, &oracle);
+            }
+        }
     }
 }

@@ -54,6 +54,11 @@ impl Selection {
         &self.config
     }
 
+    /// Moves the shared configuration out.
+    pub(crate) fn into_config(self) -> ConfigVector {
+        self.config
+    }
+
     /// The achieved delay-difference magnitude `|Σ Δd_i x_i|` — the
     /// reliability margin of the PUF bit.
     pub fn margin(&self) -> f64 {
@@ -117,6 +122,11 @@ impl PairSelection {
     /// Configuration vector of the bottom ring.
     pub fn bottom(&self) -> &ConfigVector {
         &self.bottom
+    }
+
+    /// Moves the top and bottom configurations out.
+    pub(crate) fn into_configs(self) -> (ConfigVector, ConfigVector) {
+        (self.top, self.bottom)
     }
 
     /// The achieved delay-difference magnitude.

@@ -108,17 +108,20 @@ impl Board {
 /// placement [`Board::position`] reports, computable before the board
 /// exists.
 pub(crate) fn grid_position(index: usize, units: usize, cols: usize) -> (f64, f64) {
-    let norm = |i: usize, n: usize| {
-        if n <= 1 {
-            0.0
-        } else {
-            2.0 * i as f64 / (n - 1) as f64 - 1.0
-        }
-    };
     (
-        norm(index % cols, cols),
-        norm(index / cols, units.div_ceil(cols)),
+        grid_coordinate(index % cols, cols),
+        grid_coordinate(index / cols, units.div_ceil(cols)),
     )
+}
+
+/// Normalized coordinate in `[-1, 1]` of cell `i` of `n` along one grid
+/// axis; `0.0` when the axis has a single cell.
+pub(crate) fn grid_coordinate(i: usize, n: usize) -> f64 {
+    if n <= 1 {
+        0.0
+    } else {
+        2.0 * i as f64 / (n - 1) as f64 - 1.0
+    }
 }
 
 #[cfg(test)]

@@ -260,16 +260,44 @@ impl Technology {
         self.raw_scale(env) / self.raw_scale(self.nominal)
     }
 
+    /// Checks that the devices switch at `env`: its supply voltage must
+    /// exceed the threshold voltage at its temperature, or
+    /// [`delay_scale`](Self::delay_scale) panics.
+    ///
+    /// # Errors
+    ///
+    /// Names both voltages when the supply does not exceed the
+    /// threshold.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ropuf_silicon::env::{Environment, Technology};
+    /// let tech = Technology::default();
+    /// assert!(tech.check_switches(Environment::new(0.98, 25.0)).is_ok());
+    /// assert!(tech.check_switches(Environment::new(0.1, 25.0)).is_err());
+    /// ```
+    pub fn check_switches(&self, env: Environment) -> Result<(), String> {
+        let vth = self.threshold_v(env);
+        if env.voltage_v > vth {
+            Ok(())
+        } else {
+            Err(format!(
+                "supply voltage {} V does not exceed threshold {} V",
+                env.voltage_v, vth
+            ))
+        }
+    }
+
+    fn threshold_v(&self, env: Environment) -> f64 {
+        self.vth0_v + self.vth_temp_coeff_v_per_c * (env.temperature_c - self.nominal.temperature_c)
+    }
+
     fn raw_scale(&self, env: Environment) -> f64 {
-        let vth = self.vth0_v
-            + self.vth_temp_coeff_v_per_c * (env.temperature_c - self.nominal.temperature_c);
-        let overdrive = env.voltage_v - vth;
-        assert!(
-            overdrive > 0.0,
-            "supply voltage {} V does not exceed threshold {} V",
-            env.voltage_v,
-            vth
-        );
+        if let Err(msg) = self.check_switches(env) {
+            panic!("{msg}");
+        }
+        let overdrive = env.voltage_v - self.threshold_v(env);
         let t_k = env.temperature_c + 273.15;
         let t0_k = self.nominal.temperature_c + 273.15;
         let mobility = (t_k / t0_k).powf(self.mobility_exponent);

@@ -26,7 +26,7 @@
 
 use rand::Rng;
 
-use crate::board::{grid_position, Board, BoardId};
+use crate::board::{grid_coordinate, Board, BoardId};
 use crate::device::DelayUnit;
 use crate::env::Technology;
 use crate::noise::sample_normal;
@@ -115,9 +115,14 @@ impl SiliconSim {
         let inter_die = sample_normal(rng, 0.0, var.sigma_inter_die);
         let field = SystematicField::sample(rng, var.sigma_systematic);
 
-        let fabricated: Vec<DelayUnit> = (0..units)
-            .map(|i| {
-                let (x, y) = grid_position(i, units, cols);
+        // Row-major placement walked row by row: the coordinates are
+        // `grid_position`'s, bit for bit, without dividing per unit.
+        let rows = units.div_ceil(cols);
+        let mut fabricated = Vec::with_capacity(units);
+        for row in 0..rows {
+            let y = grid_coordinate(row, rows);
+            for col in 0..cols.min(units - row * cols) {
+                let x = grid_coordinate(col, cols);
                 let shared = 1.0 + inter_die + field.eval(x, y);
                 // Component-local random variation: the inverter and the
                 // two MUX paths vary independently (the paper explicitly
@@ -133,9 +138,9 @@ impl SiliconSim {
                     * (1.0 + sample_normal(rng, 0.0, var.sigma_random));
                 let kv = sample_normal(rng, 0.0, var.sigma_voltage_sensitivity);
                 let kt = sample_normal(rng, 0.0, var.sigma_temperature_sensitivity);
-                DelayUnit::new(d, d1, d0, kv, kt)
-            })
-            .collect();
+                fabricated.push(DelayUnit::new(d, d1, d0, kv, kt));
+            }
+        }
         Board::new(id, fabricated, cols)
     }
 }
@@ -170,9 +175,68 @@ impl SystematicField {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::board::grid_position;
     use crate::env::Environment;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// `grow_board_with_id` as it stood before the row walk: the
+    /// position of every unit from `grid_position`, kept verbatim as the
+    /// reference the walk must match bit for bit.
+    fn grow_board_per_unit<R: Rng + ?Sized>(
+        sim: &SiliconSim,
+        rng: &mut R,
+        id: BoardId,
+        units: usize,
+        cols: usize,
+    ) -> Board {
+        let var = &sim.params.variation;
+        let nominal = &sim.params.nominal;
+
+        let inter_die = sample_normal(rng, 0.0, var.sigma_inter_die);
+        let field = SystematicField::sample(rng, var.sigma_systematic);
+
+        let fabricated: Vec<DelayUnit> = (0..units)
+            .map(|i| {
+                let (x, y) = grid_position(i, units, cols);
+                let shared = 1.0 + inter_die + field.eval(x, y);
+                let d = nominal.inverter_ps
+                    * shared
+                    * (1.0 + sample_normal(rng, 0.0, var.sigma_random));
+                let d1 = nominal.mux_selected_ps
+                    * shared
+                    * (1.0 + sample_normal(rng, 0.0, var.sigma_random));
+                let d0 = nominal.mux_bypass_ps
+                    * shared
+                    * (1.0 + sample_normal(rng, 0.0, var.sigma_random));
+                let kv = sample_normal(rng, 0.0, var.sigma_voltage_sensitivity);
+                let kt = sample_normal(rng, 0.0, var.sigma_temperature_sensitivity);
+                DelayUnit::new(d, d1, d0, kv, kt)
+            })
+            .collect();
+        Board::new(id, fabricated, cols)
+    }
+
+    #[test]
+    fn row_walk_grows_the_per_unit_board_bit_for_bit() {
+        // Ragged, wider-than-long, single-column, one-unit and the
+        // fleet floorplan's grids.
+        let sim = SiliconSim::default_spartan();
+        for (units, cols) in [(7, 3), (3, 8), (4, 1), (1, 1), (480, 16)] {
+            for seed in [0, 1, 7, 42, 1 << 40] {
+                let mut walk = StdRng::seed_from_u64(seed);
+                let mut oracle = StdRng::seed_from_u64(seed);
+                let id = BoardId(seed as u32);
+                assert_eq!(
+                    sim.grow_board_with_id(&mut walk, id, units, cols),
+                    grow_board_per_unit(&sim, &mut oracle, id, units, cols),
+                    "{units} units on {cols} columns, seed {seed}"
+                );
+                // Both consumed the same draws.
+                assert_eq!(walk.next_u64(), oracle.next_u64());
+            }
+        }
+    }
 
     #[test]
     fn boards_are_reproducible_from_seed() {

@@ -668,7 +668,7 @@ fn monitor(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let stages = get(opts, "stages", 5usize)?;
     let cols = get(opts, "cols", 8usize)?;
     let threads = get(opts, "threads", worker_threads())?;
-    let years = get(opts, "years", 5.0f64)?;
+    let years = years(opts, 5.0)?;
     let threshold = get(opts, "threshold", 0.0f64)?;
     let sweep = match opts.get("sweep").map(String::as_str) {
         None | Some("full") => SweepPlan::Full,
@@ -808,6 +808,15 @@ fn attack(opts: &HashMap<String, String>) -> Result<(), CliError> {
             "--format must be human or json, got {format:?}"
         )));
     }
+    for (flag, value) in [
+        ("stages", config.stages),
+        ("cols", config.cols),
+        ("crp-boards", config.crp_boards),
+    ] {
+        if value == 0 {
+            return Err(CliError::Usage(format!("--{flag} must be at least 1")));
+        }
+    }
     let pairs = config.pairs_per_board();
     if pairs == 0 {
         return Err(CliError::Usage(format!(
@@ -822,7 +831,7 @@ fn attack(opts: &HashMap<String, String>) -> Result<(), CliError> {
         )));
     }
     let params = 2 * config.stages + 1;
-    if config.crps / 2 < params || config.crp_boards == 0 {
+    if config.crps / 2 < params {
         return Err(CliError::Usage(format!(
             "--crps {} cannot train a {params}-parameter model on half the transcript",
             config.crps
@@ -946,6 +955,17 @@ fn respond(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let temperature = get(opts, "temperature", 25.0f64)?;
     let votes = get(opts, "votes", 1usize)?;
     check_votes(votes)?;
+    if !(voltage.is_finite() && voltage > 0.0) {
+        return Err(CliError::Usage(format!(
+            "--voltage must be a finite positive supply, got {voltage}"
+        )));
+    }
+    if !(temperature.is_finite() && temperature > -273.15) {
+        return Err(CliError::Usage(format!(
+            "--temperature must be finite and above absolute zero (-273.15 C), got {temperature}"
+        )));
+    }
+    let env = Environment::new(voltage, temperature);
     let enrollment = enrollment_from_text(&read_file(path)?)?;
     // The board must hold every unit the enrollment configures.
     let needed = enrollment
@@ -963,8 +983,9 @@ fn respond(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let grow_span = telemetry::span("cli.respond.grow");
     let (board, tech) = demo_board(seed, units);
     drop(grow_span);
+    tech.check_switches(env)
+        .map_err(|e| CliError::Usage(format!("--voltage {voltage} at {temperature} C: {e}")))?;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x4E5);
-    let env = Environment::new(voltage, temperature);
     let probe = DelayProbe::new(0.25, 1);
     let respond_span = telemetry::span("cli.respond.respond");
     let response = if votes > 1 {
@@ -1076,6 +1097,18 @@ fn odd(opts: &HashMap<String, String>, key: &str, default: usize) -> Result<usiz
         return Err(CliError::Usage(format!("--{key} must be odd, got {value}")));
     }
     Ok(value)
+}
+
+/// Reads `--years`, an aging span: finite and non-negative, `0` for an
+/// unaged fleet.
+fn years(opts: &HashMap<String, String>, default: f64) -> Result<f64, CliError> {
+    let years = get(opts, "years", default)?;
+    if !(years.is_finite() && years >= 0.0) {
+        return Err(CliError::Usage(format!(
+            "--years must be a finite non-negative span, got {years}"
+        )));
+    }
+    Ok(years)
 }
 
 /// Runs `drill` against a stood-up server: the transcript, the only
@@ -1224,17 +1257,11 @@ fn reenroll(opts: &HashMap<String, String>) -> Result<(), CliError> {
         cols: get(opts, "cols", defaults.cols)?,
         votes: odd(opts, "votes", defaults.votes)?,
         repetition: odd(opts, "repetition", defaults.repetition)?,
-        years: get(opts, "years", defaults.years)?,
+        years: years(opts, defaults.years)?,
         client_threads: get(opts, "threads", worker_threads())?,
         stop_after,
         resume: get(opts, "resume", false)?,
     };
-    if !(spec.years.is_finite() && spec.years >= 0.0) {
-        return Err(CliError::Usage(format!(
-            "--years must be a finite non-negative span, got {}",
-            spec.years
-        )));
-    }
     if spec.resume && spec.stop_after.is_some() {
         return Err(CliError::Usage(
             "--resume runs only the verify phase; --stop-after does not apply".to_string(),

@@ -914,6 +914,48 @@ fn fleet_and_monitor_refuse_zero_threads() {
     }
 }
 
+/// Flag values that panicked (exit 101), ran as if the flag were unset
+/// or were blamed on another flag exit 1 before printing anything, with
+/// an `error:` line naming the flag: a zero-stage, zero-width or
+/// zero-board attack fleet, a respond corner outside the technology
+/// model, and an aging span that is negative or not a number.
+#[test]
+fn unusable_flag_values_exit_with_a_typed_error_naming_the_flag() {
+    let enrollment = tmp("unusable-flags.enrollment");
+    let enrollment = enrollment.to_str().unwrap();
+    let out = ropuf(&["enroll", "--seed", "3", "--out", enrollment]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let respond = ["respond", "--enrollment", enrollment, "--seed", "3"];
+    let at = |flag: &'static str, value: &'static str| -> Vec<&str> {
+        respond.iter().copied().chain([flag, value]).collect()
+    };
+    let cases: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["attack", "--stages", "0"], "--stages"),
+        (vec!["attack", "--cols", "0"], "--cols"),
+        (vec!["attack", "--crp-boards", "0"], "--crp-boards"),
+        // Below the 0.5 V threshold, the devices do not switch.
+        (at("--voltage", "0.1"), "--voltage"),
+        (at("--voltage", "inf"), "--voltage"),
+        (at("--temperature", "nan"), "--temperature"),
+        (at("--temperature", "-300"), "--temperature"),
+        (vec!["monitor", "--years", "-1"], "--years"),
+        (vec!["monitor", "--years", "nan"], "--years"),
+        (vec!["monitor", "--years", "inf"], "--years"),
+    ];
+    for (args, flag) in &cases {
+        let out = ropuf(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains("error:"), "{args:?}: {err}");
+        assert!(err.contains(flag), "{args:?} should name {flag}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} printed before failing");
+    }
+}
+
 #[test]
 fn serve_drill_stdout_is_deterministic_across_runs_and_workers() {
     let run = |store: &str, workers: &str| {
