@@ -230,7 +230,7 @@ pub mod distributions {
         }
         uniform_float!(f32, f64);
 
-        /// Range forms accepted by [`Rng::gen_range`](super::super::Rng::gen_range).
+        /// Range forms accepted by [`Rng::gen_range`].
         pub trait SampleRange<T> {
             /// Draws one sample from the range.
             fn sample_single<R: Rng + ?Sized>(self, rng: &mut R) -> T;

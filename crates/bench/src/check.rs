@@ -61,11 +61,11 @@ pub struct BenchRecord {
     pub worst_corner_flip_rate_multi_corner: Option<f64>,
     /// Count-leak attack advantage against the guarded Case-2 kernel,
     /// when the record carries the attack headline. The gate demands
-    /// this stays below [`GUARDED_ADVANTAGE_CEILING`].
+    /// this stays below `GUARDED_ADVANTAGE_CEILING` (0.1).
     pub attacker_advantage_guarded: Option<f64>,
     /// The same attack's advantage against the deliberately unguarded
     /// kernel — the canary proving the attack still has teeth; the gate
-    /// demands it stays above [`BROKEN_ADVANTAGE_FLOOR`].
+    /// demands it stays above `BROKEN_ADVANTAGE_FLOOR` (0.2).
     pub attacker_advantage_broken: Option<f64>,
 }
 

@@ -85,7 +85,7 @@ impl ObjectiveArm {
 /// same fleet: every board is enrolled twice from the same seed — once
 /// with the default nominal-only objective, once under
 /// [`CornerSet::worst_case`] (min-margin-across-corners) — then aged
-/// [`OBJECTIVE_YEARS`] years, and each arm's enrolled bits are
+/// `OBJECTIVE_YEARS` (10) years, and each arm's enrolled bits are
 /// re-derived noiselessly at the worst-case corner set. The
 /// multi-corner arm pays bits for margin, and this comparison is the
 /// receipt: its worst-corner flip rate must sit strictly below the

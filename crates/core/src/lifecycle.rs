@@ -60,7 +60,7 @@ use ropuf_telemetry as telemetry;
 
 use crate::error::Error;
 use crate::fleet::split_seed;
-use crate::fuzzy::FuzzyExtractor;
+use crate::fuzzy::{FuzzyExtractor, ReproduceError};
 use crate::puf::{ConfigurableRoPuf, EnrollOptions, Enrollment};
 use crate::reenroll::{self, ReenrollOutcome};
 use crate::robust::{enroll_robust, respond_robust_bound, FaultPlan, FaultSummary};
@@ -80,15 +80,19 @@ mod sealed {
 /// `Enrolled` are the only states a [`Device`] can ever be in.
 pub trait LifecycleState: sealed::Sealed {}
 
-/// A powered device that has not enrolled: it can only generate or set
-/// a key.
-#[derive(Debug, Clone, Copy)]
-pub struct Started(());
+/// A powered device that has not enrolled: it holds the floorplan it
+/// will enroll over, and can only generate or set a key.
+#[derive(Debug, Clone)]
+pub struct Started {
+    puf: ConfigurableRoPuf,
+}
 
 impl LifecycleState for Started {}
 
 /// An enrolled device: it holds helper data and can reconstruct keys
-/// and answer authentication reads.
+/// and answer authentication reads. The enrollment names every unit it
+/// reads, so no floorplan rides along; re-enrolling takes the one the
+/// device was provisioned on.
 #[derive(Debug, Clone)]
 pub struct Enrolled {
     enrollment: Enrollment,
@@ -108,7 +112,6 @@ pub struct Device<'a, S: LifecycleState> {
     board: &'a Board,
     tech: Technology,
     env: Environment,
-    puf: ConfigurableRoPuf,
     opts: EnrollOptions,
     state: S,
 }
@@ -127,15 +130,15 @@ impl<'a> Device<'a, Started> {
             board,
             tech: *tech,
             env,
-            puf,
             opts,
-            state: Started(()),
+            state: Started { puf },
         }
     }
 
     /// Enrolls the device and derives a *fresh uniform* key, returning
     /// the enrolled successor and the opaque [`KeyCode`] that
-    /// [`Device::get_key`] later consumes (the `GenerateKey` op).
+    /// [`Device::get_key`] later consumes (the `GenerateKey` op): the
+    /// enrollment, then [`Device::issue_key`] from the same `seed`.
     ///
     /// Enrollment runs the fault-tolerant §III.B/§III.D pipeline under
     /// `plan`; unreadable pairs are excluded via §III.C. `repetition`
@@ -152,15 +155,9 @@ impl<'a> Device<'a, Started> {
         plan: &FaultPlan,
     ) -> Result<(Device<'a, Enrolled>, KeyCode), Error> {
         let _span = telemetry::span("lifecycle.generate_key");
-        let (enrollment, fx) = self.enroll_checked(seed, repetition, plan)?;
-        let response = enrollment.expected_bits();
-        let mut rng = StdRng::seed_from_u64(split_seed(seed, STREAM_KEY));
-        let (_key, helper) = fx.generate(&mut rng, &response);
-        telemetry::counter("lifecycle.keycodes", 1);
-        Ok((
-            self.into_enrolled(enrollment),
-            KeyCode::from_parts(repetition, helper),
-        ))
+        let device = self.enroll(seed, plan);
+        let code = device.issue_key(seed, repetition)?;
+        Ok((device, code))
     }
 
     /// Enrolls the device and commits a *caller-supplied* key (the
@@ -180,50 +177,29 @@ impl<'a> Device<'a, Started> {
         plan: &FaultPlan,
     ) -> Result<(Device<'a, Enrolled>, KeyCode), Error> {
         let _span = telemetry::span("lifecycle.set_key");
-        let (enrollment, fx) = self.enroll_checked(seed, repetition, plan)?;
-        let response = enrollment.expected_bits();
-        let helper = fx
-            .commit(key, &response)
+        let device = self.enroll(seed, plan);
+        let helper = device
+            .extractor(repetition)?
+            .commit(key, &device.state.enrollment.expected_bits())
             .map_err(|e| Error::Lifecycle(e.to_string()))?;
         telemetry::counter("lifecycle.keycodes", 1);
-        Ok((
-            self.into_enrolled(enrollment),
-            KeyCode::from_parts(repetition, helper),
-        ))
+        Ok((device, KeyCode::from_parts(repetition, helper)))
     }
 
-    fn enroll_checked(
-        &self,
-        seed: u64,
-        repetition: usize,
-        plan: &FaultPlan,
-    ) -> Result<(Enrollment, FuzzyExtractor), Error> {
-        if repetition == 0 || repetition.is_multiple_of(2) {
-            return Err(Error::Lifecycle(format!(
-                "repetition factor must be odd, got {repetition}"
-            )));
-        }
-        let robust = enroll_robust(
-            &self.puf, seed, self.board, &self.tech, self.env, &self.opts, plan,
-        );
-        let enrollment = robust.enrollment;
-        let fx = FuzzyExtractor::new(repetition);
-        if fx.key_bits(enrollment.bit_count()) == 0 {
-            return Err(Error::Lifecycle(format!(
-                "enrollment produced {} usable bits, fewer than one repetition-{repetition} block",
-                enrollment.bit_count()
-            )));
-        }
-        Ok((enrollment, fx))
-    }
-
-    fn into_enrolled(self, enrollment: Enrollment) -> Device<'a, Enrolled> {
+    fn enroll(self, seed: u64, plan: &FaultPlan) -> Device<'a, Enrolled> {
+        let Self {
+            board,
+            tech,
+            env,
+            opts,
+            state,
+        } = self;
+        let enrollment = enroll_robust(&state.puf, seed, board, &tech, env, &opts, plan).enrollment;
         Device {
-            board: self.board,
-            tech: self.tech,
-            env: self.env,
-            puf: self.puf,
-            opts: self.opts,
+            board,
+            tech,
+            env,
+            opts,
             state: Enrolled { enrollment },
         }
     }
@@ -232,7 +208,8 @@ impl<'a> Device<'a, Started> {
 impl<'a> Device<'a, Enrolled> {
     /// Rehydrates an enrolled device from persisted helper data — the
     /// path a rebooted verifier takes, where enrollment happened once
-    /// at provisioning time.
+    /// at provisioning time. The device holds the enrollment it is
+    /// given and allocates nothing.
     pub fn resume(
         board: &'a Board,
         tech: &Technology,
@@ -245,18 +222,10 @@ impl<'a> Device<'a, Enrolled> {
                 "cannot resume from an enrollment with no usable bits".to_string(),
             ));
         }
-        // The floorplan shares the enrolled pairs' unit lists: one
-        // allocation, for the list of specs.
-        let mut specs = Vec::with_capacity(enrollment.bit_count());
-        for pair in enrollment.pairs().iter().flatten() {
-            specs.push(pair.spec().clone());
-        }
-        let puf = ConfigurableRoPuf::new(specs);
         Ok(Self {
             board,
             tech: *tech,
             env,
-            puf,
             opts,
             state: Enrolled { enrollment },
         })
@@ -294,49 +263,62 @@ impl<'a> Device<'a, Enrolled> {
     }
 
     /// Issues a fresh Key Code against the *current* enrollment — the
-    /// re-provisioning step after an accepted [`Device::reenroll`],
-    /// where the old code no longer reproduces (the response bits
-    /// changed with the configuration).
+    /// key half of [`Device::generate_key`], and the re-provisioning
+    /// step after an accepted [`Device::reenroll`], where the old code
+    /// no longer reproduces (the response bits changed with the
+    /// configuration).
     ///
     /// # Errors
     ///
     /// [`Error::Lifecycle`] when `repetition` is zero or even, or the
     /// enrollment yields too few usable bits for even one key bit.
     pub fn issue_key(&self, seed: u64, repetition: usize) -> Result<KeyCode, Error> {
+        let fx = self.extractor(repetition)?;
+        let mut rng = StdRng::seed_from_u64(split_seed(seed, STREAM_KEY));
+        let (_key, helper) = fx.generate(&mut rng, &self.state.enrollment.expected_bits());
+        telemetry::counter("lifecycle.keycodes", 1);
+        Ok(KeyCode::from_parts(repetition, helper))
+    }
+
+    /// The repetition-`repetition` sketch over this enrollment, refused
+    /// unless `repetition` is odd and at least one key bit fits.
+    fn extractor(&self, repetition: usize) -> Result<FuzzyExtractor, Error> {
         if repetition == 0 || repetition.is_multiple_of(2) {
             return Err(Error::Lifecycle(format!(
                 "repetition factor must be odd, got {repetition}"
             )));
         }
         let fx = FuzzyExtractor::new(repetition);
-        if fx.key_bits(self.state.enrollment.bit_count()) == 0 {
+        let bits = self.state.enrollment.bit_count();
+        if fx.key_bits(bits) == 0 {
             return Err(Error::Lifecycle(format!(
-                "enrollment holds {} usable bits, fewer than one repetition-{repetition} block",
-                self.state.enrollment.bit_count()
+                "enrollment holds {bits} usable bits, fewer than one repetition-{repetition} block"
             )));
         }
-        let response = self.state.enrollment.expected_bits();
-        let mut rng = StdRng::seed_from_u64(split_seed(seed, STREAM_KEY));
-        let (_key, helper) = fx.generate(&mut rng, &response);
-        telemetry::counter("lifecycle.keycodes", 1);
-        Ok(KeyCode::from_parts(repetition, helper))
+        Ok(fx)
     }
 
-    /// Attempts a drift-triggered re-enrollment (see
-    /// [`crate::reenroll`]): the device stays `Enrolled` either way —
-    /// on acceptance it carries the replacement enrollment, on a typed
+    /// Attempts a drift-triggered re-enrollment over `puf`, the
+    /// floorplan the device was provisioned on (see [`crate::reenroll`]):
+    /// every pair of it is selectable again, including those the old
+    /// enrollment excluded. The device stays `Enrolled` either way — on
+    /// acceptance it carries the replacement enrollment, on a typed
     /// rejection it keeps the old one. There is no intermediate
     /// unenrolled state, mirroring the server's generation-supersede
     /// semantics.
     ///
     /// Key codes issued against the *old* enrollment stop reproducing
     /// after an accepted re-enrollment (the response bits changed);
-    /// callers must re-run [`Device::set_key`]-style provisioning via
-    /// the server, or accept fresh codes.
-    pub fn reenroll(self, seed: u64, plan: &FaultPlan) -> (Self, ReenrollOutcome) {
+    /// callers re-issue with [`Device::issue_key`].
+    pub fn reenroll(
+        self,
+        puf: &ConfigurableRoPuf,
+        seed: u64,
+        plan: &FaultPlan,
+    ) -> (Self, ReenrollOutcome) {
         let _span = telemetry::span("lifecycle.reenroll");
         let outcome = reenroll::reenroll(
-            &self.puf,
+            puf,
             seed,
             self.board,
             &self.tech,
@@ -358,9 +340,8 @@ impl<'a> Device<'a, Enrolled> {
     }
 
     /// Reconstructs the key behind `code` from a fresh measurement (the
-    /// `GetKey` op). Erased bits fall back to the enrolled expected
-    /// bits — the device holds its own helper data, so this costs
-    /// nothing and keeps reconstruction deterministic under faults.
+    /// `GetKey` op) through [`KeyCode::reconstruct`], erasures falling
+    /// back to the enrolled bits.
     ///
     /// # Errors
     ///
@@ -379,14 +360,7 @@ impl<'a> Device<'a, Enrolled> {
     ) -> Result<BitVec, Error> {
         let _span = telemetry::span("lifecycle.get_key");
         let (bits, _summary) = self.respond(seed, votes, plan);
-        let expected = self.state.enrollment.expected_bits();
-        let response: BitVec = bits
-            .iter()
-            .enumerate()
-            .map(|(i, b)| b.unwrap_or_else(|| expected.get(i).expect("in range")))
-            .collect();
-        let fx = FuzzyExtractor::new(code.repetition());
-        fx.reproduce(&response, code.helper())
+        code.reconstruct(&bits, &self.state.enrollment.expected_bits())
             .map_err(|e| Error::Lifecycle(e.to_string()))
     }
 }
@@ -426,6 +400,29 @@ impl KeyCode {
     /// The public helper string.
     pub fn helper(&self) -> &BitVec {
         &self.helper
+    }
+
+    /// Reproduces the key behind this code from a read-out, each erased
+    /// bit (`None`) filled from the enrolled `expected` bits: the
+    /// verifier holds the helper data, so an erasure costs nothing and
+    /// reconstruction stays deterministic under faults. [`Device::get_key`]
+    /// and the server's key-derivation gate both reconstruct here.
+    ///
+    /// # Errors
+    ///
+    /// [`ReproduceError`] when the read-out holds fewer bits than the
+    /// helper string covers.
+    pub fn reconstruct(
+        &self,
+        read: &[Option<bool>],
+        expected: &BitVec,
+    ) -> Result<BitVec, ReproduceError> {
+        let filled: BitVec = read
+            .iter()
+            .zip(expected.iter())
+            .map(|(bit, enrolled)| bit.unwrap_or(enrolled))
+            .collect();
+        FuzzyExtractor::new(self.repetition).reproduce(&filled, &self.helper)
     }
 
     /// Serializes to the versioned wire form: [`KEY_CODE_MAGIC`],
@@ -624,11 +621,12 @@ mod tests {
     fn reenroll_on_unaged_silicon_keeps_the_old_enrollment() {
         let (board, tech) = setup(120);
         let plan = FaultPlan::scaled(0.0);
+        let puf = ConfigurableRoPuf::tiled_interleaved(120, 5);
         let device = Device::start(
             &board,
             &tech,
             Environment::nominal(),
-            ConfigurableRoPuf::tiled_interleaved(120, 5),
+            puf.clone(),
             EnrollOptions {
                 threshold_ps: 5.0,
                 ..EnrollOptions::default()
@@ -636,7 +634,7 @@ mod tests {
         );
         let (device, code) = device.generate_key(41, 1, &plan).expect("enrolls");
         let before = device.enrollment().clone();
-        let (device, outcome) = device.reenroll(99, &plan);
+        let (device, outcome) = device.reenroll(&puf, 99, &plan);
         assert!(
             matches!(
                 outcome,
@@ -671,9 +669,17 @@ mod tests {
         assert!(device.issue_key(1, 2).is_err(), "even repetition rejected");
     }
 
+    /// The re-enrollment drill's aging model.
+    fn drill_aging() -> ropuf_silicon::aging::AgingModel {
+        ropuf_silicon::aging::AgingModel {
+            sigma_drift_rel: 0.02,
+            sigma_path_rel: 0.01,
+            ..ropuf_silicon::aging::AgingModel::default()
+        }
+    }
+
     #[test]
     fn reenroll_on_drifted_silicon_replaces_the_enrollment() {
-        use ropuf_silicon::aging::AgingModel;
         let (board, tech) = setup(240);
         let plan = FaultPlan::scaled(0.0);
         let opts = EnrollOptions {
@@ -683,16 +689,8 @@ mod tests {
         let puf = ConfigurableRoPuf::tiled_interleaved(240, 5);
         let old = puf.enroll_seeded(41, &board, &tech, Environment::nominal(), &opts);
         let corners = crate::reenroll::assessment_corners(Environment::nominal());
-        let model = AgingModel {
-            sigma_drift_rel: 0.02,
-            sigma_path_rel: 0.01,
-            ..AgingModel::default()
-        };
         let aged = (0..64)
-            .map(|s| {
-                let mut rng = StdRng::seed_from_u64(s);
-                model.age_board(&mut rng, &board, 10.0)
-            })
+            .map(|s| drill_aging().age_board(&mut StdRng::seed_from_u64(s), &board, 10.0))
             .find(|aged| {
                 crate::reenroll::assess_drift(&old, aged, &tech, &corners).enrollment_point_flips
                     > 0
@@ -700,13 +698,61 @@ mod tests {
             .expect("some aging draw flips a bit");
         let device =
             Device::resume(&aged, &tech, Environment::nominal(), opts, old.clone()).unwrap();
-        let (device, outcome) = device.reenroll(43, &plan);
+        let (device, outcome) = device.reenroll(&puf, 43, &plan);
         assert!(
             matches!(outcome, ReenrollOutcome::Accepted { .. }),
             "{outcome:?}"
         );
         assert_ne!(device.enrollment(), &old, "enrollment replaced");
         assert!(device.enrollment().bit_count() > 0);
+        assert_eq!(device.enrollment().pairs().len(), puf.pair_count());
+    }
+
+    /// A device resumed from its enrollment re-enrolls over the whole
+    /// floorplan it was provisioned on, exactly as re-enrolling that
+    /// floorplan without the resume does: pairs the old enrollment left
+    /// out are selectable again, so the fleet keeps more bits than the
+    /// old enrollments' surviving pairs could hold. The fixture is the
+    /// re-enrollment drill's: 240 units on 12 columns, 4-stage
+    /// interleaved pairs, a 5 ps threshold, ten years of aging.
+    #[test]
+    fn resumed_device_reenrolls_over_its_provisioning_floorplan() {
+        let sim = SiliconSim::default_spartan();
+        let tech = *sim.technology();
+        let env = Environment::nominal();
+        let plan = FaultPlan::scaled(0.0);
+        let opts = EnrollOptions {
+            threshold_ps: 5.0,
+            ..EnrollOptions::default()
+        };
+        let puf = ConfigurableRoPuf::tiled_interleaved(240, 4);
+        let (mut accepted, mut old_bits, mut new_bits) = (0, 0, 0);
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let board = sim.grow_board_with_id(&mut rng, BoardId(seed as u32), 240, 12);
+            let (device, _code) = Device::start(&board, &tech, env, puf.clone(), opts)
+                .generate_key(seed, 3, &plan)
+                .expect("enrolls");
+            let old = device.enrollment().clone();
+            let aged = drill_aging().age_board(&mut rng, &board, 10.0);
+            let resumed = Device::resume(&aged, &tech, env, opts, old.clone()).unwrap();
+            let (device, outcome) = resumed.reenroll(&puf, seed + 100, &plan);
+            let direct =
+                crate::reenroll::reenroll(&puf, seed + 100, &aged, &tech, env, &opts, &plan, &old);
+            assert_eq!(outcome, direct, "seed {seed}");
+            let in_force = direct.accepted().unwrap_or(&old);
+            assert_eq!(device.enrollment(), in_force, "seed {seed}");
+            if let Some(new) = direct.accepted() {
+                accepted += 1;
+                old_bits += old.bit_count();
+                new_bits += new.bit_count();
+            }
+        }
+        assert!(accepted > 0, "ten years of aging drift some device");
+        assert!(
+            new_bits > old_bits,
+            "{accepted} re-enrolled devices hold {new_bits} bits, their old enrollments {old_bits}"
+        );
     }
 
     #[test]

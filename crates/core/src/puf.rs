@@ -188,9 +188,9 @@ impl EnrollOptions {
 
 /// Device-independent floorplan: which board units form each ring pair.
 ///
-/// The unit lists are shared, not copied: every enrolled pair and every
-/// floorplan rebuilt from an enrollment holds the same allocation, so
-/// cloning a spec allocates nothing.
+/// The unit lists are shared, not copied: every pair enrolled from a
+/// floorplan holds the floorplan's allocation, so cloning a spec
+/// allocates nothing.
 #[derive(Clone, PartialEq, Eq)]
 pub struct PairSpec {
     /// The top ring's units, then the bottom ring's (equal halves).

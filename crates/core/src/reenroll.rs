@@ -234,7 +234,8 @@ pub fn drift_flagged(report: &HealthReport) -> bool {
 /// Attempts to re-enroll a drift-flagged device. See the [module
 /// docs](self) for the acceptance rules; `seed` drives the replacement
 /// enrollment exactly like [`enroll_robust`], and the decision is
-/// deterministic in `(seed, board)`.
+/// deterministic in `(seed, board)`. `puf` is the floorplan the device
+/// was provisioned on, so any pair of it can be selected again.
 ///
 /// The replacement runs with `opts` under [`CornerSet::worst_case`]
 /// (min-margin-across-corners selection), through the fault-tolerant

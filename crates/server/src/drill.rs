@@ -495,7 +495,6 @@ fn reenroll_bundle(spec: &ReenrollDrillSpec, d: u64) -> io::Result<ReenrollBundl
     .map_err(|e| io::Error::other(format!("device {d} failed to enroll: {e}")))?;
     let tech = provisioned.tech;
     let old = &provisioned.enrollment;
-    let resume_failed = |e| io::Error::other(format!("device {d} failed to resume: {e}"));
 
     let model = AgingModel {
         sigma_drift_rel: 0.02,
@@ -505,25 +504,27 @@ fn reenroll_bundle(spec: &ReenrollDrillSpec, d: u64) -> io::Result<ReenrollBundl
     let mut aging_rng = StdRng::seed_from_u64(split_seed(device_seed, STREAM_DRILL_AGING));
     let aged = model.age_board(&mut aging_rng, &provisioned.board, spec.years);
 
+    // Read-out k draws from stream k of the device seed and travels
+    // with nonce k.
+    let read = |device: &Device<'_, Enrolled>, k: u64, derive: bool| {
+        let bits = device
+            .respond(split_seed(device_seed, k), spec.votes, &plan)
+            .0;
+        auth(d, k, bits, derive)
+    };
     let corners = reenroll::assessment_corners(env);
     let pre = reenroll::assess_drift(old, &aged, &tech, &corners);
     let drifted = pre.drifted();
-    let aged_device =
-        Device::resume(&aged, &tech, env, opts, old.clone()).map_err(resume_failed)?;
+    let aged_device = Device::resume(&aged, &tech, env, opts, old.clone())
+        .map_err(|e| io::Error::other(format!("device {d} failed to resume: {e}")))?;
+    let auth_aged = read(&aged_device, 2, false);
 
-    let outcome = reenroll::reenroll(
+    let (final_device, outcome) = aged_device.reenroll(
         &floorplan(provisioned.board.len()),
         split_seed(device_seed, STREAM_DRILL_REENROLL),
-        &aged,
-        &tech,
-        env,
-        &opts,
         &plan,
-        old,
     );
-    let in_force = outcome.accepted().unwrap_or(old).clone();
-    let post = reenroll::assess_drift(&in_force, &aged, &tech, &corners);
-    let final_device = Device::resume(&aged, &tech, env, opts, in_force).map_err(resume_failed)?;
+    let post = reenroll::assess_drift(final_device.enrollment(), &aged, &tech, &corners);
     let reenroll_step = match outcome {
         ReenrollOutcome::Accepted {
             old_margin_ps,
@@ -551,14 +552,6 @@ fn reenroll_bundle(spec: &ReenrollDrillSpec, d: u64) -> io::Result<ReenrollBundl
             ("op=reenroll".into(), kept)
         }
     };
-    // Read-out k draws from stream k of the device seed and travels
-    // with nonce k.
-    let read = |device: &Device<'_, Enrolled>, k: u64, derive: bool| {
-        let bits = device
-            .respond(split_seed(device_seed, k), spec.votes, &plan)
-            .0;
-        auth(d, k, bits, derive)
-    };
     let fresh_device = provisioned.device();
     let assessment = format!(
         "drifted={drifted} flips={}/{} margin={:.2} ps worst={:.2} ps",
@@ -581,7 +574,7 @@ fn reenroll_bundle(spec: &ReenrollDrillSpec, d: u64) -> io::Result<ReenrollBundl
         // on the wire.
         vec![
             ("op=assess".into(), Step::Note(assessment)),
-            ("op=auth_aged".into(), read(&aged_device, 2, false)),
+            ("op=auth_aged".into(), auth_aged),
         ],
         // Reenroll: supersede an accepted replacement; a kept
         // enrollment is a local line only.

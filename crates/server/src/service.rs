@@ -18,7 +18,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use ropuf_core::fuzzy::FuzzyExtractor;
 use ropuf_num::bits::BitVec;
 use ropuf_telemetry as telemetry;
 use ropuf_telemetry::health::{Direction, GaugeSpec, HealthBoard, Thresholds};
@@ -557,14 +556,9 @@ impl PufService {
             }
         }
         let key = derive.then(|| {
-            let filled: BitVec = response
-                .bits()
-                .iter()
-                .enumerate()
-                .map(|(i, b)| b.unwrap_or_else(|| state.expected.get(i).expect("in range")))
-                .collect();
-            let fx = FuzzyExtractor::new(state.key_code.repetition());
-            fx.reproduce(&filled, state.key_code.helper())
+            state
+                .key_code
+                .reconstruct(response.bits(), &state.expected)
                 .map_err(|e| format!("key reconstruction: {e}"))
         });
         mark("verdict");

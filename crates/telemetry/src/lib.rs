@@ -18,8 +18,8 @@
 //! # Design rules
 //!
 //! * **Never touches stdout.** Sinks write to files
-//!   ([`JsonLinesSink`](sink::JsonLinesSink)) or stderr
-//!   ([`SummarySink`](sink::SummarySink)); program output stays
+//!   ([`JsonLinesSink`]) or stderr
+//!   ([`SummarySink`]); program output stays
 //!   byte-identical with telemetry on or off.
 //! * **Never perturbs determinism.** Telemetry reads clocks, not RNGs;
 //!   instrumented code computes the same bits whether a sink is
@@ -135,12 +135,12 @@ pub fn reset() {
 /// Reads `ROPUF_TRACE` and installs the matching sink:
 ///
 /// * unset or empty — telemetry stays disabled, returns `Ok(false)`;
-/// * `summary` or `stderr` — [`SummarySink`](sink::SummarySink)
+/// * `summary` or `stderr` — [`SummarySink`]
 ///   (human-readable block on stderr at flush);
-/// * `prom:<path>` — [`PrometheusSink`](sink::PrometheusSink)
+/// * `prom:<path>` — [`PrometheusSink`]
 ///   (text exposition written to `<path>` at flush);
 /// * anything else — treated as a path for a
-///   [`JsonLinesSink`](sink::JsonLinesSink).
+///   [`JsonLinesSink`].
 ///
 /// # Errors
 ///

@@ -792,30 +792,21 @@ fn attack(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let defaults = AttackSuiteConfig::default();
     let config = AttackSuiteConfig {
         seed: get(opts, "seed", defaults.seed)?,
-        boards: get(opts, "boards", defaults.boards)?,
+        boards: positive(opts, "boards", defaults.boards)?,
         units: get(opts, "units", defaults.units)?,
-        cols: get(opts, "cols", defaults.cols)?,
-        stages: get(opts, "stages", defaults.stages)?,
+        cols: positive(opts, "cols", defaults.cols)?,
+        stages: positive(opts, "stages", defaults.stages)?,
         probed_pairs: get(opts, "probed-pairs", defaults.probed_pairs)?,
-        crp_boards: get(opts, "crp-boards", defaults.crp_boards)?,
+        crp_boards: positive(opts, "crp-boards", defaults.crp_boards)?,
         crps: get(opts, "crps", defaults.crps)?,
         parity: ParityPolicy::Ignore,
-        threads: get(opts, "threads", worker_threads())?,
+        threads: positive(opts, "threads", worker_threads())?,
     };
     let format = opts.get("format").map(String::as_str).unwrap_or("human");
     if !matches!(format, "human" | "json") {
         return Err(CliError::Usage(format!(
             "--format must be human or json, got {format:?}"
         )));
-    }
-    for (flag, value) in [
-        ("stages", config.stages),
-        ("cols", config.cols),
-        ("crp-boards", config.crp_boards),
-    ] {
-        if value == 0 {
-            return Err(CliError::Usage(format!("--{flag} must be at least 1")));
-        }
     }
     let pairs = config.pairs_per_board();
     if pairs == 0 {
@@ -1014,14 +1005,8 @@ struct ServerFlags<'a> {
 impl<'a> ServerFlags<'a> {
     fn parse(opts: &'a HashMap<String, String>) -> Result<Self, CliError> {
         let store = required(opts, "store")?;
-        let workers = get(opts, "workers", worker_threads())?;
-        if workers == 0 {
-            return Err(CliError::Usage("--workers must be at least 1".to_string()));
-        }
-        let shards = get(opts, "shards", 8usize)?;
-        if shards == 0 {
-            return Err(CliError::Usage("--shards must be at least 1".to_string()));
-        }
+        let workers = positive(opts, "workers", worker_threads())?;
+        let shards = positive(opts, "shards", 8)?;
         let fsync = match opts.get("fsync").map(String::as_str) {
             None | Some("every") => FsyncPolicy::EveryRecord,
             Some("batched") => FsyncPolicy::Batched,
@@ -1088,6 +1073,16 @@ impl<'a> ServerFlags<'a> {
         }
         Ok((service, server))
     }
+}
+
+/// Reads a count flag that must be at least 1 (`--boards`, `--threads`,
+/// `--shards`, ...).
+fn positive(opts: &HashMap<String, String>, key: &str, default: usize) -> Result<usize, CliError> {
+    let value = get(opts, key, default)?;
+    if value == 0 {
+        return Err(CliError::Usage(format!("--{key} must be at least 1")));
+    }
+    Ok(value)
 }
 
 /// Reads a flag that must be an odd count (`--votes`, `--repetition`).
@@ -1179,7 +1174,7 @@ fn serve(opts: &HashMap<String, String>) -> Result<(), CliError> {
         votes: odd(opts, "votes", 1)?,
         repetition: odd(opts, "repetition", 3)?,
         fault_scale: get(opts, "faults", 0.0f64)?,
-        client_threads: get(opts, "threads", worker_threads())?,
+        client_threads: positive(opts, "threads", worker_threads())?,
     };
     if !(spec.fault_scale.is_finite() && spec.fault_scale >= 0.0) {
         return Err(CliError::Usage(format!(
@@ -1258,7 +1253,7 @@ fn reenroll(opts: &HashMap<String, String>) -> Result<(), CliError> {
         votes: odd(opts, "votes", defaults.votes)?,
         repetition: odd(opts, "repetition", defaults.repetition)?,
         years: years(opts, defaults.years)?,
-        client_threads: get(opts, "threads", worker_threads())?,
+        client_threads: positive(opts, "threads", worker_threads())?,
         stop_after,
         resume: get(opts, "resume", false)?,
     };

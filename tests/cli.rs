@@ -918,11 +918,16 @@ fn fleet_and_monitor_refuse_zero_threads() {
 /// or were blamed on another flag exit 1 before printing anything, with
 /// an `error:` line naming the flag: a zero-stage, zero-width or
 /// zero-board attack fleet, a respond corner outside the technology
-/// model, and an aging span that is negative or not a number.
+/// model, an aging span that is negative or not a number, and zero
+/// threads for the attack suite or a drill (`serve` runs with `--drill
+/// true`, so without the refusal it exits after its drill instead of
+/// serving forever).
 #[test]
 fn unusable_flag_values_exit_with_a_typed_error_naming_the_flag() {
     let enrollment = tmp("unusable-flags.enrollment");
     let enrollment = enrollment.to_str().unwrap();
+    let store = tmp("unusable-flags-store");
+    let store = store.to_str().unwrap();
     let out = ropuf(&["enroll", "--seed", "3", "--out", enrollment]);
     assert!(
         out.status.success(),
@@ -937,6 +942,24 @@ fn unusable_flag_values_exit_with_a_typed_error_naming_the_flag() {
         (vec!["attack", "--stages", "0"], "--stages"),
         (vec!["attack", "--cols", "0"], "--cols"),
         (vec!["attack", "--crp-boards", "0"], "--crp-boards"),
+        (vec!["attack", "--boards", "0"], "--boards"),
+        (vec!["attack", "--threads", "0"], "--threads"),
+        (
+            vec![
+                "serve",
+                "--store",
+                store,
+                "--drill",
+                "true",
+                "--threads",
+                "0",
+            ],
+            "--threads",
+        ),
+        (
+            vec!["reenroll", "--store", store, "--threads", "0"],
+            "--threads",
+        ),
         // Below the 0.5 V threshold, the devices do not switch.
         (at("--voltage", "0.1"), "--voltage"),
         (at("--voltage", "inf"), "--voltage"),
