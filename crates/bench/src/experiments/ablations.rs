@@ -279,7 +279,8 @@ pub fn noise(seed: u64) -> NoiseOutcome {
                 .iter()
                 .flatten()
                 .map(|p| {
-                    p.spec()
+                    noisy
+                        .spec(p)
                         .bind(&board)
                         .delay_difference_ps(
                             p.top_config(),

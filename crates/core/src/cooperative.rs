@@ -149,16 +149,17 @@ impl CooperativePuf {
                 used[b] = true;
                 let spec = PairSpec::try_new(self.rings[a].clone(), self.rings[b].clone())
                     .expect("pool rings are equally sized");
-                pairs.push(Some(EnrolledPair::from_parts(
-                    spec,
+                let pair = EnrolledPair::from_parts(
+                    pairs.len(),
                     config.clone(),
                     config.clone(),
                     a_slower,
                     worst,
-                )));
+                );
+                pairs.push(Some((spec, pair)));
             }
         }
-        Enrollment::from_parts(pairs, corners[0])
+        Enrollment::listed(pairs, corners[0])
     }
 }
 
@@ -207,7 +208,8 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         let mut prev = f64::INFINITY;
         for p in e.pairs().iter().flatten() {
-            for u in p.spec().top().iter().chain(p.spec().bottom()) {
+            let spec = e.spec(p);
+            for u in spec.top().iter().chain(spec.bottom()) {
                 assert!(seen.insert(*u), "unit {u} reused");
             }
             assert!(p.margin_ps() <= prev);

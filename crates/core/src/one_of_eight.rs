@@ -131,37 +131,34 @@ impl OneOfEightPuf {
         env: Environment,
         probe: &DelayProbe,
     ) -> Enrollment {
-        let pairs = self
-            .groups
-            .iter()
-            .map(|group| {
-                let delays: Vec<f64> = (0..8)
-                    .map(|i| group.ring_delay(rng, board, tech, env, probe, i))
-                    .collect();
-                let (fast, _) = delays
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.total_cmp(b.1))
-                    .expect("eight rings");
-                let (slow, _) = delays
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .expect("eight rings");
-                let (a, b) = (fast.min(slow), fast.max(slow));
-                let spec = PairSpec::try_new(group.ring(a).to_vec(), group.ring(b).to_vec())
-                    .expect("group rings are equally sized");
-                let config = ConfigVector::all_selected(group.stages());
-                Some(EnrolledPair::from_parts(
-                    spec,
-                    config.clone(),
-                    config,
-                    delays[a] > delays[b],
-                    (delays[fast] - delays[slow]).abs(),
-                ))
-            })
-            .collect();
-        Enrollment::from_parts(pairs, env)
+        let pairs = self.groups.iter().enumerate().map(|(i, group)| {
+            let delays: Vec<f64> = (0..8)
+                .map(|i| group.ring_delay(rng, board, tech, env, probe, i))
+                .collect();
+            let (fast, _) = delays
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.total_cmp(b.1))
+                .expect("eight rings");
+            let (slow, _) = delays
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(b.1))
+                .expect("eight rings");
+            let (a, b) = (fast.min(slow), fast.max(slow));
+            let spec = PairSpec::try_new(group.ring(a).to_vec(), group.ring(b).to_vec())
+                .expect("group rings are equally sized");
+            let config = ConfigVector::all_selected(group.stages());
+            let pair = EnrolledPair::from_parts(
+                i,
+                config.clone(),
+                config,
+                delays[a] > delays[b],
+                (delays[fast] - delays[slow]).abs(),
+            );
+            Some((spec, pair))
+        });
+        Enrollment::listed(pairs, env)
     }
 }
 
@@ -221,7 +218,8 @@ mod tests {
             let min = delays.iter().cloned().fold(f64::MAX, f64::min);
             assert!((pick.margin_ps() - (max - min)).abs() < 1e-9);
             // The lower-positioned extreme ring is the top ring.
-            assert!(pick.spec().top()[0] < pick.spec().bottom()[0]);
+            let spec = e.spec(pick);
+            assert!(spec.top()[0] < spec.bottom()[0]);
         }
     }
 

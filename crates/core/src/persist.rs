@@ -1,19 +1,68 @@
 //! Plain-text persistence for enrollments.
 //!
 //! An [`Enrollment`] is exactly the helper data a verifier stores per
-//! device: which units form each ring pair, the chosen configurations,
-//! the expected bit, and the margin. This module round-trips it through
-//! a line-oriented text format with no serialization dependencies.
+//! device: the floorplan its ring pairs come from, the chosen
+//! configurations, the expected bits, and the margins. This module
+//! round-trips it through a line-oriented text format with no
+//! serialization dependencies.
 //!
-//! One writer appends that format for [`enrollment_to_text`] and
+//! # Format v2
+//!
+//! The floorplan is fixed at design time, so a v2 envelope states it
+//! once, as the generator that built it when one did, and then writes
+//! one line per pair:
+//!
+//! ```text
+//! envelope  := "ROPF" u16-le:version payload
+//! payload   := "ropuf-enrollment v2\n" env floorplan pair+
+//! env       := "env," float:voltage "," float:temperature "\n"
+//! floorplan := "floorplan," generator "," decimal:units "," decimal:stages "\n"
+//!            | "floorplan,listed\n"
+//! generator := "tiled" | "tiled_interleaved"
+//! pair      := "pair," decimal:index ",excluded\n"
+//!            | "pair," decimal:index "," [units "," units ","]
+//!              config "," config "," bit "," float:margin "\n"
+//! units     := decimal (";" decimal)*
+//! config    := ("0" | "1")+
+//! bit       := "0" | "1"
+//! ```
+//!
+//! Pair indices count up from 0. A generator line (`tiled` or
+//! `tiled_interleaved`, as [`ConfigurableRoPuf::tiled`] and
+//! [`ConfigurableRoPuf::tiled_interleaved`] take their arguments)
+//! fixes the pair count, `⌊units / 2·stages⌋`, and every configuration's
+//! length, `stages`; its pair lines carry no units. Only a floorplan no
+//! generator built is `listed`: each enrolled pair's line then carries
+//! its top and bottom units, equally many, and configurations of that
+//! length. Excluded pairs record no units. `decimal` is ASCII digits
+//! that fit a `usize`; `float` is what `f64`'s `FromStr` reads, the
+//! voltage finite and positive, the temperature finite, the margin
+//! finite and non-negative. Every line, the last included, ends in one
+//! `\n`; there are no blank lines and no spaces. The envelope is public
+//! helper data: no field carries a delay.
+//!
+//! A generator name stands for one layout rule for good: envelopes
+//! already written name it, so a changed rule needs a new name, never a
+//! new meaning for an old one.
+//!
+//! # Writing and reading
+//!
+//! One writer appends v2 for [`enrollment_to_text`] and
 //! [`enrollment_to_bytes`] alike, into a buffer sized before it is
 //! written.
 //!
-//! One validator checks that format on borrowed slices. It backs both
-//! [`enrollment_from_text`], which builds the [`Enrollment`], and
-//! [`expected_bits_from_bytes`], which keeps only the expected bits for
-//! a verifier that serves from them. Both accept the same input and
-//! fail with the same error.
+//! One validator checks v2 in a single pass over the bytes, building
+//! nothing. It backs both [`enrollment_from_bytes`], which then builds
+//! the [`Enrollment`], and [`expected_bits_from_bytes`], which keeps
+//! only the expected bits for a verifier that serves from them. Both
+//! accept the same input and fail with the same error.
+//!
+//! Version 1 restated both unit lists on every enrolled pair line
+//! (`pair,i,top,bottom,top_config,bottom_config,bit,margin`) and had no
+//! floorplan line. Nothing writes it any more; its validator still
+//! reads it, so the stores and files written before v2 keep decoding.
+//! A v1 envelope never recorded the units of excluded pairs, so its
+//! enrollment knows its enrolled pairs' units only.
 //!
 //! # Examples
 //!
@@ -32,9 +81,13 @@
 //!     Environment::nominal(), &EnrollOptions::default(),
 //! );
 //! let text = enrollment_to_text(&enrollment);
+//! assert!(text.contains("\nfloorplan,tiled,40,5\n"));
 //! assert_eq!(enrollment_from_text(&text)?, enrollment);
 //! # Ok::<(), ropuf_core::persist::ParseEnrollmentError>(())
 //! ```
+//!
+//! [`ConfigurableRoPuf::tiled`]: crate::puf::ConfigurableRoPuf::tiled
+//! [`ConfigurableRoPuf::tiled_interleaved`]: crate::puf::ConfigurableRoPuf::tiled_interleaved
 
 use std::fmt;
 use std::io::Write;
@@ -44,31 +97,36 @@ use ropuf_silicon::Environment;
 
 use crate::config::ConfigVector;
 use crate::error::Error;
-use crate::puf::{EnrolledPair, Enrollment, PairSpec};
+use crate::puf::{EnrolledPair, Enrollment, Floorplan, Generator, Layout, PairSpec};
 
-/// First line of the format, bumped on breaking changes.
-pub const HEADER: &str = "ropuf-enrollment v1";
+/// First line of the format this build writes.
+pub const HEADER: &str = "ropuf-enrollment v2";
+
+/// First line of the v1 format, which this build still reads.
+const HEADER_V1: &str = "ropuf-enrollment v1";
 
 /// Magic prefix of the versioned binary envelope.
 pub const MAGIC: &[u8; 4] = b"ROPF";
 
-/// Newest envelope version this build writes and reads.
-pub const FORMAT_VERSION: u16 = 1;
+/// Envelope version this build writes. It reads this and version 1.
+pub const FORMAT_VERSION: u16 = 2;
+
+/// The envelope version of the v1 text.
+const FORMAT_V1: u16 = 1;
 
 /// Serializes an enrollment to the portable text format.
 pub fn enrollment_to_text(enrollment: &Enrollment) -> String {
-    String::from_utf8(write_v1(enrollment, &[])).expect("the v1 text is ASCII")
+    String::from_utf8(write(enrollment, &[])).expect("the text is ASCII")
 }
 
-/// Parses an enrollment from the portable text format.
+/// Parses an enrollment from the portable text format, v2 or v1 (by its
+/// header line).
 ///
 /// # Errors
 ///
 /// Returns [`ParseEnrollmentError`] describing the first offending line.
 pub fn enrollment_from_text(text: &str) -> Result<Enrollment, ParseEnrollmentError> {
-    let mut pairs = Vec::new();
-    let env = scan(text, |pair| pairs.push(pair.map(PairLine::build)))?;
-    Ok(Enrollment::from_parts(pairs, env))
+    decode(payload_of_text(text))
 }
 
 /// Serializes an enrollment to the versioned binary envelope: the
@@ -78,37 +136,56 @@ pub fn enrollment_from_text(text: &str) -> Result<Enrollment, ParseEnrollmentErr
 /// This is the form the enrollment server stores on disk — the version
 /// field lets the store evolve without silently misreading old records.
 pub fn enrollment_to_bytes(enrollment: &Enrollment) -> Vec<u8> {
-    write_v1(enrollment, &[MAGIC, &FORMAT_VERSION.to_le_bytes()])
+    write(enrollment, &[MAGIC, &FORMAT_VERSION.to_le_bytes()])
 }
 
-/// The one writer behind both serializers: `prefix`, then the v1 text of
+/// The one writer behind both serializers: `prefix`, then the text of
 /// `enrollment`, in a buffer of exactly their length. A first pass of
-/// [`put_v1`] sizes the buffer, so it is allocated once and, unless a
+/// [`put`] sizes the buffer, so it is allocated once and, unless a
 /// margin outgrows [`FLOAT_ROOM`], only shrunk to fit.
-fn write_v1(enrollment: &Enrollment, prefix: &[&[u8]]) -> Vec<u8> {
+fn write(enrollment: &Enrollment, prefix: &[&[u8]]) -> Vec<u8> {
     let mut room = Room(prefix.iter().map(|p| p.len()).sum());
-    put_v1(enrollment, &mut room);
+    put(enrollment, &mut room);
     let mut out = Vec::with_capacity(room.0);
     for part in prefix {
         out.extend_from_slice(part);
     }
-    put_v1(enrollment, &mut out);
+    put(enrollment, &mut out);
     out.shrink_to_fit();
     out
 }
 
-/// Writes the v1 text: the header, the env line, then one line per pair.
-/// Every field reads as its `Display` writes it: indices as decimal
-/// digits, configurations as one `0`/`1` per stage, the expected bit as
-/// `0`/`1`, margins and the operating point in `f64`'s shortest
-/// round-trip form.
-fn put_v1(enrollment: &Enrollment, out: &mut impl Out) {
+/// Writes the v2 text: the header, the env line, the floorplan line,
+/// then one line per pair. Every field reads as its `Display` writes
+/// it: indices and counts as decimal digits, configurations as one
+/// `0`/`1` per stage, the expected bit as `0`/`1`, margins and the
+/// operating point in `f64`'s shortest round-trip form.
+fn put(enrollment: &Enrollment, out: &mut impl Out) {
     let env = enrollment.enrolled_at();
     out.bytes(HEADER.as_bytes());
     out.bytes(b"\nenv,");
     out.float(env.voltage_v);
     out.bytes(b",");
     out.float(env.temperature_c);
+    out.bytes(b"\nfloorplan,");
+    let listed = match enrollment.layout() {
+        Layout::Generated {
+            generator,
+            units,
+            stages,
+        } => {
+            out.bytes(generator.name());
+            out.bytes(b",");
+            out.decimal(units);
+            out.bytes(b",");
+            out.decimal(stages);
+            false
+        }
+        Layout::Listed => {
+            out.bytes(b"listed");
+            true
+        }
+    };
     out.bytes(b"\n");
     for (i, pair) in enrollment.pairs().iter().enumerate() {
         out.bytes(b"pair,");
@@ -117,12 +194,15 @@ fn put_v1(enrollment: &Enrollment, out: &mut impl Out) {
             out.bytes(b",excluded\n");
             continue;
         };
-        for ring in [p.spec().top(), p.spec().bottom()] {
-            let mut separator = b",";
-            for &unit in ring {
-                out.bytes(separator);
-                out.decimal(unit);
-                separator = b";";
+        if listed {
+            let spec = enrollment.spec(p);
+            for ring in [spec.top(), spec.bottom()] {
+                let mut separator = b",";
+                for &unit in ring {
+                    out.bytes(separator);
+                    out.decimal(unit);
+                    separator = b";";
+                }
             }
         }
         for config in [p.top_config(), p.bottom_config()] {
@@ -140,7 +220,7 @@ fn put_v1(enrollment: &Enrollment, out: &mut impl Out) {
 /// take at most 19.
 const FLOAT_ROOM: usize = 24;
 
-/// What [`put_v1`] writes to: the envelope, or the [`Room`] it needs.
+/// What [`put`] writes to: the envelope, or the [`Room`] it needs.
 trait Out {
     /// `bytes` as they are.
     fn bytes(&mut self, bytes: &[u8]);
@@ -179,7 +259,7 @@ impl Out for Vec<u8> {
     }
 }
 
-/// The length of what [`put_v1`] writes, with [`FLOAT_ROOM`] bytes for
+/// The length of what [`put`] writes, with [`FLOAT_ROOM`] bytes for
 /// each `f64`.
 struct Room(usize);
 
@@ -201,7 +281,8 @@ impl Out for Room {
     }
 }
 
-/// Parses an enrollment from the versioned binary envelope.
+/// Parses an enrollment from the versioned binary envelope, version 2
+/// or 1.
 ///
 /// # Errors
 ///
@@ -209,7 +290,7 @@ impl Out for Room {
 /// malformed; [`Error::UnsupportedVersion`] when the version field was
 /// written by an incompatible format revision.
 pub fn enrollment_from_bytes(bytes: &[u8]) -> Result<Enrollment, Error> {
-    enrollment_from_text(envelope_text(bytes)?).map_err(Error::from)
+    decode(payload_of_envelope(bytes)?).map_err(Error::from)
 }
 
 /// The expected bits of a versioned binary envelope, in pair order
@@ -225,33 +306,380 @@ pub fn enrollment_from_bytes(bytes: &[u8]) -> Result<Enrollment, Error> {
 /// Exactly those of [`enrollment_from_bytes`].
 pub fn expected_bits_from_bytes(bytes: &[u8]) -> Result<BitVec, Error> {
     let mut bits = BitVec::new();
-    scan(envelope_text(bytes)?, |pair| {
-        if let Some(pair) = pair {
-            bits.push(pair.expected_bit);
-        }
-    })?;
+    match payload_of_envelope(bytes)? {
+        Payload::V1(text) => scan(text, |pair| {
+            if let Some(pair) = pair {
+                bits.push(pair.expected_bit);
+            }
+        })
+        .map(drop)?,
+        Payload::V2(payload) => scan_v2(payload, |pair| {
+            if let Some(pair) = pair {
+                bits.push(pair.expected_bit);
+            }
+        })
+        .map(drop)?,
+    }
     Ok(bits)
 }
 
-/// Checks the envelope's magic and version and returns its text payload.
-fn envelope_text(bytes: &[u8]) -> Result<&str, Error> {
+/// A payload, by the format version that reads it.
+enum Payload<'a> {
+    V1(&'a str),
+    V2(&'a [u8]),
+}
+
+/// Checks the envelope's magic and version and returns its payload.
+fn payload_of_envelope(bytes: &[u8]) -> Result<Payload<'_>, Error> {
     let header = MAGIC.len() + 2;
     if bytes.len() < header || &bytes[..MAGIC.len()] != MAGIC {
         return Err(Error::Parse(err(1, "missing ROPF envelope magic")));
     }
-    let version = u16::from_le_bytes([bytes[MAGIC.len()], bytes[MAGIC.len() + 1]]);
-    if version != FORMAT_VERSION {
-        return Err(Error::UnsupportedVersion {
-            found: version,
+    let payload = &bytes[header..];
+    match u16::from_le_bytes([bytes[MAGIC.len()], bytes[MAGIC.len() + 1]]) {
+        FORMAT_VERSION => Ok(Payload::V2(payload)),
+        FORMAT_V1 => std::str::from_utf8(payload)
+            .map(Payload::V1)
+            .map_err(|_| Error::Parse(err(1, "envelope payload is not UTF-8"))),
+        found => Err(Error::UnsupportedVersion {
+            found,
             supported: FORMAT_VERSION,
-        });
+        }),
     }
-    std::str::from_utf8(&bytes[header..])
-        .map_err(|_| Error::Parse(err(1, "envelope payload is not UTF-8")))
 }
 
-/// One pair line that passed every check of [`scan`], borrowed from the
-/// text.
+/// A bare text's payload: v1 under a v1 header line, v2 otherwise.
+fn payload_of_text(text: &str) -> Payload<'_> {
+    if text.lines().next().is_some_and(|h| h.trim() == HEADER_V1) {
+        Payload::V1(text)
+    } else {
+        Payload::V2(text.as_bytes())
+    }
+}
+
+/// Validates `payload`, then builds its enrollment.
+fn decode(payload: Payload<'_>) -> Result<Enrollment, ParseEnrollmentError> {
+    match payload {
+        Payload::V1(text) => {
+            let mut pairs = Vec::new();
+            let env = scan(text, |pair| {
+                let index = pairs.len();
+                pairs.push(pair.map(|p| p.build(index)));
+            })?;
+            Ok(Enrollment::listed(pairs, env))
+        }
+        Payload::V2(payload) => {
+            let mut lines = Vec::new();
+            let (env, layout) = scan_v2(payload, |pair| lines.push(pair))?;
+            let (specs, pairs) = lines
+                .into_iter()
+                .enumerate()
+                .map(|(i, line)| line.map(|l| l.build(i, layout)).unzip())
+                .unzip();
+            Ok(Enrollment::from_parts(
+                Floorplan::recorded(layout, specs),
+                pairs,
+                env,
+            ))
+        }
+    }
+}
+
+/// A configuration field that passed its checks: one `0`/`1` per stage.
+fn config(bits: &[u8]) -> ConfigVector {
+    ConfigVector::from_flags(&bits.iter().map(|&b| b == b'1').collect::<Vec<_>>())
+}
+
+/// One pair line of a v2 payload that passed every check of
+/// [`scan_v2`], borrowed from it.
+struct PairV2<'a> {
+    /// The top and bottom unit lists, on a listed floorplan.
+    units: Option<(&'a [u8], &'a [u8])>,
+    top_config: &'a [u8],
+    bottom_config: &'a [u8],
+    expected_bit: bool,
+    margin_ps: f64,
+}
+
+impl PairV2<'_> {
+    /// Pair `index`'s units and record; `layout` lays out the units of
+    /// a line that carries none.
+    fn build(self, index: usize, layout: Layout) -> (PairSpec, EnrolledPair) {
+        let spec = match self.units {
+            Some((top, bottom)) => {
+                let units = |list: &[u8]| -> Vec<usize> {
+                    list.split(|&b| b == b';')
+                        .map(|u| decimal(u).expect("unit indices checked by scan_v2"))
+                        .collect()
+                };
+                PairSpec::try_new(units(top), units(bottom)).expect("layout checked by scan_v2")
+            }
+            None => layout.spec(index),
+        };
+        let pair = EnrolledPair::from_parts(
+            index,
+            config(self.top_config),
+            config(self.bottom_config),
+            self.expected_bit,
+            self.margin_ps,
+        );
+        (spec, pair)
+    }
+}
+
+/// The v2 validator behind both parsers: one pass over `payload` that
+/// runs every check of the format on borrowed slices, building nothing,
+/// and hands each pair line to `visit` in order (`None` for an excluded
+/// pair). A generator line is checked against the pair lines — their
+/// count and every configuration's length — before the caller builds
+/// anything from it, so a line that names more pairs than the envelope
+/// lists allocates nothing. Returns the operating point and the layout.
+fn scan_v2<'a>(
+    payload: &'a [u8],
+    mut visit: impl FnMut(Option<PairV2<'a>>),
+) -> Result<(Environment, Layout), ParseEnrollmentError> {
+    let mut at = Cursor {
+        rest: payload,
+        line: 1,
+    };
+    if !at.literal(HEADER.as_bytes()) || !(at.rest.is_empty() || at.literal(b"\n")) {
+        return Err(err(1, format!("expected header {HEADER:?}")));
+    }
+    at.line += 1;
+    if at.rest.is_empty() {
+        return Err(at.err("missing env line"));
+    }
+    if !at.literal(b"env,") {
+        return Err(at.err("expected the env line"));
+    }
+    let v = at.float(b',', "voltage")?;
+    let t = at.float(b'\n', "temperature")?;
+    if !(v.is_finite() && v > 0.0 && t.is_finite()) {
+        return Err(at.err("invalid operating point"));
+    }
+    at.line += 1;
+    let env = Environment::new(v, t);
+
+    if at.rest.is_empty() {
+        return Err(at.err("missing floorplan line"));
+    }
+    if !at.literal(b"floorplan,") {
+        return Err(at.err("expected the floorplan line"));
+    }
+    let layout = if at.literal(b"listed\n") {
+        Layout::Listed
+    } else {
+        let name = at.run(|b| b != b',' && b != b'\n');
+        let generator = Generator::named(name).ok_or_else(|| {
+            at.err(format!(
+                "unknown floorplan generator {:?}",
+                String::from_utf8_lossy(name)
+            ))
+        })?;
+        at.expect(b',', "floorplan line needs 4 comma-separated fields")?;
+        let units = at.decimal(b',', "units")?;
+        let stages = at.decimal(b'\n', "stages")?;
+        let layout = Layout::Generated {
+            generator,
+            units,
+            stages,
+        };
+        if layout.pair_count().is_none() {
+            return Err(at.err(format!("{units} units cannot host a {stages}-stage pair")));
+        }
+        layout
+    };
+    at.line += 1;
+
+    let count = layout.pair_count();
+    let mut pairs = 0;
+    while !at.rest.is_empty() {
+        if !at.literal(b"pair,") {
+            return Err(at.err("expected a pair line"));
+        }
+        let found = at.decimal(b',', "index")?;
+        if found != pairs {
+            return Err(at.err(format!("pair index {found} out of order")));
+        }
+        if let Some(count) = count.filter(|&count| pairs >= count) {
+            return Err(at.err(format!(
+                "pair {found} is past the floorplan's {count} pairs"
+            )));
+        }
+        if at.literal(b"excluded") {
+            at.expect(b'\n', "an excluded pair line ends after `excluded`")?;
+            visit(None);
+        } else {
+            visit(Some(at.pair_v2(layout)?));
+        }
+        at.line += 1;
+        pairs += 1;
+    }
+    if pairs == 0 {
+        return Err(err(1, "enrollment contains no pairs"));
+    }
+    if let Some(count) = count.filter(|&count| count != pairs) {
+        return Err(at.err(format!(
+            "the floorplan lays out {count} pairs but the envelope lists {pairs}"
+        )));
+    }
+    Ok((env, layout))
+}
+
+/// The unread rest of a v2 payload, and the line it is on.
+struct Cursor<'a> {
+    rest: &'a [u8],
+    /// 1-based number of the line being read.
+    line: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn err(&self, message: impl Into<String>) -> ParseEnrollmentError {
+        err(self.line, message)
+    }
+
+    /// Consumes `lit` if the rest starts with it.
+    fn literal(&mut self, lit: &[u8]) -> bool {
+        match self.rest.strip_prefix(lit) {
+            Some(rest) => {
+                self.rest = rest;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Consumes `byte`, or fails with `message`.
+    fn expect(&mut self, byte: u8, message: &str) -> Result<(), ParseEnrollmentError> {
+        match self.rest.split_first() {
+            Some((&b, rest)) if b == byte => {
+                self.rest = rest;
+                Ok(())
+            }
+            _ => Err(self.err(message)),
+        }
+    }
+
+    /// Consumes the longest run of bytes that `keep` accepts.
+    fn run(&mut self, keep: impl Fn(u8) -> bool) -> &'a [u8] {
+        let len = self
+            .rest
+            .iter()
+            .position(|&b| !keep(b))
+            .unwrap_or(self.rest.len());
+        let (run, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        run
+    }
+
+    /// A decimal field named `name`, ended by `end`.
+    fn decimal(&mut self, end: u8, name: &str) -> Result<usize, ParseEnrollmentError> {
+        let digits = self.run(|b| b.is_ascii_digit());
+        match decimal(digits) {
+            Some(n) if self.literal(&[end]) => Ok(n),
+            _ => Err(self.err(format!("field {name} is malformed"))),
+        }
+    }
+
+    /// A float field named `name`, ended by `end`.
+    fn float(&mut self, end: u8, name: &str) -> Result<f64, ParseEnrollmentError> {
+        let field = self.run(|b| b != b',' && b != b'\n');
+        match std::str::from_utf8(field).ok().and_then(|f| f.parse().ok()) {
+            Some(x) if self.literal(&[end]) => Ok(x),
+            _ => Err(self.err(format!("field {name} is malformed"))),
+        }
+    }
+
+    /// A `;`-separated unit list ended by `,`, returned with its length.
+    fn units(&mut self) -> Result<(&'a [u8], usize), ParseEnrollmentError> {
+        let list = self.rest;
+        let mut stages = 0;
+        loop {
+            let digits = self.run(|b| b.is_ascii_digit());
+            if decimal(digits).is_none() {
+                return Err(self.err("bad unit index"));
+            }
+            stages += 1;
+            if !self.literal(b";") {
+                break;
+            }
+        }
+        let list = &list[..list.len() - self.rest.len()];
+        self.expect(b',', "bad unit index")?;
+        Ok((list, stages))
+    }
+
+    /// A configuration of `stages` bits, ended by `,`.
+    fn config(&mut self, stages: usize) -> Result<&'a [u8], ParseEnrollmentError> {
+        let bits = self.run(|b| b == b'0' || b == b'1');
+        match self.rest.first() {
+            Some(b',') => {}
+            Some(b'\n') | None => return Err(self.err("pair line ends before its margin")),
+            Some(&found) => {
+                return Err(self.err(format!(
+                    "bad configuration: byte {found:#04x} at position {}",
+                    bits.len()
+                )))
+            }
+        }
+        // Also the typed error for an empty configuration: a pair has at
+        // least one stage.
+        if bits.len() != stages {
+            return Err(self.err("configuration length does not match the pair"));
+        }
+        self.rest = &self.rest[1..];
+        Ok(bits)
+    }
+
+    /// The rest of an enrolled pair's line, after its index.
+    fn pair_v2(&mut self, layout: Layout) -> Result<PairV2<'a>, ParseEnrollmentError> {
+        let (units, stages) = match layout {
+            Layout::Generated { stages, .. } => (None, stages),
+            Layout::Listed => {
+                let (top, stages) = self.units()?;
+                let (bottom, bottom_stages) = self.units()?;
+                PairSpec::check_layout(stages, bottom_stages)
+                    .map_err(|e| self.err(format!("bad pair layout: {e}")))?;
+                (Some((top, bottom)), stages)
+            }
+        };
+        let top_config = self.config(stages)?;
+        let bottom_config = self.config(stages)?;
+        let expected_bit = match self.rest {
+            [bit @ (b'0' | b'1'), b',', rest @ ..] => {
+                self.rest = rest;
+                *bit == b'1'
+            }
+            _ => return Err(self.err("bit must be 0 or 1")),
+        };
+        let margin_ps = self.float(b'\n', "margin")?;
+        if !(margin_ps.is_finite() && margin_ps >= 0.0) {
+            return Err(self.err("margin must be finite and non-negative"));
+        }
+        Ok(PairV2 {
+            units,
+            top_config,
+            bottom_config,
+            expected_bit,
+            margin_ps,
+        })
+    }
+}
+
+/// ASCII `digits` as a `usize`: `None` when there are none, one is not
+/// a digit, or the value overflows.
+fn decimal(digits: &[u8]) -> Option<usize> {
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0usize, |n, &d| {
+        let d = d.checked_sub(b'0').filter(|&d| d < 10)?;
+        n.checked_mul(10)?.checked_add(usize::from(d))
+    })
+}
+
+/// One v1 pair line that passed every check of [`scan`], borrowed from
+/// the text.
 struct PairLine<'a> {
     top: &'a str,
     bottom: &'a str,
@@ -262,30 +690,29 @@ struct PairLine<'a> {
 }
 
 impl PairLine<'_> {
-    fn build(self) -> EnrolledPair {
+    /// Pair `index`'s units and record.
+    fn build(self, index: usize) -> (PairSpec, EnrolledPair) {
         let units = |list: &str| -> Vec<usize> {
             split_at(list, b';')
                 .map(|u| u.parse().expect("unit indices checked by scan"))
                 .collect()
         };
-        let config = |bits: &str| {
-            ConfigVector::from_flags(&bits.bytes().map(|b| b == b'1').collect::<Vec<_>>())
-        };
         let spec =
             PairSpec::try_new(units(self.top), units(self.bottom)).expect("layout checked by scan");
-        EnrolledPair::from_parts(
-            spec,
-            config(self.top_config),
-            config(self.bottom_config),
+        let pair = EnrolledPair::from_parts(
+            index,
+            config(self.top_config.as_bytes()),
+            config(self.bottom_config.as_bytes()),
             self.expected_bit,
             self.margin_ps,
-        )
+        );
+        (spec, pair)
     }
 }
 
-/// The one validator behind both parsers: runs every check of the text
-/// format on borrowed slices, building nothing, and hands each pair line
-/// to `visit` in order (`None` for an excluded pair). Returns the
+/// The v1 validator behind both parsers: runs every check of the v1 text
+/// on borrowed slices, building nothing, and hands each pair line to
+/// `visit` in order (`None` for an excluded pair). Returns the
 /// enrollment's operating point.
 fn scan<'a>(
     text: &'a str,
@@ -293,8 +720,8 @@ fn scan<'a>(
 ) -> Result<Environment, ParseEnrollmentError> {
     let mut lines = text.lines().enumerate();
     match lines.next() {
-        Some((_, h)) if h.trim() == HEADER => {}
-        _ => return Err(err(1, format!("expected header {HEADER:?}"))),
+        Some((_, h)) if h.trim() == HEADER_V1 => {}
+        _ => return Err(err(1, format!("expected header {HEADER_V1:?}"))),
     }
     let (line_no, env_line) = lines.next().ok_or_else(|| err(2, "missing env line"))?;
     let env = parse_env(env_line, line_no + 1)?;
@@ -516,13 +943,29 @@ mod tests {
         (e, board, *sim.technology())
     }
 
+    /// `payload` behind the envelope header of `version`.
+    fn framed(version: u16, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
     #[test]
     fn round_trip_preserves_everything() {
         let (e, _, _) = sample(0.0);
         let text = enrollment_to_text(&e);
         assert!(text.starts_with(HEADER));
+        // The floorplan is stated once, as its generator; pair lines
+        // carry no units.
+        assert_eq!(
+            text.lines().nth(2),
+            Some("floorplan,tiled_interleaved,60,5")
+        );
+        assert!(!text.contains(';'));
         let back = enrollment_from_text(&text).unwrap();
         assert_eq!(e, back);
+        assert_eq!(enrollment_to_text(&back), text);
     }
 
     #[test]
@@ -545,13 +988,58 @@ mod tests {
     #[test]
     fn reloaded_enrollment_responds_identically() {
         let (e, board, tech) = sample(0.0);
-        let back = enrollment_from_text(&enrollment_to_text(&e)).unwrap();
-        let probe = DelayProbe::noiseless();
-        let mut r1 = StdRng::seed_from_u64(9);
-        let mut r2 = StdRng::seed_from_u64(9);
-        let a = e.respond(&mut r1, &board, &tech, Environment::nominal(), &probe);
-        let b = back.respond(&mut r2, &board, &tech, Environment::nominal(), &probe);
-        assert_eq!(a, b);
+        for back in [
+            enrollment_from_text(&enrollment_to_text(&e)).unwrap(),
+            enrollment_from_text(&oracle_to_text(&e)).unwrap(),
+        ] {
+            let probe = DelayProbe::noiseless();
+            let mut r1 = StdRng::seed_from_u64(9);
+            let mut r2 = StdRng::seed_from_u64(9);
+            let a = e.respond(&mut r1, &board, &tech, Environment::nominal(), &probe);
+            let b = back.respond(&mut r2, &board, &tech, Environment::nominal(), &probe);
+            assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn a_listed_floorplan_writes_its_units_on_the_pair_lines() {
+        let specs = vec![
+            PairSpec::try_new(vec![7, 3], vec![1000, 2]).unwrap(),
+            PairSpec::split_at(20, 2),
+        ];
+        let sim = SiliconSim::default_spartan();
+        let mut rng = StdRng::seed_from_u64(5);
+        let board = sim.grow_board_with_id(&mut rng, BoardId(0), 1001, 10);
+        let e = ConfigurableRoPuf::new(specs).enroll(
+            &mut rng,
+            &board,
+            sim.technology(),
+            Environment::nominal(),
+            &EnrollOptions::default(),
+        );
+        let text = enrollment_to_text(&e);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[2], "floorplan,listed");
+        assert!(lines[3].starts_with("pair,0,7;3,1000;2,"), "{}", lines[3]);
+        assert!(lines[4].starts_with("pair,1,20;21,22;23,"), "{}", lines[4]);
+        assert_eq!(enrollment_from_text(&text).unwrap(), e);
+    }
+
+    #[test]
+    fn v2_is_at_most_half_the_bytes_of_v1() {
+        let sim = SiliconSim::default_spartan();
+        let mut rng = StdRng::seed_from_u64(7);
+        let board = sim.grow_board_with_id(&mut rng, BoardId(0), 480, 16);
+        let e = ConfigurableRoPuf::tiled_interleaved(480, 7).enroll_seeded(
+            7,
+            &board,
+            sim.technology(),
+            Environment::nominal(),
+            &EnrollOptions::default(),
+        );
+        let v2 = enrollment_to_bytes(&e).len();
+        let v1 = framed(FORMAT_V1, oracle_to_text(&e).as_bytes()).len();
+        assert!(2 * v2 <= v1, "v2 {v2} bytes against v1 {v1}");
     }
 
     #[test]
@@ -563,36 +1051,180 @@ mod tests {
 
     #[test]
     fn rejects_missing_env() {
-        let e = enrollment_from_text(HEADER).unwrap_err();
-        assert!(e.message.contains("env"));
+        for header in [HEADER, HEADER_V1] {
+            let e = enrollment_from_text(header).unwrap_err();
+            assert!(e.message.contains("env"), "{header}: {e}");
+        }
+        let e = enrollment_from_text(&format!("{HEADER}\nenv,1.2,25\n")).unwrap_err();
+        assert!(e.message.contains("floorplan"), "{e}");
+    }
+
+    /// The same defect in a v1 line, a listed v2 line and a generated v2
+    /// line fails with the same message.
+    fn rejects_in_every_form(v1: &str, listed: &str, generated: &str, message: &str) {
+        for text in [
+            format!("{HEADER_V1}\nenv,1.2,25\n{v1}\n"),
+            format!("{HEADER}\nenv,1.2,25\nfloorplan,listed\n{listed}\n"),
+            format!("{HEADER}\nenv,1.2,25\nfloorplan,tiled,4,2\n{generated}\n"),
+        ] {
+            let e = enrollment_from_text(&text).unwrap_err();
+            assert!(e.message.contains(message), "{text:?}: {e}");
+        }
     }
 
     #[test]
     fn rejects_out_of_order_pairs() {
-        let text = format!("{HEADER}\nenv,1.2,25\npair,1,excluded\n");
-        let e = enrollment_from_text(&text).unwrap_err();
-        assert!(e.message.contains("out of order"));
+        rejects_in_every_form(
+            "pair,1,excluded",
+            "pair,1,excluded",
+            "pair,1,excluded",
+            "out of order",
+        );
     }
 
     #[test]
     fn rejects_config_length_mismatch() {
-        let text = format!("{HEADER}\nenv,1.2,25\npair,0,0;1,2;3,101,10,1,5.0\n");
-        let e = enrollment_from_text(&text).unwrap_err();
-        assert!(e.message.contains("length"), "{e}");
+        rejects_in_every_form(
+            "pair,0,0;1,2;3,101,10,1,5.0",
+            "pair,0,0;1,2;3,101,10,1,5.0",
+            "pair,0,101,10,1,5.0",
+            "length",
+        );
     }
 
     #[test]
     fn rejects_bad_bit_and_margin() {
-        let text = format!("{HEADER}\nenv,1.2,25\npair,0,0;1,2;3,10,01,2,5.0\n");
-        assert!(enrollment_from_text(&text)
-            .unwrap_err()
-            .message
-            .contains("0 or 1"));
-        let text = format!("{HEADER}\nenv,1.2,25\npair,0,0;1,2;3,10,01,1,-2.0\n");
-        assert!(enrollment_from_text(&text)
-            .unwrap_err()
-            .message
-            .contains("non-negative"));
+        rejects_in_every_form(
+            "pair,0,0;1,2;3,10,01,2,5.0",
+            "pair,0,0;1,2;3,10,01,2,5.0",
+            "pair,0,10,01,2,5.0",
+            "0 or 1",
+        );
+        rejects_in_every_form(
+            "pair,0,0;1,2;3,10,01,1,-2.0",
+            "pair,0,0;1,2;3,10,01,1,-2.0",
+            "pair,0,10,01,1,-2.0",
+            "non-negative",
+        );
+    }
+
+    #[test]
+    fn rejects_unequal_rings_in_a_listed_floorplan() {
+        let text = format!("{HEADER}\nenv,1.2,25\nfloorplan,listed\npair,0,0;1,2,10,01,1,5.0\n");
+        let e = enrollment_from_text(&text).unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("equally sized"), "{e}");
+    }
+
+    #[test]
+    fn generator_line_must_agree_with_the_pair_lines() {
+        let pair = |i: usize| format!("pair,{i},10,01,1,5.0\n");
+        let text = |floorplan: &str, pairs: usize| {
+            let mut text = format!("{HEADER}\nenv,1.2,25\n{floorplan}\n");
+            (0..pairs).for_each(|i| text.push_str(&pair(i)));
+            text
+        };
+        // Four units lay out one 2-stage pair.
+        assert_eq!(
+            enrollment_from_text(&text("floorplan,tiled,4,2", 1))
+                .unwrap()
+                .bit_count(),
+            1
+        );
+        for (floorplan, pairs, message) in [
+            (
+                "floorplan,tiled,8,2",
+                1,
+                "lays out 2 pairs but the envelope lists 1",
+            ),
+            ("floorplan,tiled,4,2", 2, "past the floorplan's 1 pairs"),
+            ("floorplan,tiled,4,3", 1, "cannot host"),
+            ("floorplan,tiled,4,0", 1, "cannot host"),
+            ("floorplan,tiled,4,3", 0, "cannot host"),
+            ("floorplan,tiled_interleaved,4,1", 1, "length"),
+            (
+                "floorplan,tiled_interleaved,18446744073709551615,2",
+                1,
+                "lays out",
+            ),
+            ("floorplan,tiled,4,9223372036854775808", 1, "cannot host"),
+            (
+                "floorplan,tiled,18446744073709551616,2",
+                1,
+                "units is malformed",
+            ),
+            ("floorplan,tiled,4", 1, "units is malformed"),
+            ("floorplan,tiled,4,", 1, "stages is malformed"),
+            ("floorplan,tiled,4,2,", 1, "stages is malformed"),
+            ("floorplan,tiled", 1, "4 comma-separated fields"),
+            ("floorplan,split,4,2", 1, "unknown floorplan generator"),
+            ("floorplan,listed,4,2", 1, "unknown floorplan generator"),
+            ("floorplan,tiled,4,2", 0, "no pairs"),
+        ] {
+            let text = text(floorplan, pairs);
+            let e = enrollment_from_text(&text).unwrap_err();
+            assert!(e.message.contains(message), "{floorplan} + {pairs}: {e}");
+            let bytes = framed(FORMAT_VERSION, text.as_bytes());
+            assert_eq!(enrollment_from_bytes(&bytes), Err(Error::Parse(e.clone())));
+            assert_eq!(expected_bits_from_bytes(&bytes), Err(Error::Parse(e)));
+        }
+    }
+
+    #[test]
+    fn a_huge_generator_of_excluded_pairs_lays_out_no_units() {
+        // Nothing checks the stage count of a generator whose every
+        // pair is excluded; decoding still builds no units for them.
+        let text = format!(
+            "{HEADER}\nenv,1.2,25\nfloorplan,tiled,18446744073709551615,6148914691236517205\n\
+             pair,0,excluded\n"
+        );
+        let e = enrollment_from_text(&text).unwrap();
+        assert_eq!((e.pairs().len(), e.bit_count()), (1, 0));
+        assert_eq!(enrollment_to_text(&e), text);
+    }
+
+    /// A v1 envelope never recorded the units of excluded pairs, so its
+    /// enrollment knows its enrolled pairs' units only. That is enough:
+    /// re-enrolling takes the floorplan the device was provisioned on,
+    /// so a device resumed from the decoded v1 envelope re-enrolls
+    /// exactly as one resumed from the enrollment itself. The fixture is
+    /// the re-enrollment drill's: 240 units on 12 columns, 4-stage
+    /// interleaved pairs, a 5 ps threshold, ten years of aging.
+    #[test]
+    fn a_decoded_v1_enrollment_reenrolls_over_its_provisioning_floorplan() {
+        use crate::lifecycle::Device;
+        use crate::robust::FaultPlan;
+        let sim = SiliconSim::default_spartan();
+        let tech = *sim.technology();
+        let env = Environment::nominal();
+        let plan = FaultPlan::scaled(0.0);
+        let opts = EnrollOptions {
+            threshold_ps: 5.0,
+            ..EnrollOptions::default()
+        };
+        let aging = ropuf_silicon::aging::AgingModel {
+            sigma_drift_rel: 0.02,
+            sigma_path_rel: 0.01,
+            ..ropuf_silicon::aging::AgingModel::default()
+        };
+        let puf = ConfigurableRoPuf::tiled_interleaved(240, 4);
+        let mut accepted = 0;
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let board = sim.grow_board_with_id(&mut rng, BoardId(seed as u32), 240, 12);
+            let old = puf.enroll_seeded(seed, &board, &tech, env, &opts);
+            assert!(old.pairs().iter().any(Option::is_none), "seed {seed}");
+            let decoded = enrollment_from_text(&oracle_to_text(&old)).unwrap();
+            assert_eq!(decoded, old);
+            let aged = aging.age_board(&mut rng, &board, 10.0);
+            let resume = |e: &Enrollment| Device::resume(&aged, &tech, env, opts, e.clone());
+            let (device, outcome) = resume(&decoded).unwrap().reenroll(&puf, seed + 100, &plan);
+            let (want_device, want) = resume(&old).unwrap().reenroll(&puf, seed + 100, &plan);
+            assert_eq!(outcome, want, "seed {seed}");
+            assert_eq!(device.enrollment(), want_device.enrollment(), "seed {seed}");
+            accepted += usize::from(want.accepted().is_some());
+        }
+        assert!(accepted > 0, "ten years of aging drift some device");
     }
 
     #[test]
@@ -605,24 +1237,39 @@ mod tests {
     }
 
     #[test]
+    fn v1_envelopes_still_decode() {
+        let (all, _, _) = sample(0.0);
+        let mut margins = all.margins_ps();
+        margins.sort_by(f64::total_cmp);
+        for e in [all.clone(), sample(margins[margins.len() / 2] + 1e-9).0] {
+            let bytes = framed(FORMAT_V1, oracle_to_text(&e).as_bytes());
+            assert_eq!(enrollment_from_bytes(&bytes).unwrap(), e);
+            assert_eq!(expected_bits_from_bytes(&bytes).unwrap(), e.expected_bits());
+        }
+    }
+
+    #[test]
     fn envelope_rejects_bytes_from_other_versions() {
         let (e, _, _) = sample(0.0);
         let mut bytes = enrollment_to_bytes(&e);
         // A future (or ancient) writer: same magic, different version.
-        bytes[4..6].copy_from_slice(&7u16.to_le_bytes());
-        match enrollment_from_bytes(&bytes).unwrap_err() {
-            Error::UnsupportedVersion { found, supported } => {
-                assert_eq!(found, 7);
-                assert_eq!(supported, FORMAT_VERSION);
+        for version in [7, 3, 0] {
+            bytes[4..6].copy_from_slice(&u16::to_le_bytes(version));
+            match enrollment_from_bytes(&bytes).unwrap_err() {
+                Error::UnsupportedVersion { found, supported } => {
+                    assert_eq!(found, version);
+                    assert_eq!(supported, FORMAT_VERSION);
+                }
+                other => panic!("expected UnsupportedVersion, got {other:?}"),
             }
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
-        // Version 0 — bytes that predate the envelope scheme.
-        bytes[4..6].copy_from_slice(&0u16.to_le_bytes());
-        assert!(matches!(
-            enrollment_from_bytes(&bytes),
-            Err(Error::UnsupportedVersion { found: 0, .. })
-        ));
+        // A v2 payload behind a v1 version field is read as v1, and
+        // fails on its header.
+        bytes[4..6].copy_from_slice(&FORMAT_V1.to_le_bytes());
+        let Err(Error::Parse(e)) = enrollment_from_bytes(&bytes) else {
+            panic!("a v2 payload is not v1");
+        };
+        assert!(e.message.contains(HEADER_V1), "{e}");
     }
 
     #[test]
@@ -641,40 +1288,73 @@ mod tests {
             Err(Error::Parse(_))
         ));
         // Magic present but payload garbled.
-        let mut garbled = bytes[..6].to_vec();
-        garbled.extend_from_slice(b"\xff\xfe not text");
-        assert!(matches!(
-            enrollment_from_bytes(&garbled),
-            Err(Error::Parse(_))
-        ));
+        for version in [FORMAT_V1, FORMAT_VERSION] {
+            let garbled = framed(version, b"\xff\xfe not text");
+            assert!(matches!(
+                enrollment_from_bytes(&garbled),
+                Err(Error::Parse(_))
+            ));
+        }
+        // Cut at a line end: the generator line still counts the pairs.
+        let cut = bytes.len()
+            - 1
+            - bytes[..bytes.len() - 1]
+                .iter()
+                .rev()
+                .position(|&b| b == b'\n')
+                .unwrap();
+        let Err(Error::Parse(e)) = enrollment_from_bytes(&bytes[..cut]) else {
+            panic!("a generated envelope missing its last pair decodes");
+        };
+        assert!(e.message.contains("lays out"), "{e}");
     }
 
     #[test]
     fn rejects_empty_enrollment() {
-        let text = format!("{HEADER}\nenv,1.2,25\n");
-        assert!(enrollment_from_text(&text)
-            .unwrap_err()
-            .message
-            .contains("no pairs"));
+        for text in [
+            format!("{HEADER_V1}\nenv,1.2,25\n"),
+            format!("{HEADER}\nenv,1.2,25\nfloorplan,listed\n"),
+        ] {
+            assert!(enrollment_from_text(&text)
+                .unwrap_err()
+                .message
+                .contains("no pairs"));
+        }
     }
 
     #[test]
     fn empty_configuration_is_a_typed_error() {
-        let text = format!("{HEADER}\nenv,1.2,25\npair,0,1,2,,,0,1.0\n");
-        let e = enrollment_from_text(&text).unwrap_err();
-        assert_eq!(e.line, 3);
-        assert!(e.message.contains("configuration length"), "{e}");
-        let mut bytes = MAGIC.to_vec();
-        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(text.as_bytes());
-        assert_eq!(enrollment_from_bytes(&bytes), Err(Error::Parse(e.clone())));
-        assert_eq!(expected_bits_from_bytes(&bytes), Err(Error::Parse(e)));
+        for (version, text) in [
+            (
+                FORMAT_V1,
+                format!("{HEADER_V1}\nenv,1.2,25\npair,0,1,2,,,0,1.0\n"),
+            ),
+            (
+                FORMAT_VERSION,
+                format!("{HEADER}\nenv,1.2,25\nfloorplan,listed\npair,0,1,2,,,0,1.0\n"),
+            ),
+            (
+                FORMAT_VERSION,
+                format!("{HEADER}\nenv,1.2,25\nfloorplan,tiled,2,1\npair,0,,,0,1.0\n"),
+            ),
+        ] {
+            let e = enrollment_from_text(&text).unwrap_err();
+            assert_eq!(e.line, text.lines().count());
+            assert!(e.message.contains("configuration length"), "{e}");
+            let bytes = framed(version, text.as_bytes());
+            assert_eq!(enrollment_from_bytes(&bytes), Err(Error::Parse(e.clone())));
+            assert_eq!(expected_bits_from_bytes(&bytes), Err(Error::Parse(e)));
+        }
         // One empty side is rejected the same way.
-        let text = format!("{HEADER}\nenv,1.2,25\npair,0,1,2,1,,0,1.0\n");
-        assert!(enrollment_from_text(&text)
-            .unwrap_err()
-            .message
-            .contains("configuration length"));
+        for text in [
+            format!("{HEADER_V1}\nenv,1.2,25\npair,0,1,2,1,,0,1.0\n"),
+            format!("{HEADER}\nenv,1.2,25\nfloorplan,listed\npair,0,1,2,1,,0,1.0\n"),
+        ] {
+            assert!(enrollment_from_text(&text)
+                .unwrap_err()
+                .message
+                .contains("configuration length"));
+        }
     }
 
     #[test]
@@ -688,19 +1368,19 @@ mod tests {
         }
     }
 
-    /// The text parser as it stood before the shared validator: the
-    /// reference [`enrollment_from_text`] must match wherever this does
-    /// not panic (it panics on an empty configuration field).
+    /// The v1 text parser as it stood before the shared validator: the
+    /// v1 reader must match it wherever it does not panic (it panics on
+    /// an empty configuration field).
     fn oracle_from_text(text: &str) -> Result<Enrollment, ParseEnrollmentError> {
         let mut lines = text.lines().enumerate();
         match lines.next() {
-            Some((_, h)) if h.trim() == HEADER => {}
-            _ => return Err(err(1, format!("expected header {HEADER:?}"))),
+            Some((_, h)) if h.trim() == HEADER_V1 => {}
+            _ => return Err(err(1, format!("expected header {HEADER_V1:?}"))),
         }
         let (line_no, env_line) = lines.next().ok_or_else(|| err(2, "missing env line"))?;
         let env = oracle_env(env_line, line_no + 1)?;
 
-        let mut pairs: Vec<Option<EnrolledPair>> = Vec::new();
+        let mut pairs: Vec<Option<(PairSpec, EnrolledPair)>> = Vec::new();
         for (i, line) in lines {
             let line_no = i + 1;
             if line.trim().is_empty() {
@@ -750,18 +1430,14 @@ mod tests {
             if !(margin.is_finite() && margin >= 0.0) {
                 return Err(err(line_no, "margin must be finite and non-negative"));
             }
-            pairs.push(Some(EnrolledPair::from_parts(
-                spec,
-                top_config,
-                bottom_config,
-                bit == 1,
-                margin,
-            )));
+            let pair =
+                EnrolledPair::from_parts(pairs.len(), top_config, bottom_config, bit == 1, margin);
+            pairs.push(Some((spec, pair)));
         }
         if pairs.is_empty() {
             return Err(err(1, "enrollment contains no pairs"));
         }
-        Ok(Enrollment::from_parts(pairs, env))
+        Ok(Enrollment::listed(pairs, env))
     }
 
     fn oracle_env(line: &str, line_no: usize) -> Result<Environment, ParseEnrollmentError> {
@@ -791,12 +1467,11 @@ mod tests {
             .map_err(|_| err(line_no, format!("field {name} is malformed")))
     }
 
-    /// The text writer as it stood before [`write_v1`], a `format!` per
-    /// pair: [`enrollment_to_text`] and [`enrollment_to_bytes`] must
-    /// write exactly its bytes.
+    /// The v1 text writer, a `format!` per pair, as it stood before v2
+    /// replaced it: what the stores and files written before v2 hold.
     fn oracle_to_text(enrollment: &Enrollment) -> String {
         let env = enrollment.enrolled_at();
-        let mut out = format!("{HEADER}\nenv,{},{}\n", env.voltage_v, env.temperature_c);
+        let mut out = format!("{HEADER_V1}\nenv,{},{}\n", env.voltage_v, env.temperature_c);
         for (i, pair) in enrollment.pairs().iter().enumerate() {
             match pair {
                 None => out.push_str(&format!("pair,{i},excluded\n")),
@@ -810,8 +1485,8 @@ mod tests {
                     };
                     out.push_str(&format!(
                         "pair,{i},{},{},{},{},{},{}\n",
-                        join(p.spec().top()),
-                        join(p.spec().bottom()),
+                        join(enrollment.spec(p).top()),
+                        join(enrollment.spec(p).bottom()),
                         p.top_config(),
                         p.bottom_config(),
                         u8::from(p.expected_bit()),
@@ -854,11 +1529,13 @@ mod tests {
         (1e-3, -273.15),
     ];
 
-    /// An enrollment drawn from `seed` that no floorplan needs to admit:
+    /// An enrollment drawn from `seed` that no board needs to admit:
     /// 1–12 pairs, each excluded at even odds (so exclusions fall first,
-    /// last and in runs), rings of 1–16 stages, and unit indices,
-    /// margins and operating points half from the edges above, half
-    /// drawn at random.
+    /// last and in runs), margins and operating points half from the
+    /// edges above, half drawn at random. Half are generated, by either
+    /// generator with 1–16 stages and up to `2·stages − 1` units left
+    /// over; half are listed, with rings of 1–16 stages and unit indices
+    /// half from the edges, half drawn at random.
     fn arbitrary_enrollment(seed: u64) -> Enrollment {
         let mut rng = StdRng::seed_from_u64(seed);
         let unit = |rng: &mut StdRng| {
@@ -869,17 +1546,36 @@ mod tests {
                 rng.gen_range(0..1usize << bits)
             }
         };
-        let pairs = (0..rng.gen_range(1..=12))
-            .map(|_| {
+        let count = rng.gen_range(1..=12);
+        let layout = if rng.gen_bool(0.5) {
+            let stages = rng.gen_range(1..=16);
+            Layout::Generated {
+                generator: [Generator::Tiled, Generator::TiledInterleaved][rng.gen_range(0..2)],
+                units: count * 2 * stages + rng.gen_range(0..2 * stages),
+                stages,
+            }
+        } else {
+            Layout::Listed
+        };
+        let (specs, pairs) = (0..count)
+            .map(|index| {
                 if rng.gen_bool(0.5) {
-                    return None;
+                    return (None, None);
                 }
-                let stages = rng.gen_range(1..=16);
-                let top = (0..stages).map(|_| unit(&mut rng)).collect();
-                let bottom = (0..stages).map(|_| unit(&mut rng)).collect();
+                let spec = match layout {
+                    Layout::Generated { .. } => layout.spec(index),
+                    Layout::Listed => {
+                        let stages = rng.gen_range(1..=16);
+                        let top = (0..stages).map(|_| unit(&mut rng)).collect();
+                        let bottom = (0..stages).map(|_| unit(&mut rng)).collect();
+                        PairSpec::try_new(top, bottom).expect("equal, non-empty rings")
+                    }
+                };
                 let mut config = || {
                     ConfigVector::from_flags(
-                        &(0..stages).map(|_| rng.gen_bool(0.5)).collect::<Vec<_>>(),
+                        &(0..spec.stages())
+                            .map(|_| rng.gen_bool(0.5))
+                            .collect::<Vec<_>>(),
                     )
                 };
                 let (top_config, bottom_config) = (config(), config());
@@ -888,26 +1584,33 @@ mod tests {
                 } else {
                     rng.gen::<f64>() * 10f64.powi(rng.gen_range(-12..24))
                 };
-                Some(EnrolledPair::from_parts(
-                    PairSpec::try_new(top, bottom).expect("equal, non-empty rings"),
+                let pair = EnrolledPair::from_parts(
+                    index,
                     top_config,
                     bottom_config,
                     rng.gen_bool(0.5),
                     margin_ps,
-                ))
+                );
+                (Some(spec), Some(pair))
             })
-            .collect();
+            .unzip();
         let (voltage_v, temperature_c) = if rng.gen_bool(0.5) {
             EDGE_ENVS[rng.gen_range(0..EDGE_ENVS.len())]
         } else {
             (rng.gen_range(0.5..1.5), rng.gen_range(-60.0..130.0))
         };
-        Enrollment::from_parts(pairs, Environment::new(voltage_v, temperature_c))
+        Enrollment::from_parts(
+            Floorplan::recorded(layout, specs),
+            pairs,
+            Environment::new(voltage_v, temperature_c),
+        )
     }
 
     /// The decoder contract on one input: both envelope decoders return
-    /// (never panic), agree on the bits or the error, and the text
-    /// parser matches the oracle wherever the oracle does not panic.
+    /// (never panic) and agree on the bits or the error. A v1 payload
+    /// decodes as the v1 oracle does wherever the oracle does not panic;
+    /// a v2 payload decodes as its bare text does, and what it decodes
+    /// to re-encodes to an envelope that decodes to it again.
     fn check_decoders(bytes: &[u8]) -> Result<(), TestCaseError> {
         let full = enrollment_from_bytes(bytes);
         let bits = expected_bits_from_bytes(bytes);
@@ -916,18 +1619,40 @@ mod tests {
             (Err(a), Err(b)) => prop_assert_eq!(a, b),
             _ => prop_assert!(false, "decoders disagree: {full:?} vs {bits:?}"),
         }
-        if let Some(text) = bytes.get(6..).and_then(|t| std::str::from_utf8(t).ok()) {
-            if let Ok(reference) = std::panic::catch_unwind(|| oracle_from_text(text)) {
-                prop_assert_eq!(enrollment_from_text(text), reference);
+        let text = bytes
+            .strip_prefix(MAGIC)
+            .and_then(|t| std::str::from_utf8(t.get(2..)?).ok());
+        match (bytes.get(4..6), text) {
+            (Some([1, 0]), Some(text)) => {
+                if let Ok(reference) = std::panic::catch_unwind(|| oracle_from_text(text)) {
+                    prop_assert_eq!(&full, &reference.map_err(Error::Parse));
+                }
             }
+            (Some([2, 0]), Some(text)) if matches!(payload_of_text(text), Payload::V2(_)) => {
+                prop_assert_eq!(&full, &enrollment_from_text(text).map_err(Error::Parse));
+            }
+            _ => {}
+        }
+        if let Ok(e) = full {
+            prop_assert_eq!(enrollment_from_bytes(&enrollment_to_bytes(&e)), Ok(e));
         }
         Ok(())
     }
 
-    /// A real envelope: six pairs, about 300 bytes.
-    fn real_envelope() -> &'static [u8] {
-        static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
-        BYTES.get_or_init(|| enrollment_to_bytes(&sample(0.0).0))
+    /// Real envelopes of six pairs: v2 with its generator line, v2
+    /// with listed units, and v1.
+    fn real_envelopes() -> &'static [Vec<u8>; 3] {
+        static BYTES: std::sync::OnceLock<[Vec<u8>; 3]> = std::sync::OnceLock::new();
+        BYTES.get_or_init(|| {
+            let e = sample(0.0).0;
+            let v1 = oracle_to_text(&e);
+            let listed = enrollment_from_text(&v1).expect("the v1 text decodes");
+            [
+                enrollment_to_bytes(&e),
+                enrollment_to_bytes(&listed),
+                framed(FORMAT_V1, v1.as_bytes()),
+            ]
+        })
     }
 
     /// Bytes a mutation writes: the format's separators and digits, a
@@ -938,22 +1663,23 @@ mod tests {
 
     #[test]
     fn every_single_byte_mutation_and_truncation_of_an_envelope_decodes_consistently() {
-        let envelope = real_envelope();
-        for at in 0..envelope.len() {
-            check_decoders(&envelope[..at]).unwrap();
-            let mut deleted = envelope.to_vec();
-            deleted.remove(at);
-            check_decoders(&deleted).unwrap();
-            for byte in MUTANT_BYTES {
-                let mut mutated = envelope.to_vec();
-                mutated[at] = byte;
-                check_decoders(&mutated).unwrap();
+        for envelope in real_envelopes() {
+            for at in 0..envelope.len() {
+                check_decoders(&envelope[..at]).unwrap();
+                let mut deleted = envelope.to_vec();
+                deleted.remove(at);
+                check_decoders(&deleted).unwrap();
+                for byte in MUTANT_BYTES {
+                    let mut mutated = envelope.to_vec();
+                    mutated[at] = byte;
+                    check_decoders(&mutated).unwrap();
+                }
             }
         }
     }
 
-    /// Candidate values for each pair-line field: mostly valid, plus the
-    /// malformed shapes each check exists for.
+    /// Candidate values for each v1 pair-line field: mostly valid, plus
+    /// the malformed shapes each check exists for.
     const FIELD_CANDIDATES: [[&str; 6]; 8] = [
         ["pair", "pair", "pair", "pair", " pair", "env"],
         ["{i}", "{i}", "{i}", " {i} ", "+{i}", "x"],
@@ -965,11 +1691,11 @@ mod tests {
         ["5.0", "0", "1e3", "-2", "NaN", "inf"],
     ];
 
-    /// Builds a text from per-line candidate choices; `arity` sets how
-    /// many of the eight fields a line keeps (more than eight repeats
-    /// the last).
+    /// Builds a v1 text from per-line candidate choices; `arity` sets
+    /// how many of the eight fields a line keeps (more than eight
+    /// repeats the last).
     fn candidate_text(env: &str, lines: &[Vec<usize>]) -> String {
-        let mut text = format!("{HEADER}\n{env}\n");
+        let mut text = format!("{HEADER_V1}\n{env}\n");
         for (i, choice) in lines.iter().enumerate() {
             let arity = [8, 8, 8, 7, 9, 3][choice[8]];
             let fields: Vec<String> = (0..arity)
@@ -987,24 +1713,23 @@ mod tests {
         #[test]
         fn decoders_agree_on_arbitrary_bytes(
             bytes in proptest::collection::vec(any::<u8>(), 0..64),
-            framed in any::<bool>(),
+            version in proptest::sample::select(vec![None, Some(FORMAT_V1), Some(FORMAT_VERSION)]),
         ) {
-            let mut input = Vec::new();
-            if framed {
-                input.extend_from_slice(MAGIC);
-                input.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-            }
-            input.extend_from_slice(&bytes);
+            let input = match version {
+                Some(version) => framed(version, &bytes),
+                None => bytes,
+            };
             check_decoders(&input)?;
         }
 
         #[test]
         fn decoders_agree_on_mutated_envelopes(
+            which in 0usize..3,
             at in any::<usize>(),
             byte in any::<u8>(),
             cut in any::<usize>(),
         ) {
-            let envelope = real_envelope();
+            let envelope = &real_envelopes()[which];
             let mut mutated = envelope.to_vec();
             mutated[at % envelope.len()] = byte;
             check_decoders(&mutated)?;
@@ -1012,16 +1737,30 @@ mod tests {
             check_decoders(&mutated)?;
         }
 
+        /// v2 round-trips every enrollment exactly, into one buffer of
+        /// exactly its length, and the v1 text of an enrollment decodes
+        /// to the same enrollment as its v2 re-encoding does.
         #[test]
-        fn writer_matches_the_replaced_writer(seed in any::<u64>()) {
+        fn v2_round_trips_and_reads_v1_alike(seed in any::<u64>()) {
             let enrollment = arbitrary_enrollment(seed);
-            let text = oracle_to_text(&enrollment);
-            prop_assert_eq!(enrollment_to_text(&enrollment), text.clone());
             let bytes = enrollment_to_bytes(&enrollment);
             prop_assert_eq!(&bytes[..4], MAGIC);
             prop_assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), FORMAT_VERSION);
+            let text = enrollment_to_text(&enrollment);
             prop_assert_eq!(&bytes[6..], text.as_bytes());
             prop_assert_eq!(bytes.capacity(), bytes.len());
+            let back = enrollment_from_bytes(&bytes).unwrap();
+            prop_assert_eq!(&back, &enrollment);
+            prop_assert_eq!(enrollment_to_bytes(&back), bytes.clone());
+            prop_assert_eq!(expected_bits_from_bytes(&bytes), Ok(enrollment.expected_bits()));
+
+            let v1 = framed(FORMAT_V1, oracle_to_text(&enrollment).as_bytes());
+            let from_v1 = enrollment_from_bytes(&v1).unwrap();
+            prop_assert_eq!(&from_v1, &enrollment);
+            let reencoded = enrollment_from_bytes(&enrollment_to_bytes(&from_v1)).unwrap();
+            prop_assert_eq!(&reencoded, &from_v1);
+            check_decoders(&bytes)?;
+            check_decoders(&v1)?;
         }
 
         #[test]
@@ -1032,10 +1771,7 @@ mod tests {
             lines in proptest::collection::vec(proptest::collection::vec(0usize..6, 9), 0..5),
         ) {
             let text = candidate_text(env, &lines);
-            let mut bytes = MAGIC.to_vec();
-            bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-            bytes.extend_from_slice(text.as_bytes());
-            check_decoders(&bytes)?;
+            check_decoders(&framed(FORMAT_V1, text.as_bytes()))?;
         }
     }
 }

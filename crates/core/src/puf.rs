@@ -186,11 +186,9 @@ impl EnrollOptions {
     }
 }
 
-/// Device-independent floorplan: which board units form each ring pair.
+/// Which board units form one ring pair of a floorplan.
 ///
-/// The unit lists are shared, not copied: every pair enrolled from a
-/// floorplan holds the floorplan's allocation, so cloning a spec
-/// allocates nothing.
+/// Cloning a spec clones a reference count, never the unit lists.
 #[derive(Clone, PartialEq, Eq)]
 pub struct PairSpec {
     /// The top ring's units, then the bottom ring's (equal halves).
@@ -235,6 +233,15 @@ impl PairSpec {
             )));
         }
         Ok(())
+    }
+
+    /// A pair whose units were not recorded: an excluded pair of a
+    /// floorplan decoded from an envelope, which states only the units
+    /// of enrolled pairs. No enrolled pair ever refers to one.
+    fn unrecorded() -> Self {
+        Self {
+            units: Arc::new([]),
+        }
     }
 
     /// Splits `2n` consecutive units starting at `start` into a
@@ -294,10 +301,112 @@ impl PairSpec {
     }
 }
 
+/// A rule that lays out a floorplan from a unit count and a stage count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Generator {
+    /// [`ConfigurableRoPuf::tiled`].
+    Tiled,
+    /// [`ConfigurableRoPuf::tiled_interleaved`].
+    TiledInterleaved,
+}
+
+impl Generator {
+    /// The name an envelope states the generator by.
+    pub(crate) fn name(self) -> &'static [u8] {
+        match self {
+            Generator::Tiled => b"tiled",
+            Generator::TiledInterleaved => b"tiled_interleaved",
+        }
+    }
+
+    /// The generator named `name`, if any.
+    pub(crate) fn named(name: &[u8]) -> Option<Self> {
+        [Generator::Tiled, Generator::TiledInterleaved]
+            .into_iter()
+            .find(|g| g.name() == name)
+    }
+}
+
+/// How a floorplan's pairs were laid out: by a generator, which its two
+/// arguments determine, or pair by pair. An envelope states a
+/// generated floorplan as its generator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Layout {
+    /// `generator` over `units` board units, `stages` per ring.
+    Generated {
+        generator: Generator,
+        units: usize,
+        stages: usize,
+    },
+    /// Explicit unit lists ([`ConfigurableRoPuf::new`]).
+    Listed,
+}
+
+impl Layout {
+    /// A generator's pairs: as many `stages`-per-ring pairs as fit in
+    /// `units`, `⌊units / 2·stages⌋`. `None` for a listed floorplan and
+    /// for arguments no pair fits (`2·stages` overflowing included).
+    pub(crate) fn pair_count(self) -> Option<usize> {
+        let Layout::Generated { units, stages, .. } = self else {
+            return None;
+        };
+        let per_pair = stages.checked_mul(2).filter(|&n| n > 0)?;
+        Some(units / per_pair).filter(|&pairs| pairs > 0)
+    }
+
+    /// Pair `i` of a generated floorplan.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a listed layout, which no rule generates.
+    pub(crate) fn spec(self, i: usize) -> PairSpec {
+        match self {
+            Layout::Generated {
+                generator: Generator::Tiled,
+                stages,
+                ..
+            } => PairSpec::split_at(i * 2 * stages, stages),
+            Layout::Generated {
+                generator: Generator::TiledInterleaved,
+                stages,
+                ..
+            } => PairSpec::interleaved_at(i * 2 * stages, stages),
+            Layout::Listed => panic!("a listed floorplan has no generator"),
+        }
+    }
+}
+
+/// A floorplan's pairs and the layout that built them: the one value a
+/// PUF and every enrollment made from it share.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Floorplan {
+    pub(crate) layout: Layout,
+    /// One spec per pair. A floorplan decoded from an envelope knows the
+    /// units of its enrolled pairs only: an excluded pair's spec is
+    /// [`PairSpec::unrecorded`].
+    pub(crate) specs: Vec<PairSpec>,
+}
+
+impl Floorplan {
+    /// A floorplan laid out by `layout`, one entry per pair: `specs[i]`
+    /// is pair `i`'s units, `None` where they were not recorded.
+    pub(crate) fn recorded(layout: Layout, specs: Vec<Option<PairSpec>>) -> Arc<Self> {
+        let unrecorded = PairSpec::unrecorded();
+        let specs = specs
+            .into_iter()
+            .map(|spec| spec.unwrap_or_else(|| unrecorded.clone()))
+            .collect();
+        Arc::new(Self { layout, specs })
+    }
+}
+
 /// A configurable RO PUF floorplan: a list of ring pairs.
+///
+/// The floorplan is shared, not copied: cloning the PUF, and every
+/// enrollment made from it, clones one reference count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigurableRoPuf {
-    specs: Vec<PairSpec>,
+    floorplan: Arc<Floorplan>,
 }
 
 impl ConfigurableRoPuf {
@@ -308,7 +417,12 @@ impl ConfigurableRoPuf {
     /// Panics if `specs` is empty.
     pub fn new(specs: Vec<PairSpec>) -> Self {
         assert!(!specs.is_empty(), "a PUF needs at least one ring pair");
-        Self { specs }
+        Self {
+            floorplan: Arc::new(Floorplan {
+                layout: Layout::Listed,
+                specs,
+            }),
+        }
     }
 
     /// Tiles `total_units` board units into as many consecutive
@@ -318,17 +432,7 @@ impl ConfigurableRoPuf {
     ///
     /// Panics if fewer than one pair fits.
     pub fn tiled(total_units: usize, stages: usize) -> Self {
-        assert!(stages > 0, "rings need at least one stage");
-        let pairs = total_units / (2 * stages);
-        assert!(
-            pairs > 0,
-            "{total_units} units cannot host a {stages}-stage pair"
-        );
-        Self::new(
-            (0..pairs)
-                .map(|p| PairSpec::split_at(p * 2 * stages, stages))
-                .collect(),
-        )
+        Self::generated(Generator::Tiled, total_units, stages)
     }
 
     /// Like [`tiled`](Self::tiled) but with interleaved pairs (see
@@ -340,27 +444,35 @@ impl ConfigurableRoPuf {
     ///
     /// Panics if fewer than one pair fits.
     pub fn tiled_interleaved(total_units: usize, stages: usize) -> Self {
+        Self::generated(Generator::TiledInterleaved, total_units, stages)
+    }
+
+    fn generated(generator: Generator, units: usize, stages: usize) -> Self {
         assert!(stages > 0, "rings need at least one stage");
-        let pairs = total_units / (2 * stages);
-        assert!(
-            pairs > 0,
-            "{total_units} units cannot host a {stages}-stage pair"
-        );
-        Self::new(
-            (0..pairs)
-                .map(|p| PairSpec::interleaved_at(p * 2 * stages, stages))
-                .collect(),
-        )
+        let layout = Layout::Generated {
+            generator,
+            units,
+            stages,
+        };
+        let pairs = layout
+            .pair_count()
+            .unwrap_or_else(|| panic!("{units} units cannot host a {stages}-stage pair"));
+        Self {
+            floorplan: Arc::new(Floorplan {
+                layout,
+                specs: (0..pairs).map(|i| layout.spec(i)).collect(),
+            }),
+        }
     }
 
     /// The floorplan's pair specs.
     pub fn specs(&self) -> &[PairSpec] {
-        &self.specs
+        &self.floorplan.specs
     }
 
     /// Number of ring pairs (= maximum bits).
     pub fn pair_count(&self) -> usize {
-        self.specs.len()
+        self.floorplan.specs.len()
     }
 
     /// Enrolls the PUF on `board` at operating point `env`:
@@ -446,10 +558,9 @@ impl ConfigurableRoPuf {
         threads: usize,
     ) -> Enrollment {
         let corners = opts.enrollment_corners(env);
-        let pairs = parallel_map_indexed(self.specs.len(), threads, |i| {
+        let pairs = parallel_map_indexed(self.pair_count(), threads, |i| {
             let _pair_span = telemetry::span("enroll.pair");
-            let spec = &self.specs[i];
-            let pair = spec.bind(board);
+            let pair = self.specs()[i].bind(board);
             let cals: Vec<(Calibration, Calibration)> = corners
                 .iter()
                 .enumerate()
@@ -460,12 +571,9 @@ impl ConfigurableRoPuf {
                     (top, bottom)
                 })
                 .collect();
-            select_pair(spec, &cals, opts)
+            select_pair(i, &cals, opts)
         });
-        Enrollment {
-            pairs,
-            enrolled_at: env,
-        }
+        self.enrollment_of(pairs, env)
     }
 
     /// The enrollment kernel. Lays every ring of `board` at every
@@ -499,14 +607,14 @@ impl ConfigurableRoPuf {
         let corners = opts.enrollment_corners(env);
         let rows_per_pair = 2 * corners.len();
         let stages = self
-            .specs
+            .specs()
             .iter()
             .map(PairSpec::stages)
             .max()
             .expect("a PUF has at least one ring pair");
         let scales: Vec<f64> = corners.iter().map(|&c| tech.delay_scale(c)).collect();
-        arena.begin_block(rows_per_pair * self.specs.len(), stages);
-        for (i, spec) in self.specs.iter().enumerate() {
+        arena.begin_block(rows_per_pair * self.pair_count(), stages);
+        for (i, spec) in self.specs().iter().enumerate() {
             let pair = spec.bind(board);
             for (c, (&corner_env, &scale)) in corners.iter().zip(&scales).enumerate() {
                 let row = i * rows_per_pair + 2 * c;
@@ -520,7 +628,7 @@ impl ConfigurableRoPuf {
         let mut unreadable = 0;
         let mut cals = Vec::with_capacity(corners.len());
         let pairs = self
-            .specs
+            .specs()
             .iter()
             .enumerate()
             .map(|(i, spec)| {
@@ -535,22 +643,26 @@ impl ConfigurableRoPuf {
                     unreadable += 1;
                     return None;
                 }
-                select_pair(spec, &cals, opts)
+                select_pair(i, &cals, opts)
             })
             .collect();
-        (
-            Enrollment {
-                pairs,
-                enrolled_at: env,
-            },
-            unreadable,
-        )
+        (self.enrollment_of(pairs, env), unreadable)
+    }
+
+    /// An enrollment of `pairs`, pair `i` at index `i`, over this
+    /// floorplan.
+    pub(crate) fn enrollment_of(
+        &self,
+        pairs: Vec<Option<EnrolledPair>>,
+        enrolled_at: Environment,
+    ) -> Enrollment {
+        Enrollment::from_parts(Arc::clone(&self.floorplan), pairs, enrolled_at)
     }
 }
 
-/// Plausibility screen, §III.D selection, and margin thresholding of one
-/// pair. `cals[c]` holds its (top, bottom) calibrations at corner `c` of
-/// [`EnrollOptions::enrollment_corners`].
+/// Plausibility screen, §III.D selection, and margin thresholding of
+/// pair `index`. `cals[c]` holds its (top, bottom) calibrations at
+/// corner `c` of [`EnrollOptions::enrollment_corners`].
 ///
 /// With one corner this runs the paper's solvers and merely flags a
 /// degenerate (zero-margin) pair. With several it runs their
@@ -563,7 +675,7 @@ impl ConfigurableRoPuf {
 /// `enroll.excluded.*`, and `enroll.degenerate` counters track what
 /// happened to the pair.
 fn select_pair(
-    spec: &PairSpec,
+    index: usize,
     cals: &[(Calibration, Calibration)],
     opts: &EnrollOptions,
 ) -> Option<EnrolledPair> {
@@ -632,7 +744,7 @@ fn select_pair(
         None
     } else {
         Some(EnrolledPair {
-            spec: spec.clone(),
+            index,
             top_config,
             bottom_config,
             expected_bit: bit,
@@ -642,9 +754,13 @@ fn select_pair(
 }
 
 /// One enrolled ring pair: its configurations, expected bit, and margin.
+///
+/// The pair holds its index in the floorplan, which is also its index
+/// in [`Enrollment::pairs`]; its units live in the enrollment's
+/// floorplan ([`Enrollment::spec`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnrolledPair {
-    spec: PairSpec,
+    index: usize,
     top_config: ConfigVector,
     bottom_config: ConfigVector,
     expected_bit: bool,
@@ -652,27 +768,22 @@ pub struct EnrolledPair {
 }
 
 impl EnrolledPair {
-    /// Reassembles a pair record from its parts (used by
+    /// Reassembles the record of pair `index` from its parts (used by
     /// [`crate::persist`] and the baseline schemes).
     pub(crate) fn from_parts(
-        spec: PairSpec,
+        index: usize,
         top_config: ConfigVector,
         bottom_config: ConfigVector,
         expected_bit: bool,
         margin_ps: f64,
     ) -> Self {
         Self {
-            spec,
+            index,
             top_config,
             bottom_config,
             expected_bit,
             margin_ps,
         }
-    }
-
-    /// The floorplan entry this enrollment configures.
-    pub fn spec(&self) -> &PairSpec {
-        &self.spec
     }
 
     /// Configuration applied to the top ring.
@@ -696,24 +807,87 @@ impl EnrolledPair {
     }
 }
 
-/// An enrolled PUF: per-pair configurations ready to generate responses.
-#[derive(Debug, Clone, PartialEq)]
+/// An enrolled PUF: per-pair configurations ready to generate responses,
+/// over the floorplan they were enrolled on.
+///
+/// Two enrollments are equal when they hold the same helper data: the
+/// operating point, the pair count, and pair by pair either an
+/// exclusion or the same units, configurations, bit and margin. How the
+/// floorplan is stated (a generator or unit lists) does not count, nor
+/// do the units of excluded pairs, which no envelope records.
+#[derive(Debug, Clone)]
 pub struct Enrollment {
+    floorplan: Arc<Floorplan>,
     pairs: Vec<Option<EnrolledPair>>,
     enrolled_at: Environment,
 }
 
+impl PartialEq for Enrollment {
+    fn eq(&self, other: &Self) -> bool {
+        self.enrolled_at == other.enrolled_at
+            && self.pairs.len() == other.pairs.len()
+            && self.pairs.iter().zip(&other.pairs).all(|pair| match pair {
+                (None, None) => true,
+                (Some(a), Some(b)) => a == b && self.spec(a) == other.spec(b),
+                _ => false,
+            })
+    }
+}
+
 impl Enrollment {
-    /// Reassembles an enrollment from its parts (used by
-    /// [`crate::persist`] and the baseline schemes).
-    pub(crate) fn from_parts(pairs: Vec<Option<EnrolledPair>>, enrolled_at: Environment) -> Self {
-        Self { pairs, enrolled_at }
+    /// Reassembles an enrollment of `pairs` over `floorplan`, pair `i`
+    /// at index `i` (used by [`crate::persist`] and the baseline
+    /// schemes).
+    pub(crate) fn from_parts(
+        floorplan: Arc<Floorplan>,
+        pairs: Vec<Option<EnrolledPair>>,
+        enrolled_at: Environment,
+    ) -> Self {
+        debug_assert_eq!(pairs.len(), floorplan.specs.len());
+        debug_assert!(pairs
+            .iter()
+            .enumerate()
+            .all(|(i, p)| p.as_ref().is_none_or(|p| p.index == i)));
+        Self {
+            floorplan,
+            pairs,
+            enrolled_at,
+        }
+    }
+
+    /// An enrollment over a floorplan listed pair by pair: each pair's
+    /// units and record, `None` for an excluded pair.
+    pub(crate) fn listed(
+        pairs: impl IntoIterator<Item = Option<(PairSpec, EnrolledPair)>>,
+        enrolled_at: Environment,
+    ) -> Self {
+        let (specs, pairs): (Vec<_>, Vec<_>) = pairs.into_iter().map(Option::unzip).unzip();
+        Self::from_parts(
+            Floorplan::recorded(Layout::Listed, specs),
+            pairs,
+            enrolled_at,
+        )
+    }
+
+    /// How the enrollment's floorplan was laid out.
+    pub(crate) fn layout(&self) -> Layout {
+        self.floorplan.layout
     }
 
     /// Per-pair enrollment records; `None` marks pairs excluded by the
     /// reliability threshold.
     pub fn pairs(&self) -> &[Option<EnrolledPair>] {
         &self.pairs
+    }
+
+    /// The units `pair`, one of this enrollment's [`pairs`](Self::pairs),
+    /// configures.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pair`'s index is outside this enrollment's floorplan.
+    pub fn spec(&self, pair: &EnrolledPair) -> &PairSpec {
+        &self.floorplan.specs[pair.index]
     }
 
     /// The operating point enrollment was performed at.
@@ -751,7 +925,7 @@ impl Enrollment {
     /// several operating-point corners or majority votes — without
     /// re-binding per read. Binding draws no randomness, so responses
     /// through the bound context are byte-identical to the unbound
-    /// methods. The ring views borrow the enrollment's unit lists, so
+    /// methods. The ring views borrow the floorplan's unit lists, so
     /// the one allocation is the list of bound pairs.
     ///
     /// # Panics
@@ -760,7 +934,12 @@ impl Enrollment {
     /// responding must use the same board).
     pub fn bind<'a, 'b: 'a>(&'b self, board: &'a Board) -> BoundEnrollment<'a, 'b> {
         let mut pairs = Vec::with_capacity(self.pairs.len());
-        pairs.extend(self.pairs.iter().flatten().map(|p| (p, p.spec.bind(board))));
+        pairs.extend(
+            self.pairs
+                .iter()
+                .flatten()
+                .map(|p| (p, self.spec(p).bind(board))),
+        );
         BoundEnrollment { pairs }
     }
 

@@ -70,7 +70,8 @@ impl TraditionalRoPuf {
         let pairs = self
             .specs()
             .iter()
-            .map(|spec| {
+            .enumerate()
+            .map(|(i, spec)| {
                 let config = ConfigVector::all_selected(spec.stages());
                 let pair = spec.bind(board);
                 let d_top = probe.measure_ps(rng, pair.top().ring_delay_ps(&config, env, tech));
@@ -81,7 +82,7 @@ impl TraditionalRoPuf {
                     None
                 } else {
                     Some(EnrolledPair::from_parts(
-                        spec.clone(),
+                        i,
                         config.clone(),
                         config,
                         diff > 0.0,
@@ -90,7 +91,7 @@ impl TraditionalRoPuf {
                 }
             })
             .collect();
-        Enrollment::from_parts(pairs, env)
+        self.floorplan.enrollment_of(pairs, env)
     }
 }
 

@@ -14,13 +14,13 @@ use ropuf_silicon::board::BoardId;
 use ropuf_silicon::{Environment, MeasureArena, SiliconSim};
 
 /// Enrolling one 34-pair board (480 units on a 16-wide grid, 7 stages,
-/// interleaved) into a warmed arena takes at most 180 allocator calls:
+/// interleaved) into a warmed arena takes at most 174 allocator calls:
 /// per pair, its two calibrations, one block of stage orders and its
 /// two configurations. Selection holds its corner views on the stack,
 /// moves the configurations out of the solver, and the enrolled pair
-/// shares the floorplan's unit lists. Provisioning enrolls every board.
+/// holds its index, not units. Provisioning enrolls every board.
 #[test]
-fn nominal_fleet_enrollment_takes_at_most_180_allocator_calls() {
+fn nominal_fleet_enrollment_takes_at_most_174_allocator_calls() {
     let sim = SiliconSim::default_spartan();
     let puf = ConfigurableRoPuf::tiled_interleaved(480, 7);
     let opts = EnrollOptions::default();
@@ -36,7 +36,7 @@ fn nominal_fleet_enrollment_takes_at_most_180_allocator_calls() {
     });
 
     assert_eq!(enrollment.pairs().len(), 34);
-    assert!(calls <= 180, "{calls} allocator calls for one enrollment");
+    assert!(calls <= 174, "{calls} allocator calls for one enrollment");
     // The warmed arena changes nothing but the allocations.
     assert_eq!(
         enrollment,

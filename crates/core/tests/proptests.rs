@@ -943,7 +943,7 @@ fn matches_records(
         .iter()
         .flatten()
         .map(|p| {
-            let (top, bottom) = (p.spec().top().to_vec(), p.spec().bottom().to_vec());
+            let (top, bottom) = (e.spec(p).top().to_vec(), e.spec(p).bottom().to_vec());
             (top, bottom, p.expected_bit(), p.margin_ps())
         })
         .collect();
@@ -959,7 +959,7 @@ fn matches_records(
     );
     prop_assert_eq!(e.enrolled_at(), enrolled_at);
     for p in e.pairs().iter().flatten() {
-        let all = ConfigVector::all_selected(p.spec().stages());
+        let all = ConfigVector::all_selected(e.spec(p).stages());
         prop_assert!(p.top_config() == &all && p.bottom_config() == &all);
     }
     match enrollment_from_text(&enrollment_to_text(e)) {

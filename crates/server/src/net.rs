@@ -178,6 +178,11 @@ fn spawn_accept_loop(
 
 /// Serves one protocol connection until EOF, reading and writing
 /// through the one descriptor the worker holds.
+///
+/// Replies go out when the read buffer holds no complete next frame:
+/// requests a client pipelined into one write are answered in one
+/// write, and a reply is never held back while the next read could
+/// wait on the socket, a partly buffered frame included.
 fn handle_connection(service: &PufService, stream: &TcpStream) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     let conn = NEXT_CONN.fetch_add(1, Ordering::Relaxed);
@@ -193,9 +198,20 @@ fn handle_connection(service: &PufService, stream: &TcpStream) -> io::Result<()>
             },
         };
         write_frame(&mut writer, &reply.encode())?;
-        writer.flush()?;
+        if !holds_frame(reader.buffer()) {
+            writer.flush()?;
+        }
     }
     Ok(())
+}
+
+/// Whether `buffered` starts with a whole frame, which the next
+/// `read_frame` returns without reading the socket.
+fn holds_frame(buffered: &[u8]) -> bool {
+    match buffered.split_first_chunk() {
+        Some((len, body)) => body.len() as u64 >= u64::from(u32::from_le_bytes(*len)),
+        None => false,
+    }
 }
 
 impl ServerHandle {
@@ -356,6 +372,103 @@ mod tests {
         assert!(matches!(Reply::decode(&body).unwrap(), Reply::Error { .. }));
         server.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `requests`, each framed, in one buffer.
+    fn frames(requests: &[Request]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for request in requests {
+            write_frame(&mut bytes, &request.encode()).unwrap();
+        }
+        bytes
+    }
+
+    fn read_reply(reader: &mut impl io::Read) -> Reply {
+        let body = read_frame(reader).unwrap().expect("a reply");
+        Reply::decode(&body).unwrap()
+    }
+
+    #[test]
+    fn requests_pipelined_in_one_write_are_answered_in_order() {
+        use std::io::Write as _;
+        let fx = enrolled_fixture(34);
+        let (server, dir) = spawn("net-pipelined", 1);
+        let auth = |nonce| Request::Auth {
+            device_id: 1,
+            nonce,
+            response: WireBits::new(fx.expected.iter().map(Some).collect()),
+        };
+        // Each reply depends on the requests before it, so an answer out
+        // of order reads as the wrong reply.
+        let requests = [
+            Request::Enroll {
+                device_id: 1,
+                enrollment: fx.enrollment_bytes.clone(),
+                key_code: fx.key_code_bytes.clone(),
+            },
+            auth(1),
+            auth(1),
+            Request::Revoke { device_id: 1 },
+            Request::Revoke { device_id: 1 },
+        ];
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(&frames(&requests)).unwrap();
+        let mut reader = BufReader::new(stream);
+        assert!(matches!(read_reply(&mut reader), Reply::Enrolled { bits } if bits > 0));
+        assert!(matches!(
+            read_reply(&mut reader),
+            Reply::AuthOk { flips: 0, .. }
+        ));
+        assert_eq!(
+            read_reply(&mut reader),
+            Reply::Reject {
+                reason: RejectReason::Replay
+            }
+        );
+        assert_eq!(read_reply(&mut reader), Reply::Revoked);
+        assert_eq!(
+            read_reply(&mut reader),
+            Reply::Reject {
+                reason: RejectReason::UnknownDevice
+            }
+        );
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_reply_is_not_held_back_by_a_partly_sent_next_frame() {
+        use std::io::Write as _;
+        let (server, dir) = spawn("net-partial", 1);
+        let revoke = frames(&[Request::Revoke { device_id: 9 }]);
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // A whole frame and the first bytes of the next in one write:
+        // the first reply must come before the rest is sent.
+        let mut bytes = revoke.clone();
+        bytes.extend_from_slice(&revoke[..3]);
+        stream.write_all(&bytes).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let unknown = Reply::Reject {
+            reason: RejectReason::UnknownDevice,
+        };
+        assert_eq!(read_reply(&mut reader), unknown);
+        stream.write_all(&revoke[3..]).unwrap();
+        assert_eq!(read_reply(&mut reader), unknown);
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn holds_frame_needs_the_whole_next_frame() {
+        assert!(!holds_frame(&[]));
+        assert!(!holds_frame(&[2, 0, 0]));
+        assert!(!holds_frame(&[2, 0, 0, 0, 7]));
+        assert!(holds_frame(&[2, 0, 0, 0, 7, 8]));
+        assert!(holds_frame(&[0, 0, 0, 0]));
+        assert!(!holds_frame(&[0xff, 0xff, 0xff, 0xff, 1]));
     }
 
     #[test]

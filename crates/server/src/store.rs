@@ -837,6 +837,159 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// One `ropuf enroll --seed 7` enrollment as committed under
+    /// `tests/golden`: its v1 envelope (`<name>.v1.enr`, written before
+    /// v2) framed as stores written before v2 hold it (`ROPF`, version
+    /// 1, the v1 text), its v2 envelope (`<name>.enr`) framed as stores
+    /// hold it now, and a Key Code issued from it.
+    fn golden_enrollment(name: &str) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+        use rand::SeedableRng;
+        use ropuf_core::lifecycle::Device;
+        use ropuf_core::persist::{enrollment_from_bytes, MAGIC};
+        use ropuf_core::puf::EnrollOptions;
+        use ropuf_silicon::{Environment, SiliconSim};
+
+        let framed = |version: u16, file: String| {
+            let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&version.to_le_bytes());
+            bytes.extend_from_slice(&fs::read(path.join(file)).unwrap());
+            bytes
+        };
+        let v1 = framed(1, format!("{name}.v1.enr"));
+        let v2 = framed(2, format!("{name}.enr"));
+        let enrollment = enrollment_from_bytes(&v1).unwrap();
+        assert_eq!(enrollment_from_bytes(&v2).unwrap(), enrollment);
+        let mut sim = SiliconSim::default_spartan();
+        let board = sim.grow_board(&mut rand::rngs::StdRng::seed_from_u64(7), 480, 16);
+        let device = Device::resume(
+            &board,
+            sim.technology(),
+            Environment::nominal(),
+            EnrollOptions::default(),
+            enrollment,
+        )
+        .unwrap();
+        let key_code = device.issue_key(7, 3).unwrap().to_bytes();
+        (v1, v2, key_code)
+    }
+
+    #[test]
+    fn v1_records_reopen_authenticate_and_derive_keys_as_their_v2_twins() {
+        use crate::proto::{Reply, Request, WireBits};
+        use crate::service::{PufService, ServiceConfig};
+        let dir = temp_dir("store-v1-records");
+        let names = ["enroll_seed7", "enroll_seed7_case2_threshold10"];
+        let fixtures: Vec<_> = names.iter().map(|name| golden_enrollment(name)).collect();
+        {
+            let store = Store::open(&dir, 2, FsyncPolicy::EveryRecord).unwrap();
+            for (d, (v1, v2, key_code)) in (0u64..).zip(&fixtures) {
+                let v1_bits = store.enroll(d, v1, key_code).unwrap();
+                assert_eq!(store.enroll(100 + d, v2, key_code).unwrap(), v1_bits);
+            }
+        }
+        let store = Store::open(&dir, 2, FsyncPolicy::EveryRecord).unwrap();
+        assert_eq!(store.len(), 4);
+        let expected: Vec<BitVec> = (0..2)
+            .map(|d| {
+                let [v1, v2] =
+                    [d, 100 + d].map(|id| store.with_device(id, |s| s.unwrap().expected.clone()));
+                assert_eq!(v1, v2, "device {d}");
+                v1
+            })
+            .collect();
+        let service = PufService::new(store, ServiceConfig::default());
+        for (d, bits) in (0u64..).zip(&expected) {
+            let response = || WireBits::new(bits.iter().map(Some).collect());
+            let replies = [d, 100 + d].map(|device_id| {
+                let auth = service.handle(&Request::Auth {
+                    device_id,
+                    nonce: 1,
+                    response: response(),
+                });
+                let key = service.handle(&Request::DeriveKey {
+                    device_id,
+                    nonce: 2,
+                    response: response(),
+                });
+                (auth, key)
+            });
+            assert!(
+                matches!(replies[0].0, Reply::AuthOk { flips: 0, .. }),
+                "{replies:?}"
+            );
+            assert!(matches!(replies[0].1, Reply::Key { .. }), "{replies:?}");
+            assert_eq!(replies[0], replies[1], "device {d}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_v1_enroll_superseded_by_a_v2_reenroll_replays_to_the_v2_generation() {
+        let dir = temp_dir("store-v1-then-v2");
+        let (v1, _, key_code) = golden_enrollment("enroll_seed7");
+        let (_, v2, new_key_code) = golden_enrollment("enroll_seed7_case2_threshold10");
+        {
+            let store = Store::open(&dir, 1, FsyncPolicy::EveryRecord).unwrap();
+            store.enroll(3, &v1, &key_code).unwrap();
+            assert_eq!(store.supersede(3, &v2, &new_key_code).unwrap().1, 1);
+        }
+        let store = Store::open(&dir, 1, FsyncPolicy::EveryRecord).unwrap();
+        let want = ropuf_core::persist::expected_bits_from_bytes(&v2).unwrap();
+        store.with_device(3, |d| {
+            let d = d.expect("device survived reopen");
+            assert_eq!(d.generation, 1);
+            assert_eq!(d.expected, want);
+            assert_eq!(d.key_code.to_bytes(), new_key_code);
+        });
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_generator_line_at_odds_with_its_pairs_is_refused_on_enroll_and_replay() {
+        let (_, v2, key_code) = golden_enrollment("enroll_seed7");
+        let generator: &[u8] = b"floorplan,tiled_interleaved,480,7\n";
+        let at = v2
+            .windows(generator.len())
+            .position(|w| w == generator)
+            .expect("the fleet envelope names its generator");
+        for line in [
+            &b"floorplan,tiled_interleaved,500,7\n"[..],
+            b"floorplan,tiled_interleaved,480,6\n",
+            b"floorplan,tiled,18446744073709551615,7\n",
+        ] {
+            let mut bad = v2[..at].to_vec();
+            bad.extend_from_slice(line);
+            bad.extend_from_slice(&v2[at + generator.len()..]);
+            let dir = temp_dir("store-bad-generator");
+            let store = Store::open(&dir, 1, FsyncPolicy::EveryRecord).unwrap();
+            assert!(
+                matches!(
+                    store.enroll(1, &bad, &key_code),
+                    Err(StoreError::BadPayload(_))
+                ),
+                "{}",
+                String::from_utf8_lossy(line)
+            );
+            drop(store);
+            let mut record = vec![KIND_ENROLL];
+            record.extend_from_slice(&1u64.to_le_bytes());
+            for payload in [&bad, &key_code] {
+                record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                record.extend_from_slice(payload);
+            }
+            let path = dir.join("shard_000.log");
+            let mut bytes = fs::read(&path).unwrap();
+            bytes.extend_from_slice(&record);
+            fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                Store::open(&dir, 1, FsyncPolicy::EveryRecord),
+                Err(StoreError::Corrupt { .. })
+            ));
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
     #[test]
     fn nonce_ring_evicts_oldest() {
         let fx = enrolled_fixture(15);

@@ -77,9 +77,6 @@ fn an_empty_configuration_field_is_rejected_and_the_worker_survives() {
     // enrollment: the sender got no reply, and with one worker no later
     // connection was served.
     let (server, dir) = spawn_server("empty-config", 1);
-    let mut envelope = MAGIC.to_vec();
-    envelope.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    envelope.extend_from_slice(b"ropuf-enrollment v1\nenv,1.2,25\npair,0,1,2,,,0,1.0\n");
     let (_, key_code, _) = enrolled_device(5);
     let call = |request: &Request| -> Option<Reply> {
         let mut stream = TcpStream::connect(server.addr()).expect("connects");
@@ -89,17 +86,32 @@ fn an_empty_configuration_field_is_rejected_and_the_worker_survives() {
         write_frame(&mut stream, &request.encode()).ok()?;
         Reply::decode(&read_frame(&mut stream).ok()??).ok()
     };
-    let bad = Request::Enroll {
-        device_id: 1,
-        enrollment: envelope,
-        key_code,
-    };
-    assert_eq!(
-        call(&bad),
-        Some(Reply::Reject {
-            reason: RejectReason::BadRequest
-        })
-    );
+    // In either envelope version.
+    for (version, text) in [
+        (
+            1u16,
+            &b"ropuf-enrollment v1\nenv,1.2,25\npair,0,1,2,,,0,1.0\n"[..],
+        ),
+        (
+            FORMAT_VERSION,
+            b"ropuf-enrollment v2\nenv,1.2,25\nfloorplan,listed\npair,0,1,2,,,0,1.0\n",
+        ),
+    ] {
+        let mut envelope = MAGIC.to_vec();
+        envelope.extend_from_slice(&version.to_le_bytes());
+        envelope.extend_from_slice(text);
+        let bad = Request::Enroll {
+            device_id: 1,
+            enrollment: envelope,
+            key_code: key_code.clone(),
+        };
+        assert_eq!(
+            call(&bad),
+            Some(Reply::Reject {
+                reason: RejectReason::BadRequest
+            })
+        );
+    }
     assert_eq!(
         call(&Request::Revoke { device_id: 1 }),
         Some(Reply::Reject {

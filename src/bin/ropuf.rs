@@ -567,7 +567,7 @@ fn fleet(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let units = get(opts, "units", 480usize)?;
     let stages = get(opts, "stages", 7usize)?;
     let cols = get(opts, "cols", 16usize)?;
-    let threads = get(opts, "threads", worker_threads())?;
+    let threads = positive(opts, "threads", worker_threads())?;
     let votes = get(opts, "votes", 1usize)?;
     let threshold = get(opts, "threshold", 0.0f64)?;
     let faults = fault_plan(opts)?;
@@ -667,7 +667,7 @@ fn monitor(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let units = get(opts, "units", 120usize)?;
     let stages = get(opts, "stages", 5usize)?;
     let cols = get(opts, "cols", 8usize)?;
-    let threads = get(opts, "threads", worker_threads())?;
+    let threads = positive(opts, "threads", worker_threads())?;
     let years = years(opts, 5.0)?;
     let threshold = get(opts, "threshold", 0.0f64)?;
     let sweep = match opts.get("sweep").map(String::as_str) {
@@ -963,7 +963,10 @@ fn respond(opts: &HashMap<String, String>) -> Result<(), CliError> {
         .pairs()
         .iter()
         .flatten()
-        .flat_map(|p| p.spec().top().iter().chain(p.spec().bottom()))
+        .flat_map(|p| {
+            let spec = enrollment.spec(p);
+            spec.top().iter().chain(spec.bottom())
+        })
         .max()
         .map_or(1, |&unit| unit + 1);
     if units < needed {

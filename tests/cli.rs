@@ -175,20 +175,26 @@ fn enroll_then_respond_at_corner() {
 #[test]
 fn respond_rejects_an_enrollment_with_an_empty_configuration() {
     // An empty configuration field is a typed parse error (exit 1), not
-    // a panic (exit 101).
+    // a panic (exit 101), in either envelope version.
     let enrollment = tmp("empty-config.enrollment");
-    std::fs::write(
-        &enrollment,
-        "ropuf-enrollment v1\nenv,1.2,25\npair,0,1,2,,,0,1.0\n",
-    )
-    .expect("enrollment written");
-    let out = ropuf(&["respond", "--enrollment", enrollment.to_str().unwrap()]);
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{err}");
-    assert!(
-        err.contains("line 3: configuration length does not match the pair"),
-        "{err}"
-    );
+    for (text, line) in [
+        ("ropuf-enrollment v1\nenv,1.2,25\npair,0,1,2,,,0,1.0\n", 3),
+        (
+            "ropuf-enrollment v2\nenv,1.2,25\nfloorplan,tiled,2,1\npair,0,,,0,1.0\n",
+            4,
+        ),
+    ] {
+        std::fs::write(&enrollment, text).expect("enrollment written");
+        let out = ropuf(&["respond", "--enrollment", enrollment.to_str().unwrap()]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{err}");
+        assert!(
+            err.contains(&format!(
+                "line {line}: configuration length does not match the pair"
+            )),
+            "{err}"
+        );
+    }
 }
 
 #[test]
@@ -900,7 +906,8 @@ fn monitor_flag_parse_failures_are_typed_nonzero_exits() {
 }
 
 /// Both fleet-engine commands refuse a zero worker count with the
-/// engine's typed error instead of quietly running on one thread.
+/// error every command gives it, naming the flag, instead of quietly
+/// running on one thread.
 #[test]
 fn fleet_and_monitor_refuse_zero_threads() {
     for command in ["fleet", "monitor"] {
@@ -908,7 +915,7 @@ fn fleet_and_monitor_refuse_zero_threads() {
         assert!(!out.status.success(), "{command} --threads 0 must fail");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            err.contains("error: fleet: thread count must be nonzero"),
+            err.contains("error: --threads must be at least 1"),
             "{command}: {err}"
         );
     }

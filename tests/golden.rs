@@ -113,6 +113,50 @@ fn enroll_envelope_with_four_digit_units() {
     );
 }
 
+/// The three enrollments above as `(name, extra respond flags)`: the
+/// board `respond` regrows needs the units `enroll` grew.
+const ENROLLMENTS: [(&str, &[&str]); 3] = [
+    ("enroll_seed7", &[]),
+    ("enroll_seed7_case2_threshold10", &[]),
+    (
+        "enroll_seed7_units2000_stages13_case2",
+        &["--units", "2000"],
+    ),
+];
+
+/// `respond` answers each committed v1 envelope (`<name>.v1.enr`) and
+/// its v2 envelope (`<name>.enr`) alike, at nominal and at 0.98 V, and
+/// both answer as `respond.txt` records.
+#[test]
+fn respond_reads_v1_and_v2_envelopes_alike() {
+    let responses = |suffix: &str| -> Vec<u8> {
+        let mut stdout = Vec::new();
+        for (name, flags) in ENROLLMENTS {
+            let file = golden_path(&format!("{name}{suffix}"));
+            for voltage in ["1.2", "0.98"] {
+                let mut args = vec![
+                    "respond",
+                    "--enrollment",
+                    file.to_str().unwrap(),
+                    "--seed",
+                    "7",
+                    "--voltage",
+                    voltage,
+                ];
+                args.extend_from_slice(flags);
+                stdout.extend(run(&args));
+            }
+        }
+        stdout
+    };
+    let v1 = responses(".v1.enr");
+    assert!(
+        v1 == responses(".enr"),
+        "v1 and v2 envelopes answer differently"
+    );
+    check("respond.txt", &v1, "respond on the committed envelopes");
+}
+
 #[test]
 fn serve_drill_transcript() {
     let dir = store("drill");

@@ -194,7 +194,7 @@ fn configured_rings_oscillate_under_force_odd() {
     );
     let counter = ropuf::silicon::FrequencyCounter::ideal();
     for pair in enrollment.pairs().iter().flatten() {
-        let bound = pair.spec().bind(&board);
+        let bound = enrollment.spec(pair).bind(&board);
         // Both rings must free-run: frequency measurement succeeds.
         bound
             .top()
