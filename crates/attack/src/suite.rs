@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use ropuf_core::config::ParityPolicy;
 use ropuf_telemetry as telemetry;
+use telemetry::json::Value;
 use telemetry::MemorySink;
 
 use crate::count_leak::{count_leak, degenerate_distinguisher};
@@ -290,51 +291,42 @@ impl SuiteReport {
         out
     }
 
-    /// Renders the report as JSON. Keys are unique across the whole
-    /// document, so flat first-occurrence scans (the `check-bench`
-    /// extractor) read the same values a real parser would.
+    /// Renders the report as a JSON document. Accuracies, advantages
+    /// and rates carry the six decimal places the report prints.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.config.seed));
-        out.push_str(&format!("  \"boards\": {},\n", self.config.boards));
-        // The thread count is deliberately absent: the document must be
-        // byte-identical across `--threads` values for the CI diff.
-        out.push_str(&format!("  \"stages\": {},\n", self.config.stages));
-        out.push_str("  \"attacks\": {\n");
-        let n = self.outcomes.len();
-        for (i, o) in self.outcomes.iter().enumerate() {
-            out.push_str(&format!(
-                "    \"{}\": {{ \"{}_accuracy\": {:.6}, \"{}_advantage\": {:.6}, \"{}_samples\": {} }}{}\n",
-                o.name,
-                o.name,
-                o.accuracy,
-                o.name,
-                o.advantage,
-                o.name,
-                o.samples,
-                if i + 1 < n { "," } else { "" }
-            ));
-        }
-        out.push_str("  },\n");
-        out.push_str(&format!(
-            "  \"forced_tie_rate\": {:.6},\n",
-            self.forced_tie_rate
-        ));
-        out.push_str(&format!(
-            "  \"telemetry_degenerate\": {},\n",
-            self.telemetry_degenerate
-        ));
-        out.push_str(&format!(
-            "  \"telemetry_degenerate_zero_bias\": {},\n",
-            self.telemetry_degenerate_zero_bias
-        ));
-        out.push_str(&format!(
-            "  \"ordering_recovery\": {:.6}\n",
-            self.ordering_recovery
-        ));
-        out.push('}');
-        out
+        let rounded = |x: f64| Value::from(six_places(x));
+        let attacks = self.outcomes.iter().map(|o| {
+            let key = |field: &str| format!("{}_{field}", o.name);
+            let attack = Value::object([
+                (key("accuracy"), rounded(o.accuracy)),
+                (key("advantage"), rounded(o.advantage)),
+                (key("samples"), Value::from(o.samples)),
+            ]);
+            (o.name, attack)
+        });
+        let degenerate = self.telemetry_degenerate;
+        let zero_bias = self.telemetry_degenerate_zero_bias;
+        Value::object([
+            ("seed", Value::from(self.config.seed)),
+            ("boards", Value::from(self.config.boards)),
+            // The thread count is deliberately absent: the document must
+            // be byte-identical across `--threads` values for the CI diff.
+            ("stages", Value::from(self.config.stages)),
+            ("attacks", Value::object(attacks)),
+            ("forced_tie_rate", rounded(self.forced_tie_rate)),
+            ("telemetry_degenerate", Value::from(degenerate)),
+            ("telemetry_degenerate_zero_bias", Value::from(zero_bias)),
+            ("ordering_recovery", rounded(self.ordering_recovery)),
+        ])
+        .to_document()
     }
+}
+
+/// `x` rounded to six decimal places: the value its `{:.6}` text reads.
+fn six_places(x: f64) -> f64 {
+    format!("{x:.6}")
+        .parse()
+        .expect("Rust reads back its own formatting")
 }
 
 #[cfg(test)]
@@ -436,11 +428,16 @@ mod tests {
     fn render_and_json_name_every_attack() {
         let report = SuiteReport::run(&small());
         let text = report.render();
-        let json = report.to_json();
+        let doc = telemetry::json::parse(&report.to_json()).expect("the report is JSON");
         for o in &report.outcomes {
             assert!(text.contains(o.name), "render missing {}", o.name);
-            assert!(json.contains(&format!("\"{}_advantage\"", o.name)));
+            let advantage = doc
+                .get("attacks")
+                .and_then(|a| a.get(o.name))
+                .and_then(|a| a.get(&format!("{}_advantage", o.name)))
+                .and_then(telemetry::json::Value::as_f64);
+            assert_eq!(advantage, Some(six_places(o.advantage)), "{}", o.name);
         }
-        assert!(json.contains("\"forced_tie_rate\""));
+        assert!(doc.get("forced_tie_rate").is_some());
     }
 }

@@ -22,6 +22,7 @@ use ropuf_bench::experiments::{
     uniqueness,
 };
 use ropuf_core::puf::SelectionMode;
+use ropuf_telemetry::json::{self, Value};
 
 struct Options {
     seed: u64,
@@ -336,7 +337,11 @@ fn run_to_stdout(command: &str, opts: &Options) -> bool {
                 std::process::exit(1);
             };
             let baseline_text = read_or_exit(baseline_path);
-            if check::ServeRecord::is_serve_record(&baseline_text) {
+            // A baseline that is not JSON goes to the fleet gate, which
+            // reports the parse error.
+            let serve = json::parse(&baseline_text)
+                .is_ok_and(|doc| doc.get("kind").and_then(Value::as_str) == Some("serve"));
+            if serve {
                 check_bench_serve(opts, &baseline_text);
             } else {
                 check_bench_fleet(opts, &baseline_text);
@@ -529,7 +534,7 @@ fn check_bench_serve(opts: &Options, baseline_text: &str) {
             let max_scale = baseline
                 .scales
                 .iter()
-                .map(|s| scale_of(&s.label))
+                .map(|s| s.enrolled as usize)
                 .max()
                 .unwrap_or(100_000);
             eprintln!(
@@ -560,7 +565,7 @@ fn check_bench_serve(opts: &Options, baseline_text: &str) {
             best.deterministic = runs.iter().all(|r| r.deterministic);
             for scale in &mut best.scales {
                 for run in &runs[1..] {
-                    if let Some(other) = run.scales.iter().find(|s| s.label == scale.label) {
+                    if let Some(other) = run.scales.iter().find(|s| s.enrolled == scale.enrolled) {
                         if other.auth_ops_per_sec > scale.auth_ops_per_sec {
                             scale.auth_ops_per_sec = other.auth_ops_per_sec;
                             scale.p99_us = other.p99_us;
@@ -580,7 +585,9 @@ fn check_bench_serve(opts: &Options, baseline_text: &str) {
                 .iter()
                 .map(|s| format!(
                     "{}: {:.0} ops/sec p99 {:.1} us",
-                    s.label, s.auth_ops_per_sec, s.p99_us
+                    s.label(),
+                    s.auth_ops_per_sec,
+                    s.p99_us
                 ))
                 .collect::<Vec<_>>()
                 .join(", "),
@@ -590,14 +597,4 @@ fn check_bench_serve(opts: &Options, baseline_text: &str) {
     describe("fresh   ", &fresh);
     let (violations, notes) = check::compare_serve_with_notes(&baseline, &fresh);
     finish_gate(&violations, &notes);
-}
-
-/// Maps a flattened-key scale label back to its enrolled-fleet size.
-fn scale_of(label: &str) -> usize {
-    match label {
-        "10k" => 10_000,
-        "100k" => 100_000,
-        "1m" => 1_000_000,
-        other => other.parse().unwrap_or(0),
-    }
 }

@@ -18,12 +18,29 @@
 //! * **throughput** may regress only by a bounded fraction
 //!   (wall-clock is noisy, so improvements and small dips pass).
 //!
-//! Records are the hand-rolled JSON written by
-//! [`crate::experiments::fleet_engine::Outcome::to_json`]; parsing
-//! reuses the first-occurrence scanner from the telemetry health layer
-//! (the workspace carries no serde).
+//! Records are the JSON documents written by
+//! [`crate::experiments::fleet_engine::Outcome::to_json`] and
+//! [`crate::experiments::serve::Outcome::to_json`], read with
+//! [`ropuf_telemetry::json`]. A record that is not JSON, or a field of
+//! the wrong type, is a parse error. A within-record claim field that
+//! is present but not a finite number is a violation naming the field;
+//! only an absent one is grandfathered.
 
-use ropuf_telemetry::health::extract_number;
+use ropuf_telemetry::json::{self, Value};
+
+use crate::experiments::serve::scale_label;
+
+/// One within-record claim field of a fleet record.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Claim {
+    /// The record predates the field.
+    Absent,
+    /// The field holds this number.
+    Number(f64),
+    /// The field is present but holds `null`, a string or another
+    /// non-number.
+    NotANumber,
+}
 
 /// The comparable subset of a `BENCH_fleet.json` record.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,87 +69,99 @@ pub struct BenchRecord {
     /// pre-curve records.
     pub speedup_curve: Vec<(u64, f64)>,
     /// Worst-corner flip rate of the aged fleet under nominal-only
-    /// enrollment, when the record carries the corner-objective
-    /// comparison.
-    pub worst_corner_flip_rate_nominal: Option<f64>,
+    /// enrollment (`corner_objective.worst_corner_flip_rate_nominal`).
+    pub worst_corner_flip_rate_nominal: Claim,
     /// Worst-corner flip rate of the same aged fleet under the
     /// multi-corner objective; the gate demands this sits strictly
     /// below the nominal-only rate.
-    pub worst_corner_flip_rate_multi_corner: Option<f64>,
-    /// Count-leak attack advantage against the guarded Case-2 kernel,
-    /// when the record carries the attack headline. The gate demands
-    /// this stays below `GUARDED_ADVANTAGE_CEILING` (0.1).
-    pub attacker_advantage_guarded: Option<f64>,
+    pub worst_corner_flip_rate_multi_corner: Claim,
+    /// Count-leak attack advantage against the guarded Case-2 kernel
+    /// (`attack.attacker_advantage_guarded`). The gate demands this
+    /// stays below `GUARDED_ADVANTAGE_CEILING` (0.1).
+    pub attacker_advantage_guarded: Claim,
     /// The same attack's advantage against the deliberately unguarded
     /// kernel — the canary proving the attack still has teeth; the gate
     /// demands it stays above `BROKEN_ADVANTAGE_FLOOR` (0.2).
-    pub attacker_advantage_broken: Option<f64>,
+    pub attacker_advantage_broken: Claim,
 }
 
 impl BenchRecord {
     /// Parses the fields this gate compares out of a bench JSON
-    /// document. Errors name the first missing field.
+    /// document. Errors name the first missing or mistyped field.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let number = |key: &str| {
-            extract_number(text, key).ok_or_else(|| format!("missing numeric field {key:?}"))
+        let doc = parse_record(text)?;
+        let speedup_curve = field(&doc, "speedup_curve", "an array", Value::as_array)?
+            .unwrap_or_default()
+            .iter()
+            .map(|p| {
+                Ok((
+                    required(p, "threads", COUNT, Value::as_u64)?,
+                    required(p, "speedup", NUMBER, Value::as_f64)?,
+                ))
+            })
+            .collect::<Result<_, String>>()
+            .map_err(|e| format!("speedup_curve: {e}"))?;
+        let claim = |section: &str, key: &str| {
+            let section = field(&doc, section, "an object", |v| {
+                matches!(v, Value::Object(_)).then_some(v)
+            })?;
+            Ok::<_, String>(match section.and_then(|s| s.get(key)) {
+                None => Claim::Absent,
+                Some(v) => v.as_f64().map_or(Claim::NotANumber, Claim::Number),
+            })
         };
-        let boards = number("boards")? as u64;
-        let bits_per_board = number("bits_per_board")? as u64;
-        let boards_per_sec = number("boards_per_sec")?;
-        let deterministic = if text.contains("\"deterministic\": true") {
-            true
-        } else if text.contains("\"deterministic\": false") {
-            false
-        } else {
-            return Err("missing boolean field \"deterministic\"".to_string());
-        };
+        let objective = |key| claim("corner_objective", key);
         Ok(Self {
-            boards,
-            bits_per_board,
-            boards_per_sec,
-            deterministic,
-            uniqueness: extract_number(text, "uniqueness"),
-            threads: extract_number(text, "threads").map(|t| t as u64),
-            cores: extract_number(text, "cores").map(|c| c as u64),
-            speedup_curve: parse_speedup_curve(text),
-            worst_corner_flip_rate_nominal: extract_number(text, "worst_corner_flip_rate_nominal"),
-            worst_corner_flip_rate_multi_corner: extract_number(
-                text,
-                "worst_corner_flip_rate_multi_corner",
-            ),
-            attacker_advantage_guarded: extract_number(text, "attacker_advantage_guarded"),
-            attacker_advantage_broken: extract_number(text, "attacker_advantage_broken"),
+            boards: required(&doc, "boards", COUNT, Value::as_u64)?,
+            bits_per_board: required(&doc, "bits_per_board", COUNT, Value::as_u64)?,
+            boards_per_sec: required(&doc, "boards_per_sec", NUMBER, Value::as_f64)?,
+            deterministic: required(&doc, "deterministic", "a boolean", Value::as_bool)?,
+            uniqueness: match doc.get("uniqueness") {
+                Some(Value::Null) => None,
+                _ => field(&doc, "uniqueness", "a number or null", Value::as_f64)?,
+            },
+            threads: field(&doc, "threads", COUNT, Value::as_u64)?,
+            cores: field(&doc, "cores", COUNT, Value::as_u64)?,
+            speedup_curve,
+            worst_corner_flip_rate_nominal: objective("worst_corner_flip_rate_nominal")?,
+            worst_corner_flip_rate_multi_corner: objective("worst_corner_flip_rate_multi_corner")?,
+            attacker_advantage_guarded: claim("attack", "attacker_advantage_guarded")?,
+            attacker_advantage_broken: claim("attack", "attacker_advantage_broken")?,
         })
     }
 }
 
-/// Extracts the `"speedup_curve": [{"threads": …, "speedup": …}, …]`
-/// array. The top-level `"threads"`/`"speedup"` keys come first in the
-/// document, so the first-occurrence scanner cannot read the curve
-/// entries directly; this slices the array out and scans each `{…}`
-/// chunk on its own. Records without the key (or with an empty array)
-/// parse to an empty curve.
-fn parse_speedup_curve(text: &str) -> Vec<(u64, f64)> {
-    let Some(key_at) = text.find("\"speedup_curve\"") else {
-        return Vec::new();
-    };
-    let tail = &text[key_at..];
-    let Some(open) = tail.find('[') else {
-        return Vec::new();
-    };
-    let Some(close) = tail[open..].find(']') else {
-        return Vec::new();
-    };
-    // Entries are flat objects (no nested arrays), so the first `]`
-    // closes the curve; split the slice into per-point `{…}` chunks.
-    tail[open + 1..open + close]
-        .split('}')
-        .filter_map(|chunk| {
-            let threads = extract_number(chunk, "threads")?;
-            let speedup = extract_number(chunk, "speedup")?;
-            Some((threads as u64, speedup))
+/// What a count or a number field must hold, as parse errors say it.
+const COUNT: &str = "a non-negative integer";
+const NUMBER: &str = "a number";
+
+fn parse_record(text: &str) -> Result<Value, String> {
+    json::parse(text).map_err(|e| format!("not a JSON record: {e}"))
+}
+
+/// Member `key` of `doc` read by `read`: `None` when absent, an error
+/// naming the field when present but not `wanted`.
+fn field<'a, T>(
+    doc: &'a Value,
+    key: &str,
+    wanted: &str,
+    read: impl Fn(&'a Value) -> Option<T>,
+) -> Result<Option<T>, String> {
+    doc.get(key)
+        .map(|v| {
+            read(v).ok_or_else(|| format!("field {key:?} must be {wanted}, not {}", v.to_line()))
         })
-        .collect()
+        .transpose()
+}
+
+/// Like [`field`], but an absent member is an error too.
+fn required<'a, T>(
+    doc: &'a Value,
+    key: &str,
+    wanted: &str,
+    read: impl Fn(&'a Value) -> Option<T>,
+) -> Result<T, String> {
+    field(doc, key, wanted, read)?.ok_or_else(|| format!("missing field {key:?}"))
 }
 
 /// Largest accepted fractional throughput loss (0.25 = fresh may be up
@@ -284,11 +313,17 @@ fn check_corner_objective(
     violations: &mut Vec<String>,
     notes: &mut Vec<String>,
 ) {
-    match (
-        record.worst_corner_flip_rate_nominal,
-        record.worst_corner_flip_rate_multi_corner,
-    ) {
-        (Some(nominal), Some(multi)) => {
+    let nominal = record.worst_corner_flip_rate_nominal;
+    let multi = record.worst_corner_flip_rate_multi_corner;
+    let fields = [
+        ("worst_corner_flip_rate_nominal", nominal),
+        ("worst_corner_flip_rate_multi_corner", multi),
+    ];
+    if not_a_number(label, fields, violations) {
+        return;
+    }
+    match (nominal, multi) {
+        (Claim::Number(nominal), Claim::Number(multi)) => {
             if multi >= nominal {
                 violations.push(format!(
                     "{label} corner objective inverted: multi-corner worst-corner flip rate \
@@ -296,7 +331,7 @@ fn check_corner_objective(
                 ));
             }
         }
-        (None, None) => notes.push(format!(
+        (Claim::Absent, Claim::Absent) => notes.push(format!(
             "corner-objective gate skipped: {label} record predates the \
              worst_corner_flip_rate fields"
         )),
@@ -305,6 +340,20 @@ fn check_corner_objective(
              the corner-objective claim needs both arms"
         )),
     }
+}
+
+/// Pushes a violation for each of `fields` that is present but not a
+/// number; returns whether there was one.
+fn not_a_number(label: &str, fields: [(&str, Claim); 2], violations: &mut Vec<String>) -> bool {
+    let before = violations.len();
+    for (name, claim) in fields {
+        if claim == Claim::NotANumber {
+            violations.push(format!(
+                "{label} record field {name:?} is present but not a finite number"
+            ));
+        }
+    }
+    violations.len() > before
 }
 
 /// Largest count-leak advantage the guarded kernel may concede. The
@@ -332,11 +381,17 @@ fn check_attack_guard(
     violations: &mut Vec<String>,
     notes: &mut Vec<String>,
 ) {
-    match (
-        record.attacker_advantage_guarded,
-        record.attacker_advantage_broken,
-    ) {
-        (Some(guarded), Some(broken)) => {
+    let guarded = record.attacker_advantage_guarded;
+    let broken = record.attacker_advantage_broken;
+    let fields = [
+        ("attacker_advantage_guarded", guarded),
+        ("attacker_advantage_broken", broken),
+    ];
+    if not_a_number(label, fields, violations) {
+        return;
+    }
+    match (guarded, broken) {
+        (Claim::Number(guarded), Claim::Number(broken)) => {
             if guarded > GUARDED_ADVANTAGE_CEILING {
                 violations.push(format!(
                     "{label} guarded kernel leaks: count-leak advantage {guarded} exceeds \
@@ -351,7 +406,7 @@ fn check_attack_guard(
                 ));
             }
         }
-        (None, None) => notes.push(format!(
+        (Claim::Absent, Claim::Absent) => notes.push(format!(
             "attack gate skipped: {label} record predates the attacker_advantage fields"
         )),
         _ => violations.push(format!(
@@ -423,8 +478,8 @@ fn check_scaling(
 /// One gated scale of a `BENCH_serve.json` record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeScale {
-    /// The flattened-key label (`10k`, `100k`, `1m`).
-    pub label: String,
+    /// Enrolled-fleet size of the scale.
+    pub enrolled: u64,
     /// Auth requests per second at this enrolled-fleet size.
     pub auth_ops_per_sec: f64,
     /// 99th-percentile per-op latency, microseconds. Banded by
@@ -434,11 +489,15 @@ pub struct ServeScale {
     pub p99_us: f64,
 }
 
-/// The comparable subset of a `BENCH_serve.json` record.
-///
-/// Distinguished from [`BenchRecord`] by its `"kind": "serve"` marker;
-/// [`ServeRecord::is_serve_record`] lets the CLI route a baseline file
-/// to the right comparison.
+impl ServeScale {
+    /// The scale's label in gate messages (`10k`, `100k`, `1m`).
+    pub fn label(&self) -> String {
+        scale_label(self.enrolled as usize)
+    }
+}
+
+/// The comparable subset of a `BENCH_serve.json` record, which carries
+/// a `"kind": "serve"` marker a fleet record lacks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeRecord {
     /// Worker threads the auth phase ran on, when recorded.
@@ -451,48 +510,34 @@ pub struct ServeRecord {
 }
 
 impl ServeRecord {
-    /// Whether `text` is a serve bench document (vs a fleet one).
-    pub fn is_serve_record(text: &str) -> bool {
-        text.contains("\"kind\": \"serve\"")
-    }
-
     /// Parses the gated fields out of a `BENCH_serve.json` document.
     /// Errors name the first problem.
     pub fn parse(text: &str) -> Result<Self, String> {
-        if !Self::is_serve_record(text) {
+        let doc = parse_record(text)?;
+        if doc.get("kind").and_then(Value::as_str) != Some("serve") {
             return Err("not a serve bench record (no \"kind\": \"serve\")".to_string());
         }
-        let deterministic = if text.contains("\"deterministic\": true") {
-            true
-        } else if text.contains("\"deterministic\": false") {
-            false
-        } else {
-            return Err("missing boolean field \"deterministic\"".to_string());
-        };
-        let mut scales = Vec::new();
-        for label in ["10k", "100k", "1m"] {
-            let throughput = extract_number(text, &format!("auth_ops_per_sec_{label}"));
-            let p99 = extract_number(text, &format!("p99_us_{label}"));
-            match (throughput, p99) {
-                (Some(auth_ops_per_sec), Some(p99_us)) => scales.push(ServeScale {
-                    label: label.to_string(),
-                    auth_ops_per_sec,
-                    p99_us,
-                }),
-                (None, None) => {} // scale not run — fine if both agree
-                (Some(_), None) => {
-                    return Err(format!("scale {label} carries throughput but no p99_us"))
-                }
-                (None, Some(_)) => {
-                    return Err(format!("scale {label} carries p99_us but no throughput"))
-                }
-            }
-        }
+        let deterministic = required(&doc, "deterministic", "a boolean", Value::as_bool)?;
+        let scales = required(&doc, "scales", "an array", Value::as_array)?
+            .iter()
+            .map(|s| {
+                let enrolled = required(s, "enrolled", COUNT, Value::as_u64)?;
+                let number = |key| {
+                    required(s, key, NUMBER, Value::as_f64)
+                        .map_err(|e| format!("scale {}: {e}", scale_label(enrolled as usize)))
+                };
+                Ok(ServeScale {
+                    enrolled,
+                    auth_ops_per_sec: number("auth_ops_per_sec")?,
+                    p99_us: number("p99_us")?,
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         if scales.is_empty() {
             return Err("serve record carries no gated scales".to_string());
         }
         Ok(Self {
-            threads: extract_number(text, "threads").map(|t| t as u64),
+            threads: field(&doc, "threads", COUNT, Value::as_u64)?,
             deterministic,
             scales,
         })
@@ -543,16 +588,20 @@ pub fn compare_serve_with_notes(
         _ => true,
     };
     for base_scale in &baseline.scales {
-        let Some(fresh_scale) = fresh.scales.iter().find(|s| s.label == base_scale.label) else {
+        let label = base_scale.label();
+        let Some(fresh_scale) = fresh
+            .scales
+            .iter()
+            .find(|s| s.enrolled == base_scale.enrolled)
+        else {
             violations.push(format!(
-                "scale {} vanished: baseline measured it, fresh did not",
-                base_scale.label
+                "scale {label} vanished: baseline measured it, fresh did not"
             ));
             continue;
         };
         notes.push(format!(
-            "scale {}: p99 {:.1} us (baseline {:.1} us)",
-            base_scale.label, fresh_scale.p99_us, base_scale.p99_us
+            "scale {label}: p99 {:.1} us (baseline {:.1} us)",
+            fresh_scale.p99_us, base_scale.p99_us
         ));
         if !comparable {
             continue;
@@ -560,9 +609,8 @@ pub fn compare_serve_with_notes(
         let floor = base_scale.auth_ops_per_sec * (1.0 - MAX_THROUGHPUT_REGRESSION);
         if fresh_scale.auth_ops_per_sec < floor {
             violations.push(format!(
-                "auth throughput at {} regressed beyond {:.0}%: baseline {:.1} ops/sec, \
+                "auth throughput at {label} regressed beyond {:.0}%: baseline {:.1} ops/sec, \
                  fresh {:.1} (floor {:.1})",
-                base_scale.label,
                 100.0 * MAX_THROUGHPUT_REGRESSION,
                 base_scale.auth_ops_per_sec,
                 fresh_scale.auth_ops_per_sec,
@@ -572,9 +620,8 @@ pub fn compare_serve_with_notes(
         let ceiling = base_scale.p99_us * (1.0 + MAX_P99_REGRESSION);
         if fresh_scale.p99_us > ceiling {
             violations.push(format!(
-                "p99 latency at {} regressed beyond {:.0}%: baseline {:.1} us, \
+                "p99 latency at {label} regressed beyond {:.0}%: baseline {:.1} us, \
                  fresh {:.1} (ceiling {:.1})",
-                base_scale.label,
                 100.0 * MAX_P99_REGRESSION,
                 base_scale.p99_us,
                 fresh_scale.p99_us,
@@ -599,10 +646,10 @@ mod tests {
             threads: Some(1),
             cores: None,
             speedup_curve: Vec::new(),
-            worst_corner_flip_rate_nominal: Some(0.1),
-            worst_corner_flip_rate_multi_corner: Some(0.01),
-            attacker_advantage_guarded: Some(0.0),
-            attacker_advantage_broken: Some(0.5),
+            worst_corner_flip_rate_nominal: Claim::Number(0.1),
+            worst_corner_flip_rate_multi_corner: Claim::Number(0.01),
+            attacker_advantage_guarded: Claim::Number(0.0),
+            attacker_advantage_broken: Claim::Number(0.5),
         }
     }
 
@@ -644,6 +691,127 @@ mod tests {
         )
         .unwrap_err()
         .contains("deterministic"));
+    }
+
+    /// The committed fleet record with the value of each `key` replaced
+    /// by the text `value`.
+    fn committed_with(edits: &[(&str, &str)]) -> String {
+        let mut text = include_str!("../../../BENCH_fleet.json").to_string();
+        for (key, value) in edits {
+            let needle = format!("\"{key}\": ");
+            let start = text.find(&needle).expect("key in the committed record") + needle.len();
+            let end = start + text[start..].find([',', '}', '\n']).expect("value ends");
+            text.replace_range(start..end, value);
+        }
+        text
+    }
+
+    #[test]
+    fn committed_fleet_record_passes_against_itself() {
+        let r = BenchRecord::parse(&committed_with(&[])).unwrap();
+        assert_eq!(r.attacker_advantage_guarded, Claim::Number(0.0));
+        let (violations, notes) = compare_with_notes(&r, &r);
+        assert!(violations.is_empty(), "{violations:?}");
+        assert!(notes.is_empty(), "{notes:?}");
+    }
+
+    /// `NaN` is not JSON: a record carrying it fails to parse, naming
+    /// the field, instead of passing as one that predates the attack
+    /// fields.
+    #[test]
+    fn nan_attack_advantages_are_a_parse_error() {
+        let text = committed_with(&[
+            ("attacker_advantage_guarded", "NaN"),
+            ("attacker_advantage_broken", "NaN"),
+        ]);
+        let err = BenchRecord::parse(&text).unwrap_err();
+        assert!(
+            err.contains("unexpected character 'N'")
+                && err.ends_with(" in attack.attacker_advantage_guarded"),
+            "{err}"
+        );
+    }
+
+    /// Present but null corner-objective rates are violations naming
+    /// both fields, not a note that the record predates them.
+    #[test]
+    fn null_corner_objective_rates_are_violations() {
+        let baseline = BenchRecord::parse(&committed_with(&[])).unwrap();
+        let fresh = BenchRecord::parse(&committed_with(&[
+            ("worst_corner_flip_rate_nominal", "null"),
+            ("worst_corner_flip_rate_multi_corner", "null"),
+        ]))
+        .unwrap();
+        let (violations, notes) = compare_with_notes(&baseline, &fresh);
+        assert_eq!(violations.len(), 2, "{violations:?}");
+        for name in [
+            "worst_corner_flip_rate_nominal",
+            "worst_corner_flip_rate_multi_corner",
+        ] {
+            assert!(
+                violations
+                    .iter()
+                    .any(|v| v.contains("fresh record field") && v.contains(name)),
+                "{violations:?}"
+            );
+        }
+        assert!(notes.iter().all(|n| !n.contains("predates")), "{notes:?}");
+    }
+
+    /// A record cut off mid-document is a parse error, however much of
+    /// it reads like a record.
+    #[test]
+    fn truncated_record_is_a_parse_error() {
+        let text = committed_with(&[]);
+        let text = &text[..text.find("\"corners\"").unwrap()];
+        let err = BenchRecord::parse(text).unwrap_err();
+        assert!(err.contains("unexpected end of input"), "{err}");
+    }
+
+    #[test]
+    fn shape_fields_must_be_non_negative_integers() {
+        let with = |boards: &str| {
+            BenchRecord::parse(&format!(
+                "{{\"boards\": {boards}, \"bits_per_board\": 2, \"boards_per_sec\": 3, \
+                 \"deterministic\": true}}"
+            ))
+        };
+        assert_eq!(with("64").unwrap().boards, 64);
+        for bad in ["-1", "1.5", "1e3", "\"64\"", "null"] {
+            let err = with(bad).unwrap_err();
+            assert!(
+                err.starts_with("field \"boards\" must be a non-negative integer"),
+                "{bad}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn null_uniqueness_means_too_few_boards_and_a_string_is_an_error() {
+        let with = |uniqueness: &str| {
+            BenchRecord::parse(&format!(
+                "{{\"boards\": 1, \"bits_per_board\": 2, \"boards_per_sec\": 3, \
+                 \"deterministic\": true, \"uniqueness\": {uniqueness}}}"
+            ))
+        };
+        assert_eq!(with("null").unwrap().uniqueness, None);
+        assert_eq!(with("0.5").unwrap().uniqueness, Some(0.5));
+        assert!(with("\"0.5\"").unwrap_err().contains("\"uniqueness\""));
+    }
+
+    #[test]
+    fn string_attack_advantage_is_a_violation_naming_the_field() {
+        let baseline = BenchRecord::parse(&committed_with(&[])).unwrap();
+        let fresh =
+            BenchRecord::parse(&committed_with(&[("attacker_advantage_broken", "\"0.5\"")]))
+                .unwrap();
+        assert_eq!(fresh.attacker_advantage_broken, Claim::NotANumber);
+        let (violations, _) = compare_with_notes(&baseline, &fresh);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0].contains("fresh record field \"attacker_advantage_broken\""),
+            "{violations:?}"
+        );
     }
 
     #[test]
@@ -852,7 +1020,7 @@ mod tests {
     fn fabricated_corner_objective_inversion_fails() {
         let baseline = record(1000.0);
         let mut inverted = record(1000.0);
-        inverted.worst_corner_flip_rate_multi_corner = Some(0.2);
+        inverted.worst_corner_flip_rate_multi_corner = Claim::Number(0.2);
         let (violations, _) = compare_with_notes(&baseline, &inverted);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
@@ -881,8 +1049,8 @@ mod tests {
     fn corner_objective_fields_grandfather_and_reject_half_presence() {
         let fresh = record(1000.0);
         let mut old = record(1000.0);
-        old.worst_corner_flip_rate_nominal = None;
-        old.worst_corner_flip_rate_multi_corner = None;
+        old.worst_corner_flip_rate_nominal = Claim::Absent;
+        old.worst_corner_flip_rate_multi_corner = Claim::Absent;
         let (violations, notes) = compare_with_notes(&old, &fresh);
         assert!(violations.is_empty(), "{violations:?}");
         assert!(
@@ -892,7 +1060,7 @@ mod tests {
             "{notes:?}"
         );
         let mut half = record(1000.0);
-        half.worst_corner_flip_rate_multi_corner = None;
+        half.worst_corner_flip_rate_multi_corner = Claim::Absent;
         let (violations, _) = compare_with_notes(&old, &half);
         assert!(
             violations
@@ -911,16 +1079,16 @@ mod tests {
              \"bits_multi_corner\": 30000, \"corner_flips_multi_corner\": 60, \
              \"worst_corner_flip_rate_multi_corner\": 0.002}}";
         let r = BenchRecord::parse(text).unwrap();
-        assert_eq!(r.worst_corner_flip_rate_nominal, Some(0.1177));
-        assert_eq!(r.worst_corner_flip_rate_multi_corner, Some(0.002));
+        assert_eq!(r.worst_corner_flip_rate_nominal, Claim::Number(0.1177));
+        assert_eq!(r.worst_corner_flip_rate_multi_corner, Claim::Number(0.002));
         // Pre-objective records parse to the grandfathered shape.
         let old = BenchRecord::parse(
             "{\"boards\": 1, \"bits_per_board\": 2, \"boards_per_sec\": 3, \
              \"deterministic\": true}",
         )
         .unwrap();
-        assert_eq!(old.worst_corner_flip_rate_nominal, None);
-        assert_eq!(old.worst_corner_flip_rate_multi_corner, None);
+        assert_eq!(old.worst_corner_flip_rate_nominal, Claim::Absent);
+        assert_eq!(old.worst_corner_flip_rate_multi_corner, Claim::Absent);
     }
 
     /// The must-fail proof for the attack gate: a fabricated record
@@ -932,7 +1100,7 @@ mod tests {
     fn fabricated_guard_leak_fails() {
         let baseline = record(1000.0);
         let mut leaky = record(1000.0);
-        leaky.attacker_advantage_guarded = Some(0.3);
+        leaky.attacker_advantage_guarded = Claim::Number(0.3);
         let (violations, _) = compare_with_notes(&baseline, &leaky);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
@@ -940,11 +1108,11 @@ mod tests {
             "{violations:?}"
         );
         // Exactly at the ceiling still passes (the band is inclusive).
-        leaky.attacker_advantage_guarded = Some(0.1);
+        leaky.attacker_advantage_guarded = Claim::Number(0.1);
         let (violations, _) = compare_with_notes(&baseline, &leaky);
         assert!(violations.is_empty(), "{violations:?}");
         // The same leak in the committed baseline is flagged too.
-        leaky.attacker_advantage_guarded = Some(0.3);
+        leaky.attacker_advantage_guarded = Claim::Number(0.3);
         let (violations, _) = compare_with_notes(&leaky, &baseline);
         assert!(
             violations
@@ -958,7 +1126,7 @@ mod tests {
     fn quiet_attack_canary_fails() {
         let baseline = record(1000.0);
         let mut quiet = record(1000.0);
-        quiet.attacker_advantage_broken = Some(0.05);
+        quiet.attacker_advantage_broken = Claim::Number(0.05);
         let (violations, _) = compare_with_notes(&baseline, &quiet);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
@@ -971,8 +1139,8 @@ mod tests {
     fn attack_fields_grandfather_and_reject_half_presence() {
         let fresh = record(1000.0);
         let mut old = record(1000.0);
-        old.attacker_advantage_guarded = None;
-        old.attacker_advantage_broken = None;
+        old.attacker_advantage_guarded = Claim::Absent;
+        old.attacker_advantage_broken = Claim::Absent;
         let (violations, notes) = compare_with_notes(&old, &fresh);
         assert!(violations.is_empty(), "{violations:?}");
         assert!(
@@ -982,7 +1150,7 @@ mod tests {
             "{notes:?}"
         );
         let mut half = record(1000.0);
-        half.attacker_advantage_broken = None;
+        half.attacker_advantage_broken = Claim::Absent;
         let (violations, _) = compare_with_notes(&old, &half);
         assert!(
             violations
@@ -999,16 +1167,16 @@ mod tests {
              \"attack\": {\"attack_samples\": 96, \"attacker_advantage_guarded\": 0, \
              \"attacker_advantage_broken\": 0.5, \"attacker_accuracy_broken\": 1}}";
         let r = BenchRecord::parse(text).unwrap();
-        assert_eq!(r.attacker_advantage_guarded, Some(0.0));
-        assert_eq!(r.attacker_advantage_broken, Some(0.5));
+        assert_eq!(r.attacker_advantage_guarded, Claim::Number(0.0));
+        assert_eq!(r.attacker_advantage_broken, Claim::Number(0.5));
         // Pre-attack records parse to the grandfathered shape.
         let old = BenchRecord::parse(
             "{\"boards\": 1, \"bits_per_board\": 2, \"boards_per_sec\": 3, \
              \"deterministic\": true}",
         )
         .unwrap();
-        assert_eq!(old.attacker_advantage_guarded, None);
-        assert_eq!(old.attacker_advantage_broken, None);
+        assert_eq!(old.attacker_advantage_guarded, Claim::Absent);
+        assert_eq!(old.attacker_advantage_broken, Claim::Absent);
     }
 
     #[test]
@@ -1021,14 +1189,14 @@ mod tests {
         assert_eq!(violations.len(), 2, "{violations:?}");
     }
 
-    fn serve_record(per_sec: &[(&str, f64)]) -> ServeRecord {
+    fn serve_record(per_sec: &[(u64, f64)]) -> ServeRecord {
         ServeRecord {
             threads: Some(1),
             deterministic: true,
             scales: per_sec
                 .iter()
-                .map(|&(label, auth_ops_per_sec)| ServeScale {
-                    label: label.to_string(),
+                .map(|&(enrolled, auth_ops_per_sec)| ServeScale {
+                    enrolled,
                     auth_ops_per_sec,
                     p99_us: 42.0,
                 })
@@ -1037,27 +1205,35 @@ mod tests {
     }
 
     #[test]
-    fn serve_parse_reads_flattened_keys_and_routes_by_kind() {
+    fn serve_parse_reads_the_scales_array() {
         let text = r#"{
   "kind": "serve",
   "threads": 1,
   "unique_boards": 256,
   "deterministic": true,
-  "auth_ops_per_sec_10k": 61234.5,
-  "p99_us_10k": 31.2,
-  "auth_ops_per_sec_100k": 58111.0,
-  "p99_us_100k": 44.8,
-  "scales": []
+  "scales": [
+    {"enrolled": 10000, "enroll_secs": 0.15, "auth_ops": 100000, "auth_secs": 0.1, "auth_ops_per_sec": 61234.5, "p50_us": 0.8, "p99_us": 31.2, "accepted": 100000},
+    {"enrolled": 100000, "enroll_secs": 1.4, "auth_ops": 100000, "auth_secs": 0.12, "auth_ops_per_sec": 58111.0, "p50_us": 0.9, "p99_us": 44.8, "accepted": 100000}
+  ]
 }"#;
-        assert!(ServeRecord::is_serve_record(text));
-        assert!(!ServeRecord::is_serve_record("{\"boards\": 64}"));
         let r = ServeRecord::parse(text).unwrap();
         assert_eq!(r.threads, Some(1));
         assert!(r.deterministic);
-        assert_eq!(r.scales.len(), 2, "1m absent from both keys is fine");
-        assert_eq!(r.scales[0].label, "10k");
+        assert_eq!(r.scales.len(), 2);
+        assert_eq!(r.scales[0].label(), "10k");
+        assert_eq!(r.scales[1].label(), "100k");
         assert!((r.scales[1].auth_ops_per_sec - 58111.0).abs() < 1e-9);
         assert!((r.scales[1].p99_us - 44.8).abs() < 1e-9);
+        // The committed record reads the same way.
+        let committed = ServeRecord::parse(include_str!("../../../BENCH_serve.json")).unwrap();
+        assert_eq!(
+            committed
+                .scales
+                .iter()
+                .map(ServeScale::label)
+                .collect::<Vec<_>>(),
+            ["10k", "100k"]
+        );
     }
 
     #[test]
@@ -1065,17 +1241,31 @@ mod tests {
         assert!(ServeRecord::parse("{\"boards\": 64}")
             .unwrap_err()
             .contains("not a serve"));
-        let half = r#"{"kind": "serve", "deterministic": true, "auth_ops_per_sec_10k": 5.0}"#;
-        assert!(ServeRecord::parse(half).unwrap_err().contains("no p99_us"));
-        let none = r#"{"kind": "serve", "deterministic": true}"#;
+        let half = r#"{"kind": "serve", "deterministic": true,
+            "scales": [{"enrolled": 10000, "auth_ops_per_sec": 5.0}]}"#;
+        assert_eq!(
+            ServeRecord::parse(half).unwrap_err(),
+            "scale 10k: missing field \"p99_us\""
+        );
+        let none = r#"{"kind": "serve", "deterministic": true, "scales": []}"#;
         assert!(ServeRecord::parse(none)
             .unwrap_err()
             .contains("no gated scales"));
+        let null = r#"{"kind": "serve", "deterministic": true,
+            "scales": [{"enrolled": 10000, "auth_ops_per_sec": null, "p99_us": 1}]}"#;
+        assert!(ServeRecord::parse(null)
+            .unwrap_err()
+            .contains("\"auth_ops_per_sec\" must be a number, not null"));
+        assert!(
+            ServeRecord::parse("{\"kind\": \"serve\", \"deterministic\": true")
+                .unwrap_err()
+                .starts_with("not a JSON record: unexpected end of input")
+        );
     }
 
     #[test]
     fn serve_identical_records_pass_with_p99_notes() {
-        let r = serve_record(&[("10k", 60_000.0), ("100k", 55_000.0)]);
+        let r = serve_record(&[(10_000, 60_000.0), (100_000, 55_000.0)]);
         let (violations, notes) = compare_serve_with_notes(&r, &r);
         assert!(violations.is_empty(), "{violations:?}");
         assert_eq!(notes.len(), 2, "one p99 note per scale: {notes:?}");
@@ -1083,13 +1273,13 @@ mod tests {
 
     #[test]
     fn serve_per_scale_regression_and_vanished_scale_fail() {
-        let baseline = serve_record(&[("10k", 60_000.0), ("100k", 55_000.0)]);
-        let slow = serve_record(&[("10k", 60_000.0), ("100k", 20_000.0)]);
+        let baseline = serve_record(&[(10_000, 60_000.0), (100_000, 55_000.0)]);
+        let slow = serve_record(&[(10_000, 60_000.0), (100_000, 20_000.0)]);
         let (violations, _) = compare_serve_with_notes(&baseline, &slow);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].contains("auth throughput at 100k"));
 
-        let missing = serve_record(&[("10k", 60_000.0)]);
+        let missing = serve_record(&[(10_000, 60_000.0)]);
         let (violations, _) = compare_serve_with_notes(&baseline, &missing);
         assert!(
             violations.iter().any(|v| v.contains("scale 100k vanished")),
@@ -1099,7 +1289,7 @@ mod tests {
 
     #[test]
     fn serve_p99_band_fails_on_fabricated_blowup_and_allows_improvement() {
-        let baseline = serve_record(&[("10k", 60_000.0), ("100k", 55_000.0)]);
+        let baseline = serve_record(&[(10_000, 60_000.0), (100_000, 55_000.0)]);
 
         // A fabricated 10x tail-latency regression must fail the gate
         // even though throughput is untouched.
@@ -1140,7 +1330,7 @@ mod tests {
 
     #[test]
     fn serve_determinism_and_thread_rules_match_the_fleet_gate() {
-        let baseline = serve_record(&[("10k", 60_000.0)]);
+        let baseline = serve_record(&[(10_000, 60_000.0)]);
         let mut broken = baseline.clone();
         broken.deterministic = false;
         let (violations, _) = compare_serve_with_notes(&baseline, &broken);
@@ -1150,7 +1340,7 @@ mod tests {
         );
 
         // Mismatched thread counts: hard failure, band not applied.
-        let mut eight = serve_record(&[("10k", 10.0)]);
+        let mut eight = serve_record(&[(10_000, 10.0)]);
         eight.threads = Some(8);
         let (violations, _) = compare_serve_with_notes(&baseline, &eight);
         assert!(
@@ -1166,7 +1356,7 @@ mod tests {
         );
 
         // Missing thread count: band skipped with a note, not a failure.
-        let mut unknown = serve_record(&[("10k", 10.0)]);
+        let mut unknown = serve_record(&[(10_000, 10.0)]);
         unknown.threads = None;
         let (violations, notes) = compare_serve_with_notes(&baseline, &unknown);
         assert!(violations.is_empty(), "{violations:?}");

@@ -18,6 +18,7 @@ use ropuf_core::reenroll::{assess_drift, assessment_corners};
 use ropuf_silicon::aging::AgingModel;
 use ropuf_silicon::board::BoardId;
 use ropuf_silicon::{CornerSet, DelayProbe, Environment, SiliconSim};
+use ropuf_telemetry::json::Value;
 
 /// Experiment configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -317,73 +318,72 @@ impl Outcome {
         out
     }
 
-    /// Serializes the outcome as a JSON object (hand-rolled; the
-    /// workspace carries no serialization dependency).
+    /// Serializes the outcome as the `BENCH_fleet.json` document.
     pub fn to_json(&self) -> String {
-        let corners = self
-            .corners
-            .iter()
-            .map(|(env, rate)| {
-                format!(
-                    "{{\"voltage_v\": {}, \"temperature_c\": {}, \"flip_rate\": {}}}",
-                    env.voltage_v, env.temperature_c, rate
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        // Key order matters to downstream flat-scan parsers
-        // (`check-bench` finds the *first* occurrence of a quoted key):
-        // the top-level "threads" and "speedup" keys must precede the
-        // speedup_curve array, whose entries reuse both names.
-        let curve = self
-            .speedup_curve
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"threads\": {}, \"secs\": {}, \"speedup\": {}}}",
-                    p.threads, p.secs, p.speedup
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\n  \"boards\": {},\n  \"bits_per_board\": {},\n  \"threads\": {},\n  \
-             \"cores\": {},\n  \
-             \"serial_secs\": {},\n  \"parallel_secs\": {},\n  \"boards_per_sec\": {},\n  \
-             \"speedup\": {},\n  \"speedup_curve\": [{}],\n  \
-             \"deterministic\": {},\n  \"uniqueness\": {},\n  \
-             \"corners\": [{}],\n  \
-             \"corner_objective\": {{\"years\": {}, \"bits_nominal\": {}, \
-             \"corner_flips_nominal\": {}, \"worst_corner_flip_rate_nominal\": {}, \
-             \"bits_multi_corner\": {}, \"corner_flips_multi_corner\": {}, \
-             \"worst_corner_flip_rate_multi_corner\": {}}},\n  \
-             \"attack\": {{\"attack_samples\": {}, \"attacker_advantage_guarded\": {}, \
-             \"attacker_advantage_broken\": {}, \"attacker_accuracy_broken\": {}}}\n}}\n",
-            self.boards,
-            self.bits_per_board,
-            self.threads,
-            self.cores,
-            self.serial.as_secs_f64(),
-            self.parallel.as_secs_f64(),
-            self.boards_per_sec,
-            self.speedup,
-            curve,
-            self.deterministic,
-            self.uniqueness
-                .map_or("null".to_string(), |u| u.to_string()),
-            corners,
-            self.corner_objective.years,
-            self.corner_objective.nominal.bits,
-            self.corner_objective.nominal.corner_flips,
-            self.corner_objective.nominal.flip_rate(),
-            self.corner_objective.multi_corner.bits,
-            self.corner_objective.multi_corner.corner_flips,
-            self.corner_objective.multi_corner.flip_rate(),
-            self.attack.samples,
-            self.attack.guarded_advantage,
-            self.attack.broken_advantage,
-            self.attack.broken_accuracy,
-        )
+        let curve = self.speedup_curve.iter().map(|p| {
+            Value::object([
+                ("threads", Value::from(p.threads)),
+                ("secs", Value::from(p.secs)),
+                ("speedup", Value::from(p.speedup)),
+            ])
+        });
+        let corners = self.corners.iter().map(|(env, rate)| {
+            Value::object([
+                ("voltage_v", Value::from(env.voltage_v)),
+                ("temperature_c", Value::from(env.temperature_c)),
+                ("flip_rate", Value::from(*rate)),
+            ])
+        });
+        let nominal = &self.corner_objective.nominal;
+        let multi = &self.corner_objective.multi_corner;
+        let objective = Value::object([
+            ("years", Value::from(self.corner_objective.years)),
+            ("bits_nominal", Value::from(nominal.bits)),
+            ("corner_flips_nominal", Value::from(nominal.corner_flips)),
+            (
+                "worst_corner_flip_rate_nominal",
+                Value::from(nominal.flip_rate()),
+            ),
+            ("bits_multi_corner", Value::from(multi.bits)),
+            ("corner_flips_multi_corner", Value::from(multi.corner_flips)),
+            (
+                "worst_corner_flip_rate_multi_corner",
+                Value::from(multi.flip_rate()),
+            ),
+        ]);
+        let attack = &self.attack;
+        let attack = Value::object([
+            ("attack_samples", Value::from(attack.samples)),
+            (
+                "attacker_advantage_guarded",
+                Value::from(attack.guarded_advantage),
+            ),
+            (
+                "attacker_advantage_broken",
+                Value::from(attack.broken_advantage),
+            ),
+            (
+                "attacker_accuracy_broken",
+                Value::from(attack.broken_accuracy),
+            ),
+        ]);
+        Value::object([
+            ("boards", Value::from(self.boards)),
+            ("bits_per_board", Value::from(self.bits_per_board)),
+            ("threads", Value::from(self.threads)),
+            ("cores", Value::from(self.cores)),
+            ("serial_secs", Value::from(self.serial.as_secs_f64())),
+            ("parallel_secs", Value::from(self.parallel.as_secs_f64())),
+            ("boards_per_sec", Value::from(self.boards_per_sec)),
+            ("speedup", Value::from(self.speedup)),
+            ("speedup_curve", Value::Array(curve.collect())),
+            ("deterministic", Value::from(self.deterministic)),
+            ("uniqueness", Value::from(self.uniqueness)),
+            ("corners", Value::Array(corners.collect())),
+            ("corner_objective", objective),
+            ("attack", attack),
+        ])
+        .to_document()
     }
 }
 
@@ -465,12 +465,15 @@ mod tests {
     use super::*;
     use ropuf_core::fleet::worker_threads;
 
+    /// The outcome's record, parsed back.
+    fn record(out: &Outcome) -> Value {
+        ropuf_telemetry::json::parse(&out.to_json()).expect("the record is JSON")
+    }
+
     /// The scaling sweep visits every advertised thread count, anchors
     /// itself at the 1-thread pass, and records the machine's core
     /// count — everything a cores-aware `check-bench` scaling gate
-    /// needs. The top-level "threads"/"speedup" keys must appear before
-    /// the curve array reuses those names, because the baseline parser
-    /// takes the first occurrence.
+    /// needs.
     #[test]
     fn scaling_curve_is_recorded_and_anchored() {
         let out = run(&Config {
@@ -490,22 +493,24 @@ mod tests {
         assert_eq!(out.speedup_curve[0].speedup, 1.0, "1-thread anchor");
         assert!(out.speedup_curve.iter().all(|p| p.secs > 0.0));
         assert!(out.cores >= 1);
-        let json = out.to_json();
-        assert!(json.contains("\"speedup_curve\": [{\"threads\": 1,"));
-        assert!(json.contains(&format!("\"cores\": {}", out.cores)));
-        let threads_key = json.find("\"threads\"").expect("threads key");
-        let curve_key = json.find("\"speedup_curve\"").expect("curve key");
-        let speedup_key = json.find("\"speedup\"").expect("speedup key");
-        assert!(threads_key < curve_key, "top-level threads precedes curve");
-        assert!(speedup_key < curve_key, "top-level speedup precedes curve");
+        let doc = record(&out);
+        let curve = doc
+            .get("speedup_curve")
+            .and_then(Value::as_array)
+            .expect("curve");
+        assert_eq!(curve.len(), CURVE_THREADS.len());
+        assert_eq!(curve[0].get("threads").and_then(Value::as_u64), Some(1));
+        assert_eq!(curve[0].get("speedup").and_then(Value::as_f64), Some(1.0));
+        assert_eq!(
+            doc.get("cores").and_then(Value::as_u64),
+            Some(out.cores as u64)
+        );
         assert!(out.render().contains("scaling ("));
     }
 
     /// The multi-corner objective is only worth its bit cost if the
     /// aged fleet's worst-corner flip rate actually drops; the
-    /// comparison must show that even on the small test fleet, and its
-    /// JSON keys must be flat-scan-unique so `check-bench` can gate the
-    /// inequality from the baseline file.
+    /// comparison must show that even on the small test fleet.
     #[test]
     fn corner_objective_comparison_favors_multi_corner_enrollment() {
         // The real benchmark floorplan at a reduced fleet: the tiny
@@ -532,9 +537,8 @@ mod tests {
         );
     }
 
-    /// The corner-objective figures must reach the JSON under
-    /// flat-scan-unique keys so `check-bench` can gate the inequality
-    /// from the baseline file.
+    /// The corner-objective figures must reach the record so
+    /// `check-bench` can gate the inequality from the baseline file.
     #[test]
     fn corner_objective_fields_reach_the_json_and_render() {
         let out = run(&Config {
@@ -544,13 +548,16 @@ mod tests {
             threads: Some(2),
             ..Config::default()
         });
-        let json = out.to_json();
-        assert!(json.contains("\"worst_corner_flip_rate_nominal\": "));
-        assert!(json.contains("\"worst_corner_flip_rate_multi_corner\": "));
+        let doc = record(&out);
+        let objective = doc.get("corner_objective").expect("corner_objective");
+        let rate = |key: &str| objective.get(key).and_then(Value::as_f64);
         assert_eq!(
-            json.matches("\"worst_corner_flip_rate_nominal\"").count(),
-            1,
-            "flat-scan parsers need the key to be unique"
+            rate("worst_corner_flip_rate_nominal"),
+            Some(out.corner_objective.nominal.flip_rate())
+        );
+        assert_eq!(
+            rate("worst_corner_flip_rate_multi_corner"),
+            Some(out.corner_objective.multi_corner.flip_rate())
         );
         assert!(out
             .render()
@@ -581,8 +588,8 @@ mod tests {
         );
     }
 
-    /// The attack figures must reach the JSON under flat-scan-unique
-    /// keys so `check-bench` can gate both arms from the baseline file.
+    /// The attack figures must reach the record so `check-bench` can
+    /// gate both arms from the baseline file.
     #[test]
     fn attack_fields_reach_the_json_and_render() {
         let out = run(&Config {
@@ -592,20 +599,19 @@ mod tests {
             threads: Some(2),
             ..Config::default()
         });
-        let json = out.to_json();
-        for key in [
-            "\"attacker_advantage_guarded\"",
-            "\"attacker_advantage_broken\"",
-            "\"attacker_accuracy_broken\"",
-            "\"attack_samples\"",
-        ] {
-            assert_eq!(
-                json.matches(key).count(),
-                1,
-                "flat-scan parsers need {key} to be unique"
-            );
-        }
-        assert!(json.contains("\"attacker_advantage_guarded\": 0,"));
+        let doc = record(&out);
+        let attack = doc.get("attack").expect("attack");
+        let field = |key: &str| attack.get(key).and_then(Value::as_f64);
+        assert_eq!(field("attacker_advantage_guarded"), Some(0.0));
+        assert_eq!(
+            field("attacker_advantage_broken"),
+            Some(out.attack.broken_advantage)
+        );
+        assert_eq!(
+            field("attacker_accuracy_broken"),
+            Some(out.attack.broken_accuracy)
+        );
+        assert_eq!(field("attack_samples"), Some(out.attack.samples as f64));
         assert!(out.render().contains("count-leak attack"));
     }
 
@@ -623,7 +629,10 @@ mod tests {
             ..Config::default()
         });
         assert_eq!(explicit.threads, 3);
-        assert!(explicit.to_json().contains("\"threads\": 3"));
+        assert_eq!(
+            record(&explicit).get("threads").and_then(Value::as_u64),
+            Some(3)
+        );
         let auto = run(&Config {
             boards: 4,
             units: 80,

@@ -27,6 +27,7 @@ use ropuf_server::{
     provision, run_drill, serve, DrillSpec, FsyncPolicy, PufService, Reply, Request, ServiceConfig,
     Store, WireBits,
 };
+use ropuf_telemetry::json::Value;
 
 /// The enrolled-fleet sizes the bench sweeps (filtered by
 /// [`Config::max_scale`]).
@@ -104,7 +105,8 @@ pub struct Outcome {
     pub scales: Vec<ScaleOutcome>,
 }
 
-/// Short label a scale flattens to in the JSON (`10k`, `100k`, `1m`).
+/// Short label of a scale (`10k`, `100k`, `1m`), as `check-bench`
+/// names it.
 pub fn scale_label(scale: usize) -> String {
     if scale.is_multiple_of(1_000_000) {
         format!("{}m", scale / 1_000_000)
@@ -280,48 +282,32 @@ impl Outcome {
         out
     }
 
-    /// The `BENCH_serve.json` document. Per-scale figures are also
-    /// flattened into `auth_ops_per_sec_<label>` / `p99_us_<label>`
-    /// keys so the first-occurrence scanner in `check` can gate them.
+    /// The `BENCH_serve.json` document.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        out.push_str("{\n");
-        writeln!(out, "  \"kind\": \"serve\",").expect("write to String");
-        writeln!(out, "  \"threads\": {},", self.threads).expect("write to String");
-        writeln!(out, "  \"unique_boards\": {},", self.unique_boards).expect("write to String");
-        writeln!(out, "  \"deterministic\": {},", self.deterministic).expect("write to String");
-        for s in &self.scales {
-            let label = scale_label(s.enrolled);
-            writeln!(
-                out,
-                "  \"auth_ops_per_sec_{label}\": {},",
-                s.auth_ops_per_sec
-            )
-            .expect("write to String");
-            writeln!(out, "  \"p99_us_{label}\": {},", s.p99_us).expect("write to String");
-        }
-        out.push_str("  \"scales\": [\n");
-        for (i, s) in self.scales.iter().enumerate() {
-            writeln!(
-                out,
-                "    {{\"enrolled\": {}, \"enroll_secs\": {}, \"auth_ops\": {}, \
-                 \"auth_secs\": {}, \"auth_ops_per_sec\": {}, \"p50_us\": {}, \
-                 \"p99_us\": {}, \"accepted\": {}}}{}",
-                s.enrolled,
-                s.enroll_secs,
-                s.auth_ops,
-                s.auth_secs,
-                s.auth_ops_per_sec,
-                s.p50_us,
-                s.p99_us,
-                s.accepted,
-                if i + 1 == self.scales.len() { "" } else { "," }
-            )
-            .expect("write to String");
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let scales = self
+            .scales
+            .iter()
+            .map(|s| {
+                Value::object([
+                    ("enrolled", Value::from(s.enrolled)),
+                    ("enroll_secs", Value::from(s.enroll_secs)),
+                    ("auth_ops", Value::from(s.auth_ops)),
+                    ("auth_secs", Value::from(s.auth_secs)),
+                    ("auth_ops_per_sec", Value::from(s.auth_ops_per_sec)),
+                    ("p50_us", Value::from(s.p50_us)),
+                    ("p99_us", Value::from(s.p99_us)),
+                    ("accepted", Value::from(s.accepted)),
+                ])
+            })
+            .collect();
+        Value::object([
+            ("kind", Value::from("serve")),
+            ("threads", Value::from(self.threads)),
+            ("unique_boards", Value::from(self.unique_boards)),
+            ("deterministic", Value::from(self.deterministic)),
+            ("scales", Value::Array(scales)),
+        ])
+        .to_document()
     }
 }
 
@@ -341,7 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn scale_labels_flatten_cleanly() {
+    fn scale_labels_read_in_thousands_and_millions() {
         assert_eq!(scale_label(10_000), "10k");
         assert_eq!(scale_label(100_000), "100k");
         assert_eq!(scale_label(1_000_000), "1m");
@@ -353,10 +339,14 @@ mod tests {
         let out = run(&tiny_config());
         assert!(out.deterministic, "drill transcripts must match");
         assert!(out.scales.is_empty());
-        let json = out.to_json();
-        assert!(json.contains("\"kind\": \"serve\""));
-        assert!(json.contains("\"threads\": 2"));
-        assert!(json.contains("\"deterministic\": true"));
+        let doc = ropuf_telemetry::json::parse(&out.to_json()).expect("the record is JSON");
+        assert_eq!(doc.get("kind").and_then(Value::as_str), Some("serve"));
+        assert_eq!(doc.get("threads").and_then(Value::as_u64), Some(2));
+        assert_eq!(
+            doc.get("deterministic").and_then(Value::as_bool),
+            Some(true)
+        );
+        assert_eq!(doc.get("scales").and_then(Value::as_array), Some(&[][..]));
     }
 
     #[test]

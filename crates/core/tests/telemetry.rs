@@ -13,6 +13,7 @@ use std::sync::Arc;
 use ropuf_core::fleet::{parallel_map_indexed, FleetConfig, FleetEngine};
 use ropuf_core::puf::EnrollOptions;
 use ropuf_silicon::{DelayProbe, Environment, SiliconSim};
+use ropuf_telemetry::json::{self, Value};
 use ropuf_telemetry::{self as telemetry, JsonLinesSink, MemorySink};
 
 fn engine(boards: usize) -> FleetEngine {
@@ -35,53 +36,6 @@ fn engine(boards: usize) -> FleetEngine {
     .expect("valid fleet config")
 }
 
-/// Minimal structural validation of one JSON object on one line:
-/// balanced braces/brackets outside strings, no control characters
-/// inside strings, and the expected `"type"` tag. The workspace carries
-/// no JSON parser, so this plays the role a real consumer's parser
-/// would.
-fn check_json_object(line: &str) -> Result<(), String> {
-    let line = line.trim();
-    if !line.starts_with('{') || !line.ends_with('}') {
-        return Err(format!("not an object: {line:?}"));
-    }
-    let mut depth: i64 = 0;
-    let mut in_string = false;
-    let mut escaped = false;
-    for c in line.chars() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            } else if (c as u32) < 0x20 {
-                return Err(format!("raw control character in string: {line:?}"));
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' | '[' => depth += 1,
-            '}' | ']' => {
-                depth -= 1;
-                if depth < 0 {
-                    return Err(format!("unbalanced nesting: {line:?}"));
-                }
-            }
-            _ => {}
-        }
-    }
-    if depth != 0 || in_string {
-        return Err(format!("unterminated object: {line:?}"));
-    }
-    if !line.contains("\"type\":") {
-        return Err(format!("missing type tag: {line:?}"));
-    }
-    Ok(())
-}
-
 #[test]
 fn jsonl_sink_emits_parseable_lines() {
     let dir = std::env::temp_dir().join(format!("ropuf-telemetry-{}", std::process::id()));
@@ -94,31 +48,36 @@ fn jsonl_sink_emits_parseable_lines() {
     });
     let text = std::fs::read_to_string(&path).expect("trace file readable");
     std::fs::remove_dir_all(&dir).ok();
-    let lines: Vec<&str> = text.lines().collect();
-    assert!(!lines.is_empty(), "trace file must not be empty");
-    for line in &lines {
-        check_json_object(line).unwrap();
-    }
+    let records: Vec<Value> = text
+        .lines()
+        .map(|line| json::parse(line).unwrap_or_else(|e| panic!("{line:?}: {e}")))
+        .collect();
+    assert!(!records.is_empty(), "trace file must not be empty");
+    let kind = |r: &Value| r.get("type").and_then(Value::as_str).map(str::to_string);
+    assert!(
+        records.iter().all(|r| kind(r).is_some()),
+        "every record carries a type tag"
+    );
     // The stream must carry all three record kinds: per-board spans,
     // the warning, and the counter/histogram snapshot from the flush.
-    for kind in [
-        "\"type\":\"span\"",
-        "\"type\":\"warn\"",
-        "\"type\":\"counter\"",
-    ] {
+    for wanted in ["span", "warn", "counter"] {
         assert!(
-            lines.iter().any(|l| l.contains(kind)),
-            "no {kind} line in trace"
+            records.iter().any(|r| kind(r).as_deref() == Some(wanted)),
+            "no {wanted} record in trace"
         );
     }
     assert!(
-        lines
-            .iter()
-            .any(|l| l.contains("\"type\":\"span\"") && l.contains("fleet.board")),
+        records.iter().any(|r| kind(r).as_deref() == Some("span")
+            && r.get("name").and_then(Value::as_str) == Some("fleet.board")),
         "per-board spans missing from trace"
     );
-    // The escaping survived: the tab must appear as \t, never raw.
+    // The escaping survived: the tab must appear as \t, never raw, and
+    // the message must read back intact.
     assert!(text.contains(r"\t"), "warning tab must be escaped");
+    assert!(records
+        .iter()
+        .any(|r| r.get("message").and_then(Value::as_str)
+            == Some("synthetic warning with \"quotes\" and a\ttab")));
 }
 
 #[test]

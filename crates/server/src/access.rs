@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use ropuf_telemetry::sink::json_escape;
+use ropuf_telemetry::json::Value;
 
 use crate::proto::Reply;
 
@@ -79,16 +79,12 @@ impl StageTimer {
 /// and the per-stage micros the gate recorded.
 pub(crate) fn render_record(
     id: RequestId,
-    op: &str,
+    op: &'static str,
     device_id: u64,
     reply: &Reply,
     total_us: u64,
     stages: &[(&'static str, u64)],
 ) -> String {
-    let mut line = format!(
-        "{{\"conn\": {}, \"seq\": {}, \"op\": \"{op}\", \"device\": {device_id}",
-        id.conn, id.seq
-    );
     let verdict = match reply {
         Reply::Enrolled { .. } => "enrolled",
         Reply::AuthOk { .. } => "auth_ok",
@@ -98,29 +94,24 @@ pub(crate) fn render_record(
         Reply::Reject { .. } => "reject",
         Reply::Error { .. } => "error",
     };
-    line.push_str(&format!(", \"verdict\": \"{verdict}\""));
+    let mut members = vec![
+        ("conn", Value::from(id.conn)),
+        ("seq", Value::from(id.seq)),
+        ("op", Value::from(op)),
+        ("device", Value::from(device_id)),
+        ("verdict", Value::from(verdict)),
+    ];
     match reply {
-        Reply::Reject { reason } => {
-            line.push_str(&format!(", \"reason\": \"{}\"", reason.as_str()));
-        }
-        Reply::Error { message } => {
-            line.push_str(&format!(", \"reason\": \"{}\"", json_escape(message)));
-        }
+        Reply::Reject { reason } => members.push(("reason", Value::from(reason.as_str()))),
+        Reply::Error { message } => members.push(("reason", Value::from(message.clone()))),
         _ => {}
     }
-    line.push_str(&format!(", \"total_us\": {total_us}"));
+    members.push(("total_us", Value::from(total_us)));
     if !stages.is_empty() {
-        line.push_str(", \"stages\": {");
-        for (i, (name, us)) in stages.iter().enumerate() {
-            if i > 0 {
-                line.push_str(", ");
-            }
-            line.push_str(&format!("\"{name}\": {us}"));
-        }
-        line.push('}');
+        let stages = stages.iter().map(|&(name, us)| (name, Value::from(us)));
+        members.push(("stages", Value::object(stages)));
     }
-    line.push('}');
-    line
+    Value::object(members).to_line()
 }
 
 /// A sampled JSON-lines access log. Sampling is deterministic in the
@@ -178,6 +169,7 @@ mod tests {
     use super::*;
     use crate::proto::RejectReason;
     use crate::testutil::temp_dir;
+    use ropuf_telemetry::json;
 
     #[test]
     fn records_render_verdicts_reasons_and_stages() {
@@ -245,8 +237,19 @@ mod tests {
         log.flush();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 1);
-        assert!(text.contains("\"op\": \"auth\""));
-        assert!(text.contains("\"verdict\": \"auth_ok\""));
+        let record = json::parse(text.trim_end()).expect("one JSON record");
+        assert_eq!(record.get("op").and_then(Value::as_str), Some("auth"));
+        assert_eq!(
+            record.get("verdict").and_then(Value::as_str),
+            Some("auth_ok")
+        );
+        assert_eq!(
+            record
+                .get("stages")
+                .and_then(|s| s.get("verdict"))
+                .and_then(Value::as_u64),
+            Some(11)
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

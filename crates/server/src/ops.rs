@@ -37,8 +37,9 @@
 use std::sync::Arc;
 
 use ropuf_telemetry::health::{
-    json_f64, Direction, GaugeSpec, HealthBoard, HealthReport, Thresholds, HEALTH_REPORT_VERSION,
+    Direction, GaugeSpec, HealthBoard, HealthReport, Thresholds, HEALTH_REPORT_VERSION,
 };
+use ropuf_telemetry::json::Value;
 use ropuf_telemetry::metrics::Snapshot;
 use ropuf_telemetry::window::{Clock, WindowSpec, WindowedCounter, WindowedHistogram};
 
@@ -298,40 +299,39 @@ impl Slo {
                 .find(|g| g.name == gauge)
                 .map_or("ok", |g| g.status.as_str())
         };
-        let p99 = self.p99_us.map_or("null".to_string(), |p| p.to_string());
-        format!(
-            concat!(
-                "{{\n",
-                "  \"version\": {version},\n",
-                "  \"overall\": \"{overall}\",\n",
-                "  \"window_us\": {window_us},\n",
-                "  \"availability\": {{\"target\": {target}, \"good\": {good}, ",
-                "\"bad\": {bad}, \"bad_fraction\": {bad_fraction}, ",
-                "\"burn_rate\": {burn}, \"status\": \"{astatus}\"}},\n",
-                "  \"p99_latency\": {{\"objective_us\": {objective}, \"p99_us\": {p99}, ",
-                "\"ratio\": {ratio}, \"status\": \"{lstatus}\"}}\n",
-                "}}\n",
+        Value::object([
+            ("version", Value::from(HEALTH_REPORT_VERSION)),
+            ("overall", Value::from(report.overall.as_str())),
+            ("window_us", Value::from(WINDOW.window_us())),
+            (
+                "availability",
+                Value::object([
+                    ("target", Value::from(AVAILABILITY_TARGET)),
+                    ("good", Value::from(self.good)),
+                    ("bad", Value::from(self.bad)),
+                    ("bad_fraction", Value::from(self.bad_fraction())),
+                    ("burn_rate", Value::from(self.burn_rate())),
+                    ("status", Value::from(status_of(AVAILABILITY_BURN_GAUGE))),
+                ]),
             ),
-            version = HEALTH_REPORT_VERSION,
-            overall = report.overall,
-            window_us = WINDOW.window_us(),
-            target = json_f64(AVAILABILITY_TARGET),
-            good = self.good,
-            bad = self.bad,
-            bad_fraction = json_f64(self.bad_fraction()),
-            burn = json_f64(self.burn_rate()),
-            astatus = status_of(AVAILABILITY_BURN_GAUGE),
-            objective = json_f64(P99_OBJECTIVE_US),
-            p99 = p99,
-            ratio = json_f64(self.p99_ratio()),
-            lstatus = status_of(P99_RATIO_GAUGE),
-        )
+            (
+                "p99_latency",
+                Value::object([
+                    ("objective_us", Value::from(P99_OBJECTIVE_US)),
+                    ("p99_us", Value::from(self.p99_us)),
+                    ("ratio", Value::from(self.p99_ratio())),
+                    ("status", Value::from(status_of(P99_RATIO_GAUGE))),
+                ]),
+            ),
+        ])
+        .to_document()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use ropuf_telemetry::health::{extract_number, Status};
+    use ropuf_telemetry::health::Status;
+    use ropuf_telemetry::json::{self, Value};
     use ropuf_telemetry::window::ManualClock;
 
     use super::*;
@@ -525,15 +525,25 @@ mod tests {
         b.feed(5, accept(), 250);
         b.feed(5, reject(RejectReason::LowCoverage), 250);
         let (s, report) = b.evaluate();
-        let json = s.to_json(&report);
-        assert_eq!(extract_number(&json, "version"), Some(1.0));
-        assert_eq!(extract_number(&json, "good"), Some(5.0));
-        assert_eq!(extract_number(&json, "bad"), Some(5.0));
-        let burn = extract_number(&json, "burn_rate").expect("burn_rate present");
+        let doc = json::parse(&s.to_json(&report)).expect("/slo is JSON");
+        let number = |section: &str, key: &str| {
+            doc.get(section)
+                .and_then(|s| s.get(key))
+                .and_then(Value::as_f64)
+        };
+        assert_eq!(doc.get("version").and_then(Value::as_u64), Some(1));
+        assert_eq!(doc.get("overall").and_then(Value::as_str), Some("critical"));
+        assert_eq!(number("availability", "good"), Some(5.0));
+        assert_eq!(number("availability", "bad"), Some(5.0));
+        let burn = number("availability", "burn_rate").expect("burn_rate present");
         assert!((burn - 50.0).abs() < 1e-6, "burn {burn}");
-        assert_eq!(extract_number(&json, "p99_us"), Some(250.0));
-        assert!(json.contains("\"overall\": \"critical\""));
-        assert!(json.contains("\"status\": \"critical\""));
+        assert_eq!(
+            doc.get("availability")
+                .and_then(|s| s.get("status"))
+                .and_then(Value::as_str),
+            Some("critical")
+        );
+        assert_eq!(number("p99_latency", "p99_us"), Some(250.0));
     }
 
     #[test]
@@ -545,9 +555,12 @@ mod tests {
     #[test]
     fn idle_json_reports_null_p99() {
         let (s, report) = Bench::new().evaluate();
-        let json = s.to_json(&report);
-        assert!(json.contains("\"p99_us\": null"));
-        assert!(json.contains("\"overall\": \"ok\""));
+        let doc = json::parse(&s.to_json(&report)).expect("/slo is JSON");
+        assert_eq!(
+            doc.get("p99_latency").and_then(|l| l.get("p99_us")),
+            Some(&Value::Null)
+        );
+        assert_eq!(doc.get("overall").and_then(Value::as_str), Some("ok"));
     }
 
     /// Feeds `n` copies of one handled request into the service's

@@ -59,6 +59,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::{self, Value};
+
 /// Version stamped into every JSON health report and baseline file.
 /// Bump when a field changes meaning or shape.
 pub const HEALTH_REPORT_VERSION: u32 = 1;
@@ -312,17 +314,6 @@ impl HealthBoard {
     }
 }
 
-/// Formats `v` so it round-trips as JSON (never `NaN`/`inf`, which are
-/// not JSON): non-finite values become `null`.
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // `{:?}` prints shortest-roundtrip for f64.
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Sanitizes a metric name for the Prometheus exposition format:
 /// `[a-zA-Z0-9_:]` pass through, everything else becomes `_`.
 pub fn prometheus_name(name: &str) -> String {
@@ -360,29 +351,30 @@ impl HealthReport {
             .gauges
             .iter()
             .map(|g| {
-                let mut fields = vec![
-                    format!("\"name\": \"{}\"", g.name),
-                    format!("\"value\": {}", json_f64(g.value)),
-                    format!("\"status\": \"{}\"", g.status),
-                    format!("\"level_status\": \"{}\"", g.level_status),
+                let mut members = vec![
+                    ("name", Value::from(g.name)),
+                    ("value", Value::from(g.value)),
+                    ("status", Value::from(g.status.as_str())),
+                    ("level_status", Value::from(g.level_status.as_str())),
                 ];
                 if let Some(b) = g.baseline {
-                    fields.push(format!("\"baseline\": {}", json_f64(b)));
+                    members.push(("baseline", Value::from(b)));
                 }
                 if let Some(d) = g.drift {
-                    fields.push(format!("\"drift\": {}", json_f64(d)));
+                    members.push(("drift", Value::from(d)));
                 }
                 if let Some(s) = g.drift_status {
-                    fields.push(format!("\"drift_status\": \"{s}\""));
+                    members.push(("drift_status", Value::from(s.as_str())));
                 }
-                format!("    {{{}}}", fields.join(", "))
+                Value::object(members)
             })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            "{{\n  \"version\": {},\n  \"overall\": \"{}\",\n  \"gauges\": [\n{}\n  ]\n}}\n",
-            self.version, self.overall, gauges
-        )
+            .collect();
+        Value::object([
+            ("version", Value::from(self.version)),
+            ("overall", Value::from(self.overall.as_str())),
+            ("gauges", Value::Array(gauges)),
+        ])
+        .to_document()
     }
 
     /// Renders the gauges in the Prometheus text exposition format.
@@ -449,8 +441,9 @@ impl HealthReport {
 /// Enrolled gauge values a later run's drift is measured against.
 ///
 /// Persists as a small versioned JSON document
-/// (`{"version":1,"gauges":{"name":value,...}}`) so baselines can be
-/// committed next to bench baselines and diffed in review.
+/// (`{"version": 1, "gauges": {"name": value, ...}}`) so baselines can
+/// be committed next to bench baselines and diffed in review. A
+/// non-finite value is written as `null` and reads back as NaN.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Baseline {
     /// `(gauge name, enrolled value)`, in enrollment order.
@@ -465,67 +458,63 @@ impl Baseline {
 
     /// Serializes the baseline as versioned JSON.
     pub fn to_json(&self) -> String {
-        let pairs = self
+        let gauges = self
             .values
             .iter()
-            .map(|(n, v)| format!("    \"{n}\": {}", json_f64(*v)))
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            "{{\n  \"version\": {HEALTH_REPORT_VERSION},\n  \"gauges\": {{\n{pairs}\n  }}\n}}\n"
-        )
+            .map(|(name, value)| (name.clone(), Value::from(*value)));
+        Value::object([
+            ("version", Value::from(HEALTH_REPORT_VERSION)),
+            ("gauges", Value::object(gauges)),
+        ])
+        .to_document()
     }
 
-    /// Parses the JSON produced by [`to_json`](Self::to_json).
-    ///
-    /// The parser accepts exactly that shape (an object with a numeric
-    /// `"version"` and a flat string-to-number `"gauges"` object) —
-    /// it is a baseline loader, not a general JSON implementation.
+    /// Parses the JSON produced by [`to_json`](Self::to_json): an
+    /// object holding exactly a `"version"` and a `"gauges"` object
+    /// whose members are numbers or `null` (read as NaN).
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural problem: missing
-    /// or unsupported version, missing `gauges` object, or a
-    /// non-numeric gauge value.
+    /// Returns a description of the first problem: text that is not
+    /// JSON (truncated, trailing content, `NaN`, a repeated gauge …),
+    /// a missing or unsupported version, a missing `gauges` object, an
+    /// unknown member, or a gauge that is not a number.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let version = extract_number(text, "version")
-            .ok_or_else(|| "baseline is missing a numeric \"version\"".to_string())?;
-        if version != f64::from(HEALTH_REPORT_VERSION) {
-            return Err(format!(
-                "unsupported baseline version {version} (expected {HEALTH_REPORT_VERSION})"
-            ));
+        let doc = json::parse(text).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
+        let Value::Object(members) = &doc else {
+            return Err("baseline is not a JSON object".to_string());
+        };
+        if let Some((name, _)) = members
+            .iter()
+            .find(|(name, _)| name != "version" && name != "gauges")
+        {
+            return Err(format!("baseline has an unknown member {name:?}"));
         }
-        let gauges_at = text
-            .find("\"gauges\"")
-            .ok_or_else(|| "baseline is missing a \"gauges\" object".to_string())?;
-        let body = &text[gauges_at + "\"gauges\"".len()..];
-        let open = body
-            .find('{')
-            .ok_or_else(|| "\"gauges\" is not an object".to_string())?;
-        let close = body[open..]
-            .find('}')
-            .ok_or_else(|| "\"gauges\" object is not closed".to_string())?;
-        let inner = &body[open + 1..open + close];
-        let mut values = Vec::new();
-        for entry in inner.split(',') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
+        match doc.get("version") {
+            None => return Err("baseline is missing its \"version\"".to_string()),
+            Some(v) if v.as_u64() == Some(u64::from(HEALTH_REPORT_VERSION)) => {}
+            Some(v) => {
+                return Err(format!(
+                    "unsupported baseline version {} (expected {HEALTH_REPORT_VERSION})",
+                    v.to_line()
+                ))
             }
-            let (name, value) = entry
-                .split_once(':')
-                .ok_or_else(|| format!("malformed gauge entry {entry:?}"))?;
-            let name = name.trim().trim_matches('"').to_string();
-            let value = value.trim();
-            let value: f64 = if value == "null" {
-                f64::NAN
-            } else {
-                value
-                    .parse()
-                    .map_err(|_| format!("gauge {name:?} has non-numeric value {value:?}"))?
-            };
-            values.push((name, value));
         }
+        let Some(Value::Object(gauges)) = doc.get("gauges") else {
+            return Err("baseline is missing a \"gauges\" object".to_string());
+        };
+        let values = gauges
+            .iter()
+            .map(|(name, value)| match value {
+                Value::Null => Ok((name.to_string(), f64::NAN)),
+                _ => value
+                    .as_f64()
+                    .map(|v| (name.to_string(), v))
+                    .ok_or_else(|| {
+                        format!("gauge {name:?} has non-numeric value {}", value.to_line())
+                    }),
+            })
+            .collect::<Result<_, _>>()?;
         Ok(Self { values })
     }
 }
@@ -542,19 +531,6 @@ fn prom_f64(v: f64) -> String {
     } else {
         format!("{v:?}")
     }
-}
-
-/// First `"key": <number>` occurrence in `text`, as used by the
-/// baseline loader and the bench regression gate.
-pub fn extract_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)?;
-    let rest = text[at + needle.len()..].trim_start();
-    let rest = rest.strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 #[cfg(test)]
@@ -702,13 +678,30 @@ mod tests {
 
     #[test]
     fn json_report_is_versioned_and_complete() {
-        let mut board = HealthBoard::new(vec![spec(None)]);
+        let mut board = HealthBoard::new(vec![spec(Some(Thresholds {
+            warn: 0.5,
+            critical: 0.9,
+            hysteresis: 0.0,
+        }))]);
+        board.set_baseline(Baseline {
+            values: vec![("flip_rate".into(), 0.01)],
+        });
         board.observe("flip_rate", 0.03);
-        let json = board.report().to_json();
-        assert!(json.contains(&format!("\"version\": {HEALTH_REPORT_VERSION}")));
-        assert!(json.contains("\"overall\": \"warn\""));
-        assert!(json.contains("\"name\": \"flip_rate\""));
-        assert!(json.contains("\"status\": \"warn\""));
+        let doc = json::parse(&board.report().to_json()).expect("the report is JSON");
+        assert_eq!(
+            doc.get("version").and_then(Value::as_u64),
+            Some(u64::from(HEALTH_REPORT_VERSION))
+        );
+        assert_eq!(doc.get("overall").and_then(Value::as_str), Some("warn"));
+        let gauge = &doc.get("gauges").and_then(Value::as_array).expect("gauges")[0];
+        assert_eq!(gauge.get("name").and_then(Value::as_str), Some("flip_rate"));
+        assert_eq!(gauge.get("value").and_then(Value::as_f64), Some(0.03));
+        assert_eq!(gauge.get("status").and_then(Value::as_str), Some("warn"));
+        assert_eq!(gauge.get("baseline").and_then(Value::as_f64), Some(0.01));
+        assert_eq!(
+            gauge.get("drift_status").and_then(Value::as_str),
+            Some("ok")
+        );
     }
 
     #[test]
@@ -750,24 +743,66 @@ mod tests {
         };
         let parsed = Baseline::parse(&baseline.to_json()).expect("parses");
         assert_eq!(parsed, baseline);
+        // A non-finite gauge is written as null and reads back as NaN.
+        let nan = Baseline {
+            values: vec![("uniqueness".into(), f64::NAN)],
+        };
+        let parsed = Baseline::parse(&nan.to_json()).expect("parses");
+        assert!(parsed.get("uniqueness").expect("present").is_nan());
     }
 
     #[test]
     fn baseline_parse_rejects_bad_documents() {
-        assert!(Baseline::parse("{}").is_err());
-        assert!(Baseline::parse("{\"version\": 99, \"gauges\": {}}").is_err());
-        assert!(Baseline::parse("{\"version\": 1}").is_err());
-        assert!(Baseline::parse("{\"version\": 1, \"gauges\": {\"a\": \"x\"}}").is_err());
+        let fails = |text: &str, why: &str| {
+            let err = Baseline::parse(text).expect_err(text);
+            assert!(err.contains(why), "{text}: {err}");
+        };
+        fails("{}", "missing its \"version\"");
+        fails(
+            "{\"version\": 99, \"gauges\": {}}",
+            "unsupported baseline version 99",
+        );
+        fails(
+            "{\"version\": 1.5, \"gauges\": {}}",
+            "unsupported baseline version 1.5",
+        );
+        fails("{\"version\": 1}", "missing a \"gauges\" object");
+        fails(
+            "{\"version\": 1, \"gauges\": []}",
+            "missing a \"gauges\" object",
+        );
+        fails(
+            "{\"version\": 1, \"gauges\": {\"a\": \"x\"}}",
+            "non-numeric value \"x\"",
+        );
+        fails("[1]", "not a JSON object");
+        fails(
+            "{\"version\": 1, \"gauges\": {}, \"extra\": 0}",
+            "unknown member \"extra\"",
+        );
+        // What the old comma-split loader accepted.
+        fails(
+            "{\"version\": 1, \"gauges\": {\"a\": 0.5",
+            "unexpected end of input",
+        );
+        fails(
+            "{\"version\": 1, \"gauges\": {\"a\": NaN}}",
+            "unexpected character 'N'",
+        );
+        fails(
+            "{\"version\": 1, \"gauges\": {\"a\": 1}} }",
+            "trailing content",
+        );
+        fails(
+            "{\"version\": 1, \"gauges\": {\"a\": 1, \"a\": 2}}",
+            "duplicate key \"a\"",
+        );
+        fails(
+            "{\"gauges\": {\"version\": 1, \"a\": 1}}",
+            "missing its \"version\"",
+        );
         // Empty gauge set is fine.
         let empty = Baseline::parse("{\"version\": 1, \"gauges\": {}}").expect("ok");
         assert!(empty.values.is_empty());
-    }
-
-    #[test]
-    fn extract_number_reads_first_occurrence() {
-        let text = "{\"a\": 1.5, \"nested\": {\"a\": 9}, \"b\": -2e-3}";
-        assert_eq!(extract_number(text, "a"), Some(1.5));
-        assert_eq!(extract_number(text, "b"), Some(-2e-3));
-        assert_eq!(extract_number(text, "missing"), None);
     }
 }

@@ -14,6 +14,7 @@
 //! latching thresholds. Both are value-only: what a window or a gauge
 //! means lives with its user — the server's operations plane, for
 //! one, computes its service-level objectives from its own windows.
+//! [`json`] reads and writes every JSON document the workspace uses.
 //!
 //! # Design rules
 //!
@@ -53,6 +54,7 @@
 //! as long as nothing emits outside a scope meanwhile.
 
 pub mod health;
+pub mod json;
 pub mod metrics;
 pub mod sink;
 pub mod window;

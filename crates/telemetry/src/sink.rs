@@ -12,6 +12,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::sync::Mutex;
 
+use crate::json::Value;
 use crate::metrics::{bucket_upper_bound, Snapshot};
 use crate::SpanRecord;
 
@@ -28,25 +29,6 @@ pub trait Sink: Send + Sync {
     /// Called by [`crate::flush`] with a snapshot of every counter and
     /// histogram.
     fn on_flush(&self, _snapshot: &Snapshot) {}
-}
-
-/// Escapes `s` for embedding in a JSON string literal: quotes,
-/// backslashes and control characters. Shared by every JSON-lines
-/// writer in the workspace (the trace sink and the server's access log).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Writes one JSON object per line (JSONL) to a file: `span` events as
@@ -68,38 +50,41 @@ impl JsonLinesSink {
         })
     }
 
-    fn write_line(&self, line: &str) {
+    fn write_line(&self, record: Value) {
+        let mut line = record.to_line();
+        line.push('\n');
         let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
         // A full disk is not worth panicking a PUF enrollment over.
-        let _ = writeln!(out, "{line}");
+        let _ = out.write_all(line.as_bytes());
     }
 }
 
 impl Sink for JsonLinesSink {
     fn on_span(&self, span: &SpanRecord) {
-        self.write_line(&format!(
-            "{{\"type\":\"span\",\"name\":\"{}\",\"start_us\":{},\"dur_us\":{},\"thread\":{},\"depth\":{}}}",
-            json_escape(span.name),
-            span.start_us,
-            span.dur_us,
-            span.thread,
-            span.depth
-        ));
+        self.write_line(Value::object([
+            ("type", Value::from("span")),
+            ("name", Value::from(span.name)),
+            ("start_us", Value::from(span.start_us)),
+            ("dur_us", Value::from(span.dur_us)),
+            ("thread", Value::from(span.thread)),
+            ("depth", Value::from(span.depth)),
+        ]));
     }
 
     fn on_warn(&self, message: &str) {
-        self.write_line(&format!(
-            "{{\"type\":\"warn\",\"message\":\"{}\"}}",
-            json_escape(message)
-        ));
+        self.write_line(Value::object([
+            ("type", Value::from("warn")),
+            ("message", Value::from(message.to_string())),
+        ]));
     }
 
     fn on_flush(&self, snapshot: &Snapshot) {
         for (name, value) in &snapshot.counters {
-            self.write_line(&format!(
-                "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{value}}}",
-                json_escape(name)
-            ));
+            self.write_line(Value::object([
+                ("type", Value::from("counter")),
+                ("name", Value::from(name.clone())),
+                ("value", Value::from(*value)),
+            ]));
         }
         for h in &snapshot.histograms {
             let buckets = h
@@ -108,18 +93,21 @@ impl Sink for JsonLinesSink {
                 .enumerate()
                 .filter(|&(_, &count)| count > 0)
                 .map(|(i, &count)| {
-                    format!("{{\"lt\":{},\"count\":{count}}}", bucket_upper_bound(i))
+                    Value::object([
+                        ("lt", Value::from(bucket_upper_bound(i))),
+                        ("count", Value::from(count)),
+                    ])
                 })
-                .collect::<Vec<_>>()
-                .join(",");
-            self.write_line(&format!(
-                "{{\"type\":\"histogram\",\"name\":\"{}\",\"count\":{},\"sum\":{},\"max\":{},\"mean\":{},\"buckets\":[{buckets}]}}",
-                json_escape(&h.name),
-                h.count,
-                h.sum,
-                h.max,
-                h.mean()
-            ));
+                .collect();
+            self.write_line(Value::object([
+                ("type", Value::from("histogram")),
+                ("name", Value::from(h.name.clone())),
+                ("count", Value::from(h.count)),
+                ("sum", Value::from(h.sum)),
+                ("max", Value::from(h.max)),
+                ("mean", Value::from(h.mean())),
+                ("buckets", Value::Array(buckets)),
+            ]));
         }
         let _ = self.out.lock().unwrap_or_else(|e| e.into_inner()).flush();
     }
@@ -311,14 +299,6 @@ impl Sink for MemorySink {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn memory_sink_accumulates() {

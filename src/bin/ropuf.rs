@@ -842,7 +842,7 @@ fn attack(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let report = AttackSuiteReport::run(&config);
     drop(run_span);
     match format {
-        "json" => println!("{}", report.to_json()),
+        "json" => print!("{}", report.to_json()),
         _ => print!("{}", report.render()),
     }
     if get(opts, "assert-guard", false)? {

@@ -3,6 +3,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use ropuf_telemetry::json::{self, Value};
+
 fn ropuf(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ropuf"))
         .args(args)
@@ -642,11 +644,9 @@ fn monitor_baseline_missing_file_is_a_typed_error() {
     );
 }
 
-#[test]
-fn monitor_baseline_malformed_file_is_a_typed_error() {
-    let garbled = tmp("garbled_baseline.json");
-    std::fs::write(&garbled, "hello, not json at all").unwrap();
-    let out = ropuf(&[
+/// Runs a small `monitor` against the baseline file `path`.
+fn monitor_against(path: &std::path::Path) -> Output {
+    ropuf(&[
         "monitor",
         "--sweep",
         "nominal",
@@ -656,15 +656,79 @@ fn monitor_baseline_malformed_file_is_a_typed_error() {
         "60",
         "--years",
         "0",
+        "--fail-on",
+        "never",
         "--baseline",
-        garbled.to_str().unwrap(),
-    ]);
-    assert!(!out.status.success(), "malformed baseline must fail");
-    let err = String::from_utf8_lossy(&out.stderr);
+        path.to_str().unwrap(),
+    ])
+}
+
+#[test]
+fn monitor_baseline_malformed_file_is_a_typed_error() {
+    let golden = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden/monitor_enrolled_baseline.json"),
+    )
+    .expect("committed baseline");
+    let uniqueness = golden
+        .lines()
+        .find(|l| l.contains("\"uniqueness\""))
+        .expect("uniqueness gauge")
+        .to_string();
+    let with_value =
+        |value: &str| golden.replace(&uniqueness, &format!("    \"uniqueness\": {value},"));
+    let variants = [
+        ("garbled", "hello, not json at all".to_string()),
+        // Cut before the closing brace: the comma-split loader read it.
+        (
+            "truncated",
+            golden[..golden.trim_end().len() - 1].to_string(),
+        ),
+        ("trailing", format!("{golden}garbage\n")),
+        ("nan", with_value("NaN")),
+        (
+            "repeated",
+            golden.replace(&uniqueness, &format!("{uniqueness}\n{uniqueness}")),
+        ),
+        (
+            "nested_version",
+            golden
+                .replace("  \"version\": 1,\n", "")
+                .replace("\"gauges\": {\n", "\"gauges\": {\n    \"version\": 1,\n"),
+        ),
+    ];
+    for (name, text) in variants {
+        assert_ne!(text, golden, "{name}: the variant differs from the golden");
+        let path = tmp(&format!("{name}_baseline.json"));
+        std::fs::write(&path, &text).unwrap();
+        let out = monitor_against(&path);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{name} baseline must fail: {err}"
+        );
+        assert!(
+            err.starts_with("error: ") && err.contains(path.to_str().unwrap()),
+            "{name}: the error names the file: {err}"
+        );
+        assert!(
+            err.contains("baseline"),
+            "{name}: explains what was malformed: {err}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+    // A null gauge is what `--enroll-baseline` writes for a non-finite
+    // value; it still loads.
+    let path = tmp("null_gauge_baseline.json");
+    std::fs::write(&path, with_value("null")).unwrap();
+    let out = monitor_against(&path);
     assert!(
-        err.contains("baseline"),
-        "explains what was malformed: {err}"
+        out.status.success(),
+        "a null gauge loads: {}",
+        String::from_utf8_lossy(&out.stderr)
     );
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -1094,12 +1158,13 @@ fn serve_drill_stdout_is_identical_with_admin_plane_enabled() {
         logged.lines().count() > 0,
         "sampled access log must carry records"
     );
-    assert!(
-        logged
-            .lines()
-            .all(|l| l.starts_with('{') && l.ends_with('}')),
-        "access log must be JSONL: {logged}"
-    );
+    for line in logged.lines() {
+        let record = json::parse(line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+        assert!(
+            record.get("verdict").and_then(Value::as_str).is_some(),
+            "every access record carries a verdict: {line}"
+        );
+    }
     for d in [&plain_dir, &wired_dir] {
         std::fs::remove_dir_all(d).ok();
     }

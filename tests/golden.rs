@@ -256,6 +256,18 @@ fn fleet_report() {
     );
 }
 
+/// Majority voting at three stages, where three votes read different
+/// flip counts from one (at the default seven stages they read alike).
+#[test]
+fn fleet_report_with_majority_votes() {
+    golden(
+        "fleet_boards64_seed7_stages3_votes3.txt",
+        &[
+            "fleet", "--boards", "64", "--seed", "7", "--stages", "3", "--votes", "3",
+        ],
+    );
+}
+
 #[test]
 fn chaos_drill_report() {
     golden(
