@@ -477,7 +477,7 @@ impl KeyCode {
         }
         Ok(Self {
             repetition,
-            helper: BitVec::unpack(&bytes[12..], helper_bits).collect(),
+            helper: BitVec::from_packed(&bytes[12..], helper_bits),
         })
     }
 }

@@ -51,11 +51,21 @@
 //! [`enrollment_to_bytes`] alike, into a buffer sized before it is
 //! written.
 //!
-//! One validator checks v2 in a single pass over the bytes, building
-//! nothing. It backs both [`enrollment_from_bytes`], which then builds
-//! the [`Enrollment`], and [`expected_bits_from_bytes`], which keeps
-//! only the expected bits for a verifier that serves from them. Both
-//! accept the same input and fail with the same error.
+//! One validator checks v2 in a single forward pass over the bytes,
+//! building nothing. It backs both [`enrollment_from_bytes`], which then
+//! builds the [`Enrollment`], and [`expected_bits_from_bytes`], which
+//! keeps only the expected bits for a verifier that serves from them.
+//! Both accept the same input and fail with the same error.
+//!
+//! A margin is checked, not parsed, when its field is a plain decimal:
+//! 1 to 308 digits, optionally followed by `.` and more digits, then the
+//! line's `\n`. `FromStr` reads every such field as a finite,
+//! non-negative `f64` (it is below 10^308), and `f64`'s `Display` writes
+//! every margin that way, since it never writes an exponent. Any other
+//! field is parsed by `FromStr` from its first byte and must be finite
+//! and non-negative, so the accepted set is still `FromStr`'s and every
+//! error keeps its message and line. Only [`enrollment_from_bytes`]
+//! computes margins, those of the pairs it builds.
 //!
 //! Version 1 restated both unit lists on every enrolled pair line
 //! (`pair,i,top,bottom,top_config,bottom_config,bit,margin`) and had no
@@ -398,7 +408,8 @@ struct PairV2<'a> {
     top_config: &'a [u8],
     bottom_config: &'a [u8],
     expected_bit: bool,
-    margin_ps: f64,
+    /// The margin field, checked but not parsed.
+    margin: &'a [u8],
 }
 
 impl PairV2<'_> {
@@ -416,12 +427,16 @@ impl PairV2<'_> {
             }
             None => layout.spec(index),
         };
+        let margin_ps = std::str::from_utf8(self.margin)
+            .ok()
+            .and_then(|m| m.parse().ok())
+            .expect("margin checked by scan_v2");
         let pair = EnrolledPair::from_parts(
             index,
             config(self.top_config),
             config(self.bottom_config),
             self.expected_bit,
-            self.margin_ps,
+            margin_ps,
         );
         (spec, pair)
     }
@@ -652,18 +667,57 @@ impl<'a> Cursor<'a> {
             }
             _ => return Err(self.err("bit must be 0 or 1")),
         };
-        let margin_ps = self.float(b'\n', "margin")?;
-        if !(margin_ps.is_finite() && margin_ps >= 0.0) {
-            return Err(self.err("margin must be finite and non-negative"));
-        }
         Ok(PairV2 {
             units,
             top_config,
             bottom_config,
             expected_bit,
-            margin_ps,
+            margin: self.margin()?,
         })
     }
+
+    /// A margin field ended by `\n`, checked and returned unparsed. A
+    /// plain decimal field is accepted as it is scanned; any other is
+    /// parsed from its first byte, as [`float`](Self::float) parses it,
+    /// and must be finite and non-negative.
+    fn margin(&mut self) -> Result<&'a [u8], ParseEnrollmentError> {
+        let field = self.rest;
+        if let Some(len) = plain_decimal(field) {
+            if field.get(len) == Some(&b'\n') {
+                self.rest = &field[len + 1..];
+                return Ok(&field[..len]);
+            }
+        }
+        let margin_ps = self.float(b'\n', "margin")?;
+        if !(margin_ps.is_finite() && margin_ps >= 0.0) {
+            return Err(self.err("margin must be finite and non-negative"));
+        }
+        Ok(&field[..field.len() - self.rest.len() - 1])
+    }
+}
+
+/// Most integer digits a plain decimal may have: any such number is
+/// below 10^308, so it reads as a finite `f64` (`f64::MAX` is about
+/// 1.8·10^308), where 309 digits may overflow to infinity.
+const PLAIN_DIGITS: usize = 308;
+
+/// The length of the plain decimal `bytes` starts with — 1 to
+/// [`PLAIN_DIGITS`] ASCII digits, then optionally `.` and more digits —
+/// or `None` when they start with no digit or with more than
+/// [`PLAIN_DIGITS`]. `f64`'s `FromStr` reads every such number as a
+/// finite, non-negative value, and `f64`'s `Display` writes every
+/// finite, non-negative value as one, since it never writes an
+/// exponent.
+fn plain_decimal(bytes: &[u8]) -> Option<usize> {
+    let digits = |bytes: &[u8]| bytes.iter().take_while(|b| b.is_ascii_digit()).count();
+    let int = digits(bytes);
+    if !(1..=PLAIN_DIGITS).contains(&int) {
+        return None;
+    }
+    Some(match bytes.get(int) {
+        Some(b'.') => int + 1 + digits(&bytes[int + 1..]),
+        _ => int,
+    })
 }
 
 /// ASCII `digits` as a `usize`: `None` when there are none, one is not
@@ -1709,7 +1763,180 @@ mod tests {
         text
     }
 
+    /// Fields `FromStr` reads (or refuses) in ways a plain decimal is
+    /// not: a lone point on either side, signs, exponents, the words for
+    /// infinity and NaN, whitespace, and fields no float reads.
+    const ODD_MARGINS: [&[u8]; 30] = [
+        b"5.",
+        b".5",
+        b".",
+        b"-0",
+        b"-0.0",
+        b"+1",
+        b"+0.5",
+        b"-1",
+        b"1e5",
+        b"1E5",
+        b"1e-5",
+        b"2.5E+3",
+        b"1e309",
+        b"1e-400",
+        b"-1e-400",
+        b"e5",
+        b"1e",
+        b"inf",
+        b"-inf",
+        b"+infinity",
+        b"Infinity",
+        b"NaN",
+        b"nan",
+        b"",
+        b",",
+        b" 1",
+        b"1 ",
+        b"0x1",
+        b"1_0",
+        "\u{e9}".as_bytes(),
+    ];
+
+    /// A margin field drawn from `seed`: a plain decimal whose integer
+    /// part has 1–400 digits (leading zeros, often near the 308/309
+    /// edge) with or without a fraction, then in turn given a sign or an
+    /// exponent, or one byte replaced or deleted; an [`ODD_MARGINS`]
+    /// field; or `f64`'s `Display` of a finite value. Never holds `\n`.
+    fn margin_field(seed: u64) -> Vec<u8> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let digits = |rng: &mut StdRng, n: usize| -> Vec<u8> {
+            (0..n).map(|_| b'0' + rng.gen_range(0..10u8)).collect()
+        };
+        match rng.gen_range(0..4) {
+            0 | 1 => {
+                let int = if rng.gen_bool(0.5) {
+                    rng.gen_range(1..=400)
+                } else {
+                    rng.gen_range(PLAIN_DIGITS - 2..=PLAIN_DIGITS + 2)
+                };
+                let mut field = digits(&mut rng, int);
+                if rng.gen_bool(0.5) {
+                    field[0] = [b'0', b'1', b'9'][rng.gen_range(0..3)];
+                }
+                if rng.gen_bool(0.5) {
+                    field.push(b'.');
+                    let fraction = rng.gen_range(0..24);
+                    field.extend(digits(&mut rng, fraction));
+                }
+                match rng.gen_range(0..5) {
+                    0 => field.insert(0, [b'-', b'+'][rng.gen_range(0..2)]),
+                    1 => {
+                        field.push([b'e', b'E'][rng.gen_range(0..2)]);
+                        field.extend_from_slice([&b""[..], b"-", b"+"][rng.gen_range(0..3)]);
+                        let exponent = rng.gen_range(0..5);
+                        field.extend(digits(&mut rng, exponent));
+                    }
+                    2 => {
+                        let at = rng.gen_range(0..field.len());
+                        field[at] = loop {
+                            let byte = rng.gen::<u8>();
+                            if byte != b'\n' {
+                                break byte;
+                            }
+                        };
+                    }
+                    3 => {
+                        field.remove(rng.gen_range(0..field.len()));
+                    }
+                    _ => {}
+                }
+                field
+            }
+            2 => ODD_MARGINS[rng.gen_range(0..ODD_MARGINS.len())].to_vec(),
+            _ => {
+                let margin = if rng.gen_bool(0.5) {
+                    EDGE_MARGINS[rng.gen_range(0..EDGE_MARGINS.len())]
+                } else {
+                    rng.gen::<f64>() * 10f64.powi(rng.gen_range(-320..309))
+                };
+                margin.to_string().into_bytes()
+            }
+        }
+    }
+
+    /// `envelope` with the margin of its `pair`th enrolled pair line
+    /// replaced by `field`. Returns the bytes, the line's 1-based number
+    /// and the pair's index. With `cut`, the pair is the last and the
+    /// envelope ends right after the field, without its `\n`.
+    fn with_margin(
+        envelope: &[u8],
+        pair: usize,
+        field: &[u8],
+        cut: bool,
+    ) -> (Vec<u8>, usize, usize) {
+        let (header, payload) = envelope.split_at(MAGIC.len() + 2);
+        let lines: Vec<&[u8]> = payload.split_inclusive(|&b| b == b'\n').collect();
+        let enrolled: Vec<usize> = (3..lines.len())
+            .filter(|&i| !lines[i].ends_with(b",excluded\n"))
+            .collect();
+        let at = if cut {
+            lines.len() - 1
+        } else {
+            enrolled[pair % enrolled.len()]
+        };
+        let mut fields: Vec<&[u8]> = lines[at][..lines[at].len() - 1]
+            .split(|&b| b == b',')
+            .collect();
+        let index = std::str::from_utf8(fields[1]).unwrap().parse().unwrap();
+        *fields.last_mut().unwrap() = field;
+        let mut bytes = header.to_vec();
+        lines[..at]
+            .iter()
+            .for_each(|line| bytes.extend_from_slice(line));
+        bytes.extend_from_slice(&fields.join(&b',')[..]);
+        if !cut {
+            bytes.push(b'\n');
+            lines[at + 1..]
+                .iter()
+                .for_each(|line| bytes.extend_from_slice(line));
+        }
+        (bytes, at + 1, index)
+    }
+
     proptest! {
+        /// The margin check against its oracle, `f64`'s `FromStr`: an
+        /// envelope whose one margin field is replaced decodes iff the
+        /// field reads as a finite, non-negative `f64` and ends its line;
+        /// it fails with the message and line the parsing reader gave;
+        /// the decoded margin is `FromStr`'s value bit for bit. Generated
+        /// and listed layouts alike.
+        #[test]
+        fn margin_check_matches_from_str(
+            which in 0usize..2,
+            pair in any::<usize>(),
+            seed in any::<u64>(),
+            cut in proptest::sample::select(vec![false, false, false, true]),
+        ) {
+            let field = margin_field(seed);
+            let (bytes, line, index) = with_margin(&real_envelopes()[which], pair, &field, cut);
+            let read = std::str::from_utf8(&field).ok().and_then(|f| f.parse::<f64>().ok());
+            let want = match read {
+                Some(m) if !cut && m.is_finite() && m >= 0.0 => Ok(m),
+                Some(_) if !cut => Err(err(line, "margin must be finite and non-negative")),
+                _ => Err(err(line, "field margin is malformed")),
+            };
+            let field = String::from_utf8_lossy(&field);
+            let decoded = enrollment_from_bytes(&bytes);
+            prop_assert_eq!(
+                expected_bits_from_bytes(&bytes),
+                decoded.as_ref().map(Enrollment::expected_bits).map_err(Clone::clone)
+            );
+            match (decoded, want) {
+                (Ok(e), Ok(margin)) => {
+                    let pair = e.pairs()[index].as_ref().expect("an enrolled pair");
+                    prop_assert_eq!(pair.margin_ps().to_bits(), margin.to_bits(), "{:?}", field);
+                }
+                (got, want) => prop_assert_eq!(got.map(drop), want.map(drop).map_err(Error::Parse), "{:?}", field),
+            }
+        }
+
         #[test]
         fn decoders_agree_on_arbitrary_bytes(
             bytes in proptest::collection::vec(any::<u8>(), 0..64),

@@ -21,8 +21,8 @@
 //!   can be rerun against exported files (or, with matching headers,
 //!   against the real datasets if you have them).
 //!
-//! All dataset types also derive Serde's `Serialize`/`Deserialize` for
-//! users who prefer a structured format.
+//! CSV is the only file format: the workspace has no serialization
+//! dependency, and no dataset type derives one.
 //!
 //! # Examples
 //!

@@ -312,6 +312,37 @@ impl BitVec {
         (0..len).map(move |i| bytes[i / 8] >> (i % 8) & 1 == 1)
     }
 
+    /// The first `len` bits of LSB-first packed `bytes`, as
+    /// [`unpack`](Self::unpack) reads them, built a word (eight bytes)
+    /// at a time into a vector of exactly `len.div_ceil(64)` words. Bits
+    /// past `len` in the last byte are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` holds fewer than `len.div_ceil(8)` bytes.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ropuf_num::bits::BitVec;
+    /// let v = BitVec::from_packed(&[0b1111_0011, 0b1111_1110], 10);
+    /// assert_eq!(v.to_binary_string(), "1100111101");
+    /// ```
+    pub fn from_packed(bytes: &[u8], len: usize) -> Self {
+        let mut words: Vec<u64> = bytes[..len.div_ceil(8)]
+            .chunks(8)
+            .map(|chunk| {
+                let mut word = [0; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                u64::from_le_bytes(word)
+            })
+            .collect();
+        if let (Some(last), tail @ 1..) = (words.last_mut(), len % 64) {
+            *last &= (1 << tail) - 1;
+        }
+        Self { words, len }
+    }
+
     /// Collects the bits into a `Vec<bool>`.
     pub fn to_bools(&self) -> Vec<bool> {
         self.iter().collect()

@@ -32,6 +32,7 @@ proptest! {
         }
         prop_assert_eq!(&packed[1..], &expected[..]);
         prop_assert_eq!(&BitVec::unpack(&packed[1..], bits.len()).collect::<BitVec>(), &v);
+        prop_assert_eq!(&BitVec::from_packed(&packed[1..], bits.len()), &v);
         // Junk past the last bit and trailing bytes are ignored.
         if let Some(last) = expected.last_mut() {
             if bits.len() % 8 != 0 {
@@ -39,7 +40,10 @@ proptest! {
             }
         }
         expected.push(junk);
-        prop_assert_eq!(BitVec::unpack(&expected, bits.len()).collect::<BitVec>(), v);
+        prop_assert_eq!(BitVec::unpack(&expected, bits.len()).collect::<BitVec>(), v.clone());
+        // `from_packed` clears the junk too, so it equals the pushed
+        // vector word for word.
+        prop_assert_eq!(BitVec::from_packed(&expected, bits.len()), v);
     }
 
     #[test]

@@ -20,6 +20,10 @@ use ropuf_num::bits::BitVec;
 /// legitimate body is an `enroll` carrying one enrollment text.
 pub const MAX_FRAME_BYTES: u32 = 1 << 22;
 
+/// Longest error message a reply carries, in bytes: its length travels
+/// as a `u16`.
+pub const MAX_ERROR_BYTES: usize = u16::MAX as usize;
+
 const OP_ENROLL: u8 = 1;
 const OP_AUTH: u8 = 2;
 const OP_DERIVE_KEY: u8 = 3;
@@ -291,6 +295,19 @@ pub enum RejectReason {
 }
 
 impl RejectReason {
+    /// Every reason, in wire order.
+    pub const ALL: [RejectReason; 9] = [
+        RejectReason::UnknownDevice,
+        RejectReason::AlreadyEnrolled,
+        RejectReason::Replay,
+        RejectReason::LockedOut,
+        RejectReason::Quarantined,
+        RejectReason::TooManyFlips,
+        RejectReason::LowCoverage,
+        RejectReason::BadRequest,
+        RejectReason::UnsupportedVersion,
+    ];
+
     /// Stable lower-case label (used in transcripts and counters).
     pub fn as_str(self) -> &'static str {
         match self {
@@ -360,7 +377,8 @@ pub enum Reply {
     },
     /// Server-side failure while handling the request.
     Error {
-        /// Human-readable description.
+        /// Human-readable description; the wire carries at most its
+        /// first [`MAX_ERROR_BYTES`] bytes, cut on a char boundary.
         message: String,
     },
 }
@@ -396,9 +414,9 @@ impl Reply {
             }
             Reply::Error { message } => {
                 out.push(ST_ERROR);
-                let msg = message.as_bytes();
+                let msg = &message[..message.floor_char_boundary(MAX_ERROR_BYTES)];
                 out.extend_from_slice(&(msg.len() as u16).to_le_bytes());
-                out.extend_from_slice(msg);
+                out.extend_from_slice(msg.as_bytes());
             }
         }
         out
@@ -606,17 +624,7 @@ mod tests {
             bits: 31,
             generation: 2,
         });
-        for reason in [
-            RejectReason::UnknownDevice,
-            RejectReason::AlreadyEnrolled,
-            RejectReason::Replay,
-            RejectReason::LockedOut,
-            RejectReason::Quarantined,
-            RejectReason::TooManyFlips,
-            RejectReason::LowCoverage,
-            RejectReason::BadRequest,
-            RejectReason::UnsupportedVersion,
-        ] {
+        for reason in RejectReason::ALL {
             round_trip_reply(Reply::Reject { reason });
         }
         round_trip_reply(Reply::Error {
@@ -644,6 +652,22 @@ mod tests {
         }
         .encode();
         assert!(Request::decode(&body[..body.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn an_error_longer_than_its_length_field_is_cut_on_a_char_boundary() {
+        // 70,000 bytes of two-byte 'é's: the cap at 65,535 falls
+        // inside the 32,768th.
+        let message = "é".repeat(35_000);
+        let body = Reply::Error { message }.encode();
+        let Reply::Error { message } = Reply::decode(&body).unwrap() else {
+            panic!("an error decodes as an error");
+        };
+        assert_eq!(message, "é".repeat(32_767));
+        assert_eq!(body.len(), 1 + 2 + 65_534);
+        // Exactly at the cap nothing is cut.
+        let message = "x".repeat(MAX_ERROR_BYTES);
+        round_trip_reply(Reply::Error { message });
     }
 
     #[test]

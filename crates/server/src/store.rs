@@ -34,10 +34,13 @@
 //! length field against the bytes left before reading it, and shards
 //! replay in parallel. Each envelope is validated in full but not
 //! built: `persist::expected_bits_from_bytes` runs every check of the
-//! enrollment parser and keeps only the expected bits, the one part of
-//! the enrollment the index serves from. Enroll and supersede validate
-//! their payloads the same way. A truncated trailing record is
-//! reported as corruption, not silently dropped.
+//! enrollment parser in one pass, checking margins without computing
+//! them, and keeps only the expected bits, the one part of the
+//! enrollment the index serves from; `KeyCode::from_bytes` builds the
+//! helper a word at a time. Validating a record allocates those two
+//! bit vectors and nothing else. Enroll and supersede validate their
+//! payloads the same way. A truncated trailing record is reported as
+//! corruption, not silently dropped.
 //!
 //! Telemetry: a `serve.store.open` span around the whole open, one
 //! `serve.store.replay` span per shard, and the

@@ -248,6 +248,100 @@ fn reenroll_transcript_split_at_a_restart() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The reenroll drill's store at one server worker, pinned as a
+/// listing of its shard files (`reenroll_shards.txt`): per record its
+/// kind, device id, generation, envelope and Key Code lengths and the
+/// FNV-1a-64 of its bytes, then the shard's length. The files are read
+/// by [`shard_listing`], a walker of the record grammar in the store's
+/// module docs, not by `Store`, so a change to the writer or the reader
+/// shows here.
+#[test]
+fn reenroll_store_shards() {
+    let dir = store("reenroll-shards");
+    run(&[
+        "reenroll",
+        "--workers",
+        "1",
+        "--fsync",
+        "batched",
+        "--store",
+        dir.to_str().unwrap(),
+    ]);
+    let mut shards: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("the drill wrote its store")
+        .map(|entry| entry.expect("a directory entry").path())
+        .collect();
+    shards.sort();
+    let mut listing = String::new();
+    for path in &shards {
+        let name = path.file_name().unwrap().to_string_lossy();
+        let bytes = std::fs::read(path).expect("a shard file");
+        listing.push_str(&shard_listing(&name, &bytes));
+    }
+    check(
+        "reenroll_shards.txt",
+        listing.as_bytes(),
+        "the reenroll store",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One shard file, record by record, after the grammar
+///
+/// ```text
+/// header    := "RPUFSTOR" u16:version
+/// record    := u8:kind u64:device_id payload
+/// enroll    := kind=1, payload = u32:elen elen*u8 u32:klen klen*u8
+/// revoke    := kind=2, payload empty (tombstone)
+/// supersede := kind=3, payload = u32:generation u32:elen elen*u8 u32:klen klen*u8
+/// ```
+///
+/// (integers little-endian). Panics on anything else.
+fn shard_listing(name: &str, bytes: &[u8]) -> String {
+    fn take<'a>(bytes: &'a [u8], at: &mut usize, n: usize) -> &'a [u8] {
+        let taken = &bytes[*at..*at + n];
+        *at += n;
+        taken
+    }
+    fn int(bytes: &[u8], at: &mut usize, n: usize) -> u64 {
+        let mut le = [0u8; 8];
+        le[..n].copy_from_slice(take(bytes, at, n));
+        u64::from_le_bytes(le)
+    }
+    let mut at = 0;
+    assert_eq!(take(bytes, &mut at, 8), b"RPUFSTOR", "{name}: header");
+    let mut out = format!("{name}: version {}\n", int(bytes, &mut at, 2));
+    while at < bytes.len() {
+        let start = at;
+        let kind = int(bytes, &mut at, 1);
+        let device = int(bytes, &mut at, 8);
+        let fields = match kind {
+            2 => format!("revoke device {device}"),
+            1 | 3 => {
+                let generation = if kind == 3 { int(bytes, &mut at, 4) } else { 0 };
+                let envelope = int(bytes, &mut at, 4) as usize;
+                take(bytes, &mut at, envelope);
+                let key_code = int(bytes, &mut at, 4) as usize;
+                take(bytes, &mut at, key_code);
+                let kind = if kind == 1 { "enroll" } else { "supersede" };
+                format!(
+                    "{kind} device {device} generation {generation} \
+                     envelope {envelope} key_code {key_code}"
+                )
+            }
+            other => panic!("{name}: record kind {other} at byte {start}"),
+        };
+        let fnv = bytes[start..at]
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        out.push_str(&format!("  {fields} fnv1a64 {fnv:016x}\n"));
+    }
+    out.push_str(&format!("  {} bytes\n", bytes.len()));
+    out
+}
+
 #[test]
 fn fleet_report() {
     golden(
