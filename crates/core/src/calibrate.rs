@@ -125,59 +125,73 @@ pub fn calibrate<R: Rng + ?Sized>(
     arena.begin_block(1, ro.len());
     ro.stage_delays_into(env, tech, &mut arena, 0);
     let sweep = arena.sweep();
-    read_ring(sweep.ring(0, ro.len()), |d| Some(probe.measure_ps(rng, d)))
-        .expect("plain probe readings never fail")
+    let mut ddiff_ps = vec![0.0; ro.len()];
+    let (all_selected_ps, bypass_ps) = read_ring(sweep.ring(0, ro.len()), &mut ddiff_ps, |d| {
+        Some(probe.measure_ps(rng, d))
+    })
+    .expect("plain probe readings never fail");
+    Calibration {
+        ddiff_ps,
+        all_selected_ps,
+        bypass_ps,
+    }
 }
 
 /// The one §III.B ring reader: takes the `n + 2` readings of `ring` in
 /// sweep order (all-selected, all-bypassed, leave-one-out `0..n`), each
-/// through `read`, and recovers `ddiff_i = D_all − D_i`.
+/// through `read`, writes `ddiff_i = D_all − D_i` into `ddiff_ps[i]`
+/// and returns `(D_all, B)`, the all-selected and all-bypassed
+/// readings.
 ///
 /// `read` maps a configuration's true delay to one reading; `None`
 /// means the reading failed, which stops the calibration there (the
-/// remaining configurations are never read) and returns `None`. The
-/// `measure.batched` counter counts the readings taken, the failed one
-/// included: `n + 2` for a complete calibration.
-fn read_ring(ring: RingSweep<'_>, mut read: impl FnMut(f64) -> Option<f64>) -> Option<Calibration> {
+/// remaining configurations are never read) and returns `None`, with
+/// `ddiff_ps` partly written. The `measure.batched` counter counts the
+/// readings taken, the failed one included: `n + 2` for a complete
+/// calibration.
+fn read_ring(
+    ring: RingSweep<'_>,
+    ddiff_ps: &mut [f64],
+    mut read: impl FnMut(f64) -> Option<f64>,
+) -> Option<(f64, f64)> {
     let n = ring.stages();
-    let true_delay_ps = |config: usize| match config {
-        0 => ring.all_selected_ps(),
-        1 => ring.all_bypassed_ps(),
-        k => ring.all_but_ps(k - 2),
-    };
-    let mut taken = 0;
-    let mut readings = Vec::with_capacity(n + 2);
-    readings.extend((0..n + 2).map_while(|config| {
-        taken += 1;
-        read(true_delay_ps(config))
-    }));
-    telemetry::counter("measure.batched", taken);
-    if readings.len() < n + 2 {
-        return None;
+    let (mut all_selected_ps, mut bypass_ps) = (0.0, 0.0);
+    for config in 0..n + 2 {
+        let true_delay_ps = match config {
+            0 => ring.all_selected_ps(),
+            1 => ring.all_bypassed_ps(),
+            k => ring.all_but_ps(k - 2),
+        };
+        let Some(reading) = read(true_delay_ps) else {
+            telemetry::counter("measure.batched", config as u64 + 1);
+            return None;
+        };
+        match config {
+            0 => all_selected_ps = reading,
+            1 => bypass_ps = reading,
+            k => ddiff_ps[k - 2] = all_selected_ps - reading,
+        }
     }
-    let (all_selected_ps, bypass_ps) = (readings[0], readings[1]);
-    readings.drain(..2);
-    for d_i in &mut readings {
-        *d_i = all_selected_ps - *d_i;
-    }
-    Some(Calibration {
-        ddiff_ps: readings,
-        all_selected_ps,
-        bypass_ps,
-    })
+    telemetry::counter("measure.batched", n as u64 + 2);
+    Some((all_selected_ps, bypass_ps))
 }
 
 /// Calibrates a top/bottom ring pair from their sweep views — the top
 /// ring first, then the bottom, every reading through `read` (see
-/// [`read_ring`]). A failed reading returns `None` at once: the rest of
-/// the pair is not read.
+/// [`read_ring`]) — writing the top ring's `ddiff`s and then the
+/// bottom's into `ddiff_ps` (`2n` slots) and returning the
+/// configuration-independent offset `B_top − B_bottom`. A failed
+/// reading returns `None` at once: the rest of the pair is not read.
 pub(crate) fn calibrate_pair(
     top: RingSweep<'_>,
     bottom: RingSweep<'_>,
+    ddiff_ps: &mut [f64],
     mut read: impl FnMut(f64) -> Option<f64>,
-) -> Option<(Calibration, Calibration)> {
-    let top = read_ring(top, &mut read)?;
-    Some((top, read_ring(bottom, &mut read)?))
+) -> Option<f64> {
+    let (top_ps, bottom_ps) = ddiff_ps.split_at_mut(top.stages());
+    let (_, top_bypass_ps) = read_ring(top, top_ps, &mut read)?;
+    let (_, bottom_bypass_ps) = read_ring(bottom, bottom_ps, &mut read)?;
+    Some(top_bypass_ps - bottom_bypass_ps)
 }
 
 /// The paper's 3-stage solve: given measured ring delays `x` (config

@@ -98,6 +98,18 @@ impl ConfigVector {
         Self { bits }
     }
 
+    /// Builds a configuration of `n` stages from a stage set held as bit
+    /// words: stage `i` is selected when bit `i % 64` of `set[i / 64]`
+    /// is. Bits at or past `n` are ignored.
+    pub(crate) fn from_stage_set(n: usize, set: &[u64]) -> Self {
+        assert!(n > 0, "a configuration needs at least one stage");
+        let mut bits = BitVec::zeros(n);
+        for i in (0..n).filter(|&i| set[i / 64] >> (i % 64) & 1 == 1) {
+            bits.set(i, true);
+        }
+        Self { bits }
+    }
+
     /// Configuration with every stage selected — the traditional RO.
     pub fn all_selected(n: usize) -> Self {
         Self::from_flags(&vec![true; n])

@@ -50,13 +50,14 @@ use ropuf_silicon::{
 };
 use ropuf_telemetry as telemetry;
 
-use crate::calibrate::{calibrate, calibrate_pair, Calibration};
+use crate::calibrate::{calibrate, calibrate_pair};
 use crate::config::{ConfigVector, ParityPolicy};
 use crate::error::Error;
 use crate::fleet::{parallel_map_indexed, split_seed};
 use crate::ro::{ConfigurableRo, RoPair};
 use crate::select::{
-    case1_multi_corner, case1_with_offset, case2_multi_corner, case2_with_offset, CornerDelays,
+    case1_multi_corner, case1_with_offset, case2_multi_corner_in, case2_with_offset_in,
+    CornerDelays, SelectScratch,
 };
 
 /// Base of the per-pair RNG stream family used for extra-corner
@@ -495,9 +496,16 @@ impl ConfigurableRoPuf {
         opts: &EnrollOptions,
     ) -> Enrollment {
         let mut arena = MeasureArena::new();
-        self.enroll_in(board, tech, env, opts, &mut arena, |_, _, top, bottom| {
-            calibrate_pair(top, bottom, |d| Some(opts.probe.measure_ps(rng, d)))
-        })
+        self.enroll_in(
+            board,
+            tech,
+            env,
+            opts,
+            &mut arena,
+            |_, _, top, bottom, ddiffs| {
+                calibrate_pair(top, bottom, ddiffs, |d| Some(opts.probe.measure_ps(rng, d)))
+            },
+        )
         .0
     }
 
@@ -539,10 +547,19 @@ impl ConfigurableRoPuf {
         opts: &EnrollOptions,
         arena: &mut MeasureArena,
     ) -> Enrollment {
-        self.enroll_in(board, tech, env, opts, arena, |i, c, top, bottom| {
-            let mut rng = StdRng::seed_from_u64(corner_stream(seed, i, c));
-            calibrate_pair(top, bottom, |d| Some(opts.probe.measure_ps(&mut rng, d)))
-        })
+        self.enroll_in(
+            board,
+            tech,
+            env,
+            opts,
+            arena,
+            |i, c, top, bottom, ddiffs| {
+                let mut rng = StdRng::seed_from_u64(corner_stream(seed, i, c));
+                calibrate_pair(top, bottom, ddiffs, |d| {
+                    Some(opts.probe.measure_ps(&mut rng, d))
+                })
+            },
+        )
         .0
     }
 
@@ -565,17 +582,16 @@ impl ConfigurableRoPuf {
         let pairs = parallel_map_indexed(self.pair_count(), threads, |i| {
             let _pair_span = telemetry::span("enroll.pair");
             let pair = self.specs()[i].bind(board);
-            let cals: Vec<(Calibration, Calibration)> = corners
-                .iter()
-                .enumerate()
-                .map(|(c, &corner_env)| {
-                    let mut rng = StdRng::seed_from_u64(corner_stream(seed, i, c));
-                    let top = calibrate(&mut rng, pair.top(), &opts.probe, corner_env, tech);
-                    let bottom = calibrate(&mut rng, pair.bottom(), &opts.probe, corner_env, tech);
-                    (top, bottom)
-                })
-                .collect();
-            select_pair(i, &cals, opts)
+            let mut ddiffs = Vec::new();
+            let mut offsets = Vec::new();
+            for (c, &corner_env) in corners.iter().enumerate() {
+                let mut rng = StdRng::seed_from_u64(corner_stream(seed, i, c));
+                let top = calibrate(&mut rng, pair.top(), &opts.probe, corner_env, tech);
+                let bottom = calibrate(&mut rng, pair.bottom(), &opts.probe, corner_env, tech);
+                ddiffs.extend(top.ddiffs_ps().iter().chain(bottom.ddiffs_ps()));
+                offsets.push(top.bypass_ps() - bottom.bypass_ps());
+            }
+            select_pair(i, &ddiffs, &offsets, opts, &mut SelectScratch::default())
         });
         self.enrollment_of(pairs, env)
     }
@@ -586,11 +602,19 @@ impl ConfigurableRoPuf {
     /// `2(i·C + c) + 1`; shorter rings zero-padded to the longest),
     /// sweeps the block once, then walks pairs in index order.
     ///
-    /// `read_pair(i, c, top, bottom)` calibrates pair `i` at corner `c`
-    /// from its two ring sweeps; the caller's draw policy lives there.
-    /// `None` marks a failed reading: the pair's remaining corners are
-    /// still read, and then the pair is excluded (§III.C) and counted in
-    /// the returned number of unreadable pairs.
+    /// `read_pair(i, c, top, bottom, ddiffs)` calibrates pair `i` at
+    /// corner `c` from its two ring sweeps (see
+    /// [`calibrate_pair`]): it writes the top ring's `ddiff`s, then the
+    /// bottom's, into `ddiffs` and returns the bypass offset; the
+    /// caller's draw policy lives there. `None` marks a failed reading:
+    /// the pair's remaining corners are still read, and then the pair is
+    /// excluded (§III.C) and counted in the returned number of
+    /// unreadable pairs.
+    ///
+    /// Calibrations and selection run on buffers the kernel holds for
+    /// the whole enrollment, so a pair allocates only the two
+    /// configurations it keeps. Every slot a pair reads was written for
+    /// that pair, so nothing carries over from one pair to the next.
     ///
     /// Each pair runs under one `enroll.pair` span covering its
     /// calibrations at every corner and its selection.
@@ -601,12 +625,7 @@ impl ConfigurableRoPuf {
         env: Environment,
         opts: &EnrollOptions,
         arena: &mut MeasureArena,
-        mut read_pair: impl FnMut(
-            usize,
-            usize,
-            RingSweep<'_>,
-            RingSweep<'_>,
-        ) -> Option<(Calibration, Calibration)>,
+        mut read_pair: impl FnMut(usize, usize, RingSweep<'_>, RingSweep<'_>, &mut [f64]) -> Option<f64>,
     ) -> (Enrollment, usize) {
         let corners = opts.enrollment_corners(env);
         let rows_per_pair = 2 * corners.len();
@@ -630,7 +649,10 @@ impl ConfigurableRoPuf {
         }
         let sweep = arena.sweep();
         let mut unreadable = 0;
-        let mut cals = Vec::with_capacity(corners.len());
+        // Per corner, a pair's top then bottom ddiffs, and its offset.
+        let mut ddiffs = vec![0.0; rows_per_pair * stages];
+        let mut offsets = vec![0.0; corners.len()];
+        let mut scratch = SelectScratch::default();
         let pairs = self
             .specs()
             .iter()
@@ -638,16 +660,28 @@ impl ConfigurableRoPuf {
             .map(|(i, spec)| {
                 let _pair_span = telemetry::span("enroll.pair");
                 let n = spec.stages();
-                cals.clear();
-                for c in 0..corners.len() {
+                let ddiffs = &mut ddiffs[..rows_per_pair * n];
+                let mut readable = true;
+                for (c, (corner_ddiffs, offset)) in
+                    ddiffs.chunks_exact_mut(2 * n).zip(&mut offsets).enumerate()
+                {
                     let row = i * rows_per_pair + 2 * c;
-                    cals.extend(read_pair(i, c, sweep.ring(row, n), sweep.ring(row + 1, n)));
+                    match read_pair(
+                        i,
+                        c,
+                        sweep.ring(row, n),
+                        sweep.ring(row + 1, n),
+                        corner_ddiffs,
+                    ) {
+                        Some(read) => *offset = read,
+                        None => readable = false,
+                    }
                 }
-                if cals.len() < corners.len() {
+                if !readable {
                     unreadable += 1;
                     return None;
                 }
-                select_pair(i, &cals, opts)
+                select_pair(i, ddiffs, &offsets, opts, &mut scratch)
             })
             .collect();
         (self.enrollment_of(pairs, env), unreadable)
@@ -665,8 +699,11 @@ impl ConfigurableRoPuf {
 }
 
 /// Plausibility screen, §III.D selection, and margin thresholding of
-/// pair `index`. `cals[c]` holds its (top, bottom) calibrations at
-/// corner `c` of [`EnrollOptions::enrollment_corners`].
+/// pair `index`. `ddiffs` holds its top then bottom ring's
+/// calibrated `ddiff`s at each corner of
+/// [`EnrollOptions::enrollment_corners`] in turn, and `offsets` the
+/// bypass offset `B_top − B_bottom` at each; selection runs on
+/// `scratch`.
 ///
 /// With one corner this runs the paper's solvers and merely flags a
 /// degenerate (zero-margin) pair. With several it runs their
@@ -680,15 +717,13 @@ impl ConfigurableRoPuf {
 /// happened to the pair.
 fn select_pair(
     index: usize,
-    cals: &[(Calibration, Calibration)],
+    ddiffs: &[f64],
+    offsets: &[f64],
     opts: &EnrollOptions,
+    scratch: &mut SelectScratch,
 ) -> Option<EnrolledPair> {
     if let Some((lo, hi)) = opts.plausible_ddiff_ps {
-        let suspicious = cals
-            .iter()
-            .flat_map(|(t, b)| t.ddiffs_ps().iter().chain(b.ddiffs_ps()))
-            .any(|&d| !(lo..=hi).contains(&d));
-        if suspicious {
+        if ddiffs.iter().any(|&d| !(lo..=hi).contains(&d)) {
             telemetry::counter("enroll.excluded.implausible", 1);
             return None;
         }
@@ -700,14 +735,19 @@ fn select_pair(
         beta: &[],
         offset_ps: 0.0,
     }; MAX_CORNERS + 1];
-    for (view, (t, b)) in views.iter_mut().zip(cals) {
+    let n = ddiffs.len() / (2 * offsets.len());
+    for (view, (corner, &offset_ps)) in views
+        .iter_mut()
+        .zip(ddiffs.chunks_exact(2 * n).zip(offsets))
+    {
+        let (alpha, beta) = corner.split_at(n);
         *view = CornerDelays {
-            alpha: t.ddiffs_ps(),
-            beta: b.ddiffs_ps(),
-            offset_ps: t.bypass_ps() - b.bypass_ps(),
+            alpha,
+            beta,
+            offset_ps,
         };
     }
-    let corners = &views[..cals.len()];
+    let corners = &views[..offsets.len()];
     let multi_corner = corners.len() > 1;
     let select_span = telemetry::span("enroll.select");
     let (top_config, bottom_config, margin, bit, degenerate) = match opts.mode {
@@ -723,8 +763,10 @@ fn select_pair(
         }
         SelectionMode::Case2 => {
             let s = match corners {
-                [one] => case2_with_offset(one.alpha, one.beta, one.offset_ps, opts.parity),
-                _ => case2_multi_corner(corners, opts.parity),
+                [one] => {
+                    case2_with_offset_in(one.alpha, one.beta, one.offset_ps, opts.parity, scratch)
+                }
+                _ => case2_multi_corner_in(corners, opts.parity, scratch),
             };
             telemetry::counter("enroll.pairs.case2", 1);
             let (margin, bit, degenerate) = (s.margin(), s.bit(), s.is_degenerate());
@@ -1484,6 +1526,69 @@ mod tests {
             assert_eq!(par, serial, "threads = {threads}");
         }
         assert!(serial.bit_count() > 0, "multi-corner enrolls some pairs");
+    }
+
+    /// The kernel's calibration and selection buffers carry nothing
+    /// from one pair to the next: pairs whose reading fails part-way
+    /// through a corner, after junk readings, are excluded, and every
+    /// other pair of a mixed floorplan enrolls exactly as in a clean
+    /// run, at one corner and at five.
+    #[test]
+    fn a_pair_failing_mid_corner_leaves_nothing_for_the_next_pair() {
+        let (board, tech, _) = setup(80);
+        let specs = [6, 2, 7, 3, 5, 1]
+            .iter()
+            .scan(0, |start, &n| {
+                *start += 2 * n;
+                Some(PairSpec::interleaved_at(*start - 2 * n, n))
+            })
+            .collect();
+        let puf = ConfigurableRoPuf::new(specs);
+        let env = Environment::nominal();
+        for corners in [CornerSet::empty(), CornerSet::worst_case()] {
+            let opts = EnrollOptions {
+                corners,
+                ..EnrollOptions::default()
+            };
+            // Even pairs fail at the last corner.
+            let last = opts.enrollment_corners(env).len() - 1;
+            let failing = |i: usize, c: usize| i.is_multiple_of(2) && c == last;
+            let enroll = |fail: bool| {
+                let mut arena = MeasureArena::new();
+                puf.enroll_in(
+                    &board,
+                    &tech,
+                    env,
+                    &opts,
+                    &mut arena,
+                    |i, c, top, bottom, ddiffs| {
+                        let mut rng = StdRng::seed_from_u64(corner_stream(9, i, c));
+                        let mut taken = 0;
+                        calibrate_pair(top, bottom, ddiffs, |d| {
+                            taken += 1;
+                            match fail && failing(i, c) {
+                                // Junk for the top ring, then a failure in the bottom one.
+                                true if taken > top.stages() + 3 => None,
+                                true => Some(1e9 * taken as f64),
+                                false => Some(opts.probe.measure_ps(&mut rng, d)),
+                            }
+                        })
+                    },
+                )
+            };
+            let (clean, none_unreadable) = enroll(false);
+            let (faulty, unreadable) = enroll(true);
+            assert_eq!(none_unreadable, 0);
+            assert_eq!(unreadable, 3);
+            for (i, (clean, faulty)) in clean.pairs().iter().zip(faulty.pairs()).enumerate() {
+                if failing(i, last) {
+                    assert_eq!(faulty, &None, "pair {i}");
+                } else {
+                    assert!(clean.is_some(), "pair {i}");
+                    assert_eq!(faulty, clean, "pair {i}");
+                }
+            }
+        }
     }
 
     #[test]

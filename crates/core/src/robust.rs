@@ -389,8 +389,13 @@ pub fn enroll_robust_in(
     arena: &mut MeasureArena,
 ) -> RobustEnrollment {
     let mut summary = FaultSummary::default();
-    let (enrollment, unreadable_pairs) =
-        puf.enroll_in(board, tech, env, opts, arena, |i, c, top, bottom| {
+    let (enrollment, unreadable_pairs) = puf.enroll_in(
+        board,
+        tech,
+        env,
+        opts,
+        arena,
+        |i, c, top, bottom, ddiffs| {
             let corner_seed = corner_stream(seed, i, c);
             let mut meas_rng = StdRng::seed_from_u64(corner_seed);
             let mut measurer = RobustMeasurer::new(
@@ -399,10 +404,11 @@ pub fn enroll_robust_in(
                 split_seed(corner_seed, STREAM_FAULT),
                 split_seed(corner_seed, STREAM_RETRY),
             );
-            let cals = calibrate_pair(top, bottom, |d| measurer.read(&mut meas_rng, d));
+            let offset = calibrate_pair(top, bottom, ddiffs, |d| measurer.read(&mut meas_rng, d));
             summary.merge(&measurer.summary);
-            cals
-        });
+            offset
+        },
+    );
     summary.unreadable_pairs += unreadable_pairs as u64;
     RobustEnrollment {
         enrollment,

@@ -12,6 +12,11 @@
 //! [`case2_with_offset`] extends the objective to
 //! `|offset + Σ α x − Σ β y|` for the configuration-independent bypass
 //! delay offset of real hardware.
+//!
+//! Both this solver and [`case2_multi_corner`](super::case2_multi_corner)
+//! read one corner's delays through their sorted order keys and hold
+//! every selection as a bit-word stage set; the enrollment kernel keeps
+//! their working memory in one [`SelectScratch`] for a whole enrollment.
 
 use ropuf_telemetry as telemetry;
 
@@ -60,35 +65,55 @@ pub fn case2_with_offset(
     offset_ps: f64,
     parity: ParityPolicy,
 ) -> PairSelection {
+    case2_with_offset_in(
+        alpha,
+        beta,
+        offset_ps,
+        parity,
+        &mut SelectScratch::default(),
+    )
+}
+
+/// [`case2_with_offset`] on caller-owned working memory.
+pub(crate) fn case2_with_offset_in(
+    alpha: &[f64],
+    beta: &[f64],
+    offset_ps: f64,
+    parity: ParityPolicy,
+    scratch: &mut SelectScratch,
+) -> PairSelection {
     validate_inputs(alpha, beta);
     assert!(
         offset_ps.is_finite(),
         "offset must be finite, got {offset_ps}"
     );
     let n = alpha.len();
-    let mut orders = StageOrders::new(n);
-    orders.sort(alpha, beta);
+    let SelectScratch { keys, sets, .. } = scratch;
+    sort_keys(keys, alpha, beta);
 
-    // Orientation A maximizes the signed difference D = offset + Σαx − Σβy:
-    // slowest-k of α against fastest-k of β.
-    let (k_max, d_max) = orders.best_prefix(Orientation::Forward, alpha, beta, offset_ps, parity);
-    // Orientation B minimizes D: fastest-k of α against slowest-k of β,
-    // equivalently maximizes −D = −offset + Σβy' − Σαx'.
-    let (k_min, neg_d_min) =
-        orders.best_prefix(Orientation::Reverse, alpha, beta, offset_ps, parity);
+    // The forward orientation maximizes the signed difference
+    // D = offset + Σαx − Σβy: slowest-k of α against fastest-k of β.
+    // The reverse one minimizes D: fastest-k of α against slowest-k of
+    // β, equivalently maximizes −D = −offset + Σβy' − Σαx'.
+    let prefixes = best_prefixes(keys, offset_ps, parity);
+    let [(_, d_max), (_, neg_d_min)] = prefixes;
     let d_min = -neg_d_min;
-
-    let (orientation, k, d) = if d_max.abs() >= d_min.abs() {
+    let words = stage_words(n);
+    sets.clear();
+    sets.resize(4 * words, 0);
+    let (forward, reverse) = sets.split_at_mut(2 * words);
+    prefix_sets(keys, prefixes.map(|(k, _)| k), forward, reverse);
+    let (set, d) = if d_max.abs() >= d_min.abs() {
         telemetry::counter("select.case2.forward_wins", 1);
-        (Orientation::Forward, k_max, d_max)
+        (forward, d_max)
     } else {
         telemetry::counter("select.case2.reverse_wins", 1);
-        (Orientation::Reverse, k_min, d_min)
+        (reverse, d_min)
     };
-    let (top, bottom) = orders.picks(orientation, k);
+    let (top, bottom) = set.split_at(words);
     let selection = PairSelection::new(
-        ConfigVector::from_selected(n, top),
-        ConfigVector::from_selected(n, bottom),
+        ConfigVector::from_stage_set(n, top),
+        ConfigVector::from_stage_set(n, bottom),
         d.abs(),
         // Strict: an exact tie (D == 0) has no slower ring; the
         // conventional `false` is flagged via `is_degenerate`.
@@ -110,137 +135,243 @@ pub fn case2_with_offset(
     selection
 }
 
-/// Which way round a §III.D prefix selection runs: `Forward` takes the
-/// slowest stages of the top ring against the fastest of the bottom
-/// ring (maximizing `D`), `Reverse` the fastest of the top against the
-/// slowest of the bottom (maximizing `−D`).
-#[derive(Clone, Copy)]
-pub(super) enum Orientation {
-    Forward,
-    Reverse,
+/// Working memory of the Case-2 solvers, reused from call to call: one
+/// corner's order keys, the stage sets of candidates and of the current
+/// selection, and the swap table with the per-corner folds and bounds.
+/// It carries nothing from one call to the next: every call sizes and
+/// overwrites what it reads.
+#[derive(Debug, Default)]
+pub(crate) struct SelectScratch {
+    /// One corner's `α` then `β` as `total_cmp` order keys, by stage,
+    /// then the same keys with each ring ascending ([`sort_keys`]).
+    pub(super) keys: Vec<i64>,
+    /// Stage sets, `top ‖ bottom`, [`stage_words`] words per ring.
+    pub(super) sets: Vec<u64>,
+    /// The swap table, `[ring][stage][corner]`, then per-corner rows.
+    pub(super) table: Vec<f64>,
 }
 
-/// The four stage orders the sorted-prefix construction reads at one
-/// operating point: `α` descending, `α` ascending, `β` descending and
-/// `β` ascending, each by value (`total_cmp`) and then by stage index.
+/// Writes into `keys` the order keys of `alpha` then `beta`, by stage,
+/// then the same keys with each ring ascending.
 ///
-/// The values read along an order are exactly the value-sorted delays,
-/// bit for bit (`total_cmp`-equal floats are bitwise equal), so prefix
-/// sums along the orders are the sums of the sorted delays, and the
-/// first `k` entries of an order are the `k` slowest or fastest stages
-/// with ties going to the lower index.
-pub(super) struct StageOrders {
-    /// `[α desc | α asc | β desc | β asc]`, `n` stage indices each.
-    order: Vec<usize>,
-    n: usize,
+/// `total_cmp`-equal floats are bitwise equal, so the sorted values,
+/// read either way, are the values along any stage order by value,
+/// however it breaks ties. Both rings go through one odd–even
+/// transposition network, whose compare-exchanges are branch-free.
+pub(super) fn sort_keys(keys: &mut Vec<i64>, alpha: &[f64], beta: &[f64]) {
+    let n = alpha.len();
+    keys.clear();
+    keys.reserve(4 * n);
+    keys.extend(alpha.iter().chain(beta).map(|&x| order_key(x)));
+    keys.extend_from_within(..);
+    let (a, b) = keys[2 * n..].split_at_mut(n);
+    for round in 0..n {
+        let mut i = round & 1;
+        while i + 1 < n {
+            for ring in [&mut *a, &mut *b] {
+                let (low, high) = (ring[i], ring[i + 1]);
+                ring[i] = low.min(high);
+                ring[i + 1] = low.max(high);
+            }
+            i += 2;
+        }
+    }
 }
 
-const ALPHA_DESC: usize = 0;
-const ALPHA_ASC: usize = 1;
-const BETA_DESC: usize = 2;
-const BETA_ASC: usize = 3;
+/// Best admissible prefix length `k` and its value in each orientation,
+/// forward then reverse, over the [`sort_keys`] `keys`:
+/// `D = offset + Σ_{i<k}(α_slow[i] − β_fast[i])` forward, and
+/// `−D = −offset + Σ_{i<k}(β_slow[i] − α_fast[i])` reverse. Under
+/// `ParityPolicy::Ignore` the scan includes `k = 0` (value `±offset`);
+/// under `ForceOdd` only odd `k` qualify. The first strict maximum
+/// wins. The two scans run side by side, each its own left fold.
+pub(super) fn best_prefixes(keys: &[i64], offset: f64, parity: ParityPolicy) -> [(usize, f64); 2] {
+    let n = keys.len() / 4;
+    let (alpha, beta) = keys[2 * n..].split_at(n);
+    let mut scans = [Scan::new(offset, parity), Scan::new(-offset, parity)];
+    let forward = alpha.iter().rev().zip(beta);
+    let reverse = beta.iter().rev().zip(alpha);
+    for (k, ((&a_slow, &b_fast), (&b_slow, &a_fast))) in (1..).zip(forward.zip(reverse)) {
+        let admitted = parity.admits(k);
+        scans[0].step(k, admitted, key_value(a_slow) - key_value(b_fast));
+        scans[1].step(k, admitted, key_value(b_slow) - key_value(a_fast));
+    }
+    scans.map(|scan| {
+        scan.best
+            .expect("at least one admissible k exists for n >= 1")
+    })
+}
 
-impl StageOrders {
-    pub(super) fn new(n: usize) -> Self {
-        let mut order = Vec::with_capacity(4 * n);
-        for _ in 0..4 {
-            order.extend(0..n);
-        }
-        Self { order, n }
+/// One orientation's prefix scan: the running sum and its first strict
+/// admissible maximum.
+struct Scan {
+    acc: f64,
+    best: Option<(usize, f64)>,
+}
+
+impl Scan {
+    fn new(offset: f64, parity: ParityPolicy) -> Self {
+        let best = (parity == ParityPolicy::Ignore).then_some((0, offset));
+        Self { acc: offset, best }
     }
 
-    /// Re-sorts the four orders for `alpha`/`beta`. Each descending
-    /// order is insertion-sorted starting from its previous permutation,
-    /// which is nearly sorted when consecutive corners rank their stages
-    /// alike; the index tie-break makes the order strict and total, so
-    /// the result is independent of the sort and its starting point.
-    /// Each ascending order is its descending order reversed, with every
-    /// run of equal values turned back to ascending index.
-    pub(super) fn sort(&mut self, alpha: &[f64], beta: &[f64]) {
-        let n = self.n;
-        for (pair, v) in self.order.chunks_exact_mut(2 * n).zip([alpha, beta]) {
-            let (desc, asc) = pair.split_at_mut(n);
-            // Stage `i` goes before stage `j`: slower, or as slow and
-            // lower-indexed.
-            let before = |i: usize, j: usize| v[j].total_cmp(&v[i]).then(i.cmp(&j)).is_lt();
-            for end in 1..n {
-                let stage = desc[end];
-                let mut at = end;
-                while at > 0 && before(stage, desc[at - 1]) {
-                    desc[at] = desc[at - 1];
-                    at -= 1;
-                }
-                desc[at] = stage;
-            }
-            for (a, &d) in asc.iter_mut().zip(desc.iter().rev()) {
-                *a = d;
-            }
-            let mut run = 0;
-            for end in 1..=n {
-                if end == n || v[asc[end]].to_bits() != v[asc[run]].to_bits() {
-                    asc[run..end].reverse();
-                    run = end;
-                }
-            }
+    fn step(&mut self, k: usize, admitted: bool, increment: f64) {
+        self.acc += increment;
+        if admitted && self.best.is_none_or(|(_, m)| self.acc > m) {
+            self.best = Some((k, self.acc));
         }
     }
+}
 
-    fn quarter(&self, q: usize) -> &[usize] {
-        &self.order[q * self.n..(q + 1) * self.n]
-    }
+/// Words per ring of a stage set over `n` stages: stage `i` is bit
+/// `i % 64` of word `i / 64`, one representation for any stage count.
+pub(super) fn stage_words(n: usize) -> usize {
+    n.div_ceil(64)
+}
 
-    /// The top-ring and bottom-ring stages of the `k`-prefix selection
-    /// in `orientation`, in order position (not index) order.
-    pub(super) fn picks(&self, orientation: Orientation, k: usize) -> (&[usize], &[usize]) {
-        match orientation {
-            Orientation::Forward => (&self.quarter(ALPHA_DESC)[..k], &self.quarter(BETA_ASC)[..k]),
-            Orientation::Reverse => (&self.quarter(ALPHA_ASC)[..k], &self.quarter(BETA_DESC)[..k]),
+/// Adds stage `i` to `set`.
+pub(super) fn insert(set: &mut [u64], i: usize) {
+    set[i / 64] |= 1 << (i % 64);
+}
+
+/// Removes stage `i` from `set`.
+pub(super) fn remove(set: &mut [u64], i: usize) {
+    set[i / 64] &= !(1 << (i % 64));
+}
+
+/// The stages of `0..n` that are in `set` (`selected`) or not, ascending.
+pub(super) fn stages(set: &[u64], n: usize, selected: bool) -> impl Iterator<Item = usize> + '_ {
+    let flip = if selected { 0 } else { u64::MAX };
+    let (mut next_word, mut rest) = (0, 0u64);
+    std::iter::from_fn(move || loop {
+        if rest != 0 {
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            return Some(64 * (next_word - 1) + bit);
         }
-    }
+        let word = set.get(next_word)?;
+        let live = n - 64 * next_word;
+        rest = (word ^ flip) & if live < 64 { (1 << live) - 1 } else { u64::MAX };
+        next_word += 1;
+    })
+}
 
-    /// Best admissible prefix length `k` in `orientation` and its value:
-    /// `D = offset + Σ_{i<k}(α_slow[i] − β_fast[i])` for `Forward`, and
-    /// `−D = −offset + Σ_{i<k}(β_slow[i] − α_fast[i])` for `Reverse`.
-    /// Under `ParityPolicy::Ignore` the scan includes `k = 0` (value
-    /// `±offset`); under `ForceOdd` only odd `k` qualify. The first
-    /// strict maximum wins.
-    pub(super) fn best_prefix(
-        &self,
-        orientation: Orientation,
-        alpha: &[f64],
-        beta: &[f64],
-        offset: f64,
-        parity: ParityPolicy,
-    ) -> (usize, f64) {
-        let (slow, slow_order, fast, fast_order, offset) = match orientation {
-            Orientation::Forward => (
-                alpha,
-                self.quarter(ALPHA_DESC),
-                beta,
-                self.quarter(BETA_ASC),
-                offset,
-            ),
-            Orientation::Reverse => (
-                beta,
-                self.quarter(BETA_DESC),
-                alpha,
-                self.quarter(ALPHA_ASC),
-                -offset,
-            ),
+/// Writes into the zeroed `top ‖ bottom` stage sets `forward` and
+/// `reverse` the `k`-prefix selections of both orientations, for `k`
+/// from `[forward, reverse]`, over the [`sort_keys`] `keys`: the first
+/// `k` stages of the matching stage orders, ties to the lower index.
+/// One pass over each ring serves both.
+pub(super) fn prefix_sets(keys: &[i64], k: [usize; 2], forward: &mut [u64], reverse: &mut [u64]) {
+    let n = keys.len() / 4;
+    let words = forward.len() / 2;
+    let (forward_top, forward_bottom) = forward.split_at_mut(words);
+    let (reverse_top, reverse_bottom) = reverse.split_at_mut(words);
+    let ring = |r: usize| (&keys[r * n..][..n], &keys[(2 + r) * n..][..n]);
+    let ((alpha, alpha_sorted), (beta, beta_sorted)) = (ring(0), ring(1));
+    extreme_stages(
+        alpha,
+        [
+            (Extreme::new(alpha_sorted, k[0], true), forward_top),
+            (Extreme::new(alpha_sorted, k[1], false), reverse_top),
+        ],
+    );
+    extreme_stages(
+        beta,
+        [
+            (Extreme::new(beta_sorted, k[0], false), forward_bottom),
+            (Extreme::new(beta_sorted, k[1], true), reverse_bottom),
+        ],
+    );
+}
+
+/// The `k` slowest or fastest stages of a ring, as a test on its order
+/// keys: every stage beyond the `k`-th value, then stages equal to it
+/// in ascending index until `k` are taken — the first `k` of a stage
+/// order by value, ties to the lower index.
+#[derive(Clone, Copy)]
+struct Extreme {
+    /// The `k`-th value, complemented for the fastest stages:
+    /// complementing a key reverses the order, so "beyond" is one `>`.
+    edge: i64,
+    /// `0` for the slowest stages, `!0` for the fastest.
+    flip: i64,
+    /// Stages equal to the `k`-th value that the `k` take.
+    ties: usize,
+}
+
+impl Extreme {
+    fn new(sorted: &[i64], k: usize, slowest: bool) -> Self {
+        let n = sorted.len();
+        let flip = if slowest { 0 } else { !0 };
+        let (edge, ties) = match (k, slowest) {
+            // Nothing is beyond the extreme key, and no tie is taken.
+            (0, _) => (i64::MAX ^ flip, 0),
+            (_, true) => {
+                let edge = sorted[n - k];
+                (
+                    edge,
+                    sorted[n - k..].iter().take_while(|&&x| x == edge).count(),
+                )
+            }
+            (_, false) => {
+                let edge = sorted[k - 1];
+                (
+                    edge,
+                    sorted[..k].iter().rev().take_while(|&&x| x == edge).count(),
+                )
+            }
         };
-        let mut best: Option<(usize, f64)> = match parity {
-            ParityPolicy::Ignore => Some((0, offset)),
-            ParityPolicy::ForceOdd => None,
-        };
-        let mut acc = offset;
-        for (k, (&s, &f)) in (1..).zip(slow_order.iter().zip(fast_order)) {
-            acc += slow[s] - fast[f];
-            if parity.admits(k) && best.is_none_or(|(_, m)| acc > m) {
-                best = Some((k, acc));
-            }
+        Self {
+            edge: edge ^ flip,
+            flip,
+            ties,
         }
-        best.expect("at least one admissible k exists for n >= 1")
     }
+
+    /// The lowest stages of `equal` while ties remain to be taken.
+    fn take_ties(&mut self, mut equal: u64) -> u64 {
+        let mut taken = 0;
+        while self.ties > 0 && equal != 0 {
+            taken |= equal & equal.wrapping_neg();
+            equal &= equal - 1;
+            self.ties -= 1;
+        }
+        taken
+    }
+}
+
+/// Adds to each set the stages its [`Extreme`] picks from a ring with
+/// order keys `keys`, in one pass. Only taking ties branches on the
+/// keys.
+fn extreme_stages(keys: &[i64], picks: [(Extreme, &mut [u64]); 2]) {
+    let [(mut first, first_set), (mut second, second_set)] = picks;
+    for (w, keys) in keys.chunks(64).enumerate() {
+        let (mut first_beyond, mut first_equal) = (0u64, 0u64);
+        let (mut second_beyond, mut second_equal) = (0u64, 0u64);
+        let mut bit = 1;
+        for &x in keys {
+            let (a, b) = (x ^ first.flip, x ^ second.flip);
+            first_beyond |= bit & 0u64.wrapping_sub(u64::from(a > first.edge));
+            first_equal |= bit & 0u64.wrapping_sub(u64::from(a == first.edge));
+            second_beyond |= bit & 0u64.wrapping_sub(u64::from(b > second.edge));
+            second_equal |= bit & 0u64.wrapping_sub(u64::from(b == second.edge));
+            bit <<= 1;
+        }
+        first_set[w] |= first_beyond | first.take_ties(first_equal);
+        second_set[w] |= second_beyond | second.take_ties(second_equal);
+    }
+}
+
+/// `x`'s position in `f64::total_cmp`'s order, as an integer that
+/// compares the same way.
+fn order_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The float whose [`order_key`] is `key` (the map is its own inverse).
+fn key_value(key: i64) -> f64 {
+    f64::from_bits(order_key(f64::from_bits(key as u64)) as u64)
 }
 
 #[cfg(test)]
@@ -435,8 +566,10 @@ mod tests {
         let _ = case2(&[], &[], ParityPolicy::Ignore);
     }
 
-    /// `StageOrders::sort` as it stood before the insertion sort, kept
-    /// verbatim as the reference it must match: `order` holds the four
+    /// The four stage orders (`α` descending, `α` ascending, `β`
+    /// descending, `β` ascending) as the index-order construction the
+    /// sorted values and stage sets replaced built them, kept verbatim
+    /// as the reference they must match: `order` holds the four
     /// `n`-entry orders and is sorted from its current permutation.
     fn sort_by_replaced_construction(order: &mut [usize], n: usize, alpha: &[f64], beta: &[f64]) {
         for (pair, v) in order.chunks_exact_mut(2 * n).zip([alpha, beta]) {
@@ -455,27 +588,79 @@ mod tests {
         }
     }
 
+    /// The replaced prefix scan: `offset + Σ_{i<k}(slow[s_i] − fast[f_i])`
+    /// along the index orders, first strict maximum.
+    fn best_prefix_along(
+        slow: (&[f64], &[usize]),
+        fast: (&[f64], &[usize]),
+        offset: f64,
+        parity: ParityPolicy,
+    ) -> (usize, f64) {
+        let mut best = (parity == ParityPolicy::Ignore).then_some((0, offset));
+        let mut acc = offset;
+        for (k, (&s, &f)) in (1..).zip(slow.1.iter().zip(fast.1)) {
+            acc += slow.0[s] - fast.0[f];
+            if parity.admits(k) && best.is_none_or(|(_, m)| acc > m) {
+                best = Some((k, acc));
+            }
+        }
+        best.unwrap()
+    }
+
     proptest! {
-        /// The insertion sort returns the four orders the replaced
-        /// `sort_unstable_by` construction returned, index for index:
-        /// on a small value grid (so most stages tie, `-0.0` and `+0.0`
-        /// among them), sorted fresh and then warm-started for a second
-        /// corner as `case2_multi_corner` re-sorts.
+        /// The sorted values and prefix stage sets say what the four
+        /// index orders said: the values ascending are those read along
+        /// the ascending orders, bit for bit; every `k`-prefix set in
+        /// either orientation is the first `k` stages of the matching
+        /// orders; and both orientations' best prefixes are the scan
+        /// along them. On a small value grid (so most stages tie, `-0.0`
+        /// and `+0.0` among them), up to 70 stages so sets span two
+        /// words, with one scratch reused for a second corner as
+        /// `case2_multi_corner` reuses it.
         #[test]
         fn stage_orders_match_the_replaced_sort_bit_for_bit(
-            n in 1usize..=16,
+            n in 1usize..=70,
             values in proptest::collection::vec(
                 proptest::sample::select(vec![-0.0, 0.0, -1.0, 1.0, 2.5, 100.0, 100.0 + 1e-13]),
-                64,
+                280,
             ),
+            offset in proptest::sample::select(vec![-0.0, 0.0, 1.5, -2.5]),
         ) {
-            let mut orders = StageOrders::new(n);
+            let mut keys = Vec::new();
             let mut oracle: Vec<usize> = (0..4).flat_map(|_| 0..n).collect();
-            for corner in values.chunks_exact(32) {
-                let (alpha, beta) = (&corner[..n], &corner[16..16 + n]);
-                orders.sort(alpha, beta);
+            let words = stage_words(n);
+            for corner in values.chunks_exact(140) {
+                let (alpha, beta) = (&corner[..n], &corner[70..70 + n]);
+                sort_keys(&mut keys, alpha, beta);
                 sort_by_replaced_construction(&mut oracle, n, alpha, beta);
-                prop_assert_eq!(&orders.order, &oracle);
+                let order = |q: usize| &oracle[q * n..(q + 1) * n];
+                let (alpha_desc, alpha_asc, beta_desc, beta_asc) = (order(0), order(1), order(2), order(3));
+                let along = |v: &[f64], o: &[usize]| o.iter().map(|&i| v[i].to_bits()).collect::<Vec<_>>();
+                let sorted_bits: Vec<u64> = keys[2 * n..].iter().map(|&k| key_value(k).to_bits()).collect();
+                prop_assert_eq!(&sorted_bits[..n], &along(alpha, alpha_asc)[..]);
+                prop_assert_eq!(&sorted_bits[n..], &along(beta, beta_asc)[..]);
+                for parity in [ParityPolicy::Ignore, ParityPolicy::ForceOdd] {
+                    let [(k, d), (k_rev, d_rev)] = best_prefixes(&keys, offset, parity);
+                    let (k_ref, d_ref) = best_prefix_along((alpha, alpha_desc), (beta, beta_asc), offset, parity);
+                    prop_assert_eq!((k, d.to_bits()), (k_ref, d_ref.to_bits()));
+                    let (k_ref, d_ref) = best_prefix_along((beta, beta_desc), (alpha, alpha_asc), -offset, parity);
+                    prop_assert_eq!((k_rev, d_rev.to_bits()), (k_ref, d_ref.to_bits()));
+                }
+                // Every prefix length in each orientation, the two
+                // lengths of one call apart.
+                for k in 0..=n {
+                    let mut sets = vec![0; 4 * words];
+                    let (forward, reverse) = sets.split_at_mut(2 * words);
+                    prefix_sets(&keys, [k, n - k], forward, reverse);
+                    let mut expected = vec![0; 4 * words];
+                    let firsts = [(alpha_desc, k), (beta_asc, k), (alpha_asc, n - k), (beta_desc, n - k)];
+                    for (ring, (order, k)) in expected.chunks_exact_mut(words).zip(firsts) {
+                        for &i in &order[..k] {
+                            insert(ring, i);
+                        }
+                    }
+                    prop_assert_eq!(&sets, &expected, "k = {}", k);
+                }
             }
         }
     }

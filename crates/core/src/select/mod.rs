@@ -27,6 +27,8 @@ mod multi_corner;
 pub use brute::{brute_force_case1, brute_force_case2};
 pub use case1::{case1, case1_with_offset};
 pub use case2::{case2, case2_with_offset};
+pub(crate) use case2::{case2_with_offset_in, SelectScratch};
+pub(crate) use multi_corner::case2_multi_corner_in;
 pub use multi_corner::{case1_multi_corner, case2_multi_corner, CornerDelays};
 
 use crate::config::ConfigVector;

@@ -454,26 +454,35 @@ proptest! {
     }
 
     #[test]
-    fn arena_reuse_has_no_cross_board_state(seed in any::<u64>(), stages in 2usize..6) {
+    fn arena_reuse_has_no_cross_board_state(
+        seed in any::<u64>(),
+        stages in 2usize..6,
+        worst_case in any::<bool>(),
+    ) {
         // A fleet worker enrolls board after board into one arena; a
         // block must never leak into the next. Enrolling a board,
-        // dirtying the arena with a different board, then enrolling the
-        // first again must reproduce its bits exactly — and agree with
-        // the fresh-arena public entry point.
+        // dirtying the arena with a board of another floorplan (another
+        // stage and pair count), then enrolling the first again must
+        // reproduce its bits exactly — and agree with the fresh-arena
+        // public entry point, nominal-only and at five corners.
         use ropuf_core::puf::{ConfigurableRoPuf, EnrollOptions};
-        use ropuf_silicon::MeasureArena;
+        use ropuf_silicon::{CornerSet, MeasureArena};
         let sim = SiliconSim::default_spartan();
         let mut grow = StdRng::seed_from_u64(seed);
         let units = stages * 2 * 4;
         let board_a = sim.grow_board_with_id(&mut grow, BoardId(0), units, 8);
-        let board_b = sim.grow_board_with_id(&mut grow, BoardId(1), units, 8);
+        let board_b = sim.grow_board_with_id(&mut grow, BoardId(1), 70, 8);
         let puf = ConfigurableRoPuf::tiled(units, stages);
-        let opts = EnrollOptions::default();
+        let other = ConfigurableRoPuf::tiled(70, stages + 3);
+        let opts = EnrollOptions {
+            corners: if worst_case { CornerSet::worst_case() } else { CornerSet::empty() },
+            ..EnrollOptions::default()
+        };
         let env = Environment::nominal();
         let tech = sim.technology();
         let mut arena = MeasureArena::new();
         let first = puf.enroll_seeded_in(seed, &board_a, tech, env, &opts, &mut arena);
-        let _dirty = puf.enroll_seeded_in(seed ^ 1, &board_b, tech, env, &opts, &mut arena);
+        let _dirty = other.enroll_seeded_in(seed ^ 1, &board_b, tech, env, &opts, &mut arena);
         let again = puf.enroll_seeded_in(seed, &board_a, tech, env, &opts, &mut arena);
         prop_assert_eq!(&first, &again);
         let fresh = puf.enroll_seeded(seed, &board_a, tech, env, &opts);
@@ -483,28 +492,43 @@ proptest! {
     #[test]
     fn robust_arena_enrollment_is_reuse_invariant_under_faults(
         seed in any::<u64>(),
-        stages in 2usize..6,
+        stages in proptest::collection::vec(1usize..8, 1..6),
         fault_scale in proptest::sample::select(vec![0.0f64, 0.25, 1.0]),
+        worst_case in any::<bool>(),
     ) {
         // Same contract through the fault-tolerant path: a reused
-        // (dirty) arena and a fresh one yield identical enrollments,
-        // unreadable-pair counts, and fault accounting, with the fault
-        // plan active.
-        use ropuf_core::puf::{ConfigurableRoPuf, EnrollOptions};
+        // arena, dirtied by another floorplan, and a fresh one yield
+        // identical enrollments, unreadable-pair counts, and fault
+        // accounting, with the fault plan active, nominal-only and at
+        // five corners. Pairs of mixed stage counts follow each other,
+        // so a pair that fails part-way through its corners sits
+        // before pairs of other lengths.
+        use ropuf_core::puf::{ConfigurableRoPuf, EnrollOptions, PairSpec};
         use ropuf_core::robust::{enroll_robust, enroll_robust_in, FaultPlan};
-        use ropuf_silicon::MeasureArena;
+        use ropuf_silicon::{CornerSet, MeasureArena};
         let sim = SiliconSim::default_spartan();
         let mut grow = StdRng::seed_from_u64(seed);
-        let units = stages * 2 * 4;
+        let mut units = 0;
+        let specs = stages
+            .iter()
+            .map(|&n| {
+                units += 2 * n;
+                PairSpec::interleaved_at(units - 2 * n, n)
+            })
+            .collect();
+        let puf = ConfigurableRoPuf::new(specs);
         let board_a = sim.grow_board_with_id(&mut grow, BoardId(0), units, 8);
-        let board_b = sim.grow_board_with_id(&mut grow, BoardId(1), units, 8);
-        let puf = ConfigurableRoPuf::tiled(units, stages);
-        let opts = EnrollOptions::default();
+        let board_b = sim.grow_board_with_id(&mut grow, BoardId(1), 70, 8);
+        let other = ConfigurableRoPuf::tiled(70, 9);
+        let opts = EnrollOptions {
+            corners: if worst_case { CornerSet::worst_case() } else { CornerSet::empty() },
+            ..EnrollOptions::default()
+        };
         let env = Environment::nominal();
         let tech = sim.technology();
         let plan = FaultPlan::scaled(fault_scale);
         let mut arena = MeasureArena::new();
-        let _dirty = enroll_robust_in(&puf, seed ^ 1, &board_b, tech, env, &opts, &plan, &mut arena);
+        let _dirty = enroll_robust_in(&other, seed ^ 1, &board_b, tech, env, &opts, &plan, &mut arena);
         let reused = enroll_robust_in(&puf, seed, &board_a, tech, env, &opts, &plan, &mut arena);
         let fresh = enroll_robust(&puf, seed, &board_a, tech, env, &opts, &plan);
         prop_assert_eq!(&reused.enrollment, &fresh.enrollment);

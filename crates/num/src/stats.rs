@@ -86,13 +86,16 @@ pub fn percentile(xs: &[f64], q: f64) -> Option<f64> {
         (0.0..=1.0).contains(&q),
         "quantile must be in [0, 1], got {q}"
     );
-    let mut v: Vec<f64> = xs.iter().copied().filter(|x| !x.is_nan()).collect();
+    // One copy, sized once, and a selection instead of a sort: floats
+    // `total_cmp` calls equal are bitwise equal, so the value at `idx`
+    // is the sorted order statistic, bit for bit.
+    let mut v = Vec::with_capacity(xs.len());
+    v.extend(xs.iter().copied().filter(|x| !x.is_nan()));
     if v.is_empty() {
         return None;
     }
-    v.sort_by(f64::total_cmp);
     let idx = ((q * v.len() as f64).ceil() as usize).clamp(1, v.len()) - 1;
-    Some(v[idx])
+    Some(*v.select_nth_unstable_by(idx, f64::total_cmp).1)
 }
 
 /// Median (average of the two central order statistics for even n), or

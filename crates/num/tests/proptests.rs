@@ -6,7 +6,7 @@ use ropuf_num::fft::{dft_naive, fft, ifft, Complex};
 use ropuf_num::gf2::{binary_rank, linear_complexity};
 use ropuf_num::linalg::Matrix;
 use ropuf_num::special::{chi2_sf, erf, erfc, igam, igamc};
-use ropuf_num::stats::{mean, median, min, Histogram};
+use ropuf_num::stats::{mean, median, min, percentile, Histogram};
 
 proptest! {
     #[test]
@@ -189,6 +189,42 @@ proptest! {
         if !bits.is_empty() {
             let lp = linear_complexity(&bits[..bits.len() - 1]);
             prop_assert!(lp <= l);
+        }
+    }
+
+    #[test]
+    fn percentile_is_the_sorted_order_statistic_bit_for_bit(
+        xs in proptest::collection::vec(
+            proptest::sample::select(vec![
+                f64::NAN, -f64::NAN, 0.0, -0.0, 1.0, 1.0, 1.0, -2.5, 7.0, 1e300,
+                f64::INFINITY, f64::NEG_INFINITY, f64::MIN_POSITIVE, -f64::MIN_POSITIVE,
+            ]),
+            0..60,
+        ),
+        noise in proptest::collection::vec(-1e3f64..1e3, 0..40),
+        q in proptest::sample::select(vec![0.0, 1.0, 0.5, 0.25, 0.9, 0.999, 1e-9, 1.0 - 1e-12]),
+        q_any in 0.0f64..=1.0,
+    ) {
+        // The replaced construction: filter NaNs, sort by total_cmp,
+        // take the nearest-rank order statistic.
+        let sorted_rank = |xs: &[f64], q: f64| {
+            let mut v: Vec<f64> = xs.iter().copied().filter(|x| !x.is_nan()).collect();
+            if v.is_empty() {
+                return None;
+            }
+            v.sort_by(f64::total_cmp);
+            let idx = ((q * v.len() as f64).ceil() as usize).clamp(1, v.len()) - 1;
+            Some(v[idx])
+        };
+        let all: Vec<f64> = xs.iter().chain(&noise).copied().collect();
+        for sample in [&xs[..], &all[..]] {
+            for q in [q, q_any] {
+                prop_assert_eq!(
+                    percentile(sample, q).map(f64::to_bits),
+                    sorted_rank(sample, q).map(f64::to_bits),
+                    "q = {}", q
+                );
+            }
         }
     }
 

@@ -77,9 +77,13 @@ impl Provisioned {
     }
 }
 
-/// The drills' floorplan: 4-stage interleaved pairs over the board.
+/// Stages per ring of the drills' floorplan.
+pub const STAGES: usize = 4;
+
+/// The drills' floorplan: [`STAGES`]-stage interleaved pairs over the
+/// board.
 fn floorplan(units: usize) -> ConfigurableRoPuf {
-    ConfigurableRoPuf::tiled_interleaved(units, 4)
+    ConfigurableRoPuf::tiled_interleaved(units, STAGES)
 }
 
 /// Grows board `id` (`units` on a `cols`-wide grid) from `seed`, starts

@@ -1109,6 +1109,22 @@ fn years(opts: &HashMap<String, String>, default: f64) -> Result<f64, CliError> 
     Ok(years)
 }
 
+/// Refuses a drill board that has no columns or holds no ring pair of
+/// the drills' floorplan (`--cols`, `--units`).
+fn drill_board(units: usize, cols: usize) -> Result<(), CliError> {
+    if cols == 0 {
+        return Err(CliError::Usage("--cols must be at least 1".to_string()));
+    }
+    let stages = ropuf::server::drill::STAGES;
+    if units < 2 * stages {
+        return Err(CliError::Usage(format!(
+            "--units {units} leaves no ring pairs at the drills' {stages} stages (need units >= {})",
+            2 * stages
+        )));
+    }
+    Ok(())
+}
+
 /// Runs `drill` against a stood-up server: the transcript, the only
 /// seed-determined output, goes to stdout and the tally line to
 /// stderr; then the store is synced.
@@ -1184,6 +1200,9 @@ fn serve(opts: &HashMap<String, String>) -> Result<(), CliError> {
             "--faults must be a finite non-negative scale, got {}",
             spec.fault_scale
         )));
+    }
+    if drill {
+        drill_board(spec.units, spec.cols)?;
     }
     let access_log = match opts.get("access-log") {
         None => None,
@@ -1265,6 +1284,7 @@ fn reenroll(opts: &HashMap<String, String>) -> Result<(), CliError> {
             "--resume runs only the verify phase; --stop-after does not apply".to_string(),
         ));
     }
+    drill_board(spec.units, spec.cols)?;
 
     let loopback = SocketAddr::from(([127, 0, 0, 1], 0));
     let (service, server) = flags.stand_up(loopback, None, true, None)?;

@@ -1031,6 +1031,19 @@ fn unusable_flag_values_exit_with_a_typed_error_naming_the_flag() {
             vec!["reenroll", "--store", store, "--threads", "0"],
             "--threads",
         ),
+        (
+            vec!["serve", "--store", store, "--drill", "true", "--units", "3"],
+            "--units",
+        ),
+        (
+            vec!["serve", "--store", store, "--drill", "true", "--cols", "0"],
+            "--cols",
+        ),
+        (
+            vec!["reenroll", "--store", store, "--units", "7"],
+            "--units",
+        ),
+        (vec!["reenroll", "--store", store, "--cols", "0"], "--cols"),
         // Below the 0.5 V threshold, the devices do not switch.
         (at("--voltage", "0.1"), "--voltage"),
         (at("--voltage", "inf"), "--voltage"),
