@@ -48,9 +48,10 @@
 //!
 //! A [`KeyCode`] holds only public helper data (the code-offset sketch
 //! of the key XORed onto the enrollment response): storing or shipping
-//! it reveals nothing about the key without the physical board, so the
-//! server persists Key Codes next to enrollments and never sees raw
-//! delays.
+//! it reveals nothing about the key without the physical board as long
+//! as the response bits are unbiased (docs/SECURITY.md, threat model),
+//! so the server persists Key Codes next to enrollments and never sees
+//! raw delays.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -146,8 +147,9 @@ impl<'a> Device<'a, Started> {
     ///
     /// # Errors
     ///
-    /// [`Error::Lifecycle`] when `repetition` is zero or even, or when
-    /// the enrollment yields too few usable bits for even one key bit.
+    /// [`Error::Lifecycle`] when `repetition` is zero, even or above
+    /// 65,535, or when the enrollment yields too few usable bits for
+    /// even one key bit.
     pub fn generate_key(
         self,
         seed: u64,
@@ -166,9 +168,10 @@ impl<'a> Device<'a, Started> {
     ///
     /// # Errors
     ///
-    /// [`Error::Lifecycle`] when `repetition` is zero or even, the
-    /// enrollment yields no usable bits, or the key does not fit the
-    /// enrolled response (`key.len() * repetition` bits required).
+    /// [`Error::Lifecycle`] when `repetition` is zero, even or above
+    /// 65,535, the enrollment yields no usable bits, or the key does not
+    /// fit the enrolled response (`key.len() * repetition` bits
+    /// required).
     pub fn set_key(
         self,
         seed: u64,
@@ -178,8 +181,8 @@ impl<'a> Device<'a, Started> {
     ) -> Result<(Device<'a, Enrolled>, KeyCode), Error> {
         let _span = telemetry::span("lifecycle.set_key");
         let device = self.enroll(seed, plan);
-        let helper = device
-            .extractor(repetition)?
+        let (fx, repetition) = device.extractor(repetition)?;
+        let helper = fx
             .commit(key, &device.state.enrollment.expected_bits())
             .map_err(|e| Error::Lifecycle(e.to_string()))?;
         telemetry::counter("lifecycle.keycodes", 1);
@@ -270,24 +273,32 @@ impl<'a> Device<'a, Enrolled> {
     ///
     /// # Errors
     ///
-    /// [`Error::Lifecycle`] when `repetition` is zero or even, or the
-    /// enrollment yields too few usable bits for even one key bit.
+    /// [`Error::Lifecycle`] when `repetition` is zero, even or above
+    /// 65,535, or the enrollment yields too few usable bits for even one
+    /// key bit.
     pub fn issue_key(&self, seed: u64, repetition: usize) -> Result<KeyCode, Error> {
-        let fx = self.extractor(repetition)?;
+        let (fx, repetition) = self.extractor(repetition)?;
         let mut rng = StdRng::seed_from_u64(split_seed(seed, STREAM_KEY));
         let (_key, helper) = fx.generate(&mut rng, &self.state.enrollment.expected_bits());
         telemetry::counter("lifecycle.keycodes", 1);
         Ok(KeyCode::from_parts(repetition, helper))
     }
 
-    /// The repetition-`repetition` sketch over this enrollment, refused
-    /// unless `repetition` is odd and at least one key bit fits.
-    fn extractor(&self, repetition: usize) -> Result<FuzzyExtractor, Error> {
+    /// The repetition-`repetition` sketch over this enrollment, and the
+    /// repetition as its Key Code stores it: refused unless `repetition`
+    /// is odd, fits the Key Code's 16-bit field, and leaves room for at
+    /// least one key bit.
+    fn extractor(&self, repetition: usize) -> Result<(FuzzyExtractor, u16), Error> {
         if repetition == 0 || repetition.is_multiple_of(2) {
             return Err(Error::Lifecycle(format!(
                 "repetition factor must be odd, got {repetition}"
             )));
         }
+        let Ok(stored) = u16::try_from(repetition) else {
+            return Err(Error::Lifecycle(format!(
+                "repetition factor {repetition} does not fit the Key Code's 16-bit repetition field"
+            )));
+        };
         let fx = FuzzyExtractor::new(repetition);
         let bits = self.state.enrollment.bit_count();
         if fx.key_bits(bits) == 0 {
@@ -295,7 +306,7 @@ impl<'a> Device<'a, Enrolled> {
                 "enrollment holds {bits} usable bits, fewer than one repetition-{repetition} block"
             )));
         }
-        Ok(fx)
+        Ok((fx, stored))
     }
 
     /// Attempts a drift-triggered re-enrollment over `puf`, the
@@ -378,23 +389,23 @@ pub const KEY_CODE_VERSION: u16 = 1;
 /// public data by construction, never the key itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyCode {
-    repetition: usize,
+    repetition: u16,
     helper: BitVec,
 }
 
 impl KeyCode {
-    fn from_parts(repetition: usize, helper: BitVec) -> Self {
+    fn from_parts(repetition: u16, helper: BitVec) -> Self {
         Self { repetition, helper }
     }
 
     /// The repetition factor of the sketch.
     pub fn repetition(&self) -> usize {
-        self.repetition
+        usize::from(self.repetition)
     }
 
     /// Length of the key this code reconstructs, in bits.
     pub fn key_bits(&self) -> usize {
-        self.helper.len() / self.repetition
+        self.helper.len() / self.repetition()
     }
 
     /// The public helper string.
@@ -422,7 +433,7 @@ impl KeyCode {
             .zip(expected.iter())
             .map(|(bit, enrolled)| bit.unwrap_or(enrolled))
             .collect();
-        FuzzyExtractor::new(self.repetition).reproduce(&filled, &self.helper)
+        FuzzyExtractor::new(self.repetition()).reproduce(&filled, &self.helper)
     }
 
     /// Serializes to the versioned wire form: [`KEY_CODE_MAGIC`],
@@ -432,7 +443,7 @@ impl KeyCode {
         let mut out = Vec::with_capacity(12 + self.helper.len().div_ceil(8));
         out.extend_from_slice(KEY_CODE_MAGIC);
         out.extend_from_slice(&KEY_CODE_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.repetition as u16).to_le_bytes());
+        out.extend_from_slice(&self.repetition.to_le_bytes());
         out.extend_from_slice(&(self.helper.len() as u32).to_le_bytes());
         BitVec::pack(self.helper.iter(), &mut out);
         out
@@ -457,14 +468,14 @@ impl KeyCode {
                 supported: KEY_CODE_VERSION,
             });
         }
-        let repetition = u16::from_le_bytes([bytes[6], bytes[7]]) as usize;
+        let repetition = u16::from_le_bytes([bytes[6], bytes[7]]);
         if repetition == 0 || repetition.is_multiple_of(2) {
             return Err(Error::Lifecycle(format!(
                 "key-code repetition must be odd, got {repetition}"
             )));
         }
         let helper_bits = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
-        if helper_bits == 0 || !helper_bits.is_multiple_of(repetition) {
+        if helper_bits == 0 || !helper_bits.is_multiple_of(usize::from(repetition)) {
             return Err(Error::Lifecycle(format!(
                 "helper of {helper_bits} bits is not a whole number of repetition-{repetition} blocks"
             )));
@@ -667,6 +678,22 @@ mod tests {
         let b = device.get_key(6, 1, &plan, &reissued).expect("fresh read");
         assert_eq!(a, b, "reissued key is read-out independent");
         assert!(device.issue_key(1, 2).is_err(), "even repetition rejected");
+    }
+
+    /// A Key Code stores its repetition in 16 bits, so an odd repetition
+    /// above 65,535 is refused before the bit count is looked at, rather
+    /// than written truncated (65,537 would read back as 1).
+    #[test]
+    fn issue_key_refuses_a_repetition_past_the_16_bit_field() {
+        let (board, tech) = setup(80);
+        let (device, _) = started(&board, &tech)
+            .generate_key(41, 3, &FaultPlan::scaled(0.0))
+            .expect("enrolls");
+        let err = device.issue_key(41, 65_537).unwrap_err();
+        assert!(matches!(err, Error::Lifecycle(_)), "{err}");
+        assert!(err.to_string().contains("16-bit"), "{err}");
+        let err = device.issue_key(41, 65_535).unwrap_err();
+        assert!(err.to_string().contains("fewer than one"), "{err}");
     }
 
     /// The re-enrollment drill's aging model.

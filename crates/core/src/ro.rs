@@ -174,11 +174,10 @@ impl<'a> ConfigurableRo<'a> {
             config.len(),
             self.len()
         );
-        (0..self.len())
-            .map(|i| {
-                self.stage(i)
-                    .path_delay_scaled(config.is_selected(i), scale, env, tech)
-            })
+        config
+            .iter()
+            .enumerate()
+            .map(|(i, selected)| self.stage(i).path_delay_scaled(selected, scale, env, tech))
             .sum()
     }
 

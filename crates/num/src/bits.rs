@@ -4,6 +4,17 @@
 //! vectors and NIST input streams across the workspace: 64 bits per word,
 //! O(1) indexed access, and word-parallel Hamming distance.
 //!
+//! A vector of up to 128 bits keeps its two words in place, with no heap
+//! block: the inline form sits in the footprint of the `Vec` that holds
+//! longer vectors, so `size_of::<BitVec>()` is 32 bytes either way. That
+//! covers every configuration vector (the paper's rings span at most 16
+//! stages) and the responses, expected bits and Key Code helpers of the
+//! fleet and server floorplans (34 and 30 pairs) and of every golden
+//! enrollment (at most 76 pairs); NIST streams and other long vectors
+//! spill to the heap once they pass 128 bits. Which form a vector takes
+//! never shows: equality, hashing and every operation see only its `len`
+//! bits.
+//!
 //! # Examples
 //!
 //! ```
@@ -16,20 +27,67 @@
 //! assert_eq!(v.len(), 3);
 //! assert_eq!(v.count_ones(), 2);
 //! assert_eq!(v.to_binary_string(), "101");
+//! assert_eq!(std::mem::size_of::<BitVec>(), 32);
 //! ```
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+
+/// Words a [`BitVec`] holds in place before it spills to the heap: the
+/// most that fit beside the `Vec`'s capacity niche, so the inline form
+/// costs no space.
+const INLINE_WORDS: usize = 2;
+
+/// Bits a [`BitVec`] holds in place.
+const INLINE_BITS: usize = INLINE_WORDS * 64;
+
+/// The words of a [`BitVec`]. Both forms keep every bit at or past the
+/// vector's `len` zero; the heap form holds exactly the words `len`
+/// bits need.
+#[derive(Clone)]
+enum Words {
+    Inline([u64; INLINE_WORDS]),
+    Heap(Vec<u64>),
+}
 
 /// A growable, packed vector of bits.
 ///
-/// Bits are stored least-significant-first within 64-bit words. The type
-/// implements [`FromIterator<bool>`] and [`Extend<bool>`] so responses can
-/// be `collect()`ed directly, and word-parallel XOR/Hamming operations for
-/// the metrics crate.
-#[derive(Clone, Default, PartialEq, Eq, Hash)]
+/// Bits are stored least-significant-first within 64-bit words, the
+/// first 128 in place and longer vectors on the heap. The type
+/// implements [`FromIterator<bool>`] and [`Extend<bool>`] so responses
+/// can be `collect()`ed directly, and word-parallel XOR/Hamming
+/// operations for the metrics crate.
+#[derive(Clone)]
 pub struct BitVec {
-    words: Vec<u64>,
+    words: Words,
     len: usize,
+}
+
+impl Default for BitVec {
+    fn default() -> Self {
+        Self {
+            words: Words::Inline([0; INLINE_WORDS]),
+            len: 0,
+        }
+    }
+}
+
+/// Equal lengths and equal bits, whichever form holds them.
+impl PartialEq for BitVec {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.words() == other.words()
+    }
+}
+
+impl Eq for BitVec {}
+
+/// Hashes the used words, then the length: the hash of a
+/// `(Vec<u64>, usize)` holding them, whichever form holds the bits.
+impl Hash for BitVec {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.words().hash(state);
+        self.len.hash(state);
+    }
 }
 
 impl BitVec {
@@ -45,10 +103,14 @@ impl BitVec {
         Self::default()
     }
 
-    /// Creates an empty bit vector with room for `n` bits.
+    /// Creates an empty bit vector with room for `n` bits: in place up
+    /// to 128, else in a heap block of `n.div_ceil(64)` words.
     pub fn with_capacity(n: usize) -> Self {
+        if n <= INLINE_BITS {
+            return Self::new();
+        }
         Self {
-            words: Vec::with_capacity(n.div_ceil(64)),
+            words: Words::Heap(Vec::with_capacity(n.div_ceil(64))),
             len: 0,
         }
     }
@@ -64,9 +126,55 @@ impl BitVec {
     /// assert_eq!(v.count_ones(), 0);
     /// ```
     pub fn zeros(n: usize) -> Self {
-        Self {
-            words: vec![0; n.div_ceil(64)],
-            len: n,
+        let words = if n <= INLINE_BITS {
+            Words::Inline([0; INLINE_WORDS])
+        } else {
+            Words::Heap(vec![0; n.div_ceil(64)])
+        };
+        Self { words, len: n }
+    }
+
+    /// A vector of `len` bits from the `len.div_ceil(64)` words that
+    /// hold them, in order, with bits past `len` in the last word
+    /// cleared.
+    fn from_words(words: impl Iterator<Item = u64>, len: usize) -> Self {
+        let mut v = Self {
+            words: if len <= INLINE_BITS {
+                let mut inline = [0; INLINE_WORDS];
+                for (slot, word) in inline.iter_mut().zip(words) {
+                    *slot = word;
+                }
+                Words::Inline(inline)
+            } else {
+                Words::Heap(words.collect())
+            },
+            len,
+        };
+        if let (Some(last), tail @ 1..) = (v.words_mut().last_mut(), len % 64) {
+            *last &= (1 << tail) - 1;
+        }
+        v
+    }
+
+    /// Every word held: the used ones, then (inline) zero words.
+    fn storage(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(words) => words,
+            Words::Heap(words) => words,
+        }
+    }
+
+    /// The words that hold the `len` bits.
+    fn words(&self) -> &[u64] {
+        &self.storage()[..self.len.div_ceil(64)]
+    }
+
+    /// The words that hold the `len` bits, to write.
+    fn words_mut(&mut self) -> &mut [u64] {
+        let used = self.len.div_ceil(64);
+        match &mut self.words {
+            Words::Inline(words) => &mut words[..used],
+            Words::Heap(words) => words,
         }
     }
 
@@ -115,13 +223,17 @@ impl BitVec {
 
     /// Appends one bit.
     pub fn push(&mut self, bit: bool) {
-        let word = self.len / 64;
-        let off = self.len % 64;
-        if word == self.words.len() {
-            self.words.push(0);
-        }
-        if bit {
-            self.words[word] |= 1u64 << off;
+        let (word, bit) = (self.len / 64, u64::from(bit) << (self.len % 64));
+        match &mut self.words {
+            Words::Inline(words) if word < INLINE_WORDS => words[word] |= bit,
+            Words::Inline(words) => {
+                let mut heap = Vec::with_capacity(2 * INLINE_WORDS);
+                heap.extend_from_slice(words);
+                heap.push(bit);
+                self.words = Words::Heap(heap);
+            }
+            Words::Heap(words) if word == words.len() => words.push(bit),
+            Words::Heap(words) => words[word] |= bit,
         }
         self.len += 1;
     }
@@ -140,7 +252,7 @@ impl BitVec {
         if index >= self.len {
             return None;
         }
-        Some(self.words[index / 64] >> (index % 64) & 1 == 1)
+        Some(self.storage()[index / 64] >> (index % 64) & 1 == 1)
     }
 
     /// Sets the bit at `index`.
@@ -155,16 +267,17 @@ impl BitVec {
             self.len
         );
         let mask = 1u64 << (index % 64);
+        let word = &mut self.words_mut()[index / 64];
         if bit {
-            self.words[index / 64] |= mask;
+            *word |= mask;
         } else {
-            self.words[index / 64] &= !mask;
+            *word &= !mask;
         }
     }
 
     /// Number of one bits.
     pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Number of zero bits.
@@ -205,9 +318,9 @@ impl BitVec {
             return None;
         }
         Some(
-            self.words
+            self.words()
                 .iter()
-                .zip(&other.words)
+                .zip(other.words())
                 .map(|(a, b)| (a ^ b).count_ones() as usize)
                 .sum(),
         )
@@ -220,15 +333,10 @@ impl BitVec {
     /// Panics if the lengths differ.
     pub fn xor(&self, other: &Self) -> Self {
         assert_eq!(self.len, other.len, "xor requires equal lengths");
-        Self {
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(a, b)| a ^ b)
-                .collect(),
-            len: self.len,
-        }
+        Self::from_words(
+            self.words().iter().zip(other.words()).map(|(a, b)| a ^ b),
+            self.len,
+        )
     }
 
     /// Bitwise complement (within `len` bits).
@@ -241,17 +349,7 @@ impl BitVec {
     /// assert_eq!(v.complement().to_binary_string(), "010");
     /// ```
     pub fn complement(&self) -> Self {
-        let mut words: Vec<u64> = self.words.iter().map(|w| !w).collect();
-        let tail = self.len % 64;
-        if tail != 0 {
-            if let Some(last) = words.last_mut() {
-                *last &= (1u64 << tail) - 1;
-            }
-        }
-        Self {
-            words,
-            len: self.len,
-        }
+        Self::from_words(self.words().iter().map(|w| !w), self.len)
     }
 
     /// Concatenates `other` onto the end of `self`.
@@ -264,8 +362,9 @@ impl BitVec {
     /// Iterator over the bits.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
-            bits: self,
+            words: self.storage(),
             index: 0,
+            len: self.len,
         }
     }
 
@@ -314,8 +413,9 @@ impl BitVec {
 
     /// The first `len` bits of LSB-first packed `bytes`, as
     /// [`unpack`](Self::unpack) reads them, built a word (eight bytes)
-    /// at a time into a vector of exactly `len.div_ceil(64)` words. Bits
-    /// past `len` in the last byte are dropped.
+    /// at a time: in place up to 128 bits, else into a heap block of
+    /// exactly `len.div_ceil(64)` words. Bits past `len` in the last
+    /// byte are dropped.
     ///
     /// # Panics
     ///
@@ -329,18 +429,12 @@ impl BitVec {
     /// assert_eq!(v.to_binary_string(), "1100111101");
     /// ```
     pub fn from_packed(bytes: &[u8], len: usize) -> Self {
-        let mut words: Vec<u64> = bytes[..len.div_ceil(8)]
-            .chunks(8)
-            .map(|chunk| {
-                let mut word = [0; 8];
-                word[..chunk.len()].copy_from_slice(chunk);
-                u64::from_le_bytes(word)
-            })
-            .collect();
-        if let (Some(last), tail @ 1..) = (words.last_mut(), len % 64) {
-            *last &= (1 << tail) - 1;
-        }
-        Self { words, len }
+        let words = bytes[..len.div_ceil(8)].chunks(8).map(|chunk| {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            u64::from_le_bytes(word)
+        });
+        Self::from_words(words, len)
     }
 
     /// Collects the bits into a `Vec<bool>`.
@@ -394,24 +488,29 @@ impl From<&[bool]> for BitVec {
     }
 }
 
-/// Iterator over the bits of a [`BitVec`].
+/// Iterator over the bits of a [`BitVec`]. It walks the vector's words
+/// as one slice, whichever form holds them.
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
-    bits: &'a BitVec,
+    words: &'a [u64],
     index: usize,
+    len: usize,
 }
 
 impl Iterator for Iter<'_> {
     type Item = bool;
 
     fn next(&mut self) -> Option<bool> {
-        let b = self.bits.get(self.index)?;
+        if self.index >= self.len {
+            return None;
+        }
+        let bit = self.words[self.index / 64] >> (self.index % 64) & 1 == 1;
         self.index += 1;
-        Some(b)
+        Some(bit)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.bits.len - self.index;
+        let rem = self.len - self.index;
         (rem, Some(rem))
     }
 }

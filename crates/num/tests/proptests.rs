@@ -1,5 +1,7 @@
 //! Property-based tests for the numeric substrate.
 
+use std::hash::{DefaultHasher, Hash, Hasher};
+
 use proptest::prelude::*;
 use ropuf_num::bits::BitVec;
 use ropuf_num::fft::{dft_naive, fft, ifft, Complex};
@@ -44,6 +46,86 @@ proptest! {
         // `from_packed` clears the junk too, so it equals the pushed
         // vector word for word.
         prop_assert_eq!(BitVec::from_packed(&expected, bits.len()), v);
+    }
+
+    /// Every operation agrees with a `Vec<bool>` model on lengths 0-300,
+    /// across the 128 bits a vector holds in place, whichever way the
+    /// vector was built (collected, pushed, zeros then set, unpacked
+    /// from bytes, or grown from `with_capacity` on either side of 128):
+    /// equal bits give `==` and the hash of the `(Vec<u64>, usize)` of
+    /// their words and length.
+    #[test]
+    fn bitvec_matches_the_vec_bool_model_across_the_spill(
+        bits in proptest::collection::vec(any::<bool>(), 0..=300),
+        mask in proptest::collection::vec(any::<bool>(), 300),
+        extra in proptest::collection::vec(any::<bool>(), 0..=300),
+        ways in proptest::collection::vec(0usize..5, 2),
+        cap in 0usize..1200,
+        index in 0usize..300,
+        pushed in any::<bool>(),
+    ) {
+        let n = bits.len();
+        let v = build(&bits, ways[0], cap);
+        let w = build(&bits, ways[1], cap);
+        prop_assert_eq!(&v, &w);
+        prop_assert_eq!(hash_of(&v), hash_of(&w));
+        prop_assert_eq!(hash_of(&v), hash_of(&(model_words(&bits), n)));
+        prop_assert_eq!(v.len(), n);
+        prop_assert_eq!(v.is_empty(), n == 0);
+        for (i, &b) in bits.iter().enumerate() {
+            prop_assert_eq!(v.get(i), Some(b), "bit {}", i);
+        }
+        prop_assert_eq!(v.get(n), None);
+        prop_assert_eq!(v.iter().len(), n);
+        prop_assert_eq!(v.iter().collect::<Vec<bool>>(), bits.clone());
+        prop_assert_eq!(v.to_bools(), bits.clone());
+        let ones = bits.iter().filter(|&&b| b).count();
+        prop_assert_eq!(v.count_ones(), ones);
+        prop_assert_eq!(v.count_zeros(), n - ones);
+
+        // Hamming distance and xor against a vector of the same length.
+        let other: BitVec = mask[..n].iter().copied().collect();
+        let xored: Vec<bool> = bits.iter().zip(&mask).map(|(a, b)| a ^ b).collect();
+        prop_assert_eq!(v.hamming_distance(&other), Some(xored.iter().filter(|&&b| b).count()));
+        prop_assert_eq!(v.xor(&other).to_bools(), xored.clone());
+        prop_assert_eq!(v.xor(&other), build(&xored, ways[1], cap));
+        let flipped: Vec<bool> = bits.iter().map(|b| !b).collect();
+        prop_assert_eq!(v.complement().to_bools(), flipped.clone());
+        prop_assert_eq!(v.complement(), build(&flipped, ways[0], cap));
+
+        // Packing and unpacking.
+        let mut packed = Vec::new();
+        BitVec::pack(v.iter(), &mut packed);
+        prop_assert_eq!(BitVec::unpack(&packed, n).collect::<Vec<bool>>(), bits.clone());
+        prop_assert_eq!(&BitVec::from_packed(&packed, n), &v);
+
+        // Setting one bit: the vector follows the model, and differs from
+        // the unchanged one exactly when the bit changed.
+        if n > 0 {
+            let i = index % n;
+            let mut set = w.clone();
+            set.set(i, !bits[i]);
+            let mut model = bits.clone();
+            model[i] = !bits[i];
+            prop_assert_eq!(set.to_bools(), model.clone());
+            prop_assert_ne!(&set, &v);
+            set.set(i, bits[i]);
+            prop_assert_eq!(&set, &v);
+            prop_assert_eq!(hash_of(&set), hash_of(&v));
+        }
+
+        // Growing: one push, then a whole vector, across the spill.
+        let mut grown = v.clone();
+        grown.push(pushed);
+        let mut model = bits.clone();
+        model.push(pushed);
+        prop_assert_eq!(&grown, &build(&model, ways[1], cap));
+        let tail = build(&extra, ways[0], cap);
+        grown.extend_bits(&tail);
+        model.extend_from_slice(&extra);
+        prop_assert_eq!(grown.to_bools(), model.clone());
+        prop_assert_eq!(&grown, &build(&model, ways[1], cap));
+        prop_assert_eq!(hash_of(&grown), hash_of(&(model_words(&model), model.len())));
     }
 
     #[test]
@@ -244,4 +326,54 @@ proptest! {
         h.add_all(xs.iter().copied());
         prop_assert_eq!(h.total(), xs.len());
     }
+}
+
+/// `bits` as a `BitVec` built one of five ways: 0 collects, 1 pushes
+/// onto an empty vector, 2 sets bits of `zeros`, 3 unpacks the packed
+/// bytes, 4 extends `with_capacity(cap)`.
+fn build(bits: &[bool], way: usize, cap: usize) -> BitVec {
+    match way {
+        0 => bits.iter().copied().collect(),
+        1 => {
+            let mut v = BitVec::new();
+            for &b in bits {
+                v.push(b);
+            }
+            v
+        }
+        2 => {
+            let mut v = BitVec::zeros(bits.len());
+            for (i, &b) in bits.iter().enumerate() {
+                v.set(i, b);
+            }
+            v
+        }
+        3 => {
+            let mut bytes = vec![0u8; bits.len().div_ceil(8)];
+            for (i, &b) in bits.iter().enumerate() {
+                bytes[i / 8] |= u8::from(b) << (i % 8);
+            }
+            BitVec::from_packed(&bytes, bits.len())
+        }
+        _ => {
+            let mut v = BitVec::with_capacity(cap);
+            v.extend(bits.iter().copied());
+            v
+        }
+    }
+}
+
+/// The words `bits` packs into, least-significant bit first.
+fn model_words(bits: &[bool]) -> Vec<u64> {
+    let mut words = vec![0u64; bits.len().div_ceil(64)];
+    for (i, &b) in bits.iter().enumerate() {
+        words[i / 64] |= u64::from(b) << (i % 64);
+    }
+    words
+}
+
+fn hash_of(value: &impl Hash) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
 }

@@ -26,10 +26,12 @@
 //! the device's lockout/quarantine state: the gate parked the *old*
 //! configuration, and the operator just replaced it.
 //!
-//! Opening a store replays every shard into a compact in-memory index
-//! (expected bits + Key Code + liveness counters — the enrollment text
-//! itself stays on disk only), so a million enrolled devices fit in a
-//! few hundred megabytes of RAM. Replay streams each shard through a
+//! Opening a store replays every shard into an in-memory index of one
+//! [`DeviceState`] a device (expected bits + Key Code + liveness
+//! counters — the enrollment text itself stays on disk only): one
+//! 160-byte hash slot with the device id and no heap block, so a
+//! million enrolled devices take about 340 MB of RAM (docs/SERVER.md
+//! has the measurements). Replay streams each shard through a
 //! fixed-size buffer into two reused payload buffers, checking every
 //! length field against the bytes left before reading it, and shards
 //! replay in parallel. Each envelope is validated in full but not
@@ -37,10 +39,11 @@
 //! enrollment parser in one pass, checking margins without computing
 //! them, and keeps only the expected bits, the one part of the
 //! enrollment the index serves from; `KeyCode::from_bytes` builds the
-//! helper a word at a time. Validating a record allocates those two
-//! bit vectors and nothing else. Enroll and supersede validate their
-//! payloads the same way. A truncated trailing record is reported as
-//! corruption, not silently dropped.
+//! helper a word at a time. Both bit vectors hold up to 128 bits in
+//! place, so validating the record of an enrollment of up to 128 pairs
+//! allocates nothing. Enroll and supersede validate their payloads the same way.
+//! A truncated trailing record is reported as corruption, not silently
+//! dropped.
 //!
 //! Telemetry: a `serve.store.open` span around the whole open, one
 //! `serve.store.replay` span per shard, and the
@@ -76,6 +79,9 @@ const REPLAY_BUFFER: usize = 64 * 1024;
 /// How many recent nonces each device remembers for replay rejection.
 pub const NONCE_WINDOW: usize = 8;
 
+// `DeviceState` counts the window's slots in `u8`s.
+const _: () = assert!(NONCE_WINDOW <= u8::MAX as usize);
+
 /// When appended records hit the disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
@@ -89,7 +95,10 @@ pub enum FsyncPolicy {
 /// The live, serving-relevant state of one enrolled device.
 ///
 /// This is the whole per-device RAM footprint; the enrollment text is
-/// re-read from disk only if an operator asks for it.
+/// re-read from disk only if an operator asks for it. It takes 152
+/// bytes, and owns no heap block while the expected bits and the Key
+/// Code helper fit in a `BitVec`'s 128 inline bits, as they do for
+/// every enrollment of up to 128 pairs.
 #[derive(Debug, Clone)]
 pub struct DeviceState {
     /// Enrollment-time expected response bits (public helper data).
@@ -99,9 +108,9 @@ pub struct DeviceState {
     /// Ring buffer of recently seen nonces.
     pub nonces: [u64; NONCE_WINDOW],
     /// How many slots of `nonces` are occupied.
-    pub nonce_len: usize,
+    pub nonce_len: u8,
     /// Next slot to overwrite once the ring is full.
-    pub nonce_cursor: usize,
+    pub nonce_cursor: u8,
     /// Consecutive failed auth attempts (reset on success).
     pub consecutive_failures: u32,
     /// Consecutive *accepted* auths that still carried erasures.
@@ -134,17 +143,18 @@ impl DeviceState {
 
     /// Whether `nonce` was seen within the replay window.
     pub fn nonce_seen(&self, nonce: u64) -> bool {
-        self.nonces[..self.nonce_len].contains(&nonce)
+        self.nonces[..usize::from(self.nonce_len)].contains(&nonce)
     }
 
     /// Records `nonce` as seen, evicting the oldest when full.
     pub fn remember_nonce(&mut self, nonce: u64) {
-        if self.nonce_len < NONCE_WINDOW {
-            self.nonces[self.nonce_len] = nonce;
+        let (len, cursor) = (usize::from(self.nonce_len), usize::from(self.nonce_cursor));
+        if len < NONCE_WINDOW {
+            self.nonces[len] = nonce;
             self.nonce_len += 1;
         } else {
-            self.nonces[self.nonce_cursor] = nonce;
-            self.nonce_cursor = (self.nonce_cursor + 1) % NONCE_WINDOW;
+            self.nonces[cursor] = nonce;
+            self.nonce_cursor = ((cursor + 1) % NONCE_WINDOW) as u8;
         }
     }
 }

@@ -254,13 +254,17 @@ fn reenroll_transcript_split_at_a_restart() {
 /// FNV-1a-64 of its bytes, then the shard's length. The files are read
 /// by [`shard_listing`], a walker of the record grammar in the store's
 /// module docs, not by `Store`, so a change to the writer or the reader
-/// shows here.
+/// shows here. One client thread as well as one worker: the worker
+/// appends sessions in the order it accepts them, so only a single
+/// client puts the records in device order.
 #[test]
 fn reenroll_store_shards() {
     let dir = store("reenroll-shards");
     run(&[
         "reenroll",
         "--workers",
+        "1",
+        "--threads",
         "1",
         "--fsync",
         "batched",
